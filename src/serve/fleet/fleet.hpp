@@ -11,13 +11,19 @@
 //   2. route: the FleetRouter serially assigns every arrival to a shard
 //      (affinity first, stealing after; see router.hpp). Output: one
 //      request script per shard, sorted by submission time.
-//   3. serve + merge: each shard is a fresh Platform + TaskServer (its own
-//      ModuleManager, plan cache, breakers, watchdogs) replaying its
-//      script open-loop on its own simulated clock. Shards share nothing,
-//      so they run on a host thread pool; results land in slots fixed by
-//      shard index and the per-shard registries merge serially in index
-//      order (StatRegistry::merge of accumulators is order-sensitive in
-//      the last floating-point bit).
+//   3. serve + merge: each shard is one persistent Platform + TaskServer
+//      (its own ModuleManager, plan cache, breakers, watchdogs) replaying
+//      its script open-loop on its own simulated clock. Shards share
+//      nothing, so they run on a host thread pool; results land in slots
+//      fixed by shard index and the per-shard registries merge serially in
+//      index order (StatRegistry::merge of accumulators is order-sensitive
+//      in the last floating-point bit).
+//
+// Phases 2 and 3 repeat per *epoch*. With health tracking on
+// (docs/FLEET_HEALTH.md) an epoch is a fixed number of arrivals, and at
+// each boundary the serial phase folds the shards' failure signals into
+// the HealthTracker and re-dispatches failed requests. With it off the
+// whole stream is a single epoch and nothing is observed.
 #pragma once
 
 #include <cstdint>
@@ -52,15 +58,15 @@ struct FleetOptions {
   BatchPolicy batch;
   int jobs = 1;                     // host worker threads for shard runs
   std::uint64_t seed = 1;
-  /// Device failure model (docs/FLEET_HEALTH.md). Disabled keeps the
-  /// legacy single-pass fleet byte-for-bit.
+  /// Device failure model (docs/FLEET_HEALTH.md). Disabled runs the whole
+  /// stream as one epoch: no signals, no re-dispatch, no transitions.
   HealthPolicy health;
   /// Chaos plan shared across the fleet: each shard arms the slice
   /// FaultPlan::for_device(shard index) -- device-scoped specs
   /// ("site:trigger:seed:device") hit only that shard.
   fault::FaultPlan fault_plan;
-  /// Health runner only: repair every shard's armed faults at the start of
-  /// this epoch (models field repair; -1 = never). The
+  /// Repair every shard's armed faults at the start of this epoch (models
+  /// field repair; -1 = never). With health off the only epoch is 0. The
   /// quarantine-then-recover chaos scenario keys off this.
   int repair_at_epoch = -1;
   /// Per-shard SLO engines (serve/slo.hpp); burn alerts feed the health
@@ -111,7 +117,7 @@ struct FleetReport {
   std::int64_t failed = 0;
   std::int64_t swaps = 0;
   bool digests_ok = true;
-  // Health runner only (zero / empty when health is disabled):
+  // Health tracking only (zero / empty when health is disabled):
   std::int64_t redispatched = 0;     // drain re-dispatches onto survivors
   std::int64_t retry_exhausted = 0;  // requests whose retry budget ran out
   std::int64_t no_healthy_device = 0;  // typed admission failures: every
@@ -127,16 +133,11 @@ struct FleetReport {
 /// rtr.ensure.latency_ps.{cached,differential,complete} series.
 [[nodiscard]] std::int64_t count_swaps(const sim::StatRegistry& stats);
 
-/// Final serial merge shared by both runners: fold fr.shards (already
-/// filled, in shard-index order) and fr.route into the aggregate fields
-/// and the fleet.* stats series.
-void merge_fleet_report(FleetReport& fr);
-
-/// Run the whole fleet: generate, route, serve on `opts.jobs` host
-/// threads, merge. Byte-identical output per (opts, spec) at any jobs.
-/// With opts.health.enabled the run proceeds in epochs through the
-/// health-tracking runner (health.hpp); otherwise the legacy single-pass
-/// three-phase pipeline runs unchanged.
+/// Run the whole fleet: generate, then route and serve on `opts.jobs` host
+/// threads epoch by epoch, then merge. Byte-identical output per (opts,
+/// spec) at any jobs. With opts.health.enabled each epoch ends with the
+/// HealthTracker's serial collect and tick (health.hpp); otherwise the
+/// stream is one epoch.
 FleetReport run_fleet(const FleetOptions& opts, const FleetWorkloadSpec& w);
 
 }  // namespace rtr::serve::fleet

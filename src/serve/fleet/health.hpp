@@ -1,11 +1,11 @@
 // Fleet health tracking: per-device failure scoring, quarantine/drain,
 // probation and readmission (docs/FLEET_HEALTH.md).
 //
-// The PR 7 fleet treats every shard as permanently healthy; one
-// persistently faulty device silently eats its affinity-routed share of
-// traffic. The HealthTracker closes that gap deterministically: the fleet
-// runner serves the arrival stream in *epochs* (a fixed number of arrivals
-// each), and at every epoch boundary -- in the serial routing phase, so
+// Without health tracking the fleet treats every shard as permanently
+// healthy; one persistently faulty device silently eats its affinity-routed
+// share of traffic. The HealthTracker closes that gap deterministically:
+// the fleet runner serves the arrival stream in *epochs* (a fixed number of
+// arrivals each), and at every epoch boundary -- in the serial phase, so
 // byte-determinism at any -j is untouched -- it folds each shard's
 // completion signals (watchdog aborts, recovery giveups, breaker opens,
 // device fail-stops, SLO burn) into an EWMA-style integer score and drives
@@ -34,8 +34,8 @@
 namespace rtr::serve::fleet {
 
 /// Knobs of the fleet's device-failure feedback loop. Disabled by default:
-/// run_fleet with health.enabled == false is byte-identical to the
-/// pre-health fleet.
+/// run_fleet with health.enabled == false serves the whole stream as one
+/// epoch and never observes a signal.
 struct HealthPolicy {
   bool enabled = false;
   /// Arrivals per epoch: the serial checkpoint cadence. Smaller epochs
@@ -138,19 +138,5 @@ class HealthTracker {
   HealthPolicy policy_;
   std::vector<Device> dev_;
 };
-
-struct FleetOptions;
-struct FleetWorkloadSpec;
-struct FleetReport;
-
-/// The health-enabled fleet runner (fleet.cpp dispatches here when
-/// opts.health.enabled): route -> serve -> collect signals -> tick, one
-/// epoch at a time, with persistent per-shard simulations so quarantined
-/// devices keep their clocks, faults and residency across epochs.
-FleetReport run_fleet_health(const FleetOptions& opts,
-                             const FleetWorkloadSpec& w,
-                             const std::vector<Request>& stream,
-                             const std::vector<int>& systems,
-                             const std::vector<int>& areas);
 
 }  // namespace rtr::serve::fleet

@@ -115,7 +115,7 @@ class FleetRouter {
   void set_weight_penalty(int shard, std::size_t penalty) {
     shards_[static_cast<std::size_t>(shard)].penalty = penalty;
   }
-  /// Epoch barrier (health runner): everything routed so far has actually
+  /// Epoch barrier (fleet runner): everything routed so far has actually
   /// been served, so drop every predicted backlog entry -- a later
   /// rebalance must never steal a request that already ran on its device.
   void checkpoint() {

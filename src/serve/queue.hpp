@@ -1,17 +1,18 @@
 // Bounded priority request queue (admission control).
 //
-// Three FIFOs, one per priority; pop takes the highest non-empty priority,
-// FIFO within it, so ordering is a pure function of (priority, admission
-// order) and independent of anything host-side. A full queue rejects with
-// a typed error instead of growing -- shedding at admission is the serving
-// layer's first line of overload defence.
+// Three FIFOs, one per priority. The baseline order is the highest
+// non-empty priority, FIFO within it, so ordering is a pure function of
+// (priority, admission order) and independent of anything host-side. A full
+// queue rejects with a typed error instead of growing -- shedding at
+// admission is the serving layer's first line of overload defence.
 //
 // Two pop paths may reorder within that baseline, both bounded by the same
-// starvation guard: pop_affine (multi-area affinity dispatch) and pop_batch
-// (swap-aware batch extraction, docs/SERVING.md "Batching"). Every time a
-// queued request is passed over by either path its `bypassed` counter is
-// incremented; a request whose counter has reached max_bypass is *aged* and
-// may not be passed over again by either path.
+// starvation guard: pop_affine (multi-area affinity dispatch; with a
+// never-resident predicate it pops the baseline order exactly) and
+// pop_batch (swap-aware batch extraction, docs/SERVING.md "Batching").
+// Every time a queued request is passed over by either path its `bypassed`
+// counter is incremented; a request whose counter has reached max_bypass is
+// *aged* and may not be passed over again by either path.
 #pragma once
 
 #include <algorithm>
@@ -69,19 +70,6 @@ class RequestQueue {
       }
     }
     return nullptr;
-  }
-
-  /// Highest priority first, FIFO within a priority.
-  Request pop() {
-    for (auto& q : q_) {
-      if (!q.empty()) {
-        Request r = q.front();
-        q.pop_front();
-        return r;
-      }
-    }
-    RTR_CHECK(false, "pop from an empty request queue");
-    __builtin_unreachable();
   }
 
   /// Affinity pop (multi-area devices, docs/PLACEMENT.md): within the

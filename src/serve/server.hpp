@@ -68,7 +68,7 @@ struct ServeOptions {
   /// to batch.max_batch same-behaviour requests per residency, jumping
   /// only requests with at least batch.slack_ps of deadline headroom, and
   /// streams image batches as one multi-buffer scatter-gather chain.
-  /// Default max_batch = 1: batching off, serve_batch == serve_one.
+  /// Default max_batch = 1: batching off, every batch is one request.
   BatchPolicy batch;
   /// Declared service-level objectives, one SloEngine each, evaluated per
   /// disposed request (see serve/slo.hpp for grammar and burn semantics).
@@ -93,7 +93,7 @@ struct ServeReport {
   std::int64_t breaker_probes = 0;
   std::int64_t breaker_closes = 0;
   std::int64_t slo_breaches = 0;  // edge-triggered burn-rate alerts
-  std::int64_t batches = 0;    // serve_batch invocations (incl. singletons)
+  std::int64_t batches = 0;    // serve_batch calls; 0 when batching is off
   std::int64_t coalesced = 0;  // members served beyond each batch's leader
   bool digests_ok = true;  // every served output matched its golden model
   std::vector<Completion> completions;
@@ -174,103 +174,52 @@ class TaskServer {
 
   [[nodiscard]] bool pending() const { return !queue_.empty(); }
 
-  /// Pop and serve the highest-priority request (on a multi-area device,
-  /// the highest-priority request warm in some area, with aging; see
-  /// ServeOptions::affinity_max_bypass). Advances simulated time.
-  Completion serve_one() {
-    const Request req =
-        p_->area_count() > 1
-            ? queue_.pop_affine(
-                  [this](int b) {
-                    return mgr_.is_resident(static_cast<hw::BehaviorId>(b));
-                  },
-                  opts_.affinity_max_bypass)
-            : queue_.pop();
-    stage_sample(stages(req.behavior).queue, (now() - req.submitted).ps());
-    trace::Tracer& tr = p_->sim().tracer();
-    const int track = tr.enabled() ? tr.track("SERVE") : -1;
-    if (track >= 0) {
-      tr.begin(track,
-               std::string(hw::task_name(req.behavior)) + ":" +
-                   std::to_string(req.id),
-               now());
-      tr.flow(trace::Phase::kFlowStep, track, "req", req.id, now());
-    }
-    // Everything under dispatch (module ensure, reconfiguration, exec) can
-    // attribute its spans to this request through the simulation context.
-    const sim::RequestContext ctx{req.id, req.behavior, req.deadline.ps(),
-                                  req.submitted.ps()};
-    p_->sim().set_active_request(&ctx);
-    Completion c = dispatch(req);
-    p_->sim().set_active_request(nullptr);
-    const sim::SimTime prefetch_start = now();
-    prefetch_next(req);
-    // The prefetcher warms plans off the simulated clock; the stage
-    // histogram pins that invariant (always 0) into the §4 decomposition.
-    stage_sample(stages(req.behavior).prefetch, (now() - prefetch_start).ps());
-    c.finished = now();
-    c.deadline_met = req.deadline.ps() == 0 || c.finished <= req.deadline;
-    if (!c.deadline_met &&
-        (c.outcome == Outcome::kHw || c.outcome == Outcome::kSw)) {
-      ++report_.deadline_miss;
-      counter("serve.deadline_miss").add();
-      mark("deadline_miss", req.id);
-    }
-    if (c.outcome == Outcome::kHw || c.outcome == Outcome::kSw) {
-      p_->sim().stats().histogram("serve.latency_ps").sample(
-          (c.finished - c.req.submitted).ps());
-      if (!c.golden_ok) report_.digests_ok = false;
-    }
-    observe_slos(c);
-    if (track >= 0) {
-      tr.instant(track, std::string("done:") + outcome_name(c.outcome), now(),
-                 "req", c.req.id);
-      tr.flow(trace::Phase::kFlowEnd, track, "req", req.id, now());
-      tr.end(track, now());
-    }
-    report_.completions.push_back(c);
-    return c;
-  }
-
-  /// Pop and serve a slack-bounded batch of same-behaviour requests: one
-  /// residency (and, for 64-bit image tasks, one multi-buffer scatter-
-  /// gather descriptor chain) serves every member. Per-member semantics
-  /// match serve_one -- expiry, fail-stop, deadline accounting, SLOs and
-  /// digests are all evaluated per member; the batch shares the breaker
-  /// decision, the watchdog-armed module ensure (armed against the
-  /// earliest member deadline, so no member's deadline is sacrificed) and
-  /// the chain kick. A member whose output fails golden verification
-  /// (a fault corrupted its beats mid-chain) is re-run on the software
-  /// kernel for a bit-identical digest; the rest of the batch is
-  /// unaffected. With batching disabled this is exactly {serve_one()}.
+  /// Pop and serve the next batch: the leader pop_affine picks (the
+  /// highest-priority request; on a multi-area device the highest-priority
+  /// request warm in some area, with aging -- see
+  /// ServeOptions::affinity_max_bypass), extended with slack-bounded
+  /// same-behaviour requests when batching is on. One residency (and, for
+  /// 64-bit image tasks, one multi-buffer scatter-gather descriptor chain)
+  /// serves every member. Expiry, fail-stop, deadline accounting, SLOs and
+  /// digests are evaluated per member; the batch shares the breaker
+  /// decision, the watchdog-armed module ensure (armed against the earliest
+  /// member deadline, so no member's deadline is sacrificed) and the chain
+  /// kick. A member whose output fails golden verification (a fault
+  /// corrupted its beats mid-chain) is re-run on the software kernel for a
+  /// bit-identical digest; the rest of the batch is unaffected. With
+  /// batching off (max_batch <= 1) every batch is one request. Advances
+  /// simulated time.
   std::vector<Completion> serve_batch() {
-    if (opts_.batch.max_batch <= 1) return {serve_one()};
-    const auto resident = [this](int b) {
-      return mgr_.is_resident(static_cast<hw::BehaviorId>(b));
-    };
-    const auto cold = [](int) { return false; };
-    std::vector<Request> batch =
-        p_->area_count() > 1
-            ? queue_.pop_batch(resident, opts_.affinity_max_bypass,
-                               opts_.batch, now())
-            : queue_.pop_batch(cold, opts_.affinity_max_bypass, opts_.batch,
-                               now());
-    ++report_.batches;
-    report_.coalesced += static_cast<std::int64_t>(batch.size()) - 1;
-    counter("serve.batch.count").add();
-    if (batch.size() > 1) {
-      counter("serve.batch.coalesced")
-          .add(static_cast<std::int64_t>(batch.size()) - 1);
+    // A single-area device has no co-resident module to prefer: the
+    // never-resident predicate pops strict (priority, FIFO) order.
+    const bool multi_area = p_->area_count() > 1;
+    std::vector<Request> batch = queue_.pop_batch(
+        [this, multi_area](int b) {
+          return multi_area &&
+                 mgr_.is_resident(static_cast<hw::BehaviorId>(b));
+        },
+        opts_.affinity_max_bypass, opts_.batch, now());
+    if (opts_.batch.max_batch > 1) {
+      ++report_.batches;
+      report_.coalesced += static_cast<std::int64_t>(batch.size()) - 1;
+      counter("serve.batch.count").add();
+      if (batch.size() > 1) {
+        counter("serve.batch.coalesced")
+            .add(static_cast<std::int64_t>(batch.size()) - 1);
+      }
+      p_->sim().stats().histogram("serve.batch.size").sample(
+          static_cast<std::int64_t>(batch.size()));
     }
-    p_->sim().stats().histogram("serve.batch.size").sample(
-        static_cast<std::int64_t>(batch.size()));
     const hw::BehaviorId behavior = batch.front().behavior;
     trace::Tracer& tr = p_->sim().tracer();
     const int track = tr.enabled() ? tr.track("SERVE") : -1;
     if (track >= 0) {
       tr.begin(track,
-               std::string("batch:") + hw::task_name(behavior) + ":x" +
-                   std::to_string(batch.size()),
+               batch.size() == 1
+                   ? std::string(hw::task_name(behavior)) + ":" +
+                         std::to_string(batch.front().id)
+                   : std::string("batch:") + hw::task_name(behavior) + ":x" +
+                         std::to_string(batch.size()),
                now());
     }
 
@@ -292,8 +241,10 @@ class TaskServer {
         c.deadline_met = false;
       } else if (fault::FaultInjector* fi = p_->faults();
                  fi != nullptr && fi->on_dispatch(now()).fail_stop) {
-        // Whole-device fault sites keep one opportunity per request, as
-        // the unbatched dispatch path gives them.
+        // Whole-device fault sites (fail_stop/brownout) get one opportunity
+        // per request. A fail-stopped device refuses the request outright --
+        // its software kernels run on the same dead device, so there is no
+        // degradation path; the fleet's health tracker is the recovery story.
         ++report_.fail_stops;
         ++report_.failed;
         counter("serve.fail_stop").add();
@@ -311,9 +262,21 @@ class TaskServer {
       const Request& leader = batch[live.front()];
       Completion& lead_c = out[live.front()];
       CircuitBreaker& br = breaker(behavior);
+      // Charge a hardware failure of member i to the breaker; an opening
+      // edge is attributed to that member.
+      const auto hw_failed = [&](std::size_t i) {
+        if (br.record_failure(now())) {
+          ++report_.breaker_opens;
+          counter("serve.breaker_opens").add();
+          mark("breaker:open", batch[i].id);
+          incident("breaker_open", batch[i].id);
+          out[i].breaker_opened = true;
+        }
+      };
       const BreakerState before = br.state();
       const bool try_hw = br.allow_hw(now());
       if (try_hw && before == BreakerState::kOpen) {
+        // The cooldown elapsed: this batch is the half-open probe.
         ++report_.breaker_probes;
         counter("serve.breaker_probes").add();
         mark("breaker:probe", leader.id);
@@ -365,19 +328,16 @@ class TaskServer {
         hw_ready = es.ok;
         if (!es.ok) {
           lead_c.error = es.error;
-          if (br.record_failure(now())) {
-            ++report_.breaker_opens;
-            counter("serve.breaker_opens").add();
-            mark("breaker:open", leader.id);
-            incident("breaker_open", leader.id);
-            lead_c.breaker_opened = true;
-          }
+          hw_failed(live.front());
         }
       }
 
       // Success bookkeeping shared by the chained and per-member paths.
       const auto hw_served = [&](std::size_t i, const ExecResult& r) {
         if (br.record_success()) {
+          // Probe succeeded: hardware service is restored. Also lift the
+          // manager's diff->complete degradation -- the fault that caused
+          // it is evidently gone.
           ++report_.breaker_closes;
           counter("serve.breaker_closes").add();
           mark("breaker:close", batch[i].id);
@@ -389,6 +349,8 @@ class TaskServer {
         out[i].digest = r.digest;
         out[i].golden_ok = r.golden_ok;
       };
+      // Graceful degradation: the software kernel, bit-identical to the
+      // hardware path (admission guaranteed it exists).
       const auto sw_served = [&](std::size_t i) {
         const sim::RequestContext ctx{batch[i].id, batch[i].behavior,
                                       batch[i].deadline.ps(),
@@ -412,12 +374,13 @@ class TaskServer {
       };
 
       if (hw_ready) {
-        std::vector<BatchMember> ms(live.size());
-        for (std::size_t j = 0; j < live.size(); ++j) {
-          ms[j].input_seed = input_seed(batch[live[j]]);
-        }
+        std::vector<BatchMember> ms;
         bool chained = false;
         if (live.size() > 1) {
+          ms.resize(live.size());
+          for (std::size_t j = 0; j < live.size(); ++j) {
+            ms[j].input_seed = input_seed(batch[live[j]]);
+          }
           const sim::RequestContext ctx{leader.id, leader.behavior,
                                         leader.deadline.ps(),
                                         leader.submitted.ps()};
@@ -446,13 +409,7 @@ class TaskServer {
               // digest); the rest of the batch is already done.
               out[i].hw_detected = true;
               counter("serve.batch.member_degraded").add();
-              if (br.record_failure(now())) {
-                ++report_.breaker_opens;
-                counter("serve.breaker_opens").add();
-                mark("breaker:open", batch[i].id);
-                incident("breaker_open", batch[i].id);
-                out[i].breaker_opened = true;
-              }
+              hw_failed(i);
               sw_served(i);
             }
           }
@@ -471,13 +428,7 @@ class TaskServer {
               out[i].finished = now();
             } else {
               out[i].error = "hardware execution produced no result";
-              if (br.record_failure(now())) {
-                ++report_.breaker_opens;
-                counter("serve.breaker_opens").add();
-                mark("breaker:open", batch[i].id);
-                incident("breaker_open", batch[i].id);
-                out[i].breaker_opened = true;
-              }
+              hw_failed(i);
               sw_served(i);
             }
           }
@@ -490,6 +441,8 @@ class TaskServer {
       }
     }
 
+    // The prefetcher warms plans off the simulated clock; the stage
+    // histogram pins that invariant (always 0) into the §4 decomposition.
     const sim::SimTime prefetch_start = now();
     prefetch_next(batch.front());
     stage_sample(stages(behavior).prefetch, (now() - prefetch_start).ps());
@@ -545,132 +498,6 @@ class TaskServer {
     h = fnv1a_u32(static_cast<std::uint32_t>(seed_ >> 32), h);
     h = fnv1a_u32(static_cast<std::uint32_t>(r.id), h);
     return h;
-  }
-
-  Completion dispatch(const Request& req) {
-    Completion c = make_completion(req, Outcome::kFailed);
-
-    if (req.deadline.ps() > 0 && now() >= req.deadline) {
-      ++report_.expired;
-      counter("serve.expired").add();
-      mark("expired", req.id);
-      c.outcome = Outcome::kExpired;
-      c.deadline_met = false;
-      return c;
-    }
-
-    // Whole-device fault sites (fail_stop/brownout): one opportunity per
-    // dispatch. A fail-stopped device refuses the request outright -- its
-    // software kernels run on the same dead device, so there is no
-    // degradation path; the fleet's health tracker is the recovery story.
-    if (fault::FaultInjector* fi = p_->faults()) {
-      const fault::FaultInjector::DispatchFault df = fi->on_dispatch(now());
-      if (df.fail_stop) {
-        ++report_.fail_stops;
-        ++report_.failed;
-        counter("serve.fail_stop").add();
-        counter("serve.failed").add();
-        mark("fail_stop", req.id);
-        c.fail_stop = true;
-        c.error = "device fail-stop";
-        return c;
-      }
-    }
-
-    CircuitBreaker& br = breaker(req.behavior);
-    const BreakerState before = br.state();
-    const bool try_hw = br.allow_hw(now());
-    if (try_hw && before == BreakerState::kOpen) {
-      // The cooldown elapsed: this request is the half-open probe.
-      ++report_.breaker_probes;
-      counter("serve.breaker_probes").add();
-      mark("breaker:probe", req.id);
-    }
-
-    if (try_hw) {
-      // Arm the watchdog: one hardware attempt may not outlive its budget
-      // or the request's own deadline, whichever is sooner.
-      sim::SimTime dl = now() + opts_.hw_attempt_budget;
-      if (req.deadline.ps() > 0 && req.deadline < dl) dl = req.deadline;
-      p_->set_load_deadline(dl);
-      const EnsureStats es = mgr_.ensure(req.behavior, dock_width());
-      p_->set_load_deadline(sim::SimTime{});
-      stage_sample(stages(req.behavior).reconfig, es.time.ps());
-      if (p_->area_count() > 1 && es.ok) {
-        // Per-area serving traffic (multi-area devices only): hits are
-        // requests served by a warm area (including cross-area dock
-        // re-binds), loads paid a reconfiguration into that area.
-        counter((std::string("serve.area.") + std::to_string(es.area) +
-                 (es.already_resident ? ".hits" : ".loads"))
-                    .c_str())
-            .add();
-      }
-      if (opts_.plan_cache && !es.already_resident) {
-        // A swap actually ran: score the prefetcher's last prediction.
-        if (prefetch_pending_ == req.behavior) {
-          counter("serve.prefetch.hits").add();
-          prefetch_pending_ = -1;
-        } else {
-          counter("serve.prefetch.misses").add();
-        }
-      }
-      if (es.watchdog) {
-        ++report_.watchdog_aborts;
-        counter("serve.watchdog_aborts").add();
-        mark("watchdog_abort", req.id);
-        incident("watchdog_abort", req.id);
-      }
-      c.watchdog = es.watchdog;
-      c.hw_detected = es.detected;
-      c.hw_giveup = !es.ok;
-      if (es.ok) {
-        const ExecResult r = timed_exec(req, /*hw=*/true);
-        if (r.ok) {
-          if (br.record_success()) {
-            // Probe succeeded: hardware service is restored. Also lift the
-            // manager's diff->complete degradation -- the fault that caused
-            // it is evidently gone.
-            ++report_.breaker_closes;
-            counter("serve.breaker_closes").add();
-            mark("breaker:close", req.id);
-            mgr_.reset_degraded();
-          }
-          ++report_.served_hw;
-          counter("serve.hw").add();
-          c.outcome = Outcome::kHw;
-          c.digest = r.digest;
-          c.golden_ok = r.golden_ok;
-          return c;
-        }
-        c.error = "hardware execution produced no result";
-      } else {
-        c.error = es.error;
-      }
-      if (br.record_failure(now())) {
-        ++report_.breaker_opens;
-        counter("serve.breaker_opens").add();
-        mark("breaker:open", req.id);
-        incident("breaker_open", req.id);
-        c.breaker_opened = true;
-      }
-    }
-
-    // Graceful degradation: the software kernel, bit-identical to the
-    // hardware path (admission guaranteed it exists).
-    const ExecResult r = timed_exec(req, /*hw=*/false);
-    if (r.ok) {
-      ++report_.degraded;
-      counter("serve.degraded").add();
-      mark("degrade:sw", req.id);
-      c.outcome = Outcome::kSw;
-      c.digest = r.digest;
-      c.golden_ok = r.golden_ok;
-    } else {
-      ++report_.failed;
-      counter("serve.failed").add();
-      mark("failed", req.id);
-    }
-    return c;
   }
 
   /// Warm the manager's plan cache for the next queued request that would
@@ -883,12 +710,7 @@ ServeReport run_workload(Platform& p, const WorkloadSpec& w,
       }
     }
     if (srv.pending()) {
-      if (opts.batch.max_batch > 1) {
-        for (const Completion& c : srv.serve_batch()) {
-          dispose(c.req.client, c.finished.ps());
-        }
-      } else {
-        const Completion c = srv.serve_one();
+      for (const Completion& c : srv.serve_batch()) {
         dispose(c.req.client, c.finished.ps());
       }
     }
@@ -917,13 +739,7 @@ ServeReport run_open_workload(Platform& p, const OpenLoopSpec& spec,
       (void)srv.submit(stream[next]);
       ++next;
     }
-    if (srv.pending()) {
-      if (opts.batch.max_batch > 1) {
-        (void)srv.serve_batch();
-      } else {
-        (void)srv.serve_one();
-      }
-    }
+    if (srv.pending()) (void)srv.serve_batch();
   }
   return srv.report();
 }

@@ -551,4 +551,52 @@ TEST(Cli, SweepWritesBenchJson) {
   std::remove(path.c_str());
 }
 
+
+// Golden-output check: the simulated stdout of each command below is a pure
+// function of its flags, so it is pinned byte for byte. A refactor of the
+// serving or fleet layers that changes any simulated number fails here.
+// To re-baseline after an intended behaviour change, rerun the command with
+// stderr discarded and overwrite tests/golden/<name>.txt.
+TEST(Cli, OutputMatchesGoldens) {
+  struct Golden {
+    const char* name;
+    const char* args;
+  };
+  const Golden kGoldens[] = {
+      {"serve_smoke", "serve --smoke --seed 1"},
+      {"serve_heavy64_a2",
+       "serve --workload heavy --system 64 --areas 2 --seed 1"},
+      {"serve_heavy64_a2_b8",
+       "serve --workload heavy --system 64 --areas 2 --max-batch 8 --seed 1"},
+      {"serve_heavy32", "serve --workload heavy --system 32 --seed 3"},
+      {"fleet_8", "fleet --devices 8 --requests 600 --seed 1"},
+      {"fleet_3x64_a2",
+       "fleet --devices 3 --mix 64 --areas 2 --requests 2000 --seed 1"},
+      {"chaos_smoke", "chaos --smoke --seed 1"},
+  };
+  for (const Golden& g : kGoldens) {
+    SCOPED_TRACE(g.args);
+    std::ifstream in(std::string(RTRSIM_GOLDEN_DIR) + "/" + g.name + ".txt");
+    ASSERT_TRUE(in.good()) << "missing golden " << g.name;
+    std::stringstream want;
+    want << in.rdbuf();
+    const auto r = run_cli_stdout(g.args);
+    EXPECT_EQ(r.exit_code, 0);
+    if (r.output == want.str()) continue;
+    // Report the first differing line rather than two whole transcripts.
+    std::istringstream got_lines(r.output), want_lines(want.str());
+    std::string got_line, want_line;
+    bool got_more = true, want_more = true;
+    int line = 0;
+    do {
+      ++line;
+      want_more = static_cast<bool>(std::getline(want_lines, want_line));
+      got_more = static_cast<bool>(std::getline(got_lines, got_line));
+    } while (want_more && got_more && got_line == want_line);
+    ADD_FAILURE() << g.name << ".txt differs at line " << line
+                  << "\n  want: " << (want_more ? want_line : "<end>")
+                  << "\n  got:  " << (got_more ? got_line : "<end>");
+  }
+}
+
 }  // namespace

@@ -19,10 +19,23 @@ namespace {
 
 using sim::SimTime;
 
-TEST(FaultInjection, CorruptedConfigIsCaughtByTheCrc) {
+// Storage corruption pinned to one staged word: bit 8 of configuration
+// word `word` is flipped before every load, so the ICAP's CRC must catch it.
+PlatformOptions corrupt_word_options(std::int64_t word) {
+  fault::FaultSpec s;
+  s.site = fault::Site::kConfigStorage;
+  s.kind = fault::TriggerKind::kStuck;
+  s.n = 0;
+  s.word = word;
+  s.mask = 0x0100;
   PlatformOptions opts;
-  opts.corrupt_config_word = 5000;  // deep inside the frame payload
-  Platform32 p{opts};
+  opts.fault_plan.add(s);
+  return opts;
+}
+
+TEST(FaultInjection, CorruptedConfigIsCaughtByTheCrc) {
+  // Word 5000 lies deep inside the frame payload.
+  Platform32 p{corrupt_word_options(5000)};
   const ReconfigStats s = p.load_module(hw::kJenkinsHash);
   EXPECT_FALSE(s.ok);
   EXPECT_NE(s.error.find("CRC"), std::string::npos) << s.error;
@@ -32,28 +45,25 @@ TEST(FaultInjection, CorruptedConfigIsCaughtByTheCrc) {
 }
 
 TEST(FaultInjection, CorruptionInTheHeaderAlsoFails) {
-  PlatformOptions opts;
-  opts.corrupt_config_word = 2;  // the IDCODE packet area
-  Platform32 p{opts};
+  Platform32 p{corrupt_word_options(2)};  // the IDCODE packet area
   EXPECT_FALSE(p.load_module(hw::kBrightness).ok);
   EXPECT_EQ(p.active_module(), nullptr);
 }
 
 TEST(FaultInjection, RecoveryAfterACorruptLoad) {
-  // One corrupt load, then a clean platform-level retry must succeed: the
-  // load path resets the ICAP before streaming.
-  PlatformOptions opts;
-  opts.corrupt_config_word = 9000;
-  Platform32 p{opts};
+  // One corrupt load, then field repair and a retry on the same platform
+  // must succeed: the load path resets the ICAP before streaming, so the
+  // failed stream leaves nothing behind that blocks the next one.
+  Platform32 p{corrupt_word_options(9000)};
   ASSERT_FALSE(p.load_module(hw::kFade).ok);
+  ASSERT_EQ(p.cpu().load32(Platform32::dock_data()), 0xDEADBEEFu);
 
-  // Clear the fault (storage repaired) and retry on the same platform.
-  PlatformOptions clean;
-  Platform32 q{clean};
-  // Same-instance retry: simulate by constructing with the fault and then
-  // loading a module whose corrupt index lies beyond its stream.
-  EXPECT_TRUE(q.load_module(hw::kFade).ok);
-  EXPECT_NE(q.active_module(), nullptr);
+  p.faults()->repair_all();
+  const ReconfigStats s = p.load_module(hw::kFade);
+  ASSERT_TRUE(s.ok) << s.error;
+  ASSERT_NE(p.active_module(), nullptr);
+  EXPECT_EQ(p.active_module()->behavior_id(), hw::kFade);
+  EXPECT_NE(p.cpu().load32(Platform32::dock_data()), 0xDEADBEEFu);
 }
 
 TEST(FaultInjection, FailedFitLeavesPriorModuleRunning) {
@@ -73,9 +83,7 @@ TEST(FaultInjection, FailedStreamLeavesNothingBound) {
   // A load that fails *during* streaming (CRC) has already torn down the
   // prior module -- the region content is undefined, so nothing may stay
   // bound. Safety over availability.
-  PlatformOptions opts;
-  opts.corrupt_config_word = 8000;
-  Platform32 p{opts};
+  Platform32 p{corrupt_word_options(8000)};
   // First load succeeds? No -- corruption applies to every load on this
   // platform, so load a module whose stream is shorter than the corrupt
   // index... all streams here are ~33k words, so every load fails.
@@ -85,9 +93,7 @@ TEST(FaultInjection, FailedStreamLeavesNothingBound) {
 }
 
 TEST(FaultInjection, CorruptLoadOn64ViaDmaAlsoCaught) {
-  PlatformOptions opts;
-  opts.corrupt_config_word = 4000;
-  Platform64 p{opts};
+  Platform64 p{corrupt_word_options(4000)};
   const ReconfigStats s = p.load_module(hw::kBrightness);
   EXPECT_FALSE(s.ok);
   EXPECT_EQ(p.active_module(), nullptr);
@@ -257,29 +263,6 @@ TEST(FaultRecovery, StickyIcapFaultExhaustsRetriesThenRepairRecovers) {
   EXPECT_TRUE(again.verified);
   EXPECT_EQ(p.fabric_state().snapshot(),
             golden_snapshot<Platform32>(hw::kBrightness));
-}
-
-TEST(FaultRecovery, CorruptConfigWordShimIsAnAliasForTheStoragePlan) {
-  PlatformOptions legacy;
-  legacy.corrupt_config_word = 5000;
-  Platform32 a{legacy};
-  const ReconfigStats sa = a.load_module(hw::kJenkinsHash);
-
-  PlatformOptions plan;
-  fault::FaultSpec shim;
-  shim.site = fault::Site::kConfigStorage;
-  shim.kind = fault::TriggerKind::kStuck;
-  shim.n = 0;
-  shim.word = 5000;
-  shim.mask = 0x0100;
-  plan.fault_plan.add(shim);
-  Platform32 b{plan};
-  const ReconfigStats sb = b.load_module(hw::kJenkinsHash);
-
-  EXPECT_FALSE(sa.ok);
-  EXPECT_FALSE(sb.ok);
-  EXPECT_EQ(sa.error, sb.error);
-  EXPECT_EQ(sa.duration().ps(), sb.duration().ps());
 }
 
 TEST(FaultRecovery, InjectedFaultsBumpTheFabricGeneration) {

@@ -43,6 +43,12 @@ Request make_request(std::int64_t id, hw::BehaviorId b,
 
 // --- bounded priority queue ---------------------------------------------------
 
+// The baseline (priority, FIFO) pop: pop_affine with nothing resident, the
+// order TaskServer pops on a single-area device.
+Request pop_head(RequestQueue& q) {
+  return q.pop_affine([](int) { return false; }, 16);
+}
+
 TEST(RequestQueue, PopsByPriorityThenFifo) {
   RequestQueue q{8};
   ASSERT_EQ(q.admit(make_request(1, hw::kJenkinsHash, Priority::kLow)),
@@ -53,10 +59,10 @@ TEST(RequestQueue, PopsByPriorityThenFifo) {
             AdmitError::kNone);
   ASSERT_EQ(q.admit(make_request(4, hw::kJenkinsHash, Priority::kHigh)),
             AdmitError::kNone);
-  EXPECT_EQ(q.pop().id, 3);  // high, FIFO within the class
-  EXPECT_EQ(q.pop().id, 4);
-  EXPECT_EQ(q.pop().id, 2);  // then normal
-  EXPECT_EQ(q.pop().id, 1);  // then low
+  EXPECT_EQ(pop_head(q).id, 3);  // high, FIFO within the class
+  EXPECT_EQ(pop_head(q).id, 4);
+  EXPECT_EQ(pop_head(q).id, 2);  // then normal
+  EXPECT_EQ(pop_head(q).id, 1);  // then low
   EXPECT_TRUE(q.empty());
 }
 
@@ -71,7 +77,7 @@ TEST(RequestQueue, FullQueueShedsWithTypedError) {
 
 TEST(RequestQueue, PopOnEmptyDies) {
   RequestQueue q{1};
-  EXPECT_DEATH((void)q.pop(), "empty request queue");
+  EXPECT_DEATH((void)pop_head(q), "empty request queue");
 }
 
 // --- circuit breaker ----------------------------------------------------------
@@ -194,7 +200,7 @@ TEST(TaskServerTest, ExpiredRequestIsDroppedBeforeExecution) {
   r.deadline = SimTime::from_ns(100);
   ASSERT_EQ(srv.submit(r), AdmitError::kNone);
   p.kernel().op(1'000'000);  // time passes while the request queues
-  const auto c = srv.serve_one();
+  const auto c = srv.serve_batch().front();
   EXPECT_EQ(c.outcome, Outcome::kExpired);
   EXPECT_FALSE(c.deadline_met);
   EXPECT_EQ(srv.report().expired, 1);
@@ -207,7 +213,7 @@ TEST(TaskServerTest, UnplaceableModuleDegradesToSoftware) {
   Platform32 p;
   TaskServer<Platform32> srv{p, 4};
   ASSERT_EQ(srv.submit(make_request(1, hw::kSha1)), AdmitError::kNone);
-  const auto c = srv.serve_one();
+  const auto c = srv.serve_batch().front();
   EXPECT_EQ(c.outcome, Outcome::kSw);
   EXPECT_TRUE(c.golden_ok);
   EXPECT_EQ(srv.report().degraded, 1);
@@ -223,14 +229,14 @@ TEST(TaskServerTest, BreakerOpensAfterRepeatedFailuresAndSkipsHardware) {
   for (int i = 1; i <= 3; ++i) {
     ASSERT_EQ(srv.submit(make_request(i, hw::kSha1)), AdmitError::kNone);
   }
-  (void)srv.serve_one();
-  (void)srv.serve_one();  // second failure trips the breaker
+  (void)srv.serve_batch();
+  (void)srv.serve_batch();  // second failure trips the breaker
   EXPECT_EQ(srv.breaker(hw::kSha1).state(), BreakerState::kOpen);
   EXPECT_EQ(srv.report().breaker_opens, 1);
   // With the breaker open the request never touches the manager: served
   // in pure software time, no reconfiguration attempt.
   const SimTime t0 = p.kernel().now();
-  const auto c = srv.serve_one();
+  const auto c = srv.serve_batch().front();
   EXPECT_EQ(c.outcome, Outcome::kSw);
   EXPECT_LT((p.kernel().now() - t0).ps(), SimTime::from_ms(20).ps());
 }
@@ -403,14 +409,14 @@ TEST(RunWorkload, ProbeSuccessLiftsManagerDegradation) {
   for (int i = 1; i <= 3; ++i) {
     ASSERT_EQ(srv.submit(make_request(i, hw::kJenkinsHash)),
               AdmitError::kNone);
-    (void)srv.serve_one();
+    (void)srv.serve_batch();
   }
   ASSERT_EQ(srv.breaker(hw::kJenkinsHash).state(), BreakerState::kOpen);
   // Field repair, then wait out the cooldown.
   p.faults()->repair_all();
   p.kernel().op(50'000'000);  // >> 5 ms at 300 MHz
   ASSERT_EQ(srv.submit(make_request(4, hw::kJenkinsHash)), AdmitError::kNone);
-  const auto c = srv.serve_one();
+  const auto c = srv.serve_batch().front();
   EXPECT_EQ(c.outcome, Outcome::kHw);
   EXPECT_EQ(srv.breaker(hw::kJenkinsHash).state(), BreakerState::kClosed);
   EXPECT_FALSE(srv.manager().degraded());
@@ -727,8 +733,8 @@ TEST(RequestQueue, PopBatchCoalescesSameBehaviorWithinSlack) {
   EXPECT_EQ(batch[2].id, 5);
   // The jumped-over sha1 requests remain, in order, with a bypass charged.
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.pop().id, 2);
-  EXPECT_EQ(q.pop().id, 4);
+  EXPECT_EQ(pop_head(q).id, 2);
+  EXPECT_EQ(pop_head(q).id, 4);
 }
 
 TEST(RequestQueue, PopBatchHonorsMaxBatch) {
@@ -803,7 +809,7 @@ TEST(RequestQueue, PopBatchCoalescesAcrossPriorityClasses) {
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].id, 1);  // high-priority leader
   EXPECT_EQ(batch[1].id, 3);  // same behaviour from the normal class
-  EXPECT_EQ(q.pop().id, 2);
+  EXPECT_EQ(pop_head(q).id, 2);
 }
 
 TEST(Batching, BatchedDigestsMatchUnbatchedPerRequest) {

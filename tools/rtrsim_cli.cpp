@@ -384,20 +384,21 @@ void apply_log_level(sim::Simulation& sim, const Args& a) {
   sim.logger().set_sink(sim::Logger::stderr_sink());
 }
 
-/// Write --trace-out / --stats-out files. Returns 0, or 1 when a file
-/// cannot be opened.
-int dump_observability(sim::Simulation& sim, const trace::Tracer& tracer,
-                       const Args& a) {
-  if (!a.trace_out.empty()) {
+/// Write --trace-out / --stats-out files. A command that records no trace
+/// passes a null tracer and --trace-out is ignored. Returns 0, or 1 when a
+/// file cannot be opened.
+int dump_observability(const sim::StatRegistry& stats,
+                       const trace::Tracer* tracer, const Args& a) {
+  if (tracer != nullptr && !a.trace_out.empty()) {
     std::ofstream f(a.trace_out);
     if (!f) {
       std::fprintf(stderr, "cannot open %s\n", a.trace_out.c_str());
       return 1;
     }
     if (a.trace_format == "text") {
-      tracer.export_timeline(f);
+      tracer->export_timeline(f);
     } else {
-      tracer.export_chrome(f);
+      tracer->export_chrome(f);
     }
   }
   if (!a.stats_out.empty()) {
@@ -407,12 +408,19 @@ int dump_observability(sim::Simulation& sim, const trace::Tracer& tracer,
       return 1;
     }
     if (a.stats_format == "csv") {
-      sim.stats().export_csv(f);
+      stats.export_csv(f);
     } else {
-      sim.stats().export_json(f);
+      stats.export_json(f);
     }
   }
   return 0;
+}
+
+/// Host worker threads: -j when given, else one per hardware thread.
+int host_jobs(const Args& a) {
+  if (a.jobs > 0) return a.jobs;
+  const unsigned hc = std::thread::hardware_concurrency();
+  return hc > 0 ? static_cast<int>(hc) : 1;
 }
 
 /// Parse every --fault-spec into `plan`. False (with a stderr note) on a
@@ -645,7 +653,7 @@ int run_task(const Args& a) {
   apply_log_level(p.sim(), a);
   const int rc = run_task_inner(a, p);
   if (!a.fault_specs.empty()) print_fault_summary(p.faults());
-  const int dump_rc = dump_observability(p.sim(), tracer, a);
+  const int dump_rc = dump_observability(p.sim().stats(), &tracer, a);
   return rc != 0 ? rc : dump_rc;
 }
 
@@ -848,9 +856,7 @@ int sweep(const Args& a) {
     list.assign(std::begin(kSweepScenarios), std::end(kSweepScenarios));
   }
 
-  const unsigned hc = std::thread::hardware_concurrency();
-  const int jobs =
-      a.jobs > 0 ? a.jobs : static_cast<int>(hc > 0 ? hc : 1);
+  const int jobs = host_jobs(a);
 
   std::vector<SweepOutcome> results(list.size());
   std::atomic<std::size_t> next{0};
@@ -1264,7 +1270,7 @@ int serve_single(const Args& a) {
   }
   std::printf("digests: %s\n", r.digests_ok ? "ok" : "MISMATCH");
   if (!a.fault_specs.empty()) print_fault_summary(p.faults());
-  const int dump_rc = dump_observability(p.sim(), tracer, a);
+  const int dump_rc = dump_observability(p.sim().stats(), &tracer, a);
   return r.digests_ok && r.failed == 0 ? dump_rc : 1;
 }
 
@@ -1341,7 +1347,7 @@ ServeAreaArm measure_serve_area_arm(int areas, std::uint64_t seed,
   ServeAreaArm arm;
   arm.requests = static_cast<std::int64_t>(r.completions.size());
   arm.deadline_miss = r.deadline_miss;
-  arm.batches = max_batch > 1 ? r.batches : 0;
+  arm.batches = r.batches;
   arm.coalesced = r.coalesced;
   const auto& hists = p.sim().stats().histograms();
   for (const char* path : {"cached", "differential", "complete"}) {
@@ -1488,8 +1494,7 @@ int serve_cmd(const Args& a) {
     list.assign(std::begin(kServeScenarios), std::end(kServeScenarios));
   }
 
-  const unsigned hc = std::thread::hardware_concurrency();
-  const int jobs = a.jobs > 0 ? a.jobs : static_cast<int>(hc > 0 ? hc : 1);
+  const int jobs = host_jobs(a);
 
   // Same pool shape as `sweep`: scenarios are claimed by an atomic cursor
   // but land in a results slot fixed by scenario index, so stdout is
@@ -1597,8 +1602,7 @@ serve::fleet::FleetOptions fleet_options(const Args& a) {
   fo.areas = a.areas;
   fo.batch.max_batch = a.max_batch;
   fo.batch.slack_ps = sim::SimTime::from_us(a.batch_slack_us).ps();
-  const unsigned hc = std::thread::hardware_concurrency();
-  fo.jobs = a.jobs > 0 ? a.jobs : static_cast<int>(hc > 0 ? hc : 1);
+  fo.jobs = host_jobs(a);
   fo.seed = a.fault_seed;
   return fo;
 }
@@ -1798,18 +1802,7 @@ int fleet_cmd(const Args& a) {
                a.requests, a.devices, fo.jobs, wall_ms,
                wall_ms > 0 ? 1000.0 * a.requests / wall_ms : 0.0);
 
-  if (!a.stats_out.empty()) {
-    std::ofstream f(a.stats_out);
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", a.stats_out.c_str());
-      return 1;
-    }
-    if (a.stats_format == "csv") {
-      fr.stats.export_csv(f);
-    } else {
-      fr.stats.export_json(f);
-    }
-  }
+  if (dump_observability(fr.stats, nullptr, a) != 0) return 1;
 
   if (!a.bench_out.empty()) {
     // A/B arm: the identical stream under seeded-random sharding. Request
@@ -1946,8 +1939,7 @@ ChaosArm run_chaos_arm(const ChaosScenario& s, const Args& a, bool faults,
   fo.areas = a.areas;
   fo.batch.max_batch = a.max_batch;
   fo.batch.slack_ps = sim::SimTime::from_us(a.batch_slack_us).ps();
-  const unsigned hc = std::thread::hardware_concurrency();
-  fo.jobs = a.jobs > 0 ? a.jobs : static_cast<int>(hc > 0 ? hc : 1);
+  fo.jobs = host_jobs(a);
   fo.seed = a.fault_seed;
   if (faults) {
     for (const char* text : s.faults) {
@@ -2121,30 +2113,7 @@ int chaos_cmd(const Args& a) {
   std::fprintf(stderr, "chaos: %zu scenarios x 3 arms, %.1f ms wall\n",
                selected, wall_total);
 
-  if (!a.trace_out.empty()) {
-    std::ofstream f(a.trace_out);
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", a.trace_out.c_str());
-      return 1;
-    }
-    if (a.trace_format == "text") {
-      tracer.export_timeline(f);
-    } else {
-      tracer.export_chrome(f);
-    }
-  }
-  if (!a.stats_out.empty()) {
-    std::ofstream f(a.stats_out);
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", a.stats_out.c_str());
-      return 1;
-    }
-    if (a.stats_format == "csv") {
-      all_stats.export_csv(f);
-    } else {
-      all_stats.export_json(f);
-    }
-  }
+  if (dump_observability(all_stats, &tracer, a) != 0) return 1;
   if (!a.bench_out.empty()) {
     std::ofstream f(a.bench_out);
     if (!f) {
@@ -2206,7 +2175,7 @@ int main(int argc, char** argv) {
                   s.ok ? s.duration().to_string().c_str() : s.error.c_str(),
                   static_cast<long long>(s.stream_words));
       if (!a.fault_specs.empty()) print_fault_summary(p.faults());
-      const int dump_rc = dump_observability(p.sim(), tracer, a);
+      const int dump_rc = dump_observability(p.sim().stats(), &tracer, a);
       return s.ok ? dump_rc : 1;
     }
     Platform64 p{opts};
@@ -2218,7 +2187,7 @@ int main(int argc, char** argv) {
                 s.ok ? s.duration().to_string().c_str() : s.error.c_str(),
                 static_cast<long long>(s.stream_words));
     if (!a.fault_specs.empty()) print_fault_summary(p.faults());
-    const int dump_rc = dump_observability(p.sim(), tracer, a);
+    const int dump_rc = dump_observability(p.sim().stats(), &tracer, a);
     return s.ok ? dump_rc : 1;
   }
   if (a.command == "run") {
