@@ -89,6 +89,12 @@ class Bus {
     slave_at(addr, data.size()).poke_block(addr, data);
   }
 
+  /// End of the bus's last transaction: a transfer requested earlier waits
+  /// for it. `set_busy_until` moves it without a transaction, for a
+  /// closed-form replay of repeated transfers.
+  [[nodiscard]] sim::SimTime busy_until() const { return busy_until_; }
+  void set_busy_until(sim::SimTime t) { busy_until_ = t; }
+
   /// Enumerate attachments (for topology dumps).
   struct Attachment {
     AddressRange range;

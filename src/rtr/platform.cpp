@@ -1,6 +1,9 @@
 #include "rtr/platform.hpp"
 
+#include <array>
+#include <bit>
 #include <sstream>
+#include <utility>
 
 #include "bitstream/partial_config.hpp"
 #include "busmacro/bus_macro.hpp"
@@ -26,15 +29,29 @@ std::unique_ptr<fault::FaultInjector> arm_faults(const PlatformOptions& opts,
   return fi;
 }
 
-}  // namespace
+/// Copy a prepared stream into staging memory: a host backdoor write, no
+/// simulated time. One block copy where SparseMemory's little-endian layout
+/// is the host's; word by word elsewhere.
+void stage_words(bus::Bus& mem_bus, Addr staging,
+                 std::span<const std::uint32_t> words) {
+  if constexpr (std::endian::native == std::endian::little) {
+    mem_bus.poke_block(staging,
+                       {reinterpret_cast<const std::uint8_t*>(words.data()),
+                        words.size() * 4});
+  } else {
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      mem_bus.poke(staging + i * 4, words[i], 4);
+    }
+  }
+}
 
-namespace detail {
-
-std::int64_t icap_load_loop(cpu::Kernel& k, Addr staging, std::int64_t words,
-                            Addr icap_data, sim::SimTime deadline) {
-  // for (i = 0; i < n; ++i) { w = cfg[i]; HWICAP_DATA = w; }
-  k.call();
-  for (std::int64_t i = 0; i < words; ++i) {
+/// Words [from, to) of the CPU streaming loop
+///   for (i = 0; i < n; ++i) { w = cfg[i]; HWICAP_DATA = w; }
+/// one at a time. Returns the index the watchdog stopped at, or `to`.
+std::int64_t icap_load_words(cpu::Kernel& k, Addr staging, std::int64_t from,
+                             std::int64_t to, Addr icap_data,
+                             SimTime deadline) {
+  for (std::int64_t i = from; i < to; ++i) {
     if (deadline.ps() > 0 && k.now() >= deadline) {
       return i;  // watchdog: abandon the stream mid-load
     }
@@ -43,7 +60,125 @@ std::int64_t icap_load_loop(cpu::Kernel& k, Addr staging, std::int64_t words,
     k.op(2);  // index increment + compare
     k.branch();
   }
-  return words;
+  return to;
+}
+
+/// The statistics one streaming-loop iteration advances, snapshotted so the
+/// closed form can apply m times their change: both buses' transactions,
+/// beats, busy time and latency histogram, the bridge's crossings and beat
+/// splits, and the CPU's loads and stores. The components a stream crosses
+/// register all of them at construction. The ICAP's counters are not here:
+/// every word still goes through IcapController::feed_word.
+class IterationStats {
+ public:
+  IterationStats(sim::StatRegistry& st, const bus::Bus& plb,
+                 const bus::Bus& opb)
+      : counters_{snap(st.counter(plb.name() + ".transactions")),
+                  snap(st.counter(plb.name() + ".beats")),
+                  snap(st.counter(opb.name() + ".transactions")),
+                  snap(st.counter(opb.name() + ".beats")),
+                  snap(st.counter("bridge.crossings")),
+                  snap(st.counter("bridge.beat_splits")),
+                  snap(st.counter("cpu.loads")),
+                  snap(st.counter("cpu.stores"))},
+        busy_{snap(st.busy(plb.name() + ".busy")),
+              snap(st.busy(opb.name() + ".busy"))},
+        hists_{&st.histogram(plb.name() + ".latency_ps"),
+               &st.histogram(opb.name() + ".latency_ps")},
+        hist_before_{*hists_[0], *hists_[1]} {}
+
+  /// Advance every series by `m` times its change since the snapshot.
+  void repeat(std::int64_t m) {
+    for (auto& [c, before] : counters_) c->add(m * (c->value() - before));
+    for (auto& [b, before] : busy_) {
+      b->add(SimTime::zero(), (b->total() - before) * m);
+    }
+    for (std::size_t i = 0; i < hists_.size(); ++i) {
+      hists_[i]->add_repeat(hist_before_[i], m);
+    }
+  }
+
+ private:
+  static std::pair<sim::Counter*, std::int64_t> snap(sim::Counter& c) {
+    return {&c, c.value()};
+  }
+  static std::pair<sim::BusyTime*, SimTime> snap(sim::BusyTime& b) {
+    return {&b, b.total()};
+  }
+
+  std::array<std::pair<sim::Counter*, std::int64_t>, 8> counters_;
+  std::array<std::pair<sim::BusyTime*, SimTime>, 2> busy_;
+  std::array<sim::Histogram*, 2> hists_;
+  std::array<sim::Histogram, 2> hist_before_;
+};
+
+}  // namespace
+
+namespace detail {
+
+std::int64_t icap_load_loop(cpu::Kernel& k, Addr staging, std::int64_t words,
+                            Addr icap_data, sim::SimTime deadline) {
+  k.call();
+  return icap_load_words(k, staging, 0, words, icap_data, deadline);
+}
+
+// Why the closed form is exact: an iteration is a PLB read, a store that
+// crosses to the OPB, and fixed CPU work. Every bus step aligns to the
+// shared bus clock and Clock::cycles is linear, so an iteration that starts
+// at phase p of that clock, on buses with no reservation left from before,
+// ends a fixed time later at a fixed phase. Word 0 absorbs the phase the
+// loop starts at; word 1, timed per word, is the template. When word 2
+// starts at word 1's phase with the buses again free, every later word
+// repeats word 1 shifted by k * step, and its statistics repeat word 1's.
+std::int64_t icap_load_bulk(cpu::Kernel& k,
+                            std::span<const std::uint32_t> words, Addr staging,
+                            bus::Bus& icap_bus, icap::IcapController& icap,
+                            SimTime deadline) {
+  const Addr icap_data = icap.range().base + icap::IcapController::kDataReg;
+  const auto n = static_cast<std::int64_t>(words.size());
+  cpu::Ppc405& cpu = k.cpu();
+  bus::Bus& plb = cpu.plb();
+  sim::Simulation& sim = plb.simulation();
+  if (n < 4 || sim.tracer().enabled() || sim.faults() != nullptr ||
+      sim.logger().enabled(sim::LogLevel::kTrace) ||
+      cpu.is_cacheable(staging) ||
+      cpu.is_cacheable(staging + static_cast<Addr>(n - 1) * 4) ||
+      &plb.clock() != &icap_bus.clock()) {
+    return icap_load_loop(k, staging, n, icap_data, deadline);
+  }
+  const auto buses_free_at = [&](SimTime t) {
+    return plb.busy_until() <= t && icap_bus.busy_until() <= t;
+  };
+
+  k.call();
+  if (icap_load_words(k, staging, 0, 1, icap_data, deadline) < 1) return 0;
+  const SimTime t1 = k.now();
+  const bool free_at_t1 = buses_free_at(t1);
+  IterationStats iteration(sim.stats(), plb, icap_bus);
+  if (icap_load_words(k, staging, 1, 2, icap_data, deadline) < 2) return 1;
+  const SimTime t2 = k.now();
+  const SimTime step = t2 - t1;
+  if (!free_at_t1 || !buses_free_at(t2) ||
+      step.ps() % plb.clock().period().ps() != 0) {
+    return icap_load_words(k, staging, 2, n, icap_data, deadline);
+  }
+
+  // Word i >= 2 starts at t2 + (i - 2) * step; the watchdog stops the loop
+  // at the first word that starts at or after the deadline.
+  std::int64_t m = n - 2;
+  if (deadline.ps() > 0) {
+    const std::int64_t left = deadline.ps() - t2.ps();
+    m = std::min(m, left <= 0 ? 0 : (left + step.ps() - 1) / step.ps());
+  }
+  for (std::int64_t i = 2; i < 2 + m; ++i) {
+    icap.feed_word(words[static_cast<std::size_t>(i)]);
+  }
+  iteration.repeat(m);
+  const SimTime shift = step * m;
+  plb.set_busy_until(plb.busy_until() + shift);
+  icap_bus.set_busy_until(icap_bus.busy_until() + shift);
+  cpu.idle_until(t2 + shift);
+  return 2 + m;
 }
 
 bool region_validates(const fabric::ConfigMemory& cm,
@@ -95,8 +230,8 @@ void account_reconfig(sim::Simulation& sim, bool differential,
 /// to mutate the staged words -- forces a local copy.
 template <typename Dock>
 void stream_and_bind(std::span<const std::uint32_t> words, bus::Bus& mem_bus,
-                     Addr staging, Addr icap_data, Addr icap_control,
-                     Addr icap_status, cpu::Kernel& kernel,
+                     Addr staging, bus::Bus& icap_bus,
+                     icap::IcapController& icap, cpu::Kernel& kernel,
                      const fabric::ConfigMemory& fabric_state,
                      const fabric::DynamicRegion& region,
                      const hw::BehaviorRegistry& registry, Dock& dock,
@@ -112,18 +247,18 @@ void stream_and_bind(std::span<const std::uint32_t> words, bus::Bus& mem_bus,
 
   // Configurations are prepared offline and already resident in external
   // memory (as in the paper's flow); staging them is a host operation.
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    mem_bus.poke(staging + i * 4, words[i], 4);
-  }
+  stage_words(mem_bus, staging, words);
 
   // Unbind before touching the fabric: the circuit is about to disappear.
   dock.unbind();
   slot.reset();
 
+  const Addr icap_base = icap.range().base;
   cpu::Ppc405& cpu = kernel.cpu();
-  cpu.store32(icap_control, 1);  // reset the ICAP state machine
+  // Reset the ICAP state machine.
+  cpu.store32(icap_base + icap::IcapController::kControlReg, 1);
   const std::int64_t streamed =
-      icap_load_loop(kernel, staging, stats.stream_words, icap_data, deadline);
+      icap_load_bulk(kernel, words, staging, icap_bus, icap, deadline);
   if (streamed < stats.stream_words) {
     // Watchdog abort: the partial stream never reaches the done state; the
     // next load's ICAP reset discards it.
@@ -134,7 +269,8 @@ void stream_and_bind(std::span<const std::uint32_t> words, bus::Bus& mem_bus,
                   std::to_string(stats.stream_words) + " words";
     return;
   }
-  const std::uint32_t status = cpu.load32(icap_status);
+  const std::uint32_t status =
+      cpu.load32(icap_base + icap::IcapController::kStatusReg);
   stats.finished = kernel.now();
 
   if (!(status & icap::IcapController::kStatusDone)) {
@@ -157,12 +293,11 @@ void stream_and_bind(std::span<const std::uint32_t> words, bus::Bus& mem_bus,
   stats.ok = true;
 }
 
-/// Shared implementation of the timed component load for both platforms.
 template <typename Dock>
 ReconfigStats do_load(hw::BehaviorId id, int dock_width,
                       bitlinker::BitLinker& linker, bus::Bus& mem_bus,
-                      Addr staging, Addr icap_data, Addr icap_control,
-                      Addr icap_status, cpu::Kernel& kernel,
+                      Addr staging, bus::Bus& icap_bus,
+                      icap::IcapController& icap, cpu::Kernel& kernel,
                       const fabric::ConfigMemory& fabric_state,
                       const fabric::DynamicRegion& region,
                       const hw::BehaviorRegistry& registry, Dock& dock,
@@ -181,19 +316,30 @@ ReconfigStats do_load(hw::BehaviorId id, int dock_width,
   stats.config_bytes = linked.stats.payload_bytes;
   const auto words = bitstream::serialize(*linked.config);
   stream_and_bind(std::span<const std::uint32_t>{words}, mem_bus, staging,
-                  icap_data, icap_control, icap_status, kernel, fabric_state,
-                  region, registry, dock, slot, stats, deadline);
+                  icap_bus, icap, kernel, fabric_state, region, registry, dock,
+                  slot, stats, deadline);
   account_reconfig(mem_bus.simulation(), /*differential=*/false, stats);
   return stats;
 }
+
+template ReconfigStats do_load<dock::OpbDock>(
+    hw::BehaviorId, int, bitlinker::BitLinker&, bus::Bus&, Addr, bus::Bus&,
+    icap::IcapController&, cpu::Kernel&, const fabric::ConfigMemory&,
+    const fabric::DynamicRegion&, const hw::BehaviorRegistry&, dock::OpbDock&,
+    std::unique_ptr<hw::HwModule>&, sim::SimTime);
+template ReconfigStats do_load<dock::PlbDock>(
+    hw::BehaviorId, int, bitlinker::BitLinker&, bus::Bus&, Addr, bus::Bus&,
+    icap::IcapController&, cpu::Kernel&, const fabric::ConfigMemory&,
+    const fabric::DynamicRegion&, const hw::BehaviorRegistry&, dock::PlbDock&,
+    std::unique_ptr<hw::HwModule>&, sim::SimTime);
 
 /// Shared implementation of the pre-encoded streaming load (cached plans;
 /// also the tail of the raw-configuration load once it has serialised).
 template <typename Dock>
 ReconfigStats do_load_stream(std::span<const std::uint32_t> words,
                              std::int64_t config_bytes, bool differential,
-                             bus::Bus& mem_bus, Addr staging, Addr icap_data,
-                             Addr icap_control, Addr icap_status,
+                             bus::Bus& mem_bus, Addr staging,
+                             bus::Bus& icap_bus, icap::IcapController& icap,
                              cpu::Kernel& kernel,
                              const fabric::ConfigMemory& fabric_state,
                              const fabric::DynamicRegion& region,
@@ -203,9 +349,8 @@ ReconfigStats do_load_stream(std::span<const std::uint32_t> words,
   ReconfigStats stats;
   stats.started = kernel.now();
   stats.config_bytes = config_bytes;
-  stream_and_bind(words, mem_bus, staging, icap_data, icap_control,
-                  icap_status, kernel, fabric_state, region, registry, dock,
-                  slot, stats, deadline);
+  stream_and_bind(words, mem_bus, staging, icap_bus, icap, kernel,
+                  fabric_state, region, registry, dock, slot, stats, deadline);
   account_reconfig(mem_bus.simulation(), differential, stats);
   return stats;
 }
@@ -213,8 +358,8 @@ ReconfigStats do_load_stream(std::span<const std::uint32_t> words,
 /// Shared implementation of the raw-configuration load.
 template <typename Dock>
 ReconfigStats do_load_config(const bitstream::PartialConfig& cfg,
-                             bus::Bus& mem_bus, Addr staging, Addr icap_data,
-                             Addr icap_control, Addr icap_status,
+                             bus::Bus& mem_bus, Addr staging,
+                             bus::Bus& icap_bus, icap::IcapController& icap,
                              cpu::Kernel& kernel,
                              const fabric::ConfigMemory& fabric_state,
                              const fabric::DynamicRegion& region,
@@ -225,8 +370,8 @@ ReconfigStats do_load_config(const bitstream::PartialConfig& cfg,
   return do_load_stream(std::span<const std::uint32_t>{words},
                         cfg.payload_bytes(),
                         /*differential=*/!cfg.is_complete_for(region), mem_bus,
-                        staging, icap_data, icap_control, icap_status, kernel,
-                        fabric_state, region, registry, dock, slot, deadline);
+                        staging, icap_bus, icap, kernel, fabric_state, region,
+                        registry, dock, slot, deadline);
 }
 
 }  // namespace detail
@@ -278,21 +423,15 @@ Platform32::Platform32(PlatformOptions opts)
 }
 
 ReconfigStats Platform32::load_module(hw::BehaviorId id) {
-  return detail::do_load(id, 32, *linker_, opb_, kConfigStaging,
-                         kIcapRange.base + icap::IcapController::kDataReg,
-                         kIcapRange.base + icap::IcapController::kControlReg,
-                         kIcapRange.base + icap::IcapController::kStatusReg,
+  return detail::do_load(id, 32, *linker_, opb_, kConfigStaging, opb_, *icap_,
                          *kernel_, fabric_, region_, registry_, *dock_,
                          module_, load_deadline_);
 }
 
 ReconfigStats Platform32::load_config(const bitstream::PartialConfig& cfg) {
   return detail::do_load_config(
-      cfg, opb_, kConfigStaging,
-      kIcapRange.base + icap::IcapController::kDataReg,
-      kIcapRange.base + icap::IcapController::kControlReg,
-      kIcapRange.base + icap::IcapController::kStatusReg, *kernel_, fabric_,
-      region_, registry_, *dock_, module_, load_deadline_);
+      cfg, opb_, kConfigStaging, opb_, *icap_, *kernel_, fabric_, region_,
+      registry_, *dock_, module_, load_deadline_);
 }
 
 ReconfigStats Platform32::load_stream(std::span<const std::uint32_t> words,
@@ -300,11 +439,8 @@ ReconfigStats Platform32::load_stream(std::span<const std::uint32_t> words,
                                       bool differential, int area) {
   RTR_CHECK(area == 0, "XC2VP7: area index out of range");
   return detail::do_load_stream(
-      words, config_bytes, differential, opb_, kConfigStaging,
-      kIcapRange.base + icap::IcapController::kDataReg,
-      kIcapRange.base + icap::IcapController::kControlReg,
-      kIcapRange.base + icap::IcapController::kStatusReg, *kernel_, fabric_,
-      region_, registry_, *dock_, module_, load_deadline_);
+      words, config_bytes, differential, opb_, kConfigStaging, opb_, *icap_,
+      *kernel_, fabric_, region_, registry_, *dock_, module_, load_deadline_);
 }
 
 void Platform32::unload() {
@@ -428,10 +564,7 @@ Platform64::Platform64(PlatformOptions opts)
 ReconfigStats Platform64::load_module(hw::BehaviorId id) {
   sync_area_gens();
   const ReconfigStats stats = detail::do_load(
-      id, 64, *linker_, plb_, kConfigStaging,
-      kIcapRange.base + icap::IcapController::kDataReg,
-      kIcapRange.base + icap::IcapController::kControlReg,
-      kIcapRange.base + icap::IcapController::kStatusReg, *kernel_, fabric_,
+      id, 64, *linker_, plb_, kConfigStaging, opb_, *icap_, *kernel_, fabric_,
       region_, registry_, *dock_, module_, load_deadline_);
   note_fabric_write(0);
   if (stats.stream_words > 0) active_area_ = stats.ok ? 0 : -1;
@@ -441,11 +574,8 @@ ReconfigStats Platform64::load_module(hw::BehaviorId id) {
 ReconfigStats Platform64::load_config(const bitstream::PartialConfig& cfg) {
   sync_area_gens();
   const ReconfigStats stats = detail::do_load_config(
-      cfg, plb_, kConfigStaging,
-      kIcapRange.base + icap::IcapController::kDataReg,
-      kIcapRange.base + icap::IcapController::kControlReg,
-      kIcapRange.base + icap::IcapController::kStatusReg, *kernel_, fabric_,
-      region_, registry_, *dock_, module_, load_deadline_);
+      cfg, plb_, kConfigStaging, opb_, *icap_, *kernel_, fabric_, region_,
+      registry_, *dock_, module_, load_deadline_);
   note_fabric_write(0);
   if (stats.stream_words > 0) active_area_ = stats.ok ? 0 : -1;
   return stats;
@@ -457,11 +587,9 @@ ReconfigStats Platform64::load_stream(std::span<const std::uint32_t> words,
   RTR_CHECK(area >= 0 && area < area_count(), "load_stream: bad area");
   sync_area_gens();
   const ReconfigStats stats = detail::do_load_stream(
-      words, config_bytes, differential, plb_, kConfigStaging,
-      kIcapRange.base + icap::IcapController::kDataReg,
-      kIcapRange.base + icap::IcapController::kControlReg,
-      kIcapRange.base + icap::IcapController::kStatusReg, *kernel_, fabric_,
-      region(area), registry_, *dock_, slot(area), load_deadline_);
+      words, config_bytes, differential, plb_, kConfigStaging, opb_, *icap_,
+      *kernel_, fabric_, region(area), registry_, *dock_, slot(area),
+      load_deadline_);
   note_fabric_write(area);
   // The dock unbinds before the fabric is touched and only a successful
   // load re-binds, so on failure no area is active.
@@ -576,9 +704,7 @@ ReconfigStats Platform64::load_stream_dma(std::span<const std::uint32_t> words,
     words = local;
   }
   stats.stream_words = static_cast<std::int64_t>(words.size());
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    plb_.poke(kConfigStaging + i * 4, words[i], 4);
-  }
+  stage_words(plb_, kConfigStaging, words);
 
   dock_->unbind();
   slot(area).reset();

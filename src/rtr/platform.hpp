@@ -89,9 +89,21 @@ namespace detail {
 /// A non-zero `deadline` arms the serving layer's watchdog: the loop checks
 /// the clock between words and bails out once the deadline has passed.
 /// Returns the number of words actually streamed (== `words` when the whole
-/// bitstream went through).
+/// bitstream went through). This per-word loop is the reference model.
 std::int64_t icap_load_loop(cpu::Kernel& k, bus::Addr staging,
                             std::int64_t words, bus::Addr icap_data,
+                            sim::SimTime deadline = {});
+/// The same loop with the same result, simulated time and statistics, done
+/// in bulk when nothing observes individual words (docs/PERFORMANCE.md,
+/// "Closed-form configuration streaming"). `words` must be the stream
+/// staged at `staging`; `icap_bus` is the bus the HWICAP sits on. Runs the
+/// per-word loop when a tracer, a fault plan or trace logging is active,
+/// when the staging memory is D-cacheable, for streams under 4 words, and
+/// when the uniformity checks fail.
+std::int64_t icap_load_bulk(cpu::Kernel& k,
+                            std::span<const std::uint32_t> words,
+                            bus::Addr staging, bus::Bus& icap_bus,
+                            icap::IcapController& icap,
                             sim::SimTime deadline = {});
 /// Signature + payload-hash validation (runs after the ICAP reports done).
 bool region_validates(const fabric::ConfigMemory& cm,
@@ -99,6 +111,20 @@ bool region_validates(const fabric::ConfigMemory& cm,
 /// Trace span + per-flavour byte counter for one finished reconfiguration.
 void account_reconfig(sim::Simulation& sim, bool differential,
                       const ReconfigStats& stats);
+/// The timed component load every platform shares: link `id`, stage its
+/// bitstream at `staging` on `mem_bus`, stream it through `icap` with the
+/// CPU, validate the region, bind the behaviour to `dock` and account the
+/// reconfiguration. Instantiated for both dock types.
+template <typename Dock>
+ReconfigStats do_load(hw::BehaviorId id, int dock_width,
+                      bitlinker::BitLinker& linker, bus::Bus& mem_bus,
+                      bus::Addr staging, bus::Bus& icap_bus,
+                      icap::IcapController& icap, cpu::Kernel& kernel,
+                      const fabric::ConfigMemory& fabric_state,
+                      const fabric::DynamicRegion& region,
+                      const hw::BehaviorRegistry& registry, Dock& dock,
+                      std::unique_ptr<hw::HwModule>& slot,
+                      sim::SimTime deadline);
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -121,6 +147,8 @@ class Platform32 {
   [[nodiscard]] sim::Simulation& sim() { return sim_; }
   [[nodiscard]] cpu::Ppc405& cpu() { return *cpu_; }
   [[nodiscard]] cpu::Kernel& kernel() { return *kernel_; }
+  /// The OPB: external SRAM, the peripherals and the HWICAP sit on it.
+  [[nodiscard]] bus::OpbBus& opb() { return opb_; }
   [[nodiscard]] dock::OpbDock& dock() { return *dock_; }
   [[nodiscard]] mem::MemorySlave& ext_mem() { return *sram_; }
   [[nodiscard]] Uart& uart() { return *uart_; }
@@ -266,6 +294,8 @@ class Platform64 {
   [[nodiscard]] sim::Simulation& sim() { return sim_; }
   [[nodiscard]] cpu::Ppc405& cpu() { return *cpu_; }
   [[nodiscard]] cpu::Kernel& kernel() { return *kernel_; }
+  /// The OPB: the UART, the interrupt controller and the HWICAP sit on it.
+  [[nodiscard]] bus::OpbBus& opb() { return opb_; }
   [[nodiscard]] dock::PlbDock& dock() { return *dock_; }
   [[nodiscard]] mem::MemorySlave& ext_mem() { return *ddr_; }
   [[nodiscard]] Uart& uart() { return *uart_; }

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "bitstream/partial_config.hpp"
 #include "busmacro/bus_macro.hpp"
 #include "sim/check.hpp"
 
@@ -67,54 +66,10 @@ Platform64Dual::Platform64Dual(PlatformOptions opts)
 
 ReconfigStats Platform64Dual::load_module(int region, hw::BehaviorId id) {
   const int r = check(region);
-  ReconfigStats stats;
-  stats.started = kernel_->now();
-
-  const auto comp = hw::component_for(id, 64);
-  const auto linked = linkers_[r]->link_single(comp);
-  if (!linked.ok()) {
-    stats.error = linked.errors.front();
-    stats.finished = kernel_->now();
-    return stats;
-  }
-  const auto words = bitstream::serialize(*linked.config);
-  stats.stream_words = static_cast<std::int64_t>(words.size());
-  stats.config_bytes = linked.stats.payload_bytes;
-  const bus::Addr staging = r == 0 ? kConfigStagingA : kConfigStagingB;
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    plb_.poke(staging + i * 4, words[i], 4);
-  }
-
-  docks_[r]->unbind();
-  modules_[r].reset();
-
-  cpu_->store32(kIcapRange.base + icap::IcapController::kControlReg, 1);
-  detail::icap_load_loop(*kernel_, staging, stats.stream_words,
-                         kIcapRange.base + icap::IcapController::kDataReg);
-  const std::uint32_t status =
-      cpu_->load32(kIcapRange.base + icap::IcapController::kStatusReg);
-  stats.finished = kernel_->now();
-
-  if (!(status & icap::IcapController::kStatusDone)) {
-    stats.error = "ICAP did not complete (CRC or protocol error)";
-    return stats;
-  }
-  int bound_id = -1;
-  if (!detail::region_validates(fabric_, *regions_[r], &bound_id)) {
-    stats.error = "region signature/payload validation failed";
-    return stats;
-  }
-  auto module = registry_.create(bound_id);
-  if (!module) {
-    stats.error = "no behavioural model registered for id " +
-                  std::to_string(bound_id);
-    return stats;
-  }
-  modules_[r] = std::move(module);
-  docks_[r]->bind(modules_[r].get());
-  stats.ok = true;
-  detail::account_reconfig(sim_, /*differential=*/false, stats);
-  return stats;
+  return detail::do_load(id, 64, *linkers_[r], plb_,
+                         r == 0 ? kConfigStagingA : kConfigStagingB, opb_,
+                         *icap_, *kernel_, fabric_, *regions_[r], registry_,
+                         *docks_[r], modules_[r], /*deadline=*/{});
 }
 
 void Platform64Dual::unload(int region) {

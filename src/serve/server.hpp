@@ -20,6 +20,7 @@
 // hardware service. See docs/SERVING.md.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -134,20 +135,20 @@ class TaskServer {
   /// Admission control: typed rejection, never an unbounded queue.
   AdmitError submit(const Request& r) {
     ++report_.submitted;
-    counter("serve.submitted").add();
+    counter(Stat::kSubmitted).add();
     if (!apps::has_sw_equivalent(r.behavior)) {
       // The serving layer requires a degradation path: a behaviour with no
       // software kernel (test circuits, unknown ids) is refused up front
       // rather than failed after burning reconfiguration time.
       ++report_.unservable;
-      counter("serve.unservable").add();
+      counter(Stat::kUnservable).add();
       mark("reject:unservable", r.id);
       return AdmitError::kUnservable;
     }
     const AdmitError e = queue_.admit(r);
     if (e == AdmitError::kNone) {
       ++report_.admitted;
-      counter("serve.admitted").add();
+      counter(Stat::kAdmitted).add();
       trace::Tracer& tr = p_->sim().tracer();
       if (tr.enabled()) {
         // The admission slice anchors the request's flow chain: arrows in
@@ -163,7 +164,7 @@ class TaskServer {
       }
     } else {
       ++report_.shed;
-      counter("serve.shed").add();
+      counter(Stat::kShed).add();
       mark("shed", r.id);
       const Completion sc = make_completion(r, Outcome::kShed);
       observe_slos(sc);
@@ -202,13 +203,13 @@ class TaskServer {
     if (opts_.batch.max_batch > 1) {
       ++report_.batches;
       report_.coalesced += static_cast<std::int64_t>(batch.size()) - 1;
-      counter("serve.batch.count").add();
+      counter(Stat::kBatchCount).add();
       if (batch.size() > 1) {
-        counter("serve.batch.coalesced")
+        counter(Stat::kBatchCoalesced)
             .add(static_cast<std::int64_t>(batch.size()) - 1);
       }
-      p_->sim().stats().histogram("serve.batch.size").sample(
-          static_cast<std::int64_t>(batch.size()));
+      hist(batch_size_, "serve.batch.size")
+          .sample(static_cast<std::int64_t>(batch.size()));
     }
     const hw::BehaviorId behavior = batch.front().behavior;
     trace::Tracer& tr = p_->sim().tracer();
@@ -235,7 +236,7 @@ class TaskServer {
       Completion c = make_completion(req, Outcome::kFailed);
       if (req.deadline.ps() > 0 && now() >= req.deadline) {
         ++report_.expired;
-        counter("serve.expired").add();
+        counter(Stat::kExpired).add();
         mark("expired", req.id);
         c.outcome = Outcome::kExpired;
         c.deadline_met = false;
@@ -247,8 +248,8 @@ class TaskServer {
         // degradation path; the fleet's health tracker is the recovery story.
         ++report_.fail_stops;
         ++report_.failed;
-        counter("serve.fail_stop").add();
-        counter("serve.failed").add();
+        counter(Stat::kFailStop).add();
+        counter(Stat::kFailed).add();
         mark("fail_stop", req.id);
         c.fail_stop = true;
         c.error = "device fail-stop";
@@ -267,7 +268,7 @@ class TaskServer {
       const auto hw_failed = [&](std::size_t i) {
         if (br.record_failure(now())) {
           ++report_.breaker_opens;
-          counter("serve.breaker_opens").add();
+          counter(Stat::kBreakerOpens).add();
           mark("breaker:open", batch[i].id);
           incident("breaker_open", batch[i].id);
           out[i].breaker_opened = true;
@@ -278,7 +279,7 @@ class TaskServer {
       if (try_hw && before == BreakerState::kOpen) {
         // The cooldown elapsed: this batch is the half-open probe.
         ++report_.breaker_probes;
-        counter("serve.breaker_probes").add();
+        counter(Stat::kBreakerProbes).add();
         mark("breaker:probe", leader.id);
       }
       bool hw_ready = false;
@@ -303,22 +304,19 @@ class TaskServer {
         p_->sim().set_active_request(nullptr);
         stage_sample(stages(behavior).reconfig, es.time.ps());
         if (p_->area_count() > 1 && es.ok) {
-          counter((std::string("serve.area.") + std::to_string(es.area) +
-                   (es.already_resident ? ".hits" : ".loads"))
-                      .c_str())
-              .add();
+          area_counter(es.area, es.already_resident).add();
         }
         if (opts_.plan_cache && !es.already_resident) {
           if (prefetch_pending_ == behavior) {
-            counter("serve.prefetch.hits").add();
+            counter(Stat::kPrefetchHits).add();
             prefetch_pending_ = -1;
           } else {
-            counter("serve.prefetch.misses").add();
+            counter(Stat::kPrefetchMisses).add();
           }
         }
         if (es.watchdog) {
           ++report_.watchdog_aborts;
-          counter("serve.watchdog_aborts").add();
+          counter(Stat::kWatchdogAborts).add();
           mark("watchdog_abort", leader.id);
           incident("watchdog_abort", leader.id);
         }
@@ -339,12 +337,12 @@ class TaskServer {
           // manager's diff->complete degradation -- the fault that caused
           // it is evidently gone.
           ++report_.breaker_closes;
-          counter("serve.breaker_closes").add();
+          counter(Stat::kBreakerCloses).add();
           mark("breaker:close", batch[i].id);
           mgr_.reset_degraded();
         }
         ++report_.served_hw;
-        counter("serve.hw").add();
+        counter(Stat::kHw).add();
         out[i].outcome = Outcome::kHw;
         out[i].digest = r.digest;
         out[i].golden_ok = r.golden_ok;
@@ -360,14 +358,14 @@ class TaskServer {
         p_->sim().set_active_request(nullptr);
         if (r.ok) {
           ++report_.degraded;
-          counter("serve.degraded").add();
+          counter(Stat::kDegraded).add();
           mark("degrade:sw", batch[i].id);
           out[i].outcome = Outcome::kSw;
           out[i].digest = r.digest;
           out[i].golden_ok = r.golden_ok;
         } else {
           ++report_.failed;
-          counter("serve.failed").add();
+          counter(Stat::kFailed).add();
           mark("failed", batch[i].id);
         }
         out[i].finished = now();
@@ -408,7 +406,7 @@ class TaskServer {
               // only this member to the software kernel (bit-identical
               // digest); the rest of the batch is already done.
               out[i].hw_detected = true;
-              counter("serve.batch.member_degraded").add();
+              counter(Stat::kBatchMemberDegraded).add();
               hw_failed(i);
               sw_served(i);
             }
@@ -455,12 +453,12 @@ class TaskServer {
       if (!c.deadline_met &&
           (c.outcome == Outcome::kHw || c.outcome == Outcome::kSw)) {
         ++report_.deadline_miss;
-        counter("serve.deadline_miss").add();
+        counter(Stat::kDeadlineMiss).add();
         mark("deadline_miss", c.req.id);
       }
       if (c.outcome == Outcome::kHw || c.outcome == Outcome::kSw) {
-        p_->sim().stats().histogram("serve.latency_ps").sample(
-            (c.finished - c.req.submitted).ps());
+        hist(latency_, "serve.latency_ps")
+            .sample((c.finished - c.req.submitted).ps());
         if (!c.golden_ok) report_.digests_ok = false;
       }
       observe_slos(c);
@@ -511,7 +509,7 @@ class TaskServer {
       return;
     }
     if (prefetch_pending_ >= 0 && prefetch_pending_ != nx->behavior) {
-      counter("serve.prefetch.wasted").add();
+      counter(Stat::kPrefetchWasted).add();
     }
     prefetch_pending_ = nx->behavior;
     mark("prefetch:warm", nx->id);
@@ -581,10 +579,10 @@ class TaskServer {
     for (SloEngine& e : slos_) {
       const SloEngine::Evaluation ev =
           e.observe(now(), slo_good(e.spec(), c));
-      counter("serve.slo.samples").add();
+      counter(Stat::kSloSamples).add();
       if (ev.fired) {
         ++report_.slo_breaches;
-        counter("serve.slo.breaches").add();
+        counter(Stat::kSloBreaches).add();
         trace::Tracer& tr = p_->sim().tracer();
         if (tr.enabled()) {
           tr.instant(
@@ -621,8 +619,53 @@ class TaskServer {
        << "}, \"prefetch_pending\": " << prefetch_pending_ << "}";
   }
 
-  sim::Counter& counter(const char* name) {
-    return p_->sim().stats().counter(name);
+  // The serve.* series are looked up on first use and then held by
+  // pointer. They are not registered up front: StatRegistry creates a
+  // series on lookup, and one that never moves must stay out of the
+  // --stats-out export.
+  enum class Stat : std::uint8_t {
+    kSubmitted, kUnservable, kAdmitted, kShed, kBatchCount, kBatchCoalesced,
+    kExpired, kFailStop, kFailed, kBreakerOpens, kBreakerProbes,
+    kBreakerCloses, kPrefetchHits, kPrefetchMisses, kPrefetchWasted,
+    kWatchdogAborts, kHw, kDegraded, kBatchMemberDegraded, kDeadlineMiss,
+    kSloSamples, kSloBreaches, kCount
+  };
+  static constexpr std::array<const char*,
+                              static_cast<std::size_t>(Stat::kCount)>
+      kStatNames{
+          "serve.submitted", "serve.unservable", "serve.admitted", "serve.shed",
+          "serve.batch.count", "serve.batch.coalesced", "serve.expired",
+          "serve.fail_stop", "serve.failed", "serve.breaker_opens",
+          "serve.breaker_probes", "serve.breaker_closes", "serve.prefetch.hits",
+          "serve.prefetch.misses", "serve.prefetch.wasted",
+          "serve.watchdog_aborts", "serve.hw", "serve.degraded",
+          "serve.batch.member_degraded", "serve.deadline_miss",
+          "serve.slo.samples", "serve.slo.breaches",
+      };
+
+  sim::Counter& counter(Stat s) {
+    const auto i = static_cast<std::size_t>(s);
+    if (counters_[i] == nullptr) {
+      counters_[i] = &p_->sim().stats().counter(kStatNames[i]);
+    }
+    return *counters_[i];
+  }
+
+  /// serve.area.<i>.hits (module already resident) or .loads.
+  sim::Counter& area_counter(int area, bool hit) {
+    const auto i = static_cast<std::size_t>(area);
+    if (area_counters_.size() <= i) area_counters_.resize(i + 1);
+    sim::Counter*& c = area_counters_[i][hit ? 0 : 1];
+    if (c == nullptr) {
+      c = &p_->sim().stats().counter("serve.area." + std::to_string(area) +
+                                     (hit ? ".hits" : ".loads"));
+    }
+    return *c;
+  }
+
+  sim::Histogram& hist(sim::Histogram*& cached, const char* name) {
+    if (cached == nullptr) cached = &p_->sim().stats().histogram(name);
+    return *cached;
   }
 
   void mark(const char* what, std::int64_t req_id) {
@@ -642,6 +685,11 @@ class TaskServer {
   std::vector<SloEngine> slos_;
   ServeReport report_;
   int prefetch_pending_ = -1;  // behaviour warmed but not yet consumed
+  std::array<sim::Counter*, static_cast<std::size_t>(Stat::kCount)>
+      counters_{};
+  std::vector<std::array<sim::Counter*, 2>> area_counters_;
+  sim::Histogram* batch_size_ = nullptr;
+  sim::Histogram* latency_ = nullptr;
 };
 
 /// Drive a closed-loop workload to completion: each client submits its next

@@ -69,6 +69,14 @@ void Histogram::merge(const Histogram& o) {
   max_ = std::max(max_, o.max_);
 }
 
+void Histogram::add_repeat(const Histogram& since, std::int64_t m) {
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    buckets_[b] += m * (buckets_[b] - since.buckets_[b]);
+  }
+  count_ += m * (count_ - since.count_);
+  sum_ += m * (sum_ - since.sum_);
+}
+
 double Histogram::percentile(double p) const {
   if (count_ == 0) return 0.0;
   const double target =

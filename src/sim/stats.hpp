@@ -111,6 +111,12 @@ class Histogram {
   /// Fold another histogram in (exact: buckets add).
   void merge(const Histogram& o);
 
+  /// Record `m` more copies of every sample added since `since`, an earlier
+  /// copy of this histogram: buckets, count and sum advance by m times
+  /// their change. Min and max need no update, since the repeated samples
+  /// are already in them. Exactly equal to m replays of those samples.
+  void add_repeat(const Histogram& since, std::int64_t m);
+
  private:
   std::array<std::int64_t, kBuckets> buckets_{};
   std::int64_t count_ = 0;

@@ -356,6 +356,40 @@ TEST(DualRegions, SmallRegionRejectsWideModules) {
   EXPECT_FALSE(s2.ok);
 }
 
+TEST(DualRegions, FailedLoadIsAccountedLikeEveryOtherLoad) {
+  // A load that streams and then fails records its bytes, an RTR span and a
+  // reconfig:failed instant, as the single-region platforms' loads do.
+  trace::Tracer tr;
+  tr.enable();
+  PlatformOptions opts;
+  opts.tracer = &tr;
+  Platform64Dual p{opts};
+  fault::FaultSpec corrupt;  // flip bit 8 of staged word 3000: CRC error
+  corrupt.site = fault::Site::kConfigStorage;
+  corrupt.kind = fault::TriggerKind::kStuck;
+  corrupt.word = 3000;
+  corrupt.mask = 0x0100;
+  fault::FaultPlan plan;
+  plan.add(corrupt);
+  fault::FaultInjector fi{plan};
+  fi.bind(p.sim());
+  p.sim().attach_faults(fi);
+
+  const ReconfigStats s = p.load_module(1, hw::kBrightness);
+  ASSERT_FALSE(s.ok);
+  EXPECT_NE(s.error.find("CRC"), std::string::npos) << s.error;
+  EXPECT_EQ(p.active_module(1), nullptr);
+  EXPECT_EQ(p.sim().stats().counters().at("reconfig.complete_bytes").value(),
+            s.config_bytes);
+  int spans = 0, failed = 0;
+  for (const trace::TraceEvent& e : tr.events()) {
+    spans += e.name == "reconfig:complete";
+    failed += e.name == "reconfig:failed";
+  }
+  EXPECT_EQ(spans, 1);
+  EXPECT_EQ(failed, 1);
+}
+
 TEST(DualRegions, AvoidsSwapReconfigurations) {
   // Alternate two tasks: the dual platform pays 2 loads total, the single
   // region pays one per switch.

@@ -275,6 +275,31 @@ TEST(Stats, HistogramMergeIsExact) {
   EXPECT_DOUBLE_EQ(a.p99(), all.p99());
 }
 
+TEST(Stats, HistogramAddRepeatEqualsRepeatedSamples) {
+  // m repeats of the samples added since a snapshot are exactly m more
+  // rounds of those samples: buckets, count, sum, extremes, percentiles.
+  for (const std::int64_t m : {0, 1, 7, 25000}) {
+    Histogram bulk, replay;
+    for (std::int64_t v : {3, 800, 120000}) {
+      bulk.sample(v);
+      replay.sample(v);
+    }
+    const Histogram since = bulk;
+    for (std::int64_t v : {40000, 30000, 95}) bulk.sample(v);
+    bulk.add_repeat(since, m);
+    for (std::int64_t round = 0; round <= m; ++round) {
+      for (std::int64_t v : {40000, 30000, 95}) replay.sample(v);
+    }
+    EXPECT_EQ(bulk.count(), replay.count()) << m;
+    EXPECT_EQ(bulk.sum(), replay.sum()) << m;
+    EXPECT_EQ(bulk.min(), replay.min()) << m;
+    EXPECT_EQ(bulk.max(), replay.max()) << m;
+    for (const double p : {1.0, 10.0, 50.0, 90.0, 99.0, 99.9}) {
+      EXPECT_EQ(bulk.percentile(p), replay.percentile(p)) << m << " p" << p;
+    }
+  }
+}
+
 TEST(Stats, RegistryMergeFoldsByName) {
   // The aggregation primitive of the multi-scenario CLI runners: counters
   // and busy times add, histograms/accumulators merge, and stats that only
