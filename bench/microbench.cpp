@@ -1,7 +1,9 @@
 // Host-performance microbenchmarks (google-benchmark): how fast the
 // simulator itself executes its primitives. These guard against
 // performance regressions in the simulation substrate -- the table benches
-// above measure *simulated* time, this binary measures *host* time.
+// above measure *simulated* time, this binary measures *host* time. CI
+// gates eight of them against the baselines in BENCH_microbench.json
+// (docs/PERFORMANCE.md "Recorded baselines" says how to re-record them).
 #include <benchmark/benchmark.h>
 
 #include "apps/memio.hpp"
@@ -166,7 +168,7 @@ BENCHMARK(BM_EnsureUncachedDiff);
 // The whole serving hot path with tracing disabled: a steady closed-loop
 // workload through admission, plan-cache reconfiguration, execution and
 // completion. Items = disposed requests, so the per-item time is ns per
-// request -- the same quantity `serve --bench-out` records as
+// request -- the quantity BENCH_microbench.json records as
 // BM_ServeSteadyHot_ns_per_req and CI gates against (<5% regression).
 // Request-context threading, stage histograms and SLO/recorder hooks must
 // stay cheap enough to hide in this number when observers are off.
@@ -189,7 +191,7 @@ BENCHMARK(BM_ServeSteadyHot)->Unit(benchmark::kMillisecond);
 // Must stay O(devices) and nanoseconds-scale -- the router sits in front
 // of every request the fleet serves, so a regression here taxes the whole
 // admission stream. Items = routed requests, so per-item time is ns per
-// decision; CI gates it against BENCH_fleet.json's ns_per_op.
+// decision; CI gates it against BENCH_microbench.json's ns_per_op.
 static void BM_FleetRouteDecision(benchmark::State& state) {
   serve::fleet::FleetWorkloadSpec w;
   w.requests = 1024;

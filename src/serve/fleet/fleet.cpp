@@ -1,13 +1,12 @@
 #include "serve/fleet/fleet.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
 #include <type_traits>
 
 #include "rtr/platform.hpp"
+#include "sim/parallel.hpp"
 
 namespace rtr::serve::fleet {
 
@@ -303,23 +302,10 @@ FleetReport run_fleet(const FleetOptions& opts, const FleetWorkloadSpec& w) {
       routed_per_shard[i] += static_cast<std::int64_t>(scripts[i].size());
     }
 
-    // (b) Parallel serve: persistent runtimes, slot-fixed, worker pool, so
-    // output is byte-identical at any jobs.
-    std::atomic<std::size_t> cursor{0};
-    auto worker = [&] {
-      for (;;) {
-        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        rt[i]->serve_epoch(scripts[i]);
-      }
-    };
-    const int jobs =
-        opts.jobs < 1 ? 1 : std::min(opts.jobs, static_cast<int>(n));
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(jobs - 1));
-    for (int j = 1; j < jobs; ++j) threads.emplace_back(worker);
-    worker();
-    for (std::thread& th : threads) th.join();
+    // (b) Parallel serve: persistent runtimes, one slot each, so output is
+    // byte-identical at any jobs.
+    sim::parallel_for(n, opts.jobs,
+                      [&](std::size_t i) { rt[i]->serve_epoch(scripts[i]); });
     router.checkpoint();  // everything routed so far has actually run
 
     if (hp.enabled) {

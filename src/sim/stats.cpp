@@ -16,13 +16,15 @@ std::string fmt_double(double v) {
   return buf;
 }
 
+}  // namespace
+
 void write_json_string(std::ostream& os, const std::string& s) {
   os << '"';
   for (char c : s) {
     if (c == '"' || c == '\\') {
       os << '\\' << c;
     } else if (static_cast<unsigned char>(c) < 0x20) {
-      // Control characters are invalid raw inside JSON strings; stat names
+      // Control characters are invalid raw inside JSON strings; names
       // should never contain them, but a malformed name must not poison
       // the whole export.
       char buf[8];
@@ -34,8 +36,6 @@ void write_json_string(std::ostream& os, const std::string& s) {
   }
   os << '"';
 }
-
-}  // namespace
 
 double Accumulator::stddev() const { return std::sqrt(variance()); }
 

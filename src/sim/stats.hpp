@@ -18,6 +18,11 @@
 
 namespace rtr::sim {
 
+/// Write `s` as a quoted JSON string: quotes and backslashes escaped,
+/// control characters as \u00XX. Shared by every JSON writer (stats
+/// export, Chrome traces, bench files).
+void write_json_string(std::ostream& os, const std::string& s);
+
 /// A monotonically increasing event counter.
 class Counter {
  public:

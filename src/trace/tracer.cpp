@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "sim/check.hpp"
+#include "sim/stats.hpp"
 
 namespace rtr::trace {
 
@@ -13,27 +14,6 @@ namespace {
 /// Chrome UI renders each counter name as its own row.
 constexpr int kCounterTrack = -1;
 constexpr int kPid = 1;
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 /// Picoseconds to the Chrome unit (microseconds), keeping ps resolution.
 /// Negative values print as a leading '-' over the magnitude (the naive
@@ -149,14 +129,14 @@ void write_chrome_track_meta(std::ostream& os, const std::string& name,
                              std::size_t tid) {
   os << R"({"name":"thread_name","ph":"M","pid":)" << kPid
      << R"(,"tid":)" << tid << R"(,"args":{"name":)";
-  write_escaped(os, name);
+  sim::write_json_string(os, name);
   os << "}}";
 }
 
 void write_chrome_event(std::ostream& os, const TraceEvent& e,
                         std::size_t n_tracks) {
   os << "{\"name\":";
-  write_escaped(os, e.ph == Phase::kEnd ? std::string{} : e.name);
+  sim::write_json_string(os, e.ph == Phase::kEnd ? std::string{} : e.name);
   os << ",\"ph\":\"" << static_cast<char>(e.ph) << "\",\"ts\":";
   write_us(os, e.ts_ps);
   os << ",\"pid\":" << kPid << ",\"tid\":"
@@ -177,7 +157,7 @@ void write_chrome_event(std::ostream& os, const TraceEvent& e,
     os << ",\"args\":{\"value\":" << e.arg_value << "}";
   } else if (!e.arg_name.empty()) {
     os << ",\"args\":{";
-    write_escaped(os, e.arg_name);
+    sim::write_json_string(os, e.arg_name);
     os << ":" << e.arg_value << "}";
   }
   os << "}";

@@ -7,8 +7,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include "json_reader.hpp"
 
 namespace {
+
+using rtr::test::Json;
+using rtr::test::parse_json;
 
 #ifndef RTRSIM_CLI_PATH
 #error "RTRSIM_CLI_PATH must be defined by the build"
@@ -111,6 +117,64 @@ struct TempPath {
     return os.str();
   }
 };
+
+/// Check that dotted `path` ("a.b", "a[].b" for every element of array a,
+/// optionally "=value") resolves in `doc`.
+void expect_bench_path(const Json& doc, const std::string& path) {
+  std::string keys = path;
+  std::string want;
+  if (const std::size_t eq = path.find('='); eq != std::string::npos) {
+    keys = path.substr(0, eq);
+    want = path.substr(eq + 1);
+  }
+  std::vector<const Json*> nodes = {&doc};
+  std::size_t pos = 0;
+  while (pos <= keys.size() && !nodes.empty()) {
+    std::size_t end = keys.find('.', pos);
+    if (end == std::string::npos) end = keys.size();
+    std::string key = keys.substr(pos, end - pos);
+    const bool each = key.size() > 2 && key.ends_with("[]");
+    if (each) key.resize(key.size() - 2);
+    std::vector<const Json*> next;
+    for (const Json* n : nodes) {
+      if (!n->has(key)) {
+        ADD_FAILURE() << "missing " << path << " (at '" << key << "')";
+        return;
+      }
+      const Json& v = n->obj.at(key);
+      if (!each) {
+        next.push_back(&v);
+        continue;
+      }
+      EXPECT_FALSE(v.arr.empty()) << path << ": empty array";
+      for (const Json& e : v.arr) next.push_back(&e);
+    }
+    nodes = next;
+    pos = end + 1;
+  }
+  if (want.empty()) return;
+  for (const Json* n : nodes) {
+    switch (n->kind) {
+      case Json::Kind::kBool:
+        EXPECT_EQ(n->b ? "true" : "false", want) << path;
+        break;
+      case Json::Kind::kNumber:
+        EXPECT_EQ(n->num, std::stod(want)) << path;
+        break;
+      default:
+        EXPECT_EQ(n->str, want) << path;
+    }
+  }
+}
+
+/// No key anywhere in `v` names a microbenchmark.
+void expect_no_bm_keys(const Json& v) {
+  for (const auto& [key, child] : v.obj) {
+    EXPECT_FALSE(key.starts_with("BM_")) << "per-op key " << key;
+    expect_no_bm_keys(child);
+  }
+  for (const Json& e : v.arr) expect_no_bm_keys(e);
+}
 
 TEST(Cli, TraceOutWritesChromeJsonWithHardwareSpans) {
   TempPath trace{"cli_trace.json"};
@@ -346,35 +410,6 @@ TEST(Cli, ServePlanCacheFlagKeepsStdoutByteIdentical) {
   EXPECT_EQ(strip(on.output), strip(off.output));
 }
 
-TEST(Cli, ServeWritesBenchJson) {
-  const std::string path = "cli_serve_bench.json";
-  const auto r = run_cli_stdout("serve --smoke -j 1 --bench-out " + path);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
-  EXPECT_NE(json.find("rtrsim-serve-bench-v5"), std::string::npos);
-  EXPECT_NE(json.find("\"plan_cache\": true"), std::string::npos);
-  EXPECT_NE(json.find("scenarios_per_sec"), std::string::npos);
-  EXPECT_NE(json.find("\"latency_workload\": \"heavy\""), std::string::npos);
-  EXPECT_NE(json.find("\"latency_ps\""), std::string::npos);
-  EXPECT_NE(json.find("\"p90\""), std::string::npos);
-  EXPECT_NE(json.find("\"p999\""), std::string::npos);
-  EXPECT_NE(json.find("BM_ServeSteadyHot_ns_per_req"), std::string::npos);
-  EXPECT_NE(json.find("\"multi_area\""), std::string::npos);
-  EXPECT_NE(json.find("\"one_area\""), std::string::npos);
-  EXPECT_NE(json.find("\"two_areas\""), std::string::npos);
-  EXPECT_NE(json.find("\"swap_drop\""), std::string::npos);
-  EXPECT_NE(json.find("\"batching\""), std::string::npos);
-  EXPECT_NE(json.find("\"unbatched\""), std::string::npos);
-  EXPECT_NE(json.find("\"batched\""), std::string::npos);
-  EXPECT_NE(json.find("\"max_batch\""), std::string::npos);
-  EXPECT_NE(json.find("\"chain_descriptors\""), std::string::npos);
-  std::remove(path.c_str());
-}
-
 TEST(Cli, FleetStdoutIsByteIdenticalAcrossJobCounts) {
   const std::string args = "fleet --devices 4 --requests 150 --seed 3";
   const auto j1 = run_cli_stdout(args + " -j 1");
@@ -405,32 +440,9 @@ TEST(Cli, ServeAreasRejects32BitSystem) {
   EXPECT_NE(r.output.find("--system 64"), std::string::npos);
 }
 
-TEST(Cli, FleetWritesBenchJsonWithAffinityAb) {
-  const std::string path = "cli_fleet_bench.json";
-  const auto r = run_cli_stdout(
-      "fleet --devices 4 --requests 150 --seed 1 --bench-out " + path);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
-  EXPECT_NE(json.find("rtrsim-fleet-bench-v3"), std::string::npos);
-  EXPECT_NE(json.find("scenarios_per_sec"), std::string::npos);
-  EXPECT_NE(json.find("\"affinity_hits\""), std::string::npos);
-  EXPECT_NE(json.find("\"no_affinity\""), std::string::npos);
-  EXPECT_NE(json.find("\"single_area\""), std::string::npos);
-  EXPECT_NE(json.find("\"batched\""), std::string::npos);
-  EXPECT_NE(json.find("\"max_batch\": 8"), std::string::npos);
-  EXPECT_NE(json.find("\"areas\": 1"), std::string::npos);
-  EXPECT_NE(json.find("BM_FleetRouteDecision"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(Cli, ChaosSmokeIsByteIdenticalAcrossJobCountsAndWritesBench) {
-  const std::string path = "cli_chaos_bench.json";
+TEST(Cli, ChaosSmokeIsByteIdenticalAcrossJobCounts) {
   const std::string args = "chaos --smoke --seed 3";
-  const auto j1 = run_cli_stdout(args + " -j 1 --bench-out " + path);
+  const auto j1 = run_cli_stdout(args + " -j 1");
   const auto j4 = run_cli_stdout(args + " -j 4");
   EXPECT_EQ(j1.exit_code, 0) << j1.output;
   EXPECT_EQ(j1.output, j4.output);
@@ -443,19 +455,6 @@ TEST(Cli, ChaosSmokeIsByteIdenticalAcrossJobCountsAndWritesBench) {
   const auto s4 = run_cli_stdout("chaos --smoke --seed 4 -j 2");
   EXPECT_EQ(s4.exit_code, 0) << s4.output;
   EXPECT_NE(j1.output, s4.output);
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
-  EXPECT_NE(json.find("rtrsim-chaos-bench-v1"), std::string::npos);
-  EXPECT_NE(json.find("\"goodput_pct\""), std::string::npos);
-  EXPECT_NE(json.find("\"no_tracker\""), std::string::npos);
-  EXPECT_NE(json.find("\"redispatched\""), std::string::npos);
-  EXPECT_NE(json.find("\"quarantines\""), std::string::npos);
-  EXPECT_NE(json.find("\"pass\": true"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(Cli, ServeSloSummaryAndBreachCountArePrinted) {
@@ -535,22 +534,65 @@ TEST(Cli, ServeTraceOutCarriesRequestFlowEvents) {
   std::remove(path.c_str());
 }
 
-TEST(Cli, SweepWritesBenchJson) {
-  const std::string path = "cli_sweep_bench.json";
-  const auto r =
-      run_cli_stdout("sweep --smoke -j 1 --bench-out " + path);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
-  EXPECT_NE(json.find("rtrsim-substrate-bench-v1"), std::string::npos);
-  EXPECT_NE(json.find("BM_SparseMemoryBlockCopy"), std::string::npos);
-  EXPECT_NE(json.find("BM_ConfigMemoryIncrementalDiff"), std::string::npos);
-  std::remove(path.c_str());
+// Every --bench-out key path that ci.yml's gates read (plus each A/B
+// block's headline fields), per command, with the values the gates
+// assume. "[]" walks every element of an array; "=v" also checks the
+// value. Per-op timings belong to BENCH_microbench.json alone, so no CLI
+// bench file may carry a BM_* key.
+void expect_bench_json(const std::string& args, const char* schema,
+                       const std::vector<std::string>& paths) {
+  TempPath bench{"cli_bench.json"};
+  const auto r = run_cli_stdout(args + " --bench-out " + bench.path);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const Json doc = parse_json(bench.slurp());
+  EXPECT_EQ(doc.at("schema").str, schema);
+  for (const std::string& p : paths) {
+    expect_bench_path(doc, p);
+  }
+  expect_no_bm_keys(doc);
 }
 
+TEST(Cli, SweepWritesBenchJson) {
+  expect_bench_json("sweep --smoke -j 1", "rtrsim-substrate-bench-v2",
+                    {"sweep.scenarios=3", "sweep.jobs=1", "sweep.wall_ms",
+                     "sweep.scenarios_per_sec"});
+}
+
+TEST(Cli, ServeWritesBenchJson) {
+  expect_bench_json(
+      "serve --smoke -j 1", "rtrsim-serve-bench-v6",
+      {"serve.plan_cache=true", "serve.scenarios_per_sec",
+       "serve.latency_workload=heavy", "serve.latency_ps.p50",
+       "serve.latency_ps.p90", "serve.latency_ps.p99",
+       "serve.latency_ps.p999", "serve.multi_area.one_area.swaps",
+       "serve.multi_area.two_areas.swaps", "serve.multi_area.swap_drop",
+       "serve.batching.max_batch=8", "serve.batching.unbatched.swaps",
+       "serve.batching.unbatched.deadline_miss",
+       "serve.batching.batched.swaps", "serve.batching.batched.deadline_miss",
+       "serve.batching.batched.coalesced",
+       "serve.batching.batched.chain_descriptors",
+       "serve.batching.swap_drop"});
+}
+
+TEST(Cli, FleetWritesBenchJsonWithAffinityAb) {
+  expect_bench_json(
+      "fleet --devices 4 --requests 150 --seed 1", "rtrsim-fleet-bench-v4",
+      {"fleet.areas=1", "fleet.plan_cache=true", "fleet.scenarios_per_sec",
+       "fleet.route.affinity_hits", "fleet.swaps", "fleet.served_hw",
+       "fleet.no_affinity.swaps", "fleet.single_area.swaps",
+       "fleet.single_area.served_hw", "fleet.single_area.swap_drop",
+       "fleet.batched.max_batch=8", "fleet.batched.swaps",
+       "fleet.batched.served_hw", "fleet.batched.deadline_miss"});
+}
+
+TEST(Cli, ChaosWritesBenchJson) {
+  expect_bench_json(
+      "chaos --smoke --seed 3 -j 1", "rtrsim-chaos-bench-v1",
+      {"scenarios[].name", "scenarios[].pass=true",
+       "scenarios[].tracker.goodput_pct", "scenarios[].tracker.redispatched",
+       "scenarios[].tracker.quarantines",
+       "scenarios[].no_tracker.goodput_pct"});
+}
 
 // Golden-output check: the simulated stdout of each command below is a pure
 // function of its flags, so it is pinned byte for byte. A refactor of the

@@ -1,12 +1,15 @@
 // Unit tests for the simulation kernel: time, clocks, events, stats, RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "sim/clock.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/kernel.hpp"
+#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -383,6 +386,23 @@ TEST(Rng, RoughlyUniform) {
     EXPECT_GT(b, n / 8 - n / 80);
     EXPECT_LT(b, n / 8 + n / 80);
   }
+}
+
+TEST(ParallelFor, RunsEveryIndexOnceAtAnyJobCount) {
+  for (const int jobs : {0, 1, 3, 64}) {
+    std::vector<int> hits(100, 0);
+    parallel_for(hits.size(), jobs, [&](std::size_t i) { ++hits[i]; });
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 100) << jobs;
+  }
+  parallel_for(0, 4, [](std::size_t) { FAIL() << "no index to run"; });
+}
+
+TEST(ParallelFor, RethrowsAfterEveryThreadJoined) {
+  EXPECT_THROW(parallel_for(1000, 4,
+                            [](std::size_t i) {
+                              if (i == 10) throw std::runtime_error("boom");
+                            }),
+               std::runtime_error);
 }
 
 }  // namespace

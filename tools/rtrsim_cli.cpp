@@ -19,7 +19,7 @@
 // worker-thread pool (each simulation is single-threaded and owns all its
 // state; only independent simulations run concurrently), so stdout is
 // byte-identical for any -j. Host wall-clock goes to stderr; --bench-out
-// additionally records substrate primitive timings and sweep throughput.
+// records sweep throughput (BENCH_substrate.json).
 //
 // `faults` sweeps a fixed fault matrix: one seeded fault per site
 // (storage, icap, dma, bus, readback) on both platforms, recovered through
@@ -61,16 +61,16 @@
 // Tasks: jenkins, sha1, patmatch, brightness, blend, fade, loopback.
 // Every run executes both the software baseline and the hardware version
 // and cross-checks them, printing simulated times and the speedup.
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
-#include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -78,9 +78,7 @@
 #include "apps/golden.hpp"
 #include "apps/memio.hpp"
 #include "apps/sw_kernels.hpp"
-#include "fabric/config_memory.hpp"
 #include "fault/fault.hpp"
-#include "mem/sparse_memory.hpp"
 #include "report/table.hpp"
 #include "rtr/manager.hpp"
 #include "rtr/platform.hpp"
@@ -88,7 +86,7 @@
 #include "rtr/readback.hpp"
 #include "serve/fleet/fleet.hpp"
 #include "serve/server.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/parallel.hpp"
 #include "sim/parse.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
@@ -423,6 +421,121 @@ int host_jobs(const Args& a) {
   return hc > 0 ? static_cast<int>(hc) : 1;
 }
 
+/// A run's result and the host wall-clock time it took.
+template <typename T>
+struct Timed {
+  T value;
+  double wall_ms = 0;
+};
+
+/// The CLI's one host timer: run `fn` once and time it. Host time is not
+/// deterministic, so it goes to stderr and --bench-out files, never to
+/// stdout.
+template <typename F>
+auto timed(F&& fn) -> Timed<decltype(fn())> {
+  const auto t0 = std::chrono::steady_clock::now();
+  auto value = fn();
+  const std::chrono::duration<double, std::milli> wall =
+      std::chrono::steady_clock::now() - t0;
+  return {std::move(value), wall.count()};
+}
+
+/// `n` events over `wall_ms` of host time, per second.
+double per_sec(std::int64_t n, double wall_ms) {
+  return wall_ms > 0 ? 1000.0 * static_cast<double>(n) / wall_ms : 0.0;
+}
+
+/// An A/B arm's swap reduction: swaps before / swaps after (0 if none after).
+double swap_drop(std::int64_t before, std::int64_t after) {
+  return after > 0 ? static_cast<double>(before) / static_cast<double>(after)
+                   : 0.0;
+}
+
+/// The --bench-out writer: a JSON document of nested objects and arrays,
+/// one member per line, opened with its schema name and closed by save().
+/// Reals are fixed-point at the caller's precision (1 digit for wall times,
+/// 2 for ratios, 0 for picosecond percentiles).
+class JsonOut {
+ public:
+  explicit JsonOut(const char* schema) {
+    os_ << std::fixed;
+    open().text("schema", schema);
+  }
+
+  /// Open an object (with '[', an array) as member `key`, or as an array
+  /// element when `key` is null.
+  JsonOut& open(const char* key = nullptr, char bracket = '{') {
+    member(key) << bracket;
+    closers_.push_back(bracket == '[' ? ']' : '}');
+    first_ = true;
+    return *this;
+  }
+  JsonOut& close() {
+    const char closer = closers_.back();
+    closers_.pop_back();
+    newline() << closer;
+    first_ = false;
+    return *this;
+  }
+  JsonOut& integer(const char* key, std::int64_t v) {
+    member(key) << v;
+    return *this;
+  }
+  JsonOut& real(const char* key, double v, int digits) {
+    member(key) << std::setprecision(digits) << v;
+    return *this;
+  }
+  JsonOut& text(const char* key, const std::string& v) {
+    sim::write_json_string(member(key), v);
+    return *this;
+  }
+  JsonOut& flag(const char* key, bool v) {
+    member(key) << (v ? "true" : "false");
+    return *this;
+  }
+
+  /// Close the document and write it to `path`. False, with a stderr
+  /// note, when the file cannot be written.
+  bool save(const std::string& path) {
+    RTR_CHECK(closers_.size() == 1, "bench JSON member left open");
+    close();
+    std::ofstream f(path);
+    if (!(f << os_.str() << '\n')) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      return false;
+    }
+    return true;
+  }
+
+ private:
+  /// Start a member: separator, indent, and `"key": ` unless key is null.
+  std::ostream& member(const char* key) {
+    if (!first_) os_ << ',';
+    first_ = false;
+    if (!closers_.empty()) newline();
+    if (key != nullptr) {
+      sim::write_json_string(os_, key);
+      os_ << ": ";
+    }
+    return os_;
+  }
+  std::ostream& newline() {
+    return os_ << '\n' << std::string(2 * closers_.size(), ' ');
+  }
+
+  std::ostringstream os_;
+  std::vector<char> closers_;
+  bool first_ = true;
+};
+
+/// `"latency_ps": {...}`: the p50, p90 (when `with_p90`), p99 and p999 of
+/// a simulated latency histogram.
+void write_latency(JsonOut& j, const sim::Histogram& h, bool with_p90) {
+  j.open("latency_ps").real("p50", h.p50(), 0);
+  if (with_p90) j.real("p90", h.p90(), 0);
+  j.real("p99", h.p99(), 0).real("p999", h.p999(), 0).close();
+}
+
 /// Parse every --fault-spec into `plan`. False (with a stderr note) on a
 /// malformed spec.
 bool build_fault_plan(const Args& a, fault::FaultPlan* plan) {
@@ -747,107 +860,6 @@ SweepOutcome sweep_one(const Scenario& sc) {
   return o;
 }
 
-/// Best-of-`reps` host time of `body`, in nanoseconds. A minimum over
-/// repetitions is the standard way to suppress scheduler noise when
-/// recording a baseline.
-template <typename F>
-double best_ns(F&& body, int reps = 7) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    body();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, std::chrono::duration<double, std::nano>(t1 - t0).count());
-  }
-  return best;
-}
-
-/// Substrate primitive timings, mirroring bench/microbench.cpp bodies (and
-/// keyed by the same names) so the committed baseline and the google-
-/// benchmark numbers are directly comparable.
-struct PrimitiveTimes {
-  double schedule_run_ns = 0;
-  double same_time_batch_ns = 0;
-  double block_copy_ns = 0;
-  double incremental_diff_ns = 0;
-};
-
-PrimitiveTimes measure_primitives() {
-  PrimitiveTimes t;
-  int sink = 0;
-  t.schedule_run_ns = best_ns([&] {
-    sim::EventQueue q;
-    for (int i = 0; i < 1000; ++i) {
-      q.schedule(sim::SimTime::from_ns(i), [&](sim::SimTime) { ++sink; });
-    }
-    q.drain();
-  });
-  t.same_time_batch_ns = best_ns([&] {
-    sim::EventQueue q;
-    for (int i = 0; i < 1000; ++i) {
-      q.schedule(sim::SimTime::from_us(1), [&](sim::SimTime) { ++sink; });
-    }
-    q.drain();
-  });
-  {
-    mem::SparseMemory m{1u << 20};
-    std::vector<std::uint8_t> in(64 * 1024, 0x5A);
-    std::vector<std::uint8_t> out(in.size());
-    t.block_copy_ns = best_ns([&] {
-      m.write_block(1000, in);
-      m.read_block(1000, out);
-    });
-    sink += out[0];
-  }
-  {
-    fabric::ConfigMemory a{fabric::Device::xc2vp30()};
-    fabric::ConfigMemory b{fabric::Device::xc2vp30()};
-    const std::uint32_t patch[4] = {1, 2, 3, 4};
-    for (int maj = 0; maj < 4; ++maj) {
-      b.write_words(fabric::FrameAddress{fabric::ColumnType::kClb, maj, 0}, 2,
-                    patch);
-    }
-    t.incremental_diff_ns =
-        best_ns([&] { sink += fabric::ConfigMemory::diff_frames(a, b); });
-  }
-  // Defeat whole-benchmark elision without google-benchmark's helpers.
-  asm volatile("" : : "r"(sink) : "memory");
-  return t;
-}
-
-bool write_bench_json(const std::string& path, const PrimitiveTimes& t,
-                      std::size_t scenarios, int jobs, double wall_ms) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  char buf[1024];
-  std::snprintf(buf, sizeof buf,
-                "{\n"
-                "  \"schema\": \"rtrsim-substrate-bench-v1\",\n"
-                "  \"primitives_ns_per_op\": {\n"
-                "    \"BM_EventQueueScheduleRun\": %.1f,\n"
-                "    \"BM_EventQueueSameTimeBatch\": %.1f,\n"
-                "    \"BM_SparseMemoryBlockCopy\": %.1f,\n"
-                "    \"BM_ConfigMemoryIncrementalDiff\": %.1f\n"
-                "  },\n"
-                "  \"sweep\": {\n"
-                "    \"scenarios\": %zu,\n"
-                "    \"jobs\": %d,\n"
-                "    \"wall_ms\": %.1f,\n"
-                "    \"scenarios_per_sec\": %.2f\n"
-                "  }\n"
-                "}\n",
-                t.schedule_run_ns, t.same_time_batch_ns, t.block_copy_ns,
-                t.incremental_diff_ns, scenarios, jobs, wall_ms,
-                wall_ms > 0 ? 1000.0 * static_cast<double>(scenarios) / wall_ms
-                            : 0.0);
-  f << buf;
-  return static_cast<bool>(f);
-}
-
 int sweep(const Args& a) {
   std::vector<Scenario> list;
   if (a.smoke) {
@@ -857,33 +869,21 @@ int sweep(const Args& a) {
   }
 
   const int jobs = host_jobs(a);
-
-  std::vector<SweepOutcome> results(list.size());
-  std::atomic<std::size_t> next{0};
-  const auto wall0 = std::chrono::steady_clock::now();
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= list.size()) return;
+  const auto run = timed([&] {
+    std::vector<SweepOutcome> results(list.size());
+    sim::parallel_for(list.size(), jobs, [&](std::size_t i) {
       results[i] = list[i].system == 32 ? sweep_one<Platform32>(list[i])
                                         : sweep_one<Platform64>(list[i]);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(jobs) - 1);
-  for (int j = 1; j < jobs; ++j) pool.emplace_back(worker);
-  worker();
-  for (auto& th : pool) th.join();
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - wall0)
-                             .count();
+    });
+    return results;
+  });
 
   // Deterministic report: scenario order, simulated quantities only.
   // Aggregation goes through a StatRegistry so the sweep summary uses the
   // same machinery (and formatting) as per-simulation stats.
   sim::StatRegistry agg;
   bool all_ok = true;
-  for (const SweepOutcome& o : results) {
+  for (const SweepOutcome& o : run.value) {
     std::printf("%s\n", o.line.c_str());
     all_ok = all_ok && o.ok;
     agg.counter("sweep.scenarios").add(1);
@@ -896,15 +896,19 @@ int sweep(const Args& a) {
   std::printf("aggregate:\n");
   agg.print(std::cout);
 
-  // Host-side timing is non-deterministic by nature: stderr only.
   std::fprintf(stderr, "sweep: %zu scenarios, %d jobs, %.1f ms wall\n",
-               list.size(), jobs, wall_ms);
+               list.size(), jobs, run.wall_ms);
 
   if (!a.bench_out.empty()) {
-    const PrimitiveTimes t = measure_primitives();
-    if (!write_bench_json(a.bench_out, t, list.size(), jobs, wall_ms)) {
-      return 1;
-    }
+    const auto n = static_cast<std::int64_t>(list.size());
+    JsonOut j("rtrsim-substrate-bench-v2");
+    j.open("sweep")
+        .integer("scenarios", n)
+        .integer("jobs", jobs)
+        .real("wall_ms", run.wall_ms, 1)
+        .real("scenarios_per_sec", per_sec(n, run.wall_ms), 2)
+        .close();
+    if (!j.save(a.bench_out)) return 1;
   }
   return all_ok ? 0 : 1;
 }
@@ -1274,198 +1278,124 @@ int serve_single(const Args& a) {
   return r.digests_ok && r.failed == 0 ? dump_rc : 1;
 }
 
-/// Host ns per disposed request of the serve hot path: a steady workload
-/// with tracing disabled and the plan cache on, best-of-reps. This is the
-/// overhead-gate baseline -- CI fails the microbench smoke when
-/// instrumentation regresses it by more than 5% against the committed
-/// BENCH_serve.json. Mirrors bench/microbench.cpp's BM_ServeSteadyHot.
-double measure_serve_hot_ns_per_req() {
-  const serve::WorkloadSpec* w = serve::workload_by_name("steady");
-  RTR_CHECK(w != nullptr, "steady workload exists");
-  std::int64_t disposed = 0;
-  const double ns = best_ns(
-      [&] {
-        Platform32 p;
-        serve::ServeOptions so;
-        const serve::ServeReport r =
-            serve::run_workload(p, *w, /*seed=*/1, so);
-        disposed = static_cast<std::int64_t>(r.completions.size());
-        asm volatile("" : : "r"(disposed) : "memory");
-      },
-      /*reps=*/5);
-  return disposed > 0 ? ns / static_cast<double>(disposed) : 0.0;
-}
-
-/// Tail-latency source for the serve bench: the "heavy" workload (1280
-/// requests) on the 32-bit platform. The 8-scenario matrix disposes too
-/// few requests for the tail to be populated -- its p99 and p999 sit on
-/// the same sample -- so the bench percentiles come from this run instead.
-/// Simulated and deterministic: a pure function of (seed, plan_cache).
-sim::Histogram serve_bench_latency(std::uint64_t seed, bool plan_cache) {
-  const serve::WorkloadSpec* w = serve::workload_by_name("heavy");
-  RTR_CHECK(w != nullptr, "heavy workload exists");
-  Platform32 p;
-  serve::ServeOptions so;
-  so.plan_cache = plan_cache;
-  (void)serve::run_workload(p, *w, seed, so);
-  return p.sim().stats().histogram("serve.latency_ps");
-}
-
-/// One arm of the multi-area serve A/B: the "heavy" workload on the 64-bit
-/// platform with `areas` co-resident dynamic areas, counting the
-/// reconfigurations the device actually streamed (every successful ensure
-/// lands in exactly one rtr.ensure.latency_ps.* series; the non-resident
-/// three are swaps, "resident" is a warm hit -- possibly a cross-area dock
-/// re-bind). Simulated and deterministic per (areas, seed, plan_cache).
-struct ServeAreaArm {
-  std::int64_t requests = 0;
+/// One run of the "heavy" workload (1280 requests) for the serve bench. On
+/// the 32-bit platform it is the tail-latency source: the 8-scenario matrix
+/// disposes too few requests for p99 and p999 to differ. On the 64-bit
+/// platform it is each arm of the multi-area and batching A/Bs, counting
+/// the reconfigurations the device actually streamed (every successful
+/// ensure lands in exactly one rtr.ensure.latency_ps.* series; the
+/// non-resident three are swaps, "resident" is a warm hit -- possibly a
+/// cross-area dock re-bind). Simulated and deterministic per (platform,
+/// areas, max_batch, seed, plan cache); max_batch 1 is unbatched.
+struct HeavyArm {
+  serve::ServeReport report;
   std::int64_t swaps = 0;
   std::int64_t complete_loads = 0;  // the complete (full-bitstream) subset
   std::int64_t resident_hits = 0;
-  std::int64_t deadline_miss = 0;
-  std::int64_t batches = 0;            // serve_batch pops (0 when unbatched)
-  std::int64_t coalesced = 0;          // members beyond each batch leader
   std::int64_t chain_descriptors = 0;  // dma.chain.descriptors
-  double p50 = 0, p99 = 0, p999 = 0;   // serve.latency_ps percentiles
+  sim::Histogram latency;              // serve.latency_ps
 };
 
-/// `max_batch` = 1 measures the unbatched arm; > 1 enables swap-aware
-/// batching with the given admission slack (docs/SERVING.md "Batching").
-ServeAreaArm measure_serve_area_arm(int areas, std::uint64_t seed,
-                                    bool plan_cache, int max_batch,
-                                    std::int64_t slack_ps) {
+template <typename Platform>
+HeavyArm run_heavy(const Args& a, int areas, int max_batch) {
   const serve::WorkloadSpec* w = serve::workload_by_name("heavy");
   RTR_CHECK(w != nullptr, "heavy workload exists");
   PlatformOptions opts;
   opts.dynamic_areas = areas;
-  Platform64 p{opts};
+  Platform p{opts};
   serve::ServeOptions so;
-  so.plan_cache = plan_cache;
+  so.plan_cache = a.plan_cache;
   so.batch.max_batch = max_batch;
-  so.batch.slack_ps = slack_ps;
-  const serve::ServeReport r = serve::run_workload(p, *w, seed, so);
-  ServeAreaArm arm;
-  arm.requests = static_cast<std::int64_t>(r.completions.size());
-  arm.deadline_miss = r.deadline_miss;
-  arm.batches = r.batches;
-  arm.coalesced = r.coalesced;
-  const auto& hists = p.sim().stats().histograms();
-  for (const char* path : {"cached", "differential", "complete"}) {
-    const auto it =
-        hists.find(std::string("rtr.ensure.latency_ps.") + path);
-    if (it != hists.end()) arm.swaps += it->second.count();
-  }
-  const auto complete = hists.find("rtr.ensure.latency_ps.complete");
-  if (complete != hists.end()) {
-    arm.complete_loads = complete->second.count();
-  }
-  const auto hit = hists.find("rtr.ensure.latency_ps.resident");
-  if (hit != hists.end()) arm.resident_hits = hit->second.count();
-  const auto lat = hists.find("serve.latency_ps");
-  if (lat != hists.end() && lat->second.count() > 0) {
-    arm.p50 = lat->second.p50();
-    arm.p99 = lat->second.p99();
-    arm.p999 = lat->second.p999();
-  }
-  const auto& counters = p.sim().stats().counters();
-  const auto cd = counters.find("dma.chain.descriptors");
-  if (cd != counters.end()) arm.chain_descriptors = cd->second.value();
+  so.batch.slack_ps = sim::SimTime::from_us(a.batch_slack_us).ps();
+  HeavyArm arm;
+  arm.report = serve::run_workload(p, *w, a.fault_seed, so);
+  sim::StatRegistry& stats = p.sim().stats();
+  arm.swaps = serve::fleet::count_swaps(stats);
+  arm.complete_loads =
+      stats.histogram("rtr.ensure.latency_ps.complete").count();
+  arm.resident_hits = stats.histogram("rtr.ensure.latency_ps.resident").count();
+  arm.chain_descriptors = stats.counter("dma.chain.descriptors").value();
+  arm.latency = stats.histogram("serve.latency_ps");
   return arm;
 }
 
-/// Serve-matrix throughput record (host wall-clock; the simulated outputs
-/// above are the determinism surface, this is the perf surface). Mirrors
-/// write_bench_json's shape so CI can smoke both baselines the same way.
-/// v2 added latency percentiles and the hot-path baseline; v3 takes the
-/// percentiles from the >= 1k-request "heavy" workload so p99 and p999
-/// are distinct, populated tail statistics; v4 records the matrix's area
-/// count and the multi-area A/B (the same heavy workload on the 64-bit
-/// platform with 1 vs 2 co-resident areas, docs/PLACEMENT.md); v5 adds the
-/// batching A/B (the two-area heavy workload, unbatched vs swap-aware
-/// batching, docs/SERVING.md "Batching") with per-arm deadline misses and
-/// tail percentiles -- the swap amortization gate and the
-/// no-deadline-sacrificed check read this block.
-bool write_serve_bench_json(const std::string& path, std::size_t scenarios,
-                            int jobs, double wall_ms, bool plan_cache,
-                            const sim::Histogram& lat, double hot_ns_per_req,
-                            int areas, const ServeAreaArm& one,
-                            const ServeAreaArm& two,
-                            const ServeAreaArm& batched, int max_batch,
-                            long long batch_slack_us) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  char buf[3072];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\n"
-      "  \"schema\": \"rtrsim-serve-bench-v5\",\n"
-      "  \"serve\": {\n"
-      "    \"scenarios\": %zu,\n"
-      "    \"jobs\": %d,\n"
-      "    \"areas\": %d,\n"
-      "    \"plan_cache\": %s,\n"
-      "    \"wall_ms\": %.1f,\n"
-      "    \"scenarios_per_sec\": %.2f,\n"
-      "    \"latency_workload\": \"heavy\",\n"
-      "    \"latency_requests\": %lld,\n"
-      "    \"latency_ps\": {\"p50\": %.0f, \"p90\": %.0f, \"p99\": %.0f, "
-      "\"p999\": %.0f},\n"
-      "    \"hot_path\": {\"BM_ServeSteadyHot_ns_per_req\": %.1f},\n"
-      "    \"multi_area\": {\n"
-      "      \"workload\": \"heavy\",\n"
-      "      \"system\": 64,\n"
-      "      \"requests\": %lld,\n"
-      "      \"one_area\": {\"swaps\": %lld, \"complete_loads\": %lld, "
-      "\"resident_hits\": %lld},\n"
-      "      \"two_areas\": {\"swaps\": %lld, \"complete_loads\": %lld, "
-      "\"resident_hits\": %lld},\n"
-      "      \"swap_drop\": %.2f\n"
-      "    },\n"
-      "    \"batching\": {\n"
-      "      \"workload\": \"heavy\",\n"
-      "      \"system\": 64,\n"
-      "      \"areas\": 2,\n"
-      "      \"max_batch\": %d,\n"
-      "      \"slack_us\": %lld,\n"
-      "      \"unbatched\": {\"swaps\": %lld, \"deadline_miss\": %lld, "
-      "\"latency_ps\": {\"p50\": %.0f, \"p99\": %.0f, \"p999\": %.0f}},\n"
-      "      \"batched\": {\"swaps\": %lld, \"deadline_miss\": %lld, "
-      "\"batches\": %lld, \"coalesced\": %lld, "
-      "\"chain_descriptors\": %lld, "
-      "\"latency_ps\": {\"p50\": %.0f, \"p99\": %.0f, \"p999\": %.0f}},\n"
-      "      \"swap_drop\": %.2f\n"
-      "    }\n"
-      "  }\n"
-      "}\n",
-      scenarios, jobs, areas, plan_cache ? "true" : "false", wall_ms,
-      wall_ms > 0 ? 1000.0 * static_cast<double>(scenarios) / wall_ms : 0.0,
-      static_cast<long long>(lat.count()), lat.p50(), lat.p90(), lat.p99(),
-      lat.p999(), hot_ns_per_req, static_cast<long long>(one.requests),
-      static_cast<long long>(one.swaps),
-      static_cast<long long>(one.complete_loads),
-      static_cast<long long>(one.resident_hits),
-      static_cast<long long>(two.swaps),
-      static_cast<long long>(two.complete_loads),
-      static_cast<long long>(two.resident_hits),
-      two.swaps > 0 ? static_cast<double>(one.swaps) /
-                          static_cast<double>(two.swaps)
-                    : 0.0,
-      max_batch, batch_slack_us, static_cast<long long>(two.swaps),
-      static_cast<long long>(two.deadline_miss), two.p50, two.p99, two.p999,
-      static_cast<long long>(batched.swaps),
-      static_cast<long long>(batched.deadline_miss),
-      static_cast<long long>(batched.batches),
-      static_cast<long long>(batched.coalesced),
-      static_cast<long long>(batched.chain_descriptors), batched.p50,
-      batched.p99, batched.p999,
-      batched.swaps > 0 ? static_cast<double>(two.swaps) /
-                              static_cast<double>(batched.swaps)
-                        : 0.0);
-  f << buf;
-  return static_cast<bool>(f);
+/// The serve bench record (rtrsim-serve-bench-v6): matrix throughput (host
+/// wall-clock; the simulated outputs above are the determinism surface,
+/// this is the perf surface), heavy-workload latency percentiles, the
+/// one-vs-two-area A/B (docs/PLACEMENT.md) and the unbatched-vs-batched
+/// A/B on the two-area device (docs/SERVING.md "Batching"), which the swap
+/// amortization gate and the no-deadline-sacrificed check read.
+bool write_serve_bench(const Args& a, std::int64_t scenarios, int jobs,
+                       double wall_ms) {
+  const int bench_batch = a.max_batch > 1 ? a.max_batch : 8;
+  const auto lat = timed([&] { return run_heavy<Platform32>(a, 1, 1); });
+  const auto one = timed([&] { return run_heavy<Platform64>(a, 1, 1); });
+  const auto two = timed([&] { return run_heavy<Platform64>(a, 2, 1); });
+  const auto batched =
+      timed([&] { return run_heavy<Platform64>(a, 2, bench_batch); });
+  const auto note = [](const char* arm, const Timed<HeavyArm>& run) {
+    std::fprintf(stderr,
+                 "serve: heavy %s: swaps %lld, deadline_miss %lld, %.1f ms "
+                 "wall\n",
+                 arm, static_cast<long long>(run.value.swaps),
+                 static_cast<long long>(run.value.report.deadline_miss),
+                 run.wall_ms);
+  };
+  note("p32", lat);
+  note("p64 1 area", one);
+  note("p64 2 areas", two);
+  note("p64 2 areas batched", batched);
+
+  const auto area_arm = [](JsonOut& j, const char* key, const HeavyArm& arm) {
+    j.open(key)
+        .integer("swaps", arm.swaps)
+        .integer("complete_loads", arm.complete_loads)
+        .integer("resident_hits", arm.resident_hits)
+        .close();
+  };
+  const HeavyArm& b = batched.value;
+  JsonOut j("rtrsim-serve-bench-v6");
+  j.open("serve")
+      .integer("scenarios", scenarios)
+      .integer("jobs", jobs)
+      .integer("areas", a.areas)
+      .flag("plan_cache", a.plan_cache)
+      .real("wall_ms", wall_ms, 1)
+      .real("scenarios_per_sec", per_sec(scenarios, wall_ms), 2)
+      .text("latency_workload", "heavy")
+      .integer("latency_requests", lat.value.latency.count());
+  write_latency(j, lat.value.latency, true);
+  j.open("multi_area")
+      .text("workload", "heavy")
+      .integer("system", 64)
+      .integer("requests",
+               static_cast<std::int64_t>(one.value.report.completions.size()));
+  area_arm(j, "one_area", one.value);
+  area_arm(j, "two_areas", two.value);
+  j.real("swap_drop", swap_drop(one.value.swaps, two.value.swaps), 2).close();
+  j.open("batching")
+      .text("workload", "heavy")
+      .integer("system", 64)
+      .integer("areas", 2)
+      .integer("max_batch", bench_batch)
+      .integer("slack_us", a.batch_slack_us)
+      .open("unbatched")
+      .integer("swaps", two.value.swaps)
+      .integer("deadline_miss", two.value.report.deadline_miss);
+  write_latency(j, two.value.latency, false);
+  j.close()
+      .open("batched")
+      .integer("swaps", b.swaps)
+      .integer("deadline_miss", b.report.deadline_miss)
+      .integer("batches", b.report.batches)
+      .integer("coalesced", b.report.coalesced)
+      .integer("chain_descriptors", b.chain_descriptors);
+  write_latency(j, b.latency, false);
+  j.close()
+      .real("swap_drop", swap_drop(two.value.swaps, b.swaps), 2)
+      .close()
+      .close();
+  return j.save(a.bench_out);
 }
 
 int serve_cmd(const Args& a) {
@@ -1495,17 +1425,9 @@ int serve_cmd(const Args& a) {
   }
 
   const int jobs = host_jobs(a);
-
-  // Same pool shape as `sweep`: scenarios are claimed by an atomic cursor
-  // but land in a results slot fixed by scenario index, so stdout is
-  // byte-identical for any -j.
-  std::vector<ServeScenarioOutcome> results(list.size());
-  std::atomic<std::size_t> next{0};
-  const auto wall0 = std::chrono::steady_clock::now();
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= list.size()) return;
+  const auto run = timed([&] {
+    std::vector<ServeScenarioOutcome> results(list.size());
+    sim::parallel_for(list.size(), jobs, [&](std::size_t i) {
       // 32-bit scenarios always run single-area: the XC2VP7 strip has no
       // room for a second column-disjoint area (fabric/dynamic_region).
       results[i] = list[i].system == 32
@@ -1514,22 +1436,15 @@ int serve_cmd(const Args& a) {
                        : serve_scenario<Platform64>(list[i], a.fault_seed,
                                                     a.plan_cache, a.slos,
                                                     a.areas);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(jobs) - 1);
-  for (int j = 1; j < jobs; ++j) pool.emplace_back(worker);
-  worker();
-  for (auto& th : pool) th.join();
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - wall0)
-                             .count();
+    });
+    return results;
+  });
 
   std::printf("serve matrix: %zu scenarios, seed=%llu\n", list.size(),
               static_cast<unsigned long long>(a.fault_seed));
   sim::StatRegistry agg;
   bool all_ok = true;
-  for (const ServeScenarioOutcome& o : results) {
+  for (const ServeScenarioOutcome& o : run.value) {
     std::printf("%s\n", o.line.c_str());
     all_ok = all_ok && o.ok;
     agg.merge(o.stats);
@@ -1539,43 +1454,13 @@ int serve_cmd(const Args& a) {
   std::printf("%s\n", all_ok ? "all scenarios matched expectations"
                              : "EXPECTATION MISMATCH");
 
-  // Host-side timing is non-deterministic by nature: stderr only.
   std::fprintf(stderr, "serve: %zu scenarios, %d jobs, %.1f ms wall\n",
-               list.size(), jobs, wall_ms);
+               list.size(), jobs, run.wall_ms);
 
-  if (!a.bench_out.empty()) {
-    const double hot_ns = measure_serve_hot_ns_per_req();
-    std::fprintf(stderr, "serve: hot path %.1f ns/req (steady, p32)\n",
-                 hot_ns);
-    const sim::Histogram lat =
-        serve_bench_latency(a.fault_seed, a.plan_cache);
-    const std::int64_t slack_ps =
-        sim::SimTime::from_us(a.batch_slack_us).ps();
-    const int bench_batch = a.max_batch > 1 ? a.max_batch : 8;
-    const ServeAreaArm one =
-        measure_serve_area_arm(1, a.fault_seed, a.plan_cache, 1, slack_ps);
-    const ServeAreaArm two =
-        measure_serve_area_arm(2, a.fault_seed, a.plan_cache, 1, slack_ps);
-    const ServeAreaArm batched = measure_serve_area_arm(
-        2, a.fault_seed, a.plan_cache, bench_batch, slack_ps);
-    std::fprintf(stderr,
-                 "serve: multi-area heavy/p64 swaps %lld (1 area) vs %lld "
-                 "(2 areas)\n",
-                 static_cast<long long>(one.swaps),
-                 static_cast<long long>(two.swaps));
-    std::fprintf(stderr,
-                 "serve: batching heavy/p64/2-areas swaps %lld (unbatched) "
-                 "vs %lld (max-batch %d), deadline_miss %lld vs %lld\n",
-                 static_cast<long long>(two.swaps),
-                 static_cast<long long>(batched.swaps), bench_batch,
-                 static_cast<long long>(two.deadline_miss),
-                 static_cast<long long>(batched.deadline_miss));
-    if (!write_serve_bench_json(a.bench_out, list.size(), jobs, wall_ms,
-                                a.plan_cache, lat, hot_ns, a.areas, one,
-                                two, batched, bench_batch,
-                                a.batch_slack_us)) {
-      return 1;
-    }
+  if (!a.bench_out.empty() &&
+      !write_serve_bench(a, static_cast<std::int64_t>(list.size()), jobs,
+                         run.wall_ms)) {
+    return 1;
   }
   return all_ok ? 0 : 1;
 }
@@ -1619,129 +1504,99 @@ std::string fmt_ps(double ps) {
   return sim::SimTime::from_ps(static_cast<std::int64_t>(ps)).to_string();
 }
 
-/// Host ns per routing decision, mirroring BM_FleetRouteDecision: route
-/// the full arrival stream through a fresh 8-shard router, best-of-reps.
-double measure_fleet_route_ns(const std::vector<serve::Request>& stream,
-                              const Args& a) {
-  std::vector<int> systems;
-  for (int i = 0; i < a.devices; ++i) {
-    systems.push_back(a.mix[static_cast<std::size_t>(i) % a.mix.size()]);
-  }
-  const double ns = best_ns([&] {
-    serve::fleet::FleetRouter router(systems, a.affinity, a.steal_threshold,
-                                     a.fault_seed);
-    for (const serve::Request& r : stream) (void)router.route(r);
-    asm volatile("" : : "r"(router.counters().decisions) : "memory");
-  });
-  return stream.empty() ? 0.0 : ns / static_cast<double>(stream.size());
+/// Open A/B arm object `key` with the fields every fleet arm records.
+JsonOut& fleet_arm(JsonOut& j, const char* key,
+                   const Timed<serve::fleet::FleetReport>& arm) {
+  return j.open(key)
+      .real("wall_ms", arm.wall_ms, 1)
+      .integer("swaps", arm.value.swaps)
+      .integer("served_hw", arm.value.served_hw)
+      .integer("degraded", arm.value.degraded);
 }
 
-/// v3 adds the batched arm: the identical stream with per-shard swap-aware
-/// batching enabled (docs/SERVING.md "Batching"), against the primary
-/// (unbatched) run -- the fleet-level swap amortization record.
-bool write_fleet_bench_json(const std::string& path, const Args& a,
-                            const serve::fleet::FleetReport& fr,
-                            double wall_ms,
-                            const serve::fleet::FleetReport& fr_rand,
-                            double rand_wall_ms,
-                            const serve::fleet::FleetReport& fr_single,
-                            double single_wall_ms,
-                            const serve::fleet::FleetReport& fr_batched,
-                            double batched_wall_ms, int bench_batch,
-                            double route_ns) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  const double rps =
-      wall_ms > 0 ? 1000.0 * static_cast<double>(fr.requests) / wall_ms : 0.0;
-  const double rand_rps =
-      rand_wall_ms > 0
-          ? 1000.0 * static_cast<double>(fr_rand.requests) / rand_wall_ms
-          : 0.0;
-  const auto it = fr.stats.histograms().find("fleet.latency_ps");
-  RTR_CHECK(it != fr.stats.histograms().end(), "fleet latency recorded");
-  const sim::Histogram& lat = it->second;
-  char buf[3072];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\n"
-      "  \"schema\": \"rtrsim-fleet-bench-v3\",\n"
-      "  \"fleet\": {\n"
-      "    \"devices\": %d,\n"
-      "    \"mix\": \"%s\",\n"
-      "    \"areas\": %d,\n"
-      "    \"jobs\": %d,\n"
-      "    \"requests\": %lld,\n"
-      "    \"plan_cache\": %s,\n"
-      "    \"steal_threshold\": %d,\n"
-      "    \"zipf_skew\": %d,\n"
-      "    \"arrival_us\": %lld,\n"
-      "    \"wall_ms\": %.1f,\n"
-      "    \"requests_per_sec\": %.1f,\n"
-      "    \"requests_per_scenario\": %.3f,\n"
-      "    \"scenarios_per_sec\": %.2f,\n"
-      "    \"latency_ps\": {\"p50\": %.0f, \"p90\": %.0f, \"p99\": %.0f, "
-      "\"p999\": %.0f},\n"
-      "    \"route\": {\"decisions\": %lld, \"affinity_hits\": %lld, "
-      "\"rebalances\": %lld, \"steals\": %lld},\n"
-      "    \"served_hw\": %lld,\n"
-      "    \"degraded\": %lld,\n"
-      "    \"swaps\": %lld,\n"
-      "    \"no_affinity\": {\"wall_ms\": %.1f, \"requests_per_sec\": %.1f, "
-      "\"swaps\": %lld, \"served_hw\": %lld, \"degraded\": %lld},\n"
-      "    \"single_area\": {\"wall_ms\": %.1f, \"swaps\": %lld, "
-      "\"served_hw\": %lld, \"degraded\": %lld, \"swap_drop\": %.2f},\n"
-      "    \"batched\": {\"max_batch\": %d, \"wall_ms\": %.1f, "
-      "\"swaps\": %lld, \"served_hw\": %lld, \"degraded\": %lld, "
-      "\"deadline_miss\": %lld, \"swap_drop\": %.2f}\n"
-      "  },\n"
-      "  \"ns_per_op\": {\"BM_FleetRouteDecision\": %.1f}\n"
-      "}\n",
-      a.devices, a.mix_text.c_str(), a.areas,
-      a.jobs > 0 ? a.jobs : fleet_options(a).jobs,
-      static_cast<long long>(fr.requests), a.plan_cache ? "true" : "false",
-      a.steal_threshold, a.zipf_skew, a.arrival_us, wall_ms, rps,
-      kServeMatrixRequestsPerScenario,
-      rps / kServeMatrixRequestsPerScenario, lat.p50(), lat.p90(), lat.p99(),
-      lat.p999(), static_cast<long long>(fr.route.decisions),
-      static_cast<long long>(fr.route.affinity_hits),
-      static_cast<long long>(fr.route.rebalances),
-      static_cast<long long>(fr.route.steals),
-      static_cast<long long>(fr.served_hw),
-      static_cast<long long>(fr.degraded), static_cast<long long>(fr.swaps),
-      rand_wall_ms, rand_rps, static_cast<long long>(fr_rand.swaps),
-      static_cast<long long>(fr_rand.served_hw),
-      static_cast<long long>(fr_rand.degraded), single_wall_ms,
-      static_cast<long long>(fr_single.swaps),
-      static_cast<long long>(fr_single.served_hw),
-      static_cast<long long>(fr_single.degraded),
-      fr.swaps > 0 ? static_cast<double>(fr_single.swaps) /
-                         static_cast<double>(fr.swaps)
-                   : 0.0,
-      bench_batch, batched_wall_ms,
-      static_cast<long long>(fr_batched.swaps),
-      static_cast<long long>(fr_batched.served_hw),
-      static_cast<long long>(fr_batched.degraded),
-      static_cast<long long>(fr_batched.deadline_miss),
-      fr_batched.swaps > 0 ? static_cast<double>(fr.swaps) /
-                                 static_cast<double>(fr_batched.swaps)
-                           : 0.0,
-      route_ns);
-  f << buf;
-  return static_cast<bool>(f);
+/// The fleet bench record (rtrsim-fleet-bench-v4): the primary run's
+/// throughput and routing counters, then three arms over the identical
+/// stream (request ids are assigned before routing, so every arm serves
+/// identical work and swap counts compare like for like): seeded-random
+/// sharding, co-residency off (areas=1 everywhere) and per-shard swap-aware
+/// batching (docs/SERVING.md "Batching"). An arm that equals the primary
+/// run -- --areas 1, or batching already on -- reuses it.
+bool write_fleet_bench(const Args& a, const serve::fleet::FleetOptions& fo,
+                       const serve::fleet::FleetWorkloadSpec& fw,
+                       const Timed<serve::fleet::FleetReport>& primary) {
+  // The stream re-served with one option changed.
+  const auto arm = [&](auto change) {
+    serve::fleet::FleetOptions o = fo;
+    change(o);
+    return timed([&] { return serve::fleet::run_fleet(o, fw); });
+  };
+  const int bench_batch = a.max_batch > 1 ? a.max_batch : 8;
+  const auto no_affinity = arm([](auto& o) { o.affinity = false; });
+  const auto single =
+      a.areas > 1 ? arm([](auto& o) { o.areas = 1; }) : primary;
+  const auto batched =
+      a.max_batch <= 1
+          ? arm([&](auto& o) { o.batch.max_batch = bench_batch; })
+          : primary;
+  const serve::fleet::FleetReport& fr = primary.value;
+  std::fprintf(stderr,
+               "fleet: no-affinity %.1f ms wall, swaps %lld vs %lld, "
+               "single-area swaps %lld, batched swaps %lld\n",
+               no_affinity.wall_ms,
+               static_cast<long long>(no_affinity.value.swaps),
+               static_cast<long long>(fr.swaps),
+               static_cast<long long>(single.value.swaps),
+               static_cast<long long>(batched.value.swaps));
+
+  const sim::Histogram& lat = fr.stats.histograms().at("fleet.latency_ps");
+  const double rps = per_sec(fr.requests, primary.wall_ms);
+  JsonOut j("rtrsim-fleet-bench-v4");
+  j.open("fleet")
+      .integer("devices", a.devices)
+      .text("mix", a.mix_text)
+      .integer("areas", a.areas)
+      .integer("jobs", fo.jobs)
+      .integer("requests", fr.requests)
+      .flag("plan_cache", a.plan_cache)
+      .integer("steal_threshold", a.steal_threshold)
+      .integer("zipf_skew", a.zipf_skew)
+      .integer("arrival_us", a.arrival_us)
+      .real("wall_ms", primary.wall_ms, 1)
+      .real("requests_per_sec", rps, 1)
+      .real("requests_per_scenario", kServeMatrixRequestsPerScenario, 3)
+      .real("scenarios_per_sec", rps / kServeMatrixRequestsPerScenario, 2);
+  write_latency(j, lat, true);
+  j.open("route")
+      .integer("decisions", fr.route.decisions)
+      .integer("affinity_hits", fr.route.affinity_hits)
+      .integer("rebalances", fr.route.rebalances)
+      .integer("steals", fr.route.steals)
+      .close()
+      .integer("served_hw", fr.served_hw)
+      .integer("degraded", fr.degraded)
+      .integer("swaps", fr.swaps);
+  fleet_arm(j, "no_affinity", no_affinity)
+      .real("requests_per_sec",
+            per_sec(no_affinity.value.requests, no_affinity.wall_ms), 1)
+      .close();
+  fleet_arm(j, "single_area", single)
+      .real("swap_drop", swap_drop(single.value.swaps, fr.swaps), 2)
+      .close();
+  fleet_arm(j, "batched", batched)
+      .integer("max_batch", bench_batch)
+      .integer("deadline_miss", batched.value.deadline_miss)
+      .real("swap_drop", swap_drop(fr.swaps, batched.value.swaps), 2)
+      .close()
+      .close();
+  return j.save(a.bench_out);
 }
 
 int fleet_cmd(const Args& a) {
   const serve::fleet::FleetOptions fo = fleet_options(a);
   const serve::fleet::FleetWorkloadSpec fw = fleet_workload(a);
 
-  const auto wall0 = std::chrono::steady_clock::now();
-  const serve::fleet::FleetReport fr = serve::fleet::run_fleet(fo, fw);
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - wall0)
-                             .count();
+  const auto primary = timed([&] { return serve::fleet::run_fleet(fo, fw); });
+  const serve::fleet::FleetReport& fr = primary.value;
 
   // Everything on stdout is simulated/deterministic: the fleet-determinism
   // CI job diffs it across -j values.
@@ -1795,72 +1650,15 @@ int fleet_cmd(const Args& a) {
                 fmt_ps(lat->second.p999()).c_str());
   }
 
-  // Host timing: non-deterministic by nature, stderr only.
   std::fprintf(stderr,
                "fleet: %d requests, %d devices, %d jobs, %.1f ms wall "
                "(%.0f req/s)\n",
-               a.requests, a.devices, fo.jobs, wall_ms,
-               wall_ms > 0 ? 1000.0 * a.requests / wall_ms : 0.0);
+               a.requests, a.devices, fo.jobs, primary.wall_ms,
+               per_sec(a.requests, primary.wall_ms));
 
   if (dump_observability(fr.stats, nullptr, a) != 0) return 1;
-
-  if (!a.bench_out.empty()) {
-    // A/B arm: the identical stream under seeded-random sharding. Request
-    // ids are assigned before routing, so both arms serve identical work
-    // and the swap counts compare like for like.
-    serve::fleet::FleetOptions rand_fo = fo;
-    rand_fo.affinity = false;
-    const auto rand0 = std::chrono::steady_clock::now();
-    const serve::fleet::FleetReport fr_rand =
-        serve::fleet::run_fleet(rand_fo, fw);
-    const double rand_wall_ms = std::chrono::duration<double, std::milli>(
-                                    std::chrono::steady_clock::now() - rand0)
-                                    .count();
-    // Single-area arm: the identical stream with co-residency disabled
-    // (areas=1 everywhere). With --areas 1 the primary run already is that
-    // arm, so it is reused rather than re-run.
-    serve::fleet::FleetReport fr_single = fr;
-    double single_wall_ms = wall_ms;
-    if (a.areas > 1) {
-      serve::fleet::FleetOptions single_fo = fo;
-      single_fo.areas = 1;
-      const auto single0 = std::chrono::steady_clock::now();
-      fr_single = serve::fleet::run_fleet(single_fo, fw);
-      single_wall_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - single0)
-                           .count();
-    }
-    // Batched arm: the identical stream with per-shard swap-aware batching
-    // enabled. With batching already on, the primary run is that arm.
-    const int bench_batch = a.max_batch > 1 ? a.max_batch : 8;
-    serve::fleet::FleetReport fr_batched = fr;
-    double batched_wall_ms = wall_ms;
-    if (a.max_batch <= 1) {
-      serve::fleet::FleetOptions batched_fo = fo;
-      batched_fo.batch.max_batch = bench_batch;
-      const auto batched0 = std::chrono::steady_clock::now();
-      fr_batched = serve::fleet::run_fleet(batched_fo, fw);
-      batched_wall_ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - batched0)
-                            .count();
-    }
-    const std::vector<serve::Request> stream =
-        serve::fleet::make_fleet_stream(fw, a.fault_seed);
-    const double route_ns = measure_fleet_route_ns(stream, a);
-    std::fprintf(stderr,
-                 "fleet: no-affinity %.1f ms wall, swaps %lld vs %lld, "
-                 "single-area swaps %lld, batched swaps %lld, "
-                 "route %.1f ns/decision\n",
-                 rand_wall_ms, static_cast<long long>(fr_rand.swaps),
-                 static_cast<long long>(fr.swaps),
-                 static_cast<long long>(fr_single.swaps),
-                 static_cast<long long>(fr_batched.swaps), route_ns);
-    if (!write_fleet_bench_json(a.bench_out, a, fr, wall_ms, fr_rand,
-                                rand_wall_ms, fr_single, single_wall_ms,
-                                fr_batched, batched_wall_ms, bench_batch,
-                                route_ns)) {
-      return 1;
-    }
+  if (!a.bench_out.empty() && !write_fleet_bench(a, fo, fw, primary)) {
+    return 1;
   }
   return fr.digests_ok && fr.failed == 0 ? 0 : 1;
 }
@@ -1921,26 +1719,18 @@ std::vector<ChaosScenario> chaos_matrix() {
   };
 }
 
-struct ChaosArm {
-  serve::fleet::FleetReport fr;
-  double wall_ms = 0;
-};
-
-/// One arm of one scenario. All three arms share the scenario's workload
-/// spec and --seed, so they serve the identical arrival stream.
-ChaosArm run_chaos_arm(const ChaosScenario& s, const Args& a, bool faults,
-                       bool health, trace::Tracer* tracer) {
-  serve::fleet::FleetOptions fo;
+/// One arm of one scenario: the fleet options of `a` with the matrix's
+/// overrides (device count, affinity routing and the plan cache always on).
+/// All three arms share the scenario's workload spec and --seed, so they
+/// serve the identical arrival stream.
+Timed<serve::fleet::FleetReport> run_chaos_arm(const ChaosScenario& s,
+                                               const Args& a, bool faults,
+                                               bool health,
+                                               trace::Tracer* tracer) {
+  serve::fleet::FleetOptions fo = fleet_options(a);
   fo.devices = s.devices;
-  fo.mix = a.mix;
   fo.affinity = true;
-  fo.steal_threshold = a.steal_threshold;
   fo.plan_cache = true;
-  fo.areas = a.areas;
-  fo.batch.max_batch = a.max_batch;
-  fo.batch.slack_ps = sim::SimTime::from_us(a.batch_slack_us).ps();
-  fo.jobs = host_jobs(a);
-  fo.seed = a.fault_seed;
   if (faults) {
     for (const char* text : s.faults) {
       fault::FaultSpec spec;
@@ -1958,13 +1748,7 @@ ChaosArm run_chaos_arm(const ChaosScenario& s, const Args& a, bool faults,
   fw.requests = s.requests;
   fw.mean_gap_ps = sim::SimTime::from_us(s.arrival_us).ps();
   fw.zipf_skew = s.zipf_skew;
-  ChaosArm arm;
-  const auto t0 = std::chrono::steady_clock::now();
-  arm.fr = serve::fleet::run_fleet(fo, fw);
-  arm.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-  return arm;
+  return timed([&] { return serve::fleet::run_fleet(fo, fw); });
 }
 
 std::int64_t chaos_completed(const serve::fleet::FleetReport& fr) {
@@ -1992,20 +1776,24 @@ int chaos_cmd(const Args& a) {
               a.smoke ? " (smoke)" : "");
 
   sim::StatRegistry all_stats;  // tracker arms merged, for --stats-out
-  std::string bench_rows;
+  JsonOut bench("rtrsim-chaos-bench-v1");
+  bench.integer("seed", static_cast<std::int64_t>(a.fault_seed))
+      .flag("smoke", a.smoke)
+      .open("scenarios", '[');
   bool all_ok = true;
   double wall_total = 0;
   for (const ChaosScenario& s : matrix) {
     if (a.smoke && !s.smoke) continue;
 
-    const ChaosArm healthy = run_chaos_arm(s, a, false, false, nullptr);
-    const ChaosArm tracked = run_chaos_arm(s, a, true, true, &tracer);
-    const ChaosArm naive = run_chaos_arm(s, a, true, false, nullptr);
+    const auto healthy = run_chaos_arm(s, a, false, false, nullptr);
+    const auto tracked = run_chaos_arm(s, a, true, true, &tracer);
+    const auto naive = run_chaos_arm(s, a, true, false, nullptr);
     wall_total += healthy.wall_ms + tracked.wall_ms + naive.wall_ms;
+    const serve::fleet::FleetReport& t = tracked.value;
 
-    const std::int64_t base = chaos_completed(healthy.fr);
-    const std::int64_t done_t = chaos_completed(tracked.fr);
-    const std::int64_t done_n = chaos_completed(naive.fr);
+    const std::int64_t base = chaos_completed(healthy.value);
+    const std::int64_t done_t = chaos_completed(t);
+    const std::int64_t done_n = chaos_completed(naive.value);
     const int pct_t = chaos_pct(done_t, base);
     const int pct_n = chaos_pct(done_n, base);
 
@@ -2024,20 +1812,20 @@ int chaos_cmd(const Args& a) {
     std::printf("  tracker:    completed=%lld goodput=%d%% failed=%lld "
                 "redispatched=%lld exhausted=%lld no-healthy=%lld\n",
                 static_cast<long long>(done_t), pct_t,
-                static_cast<long long>(tracked.fr.failed),
-                static_cast<long long>(tracked.fr.redispatched),
-                static_cast<long long>(tracked.fr.retry_exhausted),
-                static_cast<long long>(tracked.fr.no_healthy_device));
+                static_cast<long long>(t.failed),
+                static_cast<long long>(t.redispatched),
+                static_cast<long long>(t.retry_exhausted),
+                static_cast<long long>(t.no_healthy_device));
     std::printf("  no-tracker: completed=%lld goodput=%d%% failed=%lld\n",
                 static_cast<long long>(done_n), pct_n,
-                static_cast<long long>(naive.fr.failed));
+                static_cast<long long>(naive.value.failed));
 
     // Health transitions, in decision order: the observable trail of the
     // quarantine -> drain -> probation -> readmit machinery.
     std::int64_t quarantines = 0;
     std::int64_t readmits = 0;
     std::string evline;
-    for (const serve::fleet::HealthEvent& e : tracked.fr.health_events) {
+    for (const serve::fleet::HealthEvent& e : t.health_events) {
       if (e.to == serve::fleet::DeviceState::kQuarantined) ++quarantines;
       if (e.from == serve::fleet::DeviceState::kProbation &&
           e.to == serve::fleet::DeviceState::kHealthy) {
@@ -2071,7 +1859,7 @@ int chaos_cmd(const Args& a) {
       ok = ok && p;
     }
     if (s.expect_no_healthy) {
-      const bool p = tracked.fr.no_healthy_device > 0;
+      const bool p = t.no_healthy_device > 0;
       verdicts += std::string(" no-healthy-typed:") + (p ? "PASS" : "FAIL");
       ok = ok && p;
     }
@@ -2079,34 +1867,34 @@ int chaos_cmd(const Args& a) {
                                                   : verdicts.c_str());
     all_ok = all_ok && ok;
 
-    all_stats.merge(tracked.fr.stats);
+    all_stats.merge(t.stats);
 
-    char row[1024];
-    std::snprintf(
-        row, sizeof row,
-        "    {\"name\": \"%s\", \"devices\": %d, \"requests\": %d,\n"
-        "     \"healthy_completed\": %lld,\n"
-        "     \"tracker\": {\"completed\": %lld, \"goodput_pct\": %d, "
-        "\"failed\": %lld, \"redispatched\": %lld, \"retry_exhausted\": "
-        "%lld, \"no_healthy_device\": %lld, \"quarantines\": %lld, "
-        "\"readmits\": %lld, \"wall_ms\": %.1f},\n"
-        "     \"no_tracker\": {\"completed\": %lld, \"goodput_pct\": %d, "
-        "\"failed\": %lld, \"wall_ms\": %.1f},\n"
-        "     \"pass\": %s}",
-        s.name, s.devices, s.requests, static_cast<long long>(base),
-        static_cast<long long>(done_t), pct_t,
-        static_cast<long long>(tracked.fr.failed),
-        static_cast<long long>(tracked.fr.redispatched),
-        static_cast<long long>(tracked.fr.retry_exhausted),
-        static_cast<long long>(tracked.fr.no_healthy_device),
-        static_cast<long long>(quarantines),
-        static_cast<long long>(readmits), tracked.wall_ms,
-        static_cast<long long>(done_n), pct_n,
-        static_cast<long long>(naive.fr.failed), naive.wall_ms,
-        ok ? "true" : "false");
-    if (!bench_rows.empty()) bench_rows += ",\n";
-    bench_rows += row;
+    bench.open()
+        .text("name", s.name)
+        .integer("devices", s.devices)
+        .integer("requests", s.requests)
+        .integer("healthy_completed", base)
+        .open("tracker")
+        .integer("completed", done_t)
+        .integer("goodput_pct", pct_t)
+        .integer("failed", t.failed)
+        .integer("redispatched", t.redispatched)
+        .integer("retry_exhausted", t.retry_exhausted)
+        .integer("no_healthy_device", t.no_healthy_device)
+        .integer("quarantines", quarantines)
+        .integer("readmits", readmits)
+        .real("wall_ms", tracked.wall_ms, 1)
+        .close()
+        .open("no_tracker")
+        .integer("completed", done_n)
+        .integer("goodput_pct", pct_n)
+        .integer("failed", naive.value.failed)
+        .real("wall_ms", naive.wall_ms, 1)
+        .close()
+        .flag("pass", ok)
+        .close();
   }
+  bench.close();
 
   std::printf("chaos: %s\n", all_ok ? "all scenarios matched expectations"
                                     : "EXPECTATION FAILURES (see above)");
@@ -2114,18 +1902,7 @@ int chaos_cmd(const Args& a) {
                selected, wall_total);
 
   if (dump_observability(all_stats, &tracer, a) != 0) return 1;
-  if (!a.bench_out.empty()) {
-    std::ofstream f(a.bench_out);
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", a.bench_out.c_str());
-      return 1;
-    }
-    f << "{\n  \"schema\": \"rtrsim-chaos-bench-v1\",\n  \"seed\": "
-      << a.fault_seed << ",\n  \"smoke\": " << (a.smoke ? "true" : "false")
-      << ",\n  \"scenarios\": [\n"
-      << bench_rows << "\n  ]\n}\n";
-    if (!f) return 1;
-  }
+  if (!a.bench_out.empty() && !bench.save(a.bench_out)) return 1;
   return all_ok ? 0 : 1;
 }
 
