@@ -2,7 +2,7 @@
 // simulator itself executes its primitives. These guard against
 // performance regressions in the simulation substrate -- the table benches
 // above measure *simulated* time, this binary measures *host* time. CI
-// gates eight of them against the baselines in BENCH_microbench.json
+// gates eleven of them against the baselines in BENCH_microbench.json
 // (docs/PERFORMANCE.md "Recorded baselines" says how to re-record them).
 #include <benchmark/benchmark.h>
 
@@ -114,6 +114,38 @@ static void BM_IcapFeedWord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IcapFeedWord);
+
+// One complete XC2VP30 configuration through IcapController::feed(span),
+// the path a CPU-driven load takes: whole frames go straight from the
+// stream to configuration memory. Items = words, so the per-item time
+// compares with BM_IcapFeedWord.
+static void BM_IcapFeedFrames(benchmark::State& state) {
+  Platform64 p;
+  const auto comp = hw::component_for(hw::kBrightness, 64);
+  const auto linked = p.linker().link_single(comp);
+  const auto words = bitstream::serialize(*linked.config);
+  for (auto _ : state) {
+    p.icap_ctl().reset();
+    p.icap_ctl().feed(words);
+    benchmark::DoNotOptimize(p.icap_ctl().done());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(words.size()));
+}
+BENCHMARK(BM_IcapFeedFrames);
+
+// The payload-hash check every load runs before binding (and every
+// BitLinker link embeds), over the XC2VP30 region after one load.
+static void BM_RegionPayloadHash(benchmark::State& state) {
+  Platform64 p;
+  bench::must_load(p, hw::kBrightness);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        bitlinker::region_payload_hash(p.fabric_state(), p.region()));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RegionPayloadHash);
 
 static void BM_BitLinkerAssembly(benchmark::State& state) {
   Platform32 p;

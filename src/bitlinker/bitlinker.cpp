@@ -18,11 +18,7 @@ std::uint32_t region_payload_hash(const ConfigMemory& cm,
                                   const DynamicRegion& region) {
   const FrameAddress sig_frame = region.signature_frame();
   const int sig_w0 = region.signature_word();
-  std::uint32_t h = 2166136261u;
-  auto feed = [&h](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      h = (h ^ ((v >> (8 * i)) & 0xFF)) * 16777619u;
-  };
+  std::uint32_t h = kPayloadHashBasis;
 
   const Device& dev = cm.device();
   FrameAddress a{ColumnType::kClb, 0, 0};
@@ -35,7 +31,7 @@ std::uint32_t region_payload_hash(const ConfigMemory& cm,
       for (int w = w0; w < w0 + wn; ++w) {
         if (is_sig && w >= sig_w0 && w < sig_w0 + DynamicRegion::kSignatureWords)
           continue;
-        feed(f[static_cast<std::size_t>(w)]);
+        h = payload_hash_word(h, f[static_cast<std::size_t>(w)]);
       }
     }
     a = a.next_in(dev);

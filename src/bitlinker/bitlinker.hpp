@@ -59,7 +59,22 @@ struct LinkResult {
   [[nodiscard]] bool ok() const { return errors.empty(); }
 };
 
-/// FNV-1a hash over the region-row words of every frame covering `region`,
+/// The payload hash is FNV-1a 32 over the little-endian bytes of the hashed
+/// words: it starts at kPayloadHashBasis and payload_hash_word adds a word.
+inline constexpr std::uint32_t kPayloadHashBasis = 2166136261u;
+
+/// Add one word to a payload hash. A zero byte makes the xor a no-op,
+/// (h ^ 0) * P == h * P, so a zero word -- most of a sparsely configured
+/// region -- is one multiply by P^4 (mod 2^32).
+[[nodiscard]] constexpr std::uint32_t payload_hash_word(std::uint32_t h,
+                                                        std::uint32_t v) {
+  constexpr std::uint32_t kPrime = 16777619u;
+  if (v == 0) return h * (kPrime * kPrime * kPrime * kPrime);
+  for (int i = 0; i < 4; ++i) h = (h ^ ((v >> (8 * i)) & 0xFF)) * kPrime;
+  return h;
+}
+
+/// Payload hash over the region-row words of every frame covering `region`,
 /// skipping the signature words themselves. The BitLinker stores this hash
 /// in the signature; the dock re-computes it before binding a behaviour, so
 /// half-applied or stale-base configurations never bind.

@@ -4,46 +4,75 @@
 // write and compares it against the value supplied by the bitstream's CRC
 // packet; a mismatch aborts configuration. We use the IEEE 802.3
 // polynomial (table-driven, reflected).
+//
+// Every configuration word costs one CRC step in the ICAP model and in
+// bitstream::serialize, so the word paths are sliced: slice k of the table
+// advances a byte through k further zero bytes, which lets one step fold
+// 4 (update_word) or 8 (update_register_write) bytes with independent
+// lookups. update_byte is the byte-wise reference both must equal.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <span>
 
 namespace rtr::bitstream {
+
+namespace detail {
+
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// t[0] is the classic byte table; t[k][i] is t[k-1][i] advanced by one
+/// zero byte.
+constexpr CrcTables make_crc_tables() {
+  constexpr std::uint32_t kPoly = 0xEDB88320u;  // reflected IEEE 802.3
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? (kPoly ^ (c >> 1)) : (c >> 1);
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
+}
+
+inline constexpr CrcTables kCrcTables = make_crc_tables();
+
+}  // namespace detail
 
 class Crc32 {
  public:
   /// Feed one 32-bit word (little-endian byte order).
   void update_word(std::uint32_t w) {
-    update_byte(static_cast<std::uint8_t>(w));
-    update_byte(static_cast<std::uint8_t>(w >> 8));
-    update_byte(static_cast<std::uint8_t>(w >> 16));
-    update_byte(static_cast<std::uint8_t>(w >> 24));
+    const auto& t = detail::kCrcTables;
+    const std::uint32_t x = state_ ^ w;
+    state_ = t[3][x & 0xFF] ^ t[2][(x >> 8) & 0xFF] ^ t[1][(x >> 16) & 0xFF] ^
+             t[0][x >> 24];
   }
 
   /// Feed a register write: the register address participates in the CRC so
   /// that data words cannot be replayed to a different register undetected.
+  /// The address is fed first, then the word, both little-endian.
   void update_register_write(std::uint32_t reg_addr, std::uint32_t word) {
-    update_word(reg_addr);
-    update_word(word);
+    const auto& t = detail::kCrcTables;
+    const std::uint32_t x = state_ ^ reg_addr;
+    state_ = t[7][x & 0xFF] ^ t[6][(x >> 8) & 0xFF] ^ t[5][(x >> 16) & 0xFF] ^
+             t[4][x >> 24] ^ t[3][word & 0xFF] ^ t[2][(word >> 8) & 0xFF] ^
+             t[1][(word >> 16) & 0xFF] ^ t[0][word >> 24];
   }
 
   void update_byte(std::uint8_t b) {
-    state_ = table(static_cast<std::uint8_t>(state_ ^ b)) ^ (state_ >> 8);
+    state_ = detail::kCrcTables[0][static_cast<std::uint8_t>(state_ ^ b)] ^
+             (state_ >> 8);
   }
 
   [[nodiscard]] std::uint32_t value() const { return state_ ^ 0xFFFFFFFFu; }
   void reset() { state_ = 0xFFFFFFFFu; }
 
-  /// One-shot helper over a word span.
-  static std::uint32_t of_words(std::span<const std::uint32_t> words) {
-    Crc32 c;
-    for (std::uint32_t w : words) c.update_word(w);
-    return c.value();
-  }
-
  private:
-  static std::uint32_t table(std::uint8_t i);
   std::uint32_t state_ = 0xFFFFFFFFu;
 };
 

@@ -179,6 +179,33 @@ void IcapController::feed_word(std::uint32_t w) {
   }
 }
 
+void IcapController::feed(std::span<const std::uint32_t> words) {
+  const auto wpf = static_cast<std::size_t>(cm_->words_per_frame());
+  while (!words.empty()) {
+    if (synced_ && !error_ && expect_ == Expect::kPayload &&
+        payload_reg_ == ConfigReg::kFdri && far_valid_ && frame_buf_.empty() &&
+        payload_left_ >= wpf && words.size() >= wpf) {
+      const auto frame = words.first(wpf);
+      for (const std::uint32_t w : frame) {
+        crc_.update_register_write(static_cast<std::uint32_t>(ConfigReg::kFdri),
+                                   w);
+      }
+      cm_->write_frame(far_, frame);
+      far_ = far_.next_in(cm_->device());
+      far_valid_ = far_.valid_for(cm_->device());
+      ++frames_written_;
+      stat_frames_->add();
+      words_consumed_ += static_cast<std::int64_t>(wpf);
+      payload_left_ -= static_cast<std::uint32_t>(wpf);
+      if (payload_left_ == 0) expect_ = Expect::kHeader;
+      words = words.subspan(wpf);
+    } else {
+      feed_word(words.front());
+      words = words.subspan(1);
+    }
+  }
+}
+
 bus::SlaveResult IcapController::read(bus::Addr addr, int bytes,
                                       SimTime start) {
   RTR_CHECK(bytes == 4, "HWICAP registers are 32-bit");

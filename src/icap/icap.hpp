@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bitstream/crc.hpp"
@@ -65,10 +66,12 @@ class IcapController : public bus::Slave {
   /// peripheral, also used by tests.
   void feed_word(std::uint32_t w);
 
-  /// Feed a whole stream functionally (no timing).
-  void feed(std::span<const std::uint32_t> words) {
-    for (std::uint32_t w : words) feed_word(w);
-  }
+  /// Feed a whole stream functionally (no timing). Equivalent to calling
+  /// feed_word on every word: a frame that starts on a frame boundary of a
+  /// valid FDRI payload and lies whole in `words` is CRC'd and written to
+  /// configuration memory straight from the span; every other word goes
+  /// through feed_word.
+  void feed(std::span<const std::uint32_t> words);
 
   /// Reset the state machine (does not touch configuration memory).
   void reset();

@@ -68,7 +68,7 @@ std::int64_t icap_load_words(cpu::Kernel& k, Addr staging, std::int64_t from,
 /// beats, busy time and latency histogram, the bridge's crossings and beat
 /// splits, and the CPU's loads and stores. The components a stream crosses
 /// register all of them at construction. The ICAP's counters are not here:
-/// every word still goes through IcapController::feed_word.
+/// every word still goes through the ICAP state machine.
 class IterationStats {
  public:
   IterationStats(sim::StatRegistry& st, const bus::Bus& plb,
@@ -170,9 +170,7 @@ std::int64_t icap_load_bulk(cpu::Kernel& k,
     const std::int64_t left = deadline.ps() - t2.ps();
     m = std::min(m, left <= 0 ? 0 : (left + step.ps() - 1) / step.ps());
   }
-  for (std::int64_t i = 2; i < 2 + m; ++i) {
-    icap.feed_word(words[static_cast<std::size_t>(i)]);
-  }
+  icap.feed(words.subspan(2, static_cast<std::size_t>(m)));
   iteration.repeat(m);
   const SimTime shift = step * m;
   plb.set_busy_until(plb.busy_until() + shift);

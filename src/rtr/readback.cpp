@@ -1,5 +1,6 @@
 #include "rtr/readback.hpp"
 
+#include "bitlinker/bitlinker.hpp"
 #include "bitstream/packet.hpp"
 #include "fabric/config_memory.hpp"
 #include "icap/icap.hpp"
@@ -28,13 +29,11 @@ ReadbackStats readback_verify(cpu::Kernel& k, Addr icap_base,
   k.sw(data, bitstream::kDummyWord);
   k.sw(data, bitstream::kSyncWord);
 
-  // FNV-1a over the region rows of every covered frame, skipping the four
-  // signature words -- the same function the BitLinker embeds.
-  std::uint32_t hash = 2166136261u;
+  // The payload hash over the region rows of every covered frame, skipping
+  // the four signature words -- the same function the BitLinker embeds.
+  std::uint32_t hash = bitlinker::kPayloadHashBasis;
   auto feed = [&](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      hash = (hash ^ ((v >> (8 * i)) & 0xFF)) * 16777619u;
-    }
+    hash = bitlinker::payload_hash_word(hash, v);
     k.op(12);  // 4 bytes x (xor + multiply-by-shifts)
   };
 

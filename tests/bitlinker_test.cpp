@@ -348,6 +348,83 @@ TEST(BitLinker, PayloadHashIgnoresSignatureWords) {
   EXPECT_EQ(region_payload_hash(cm, fx.region), h1);
 }
 
+/// Byte-wise FNV-1a 32 over the region rows of every covered frame, minus
+/// the signature words: the definition region_payload_hash must meet.
+std::uint32_t reference_payload_hash(const ConfigMemory& cm,
+                                     const DynamicRegion& region) {
+  std::uint32_t h = 2166136261u;
+  const fabric::Device& dev = cm.device();
+  const int sig_w0 = region.signature_word();
+  for (fabric::FrameAddress a{fabric::ColumnType::kClb, 0, 0};
+       a.valid_for(dev); a = a.next_in(dev)) {
+    if (!region.covers(a)) continue;
+    const auto f = cm.frame(a);
+    const int w0 = region.first_word();
+    for (int w = w0; w < w0 + region.word_count(); ++w) {
+      if (a == region.signature_frame() && w >= sig_w0 &&
+          w < sig_w0 + DynamicRegion::kSignatureWords) {
+        continue;
+      }
+      const std::uint32_t v = f[static_cast<std::size_t>(w)];
+      for (int i = 0; i < 4; ++i) {
+        h = (h ^ ((v >> (8 * i)) & 0xFF)) * 16777619u;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(BitLinker, PayloadHashMatchesByteWiseFnvOnSparseContent) {
+  // Covered frames are left all zero, filled with nonzero words, or filled
+  // sparsely (zero words between nonzero ones), on both devices' regions.
+  for (const DynamicRegion& region :
+       {DynamicRegion::xc2vp7_region(), DynamicRegion::xc2vp30_region()}) {
+    SCOPED_TRACE(region.device().name());
+    const fabric::Device& dev = region.device();
+    sim::Rng rng{77};
+    ConfigMemory cm{dev};
+    int zero_frames = 0, dense_frames = 0, sparse_frames = 0;
+    for (fabric::FrameAddress a{fabric::ColumnType::kClb, 0, 0};
+         a.valid_for(dev); a = a.next_in(dev)) {
+      if (!region.covers(a)) continue;
+      // The signature frame always carries content, sparse like a module's.
+      const std::uint64_t kind =
+          a == region.signature_frame() ? 2 : rng.below(3);
+      if (kind == 0) {
+        ++zero_frames;
+        continue;
+      }
+      std::vector<std::uint32_t> rows(
+          static_cast<std::size_t>(region.word_count()));
+      for (auto& w : rows) {
+        w = kind == 1 ? (rng.next_u32() | 1u)
+                      : (rng.below(8) == 0 ? rng.next_u32() : 0u);
+      }
+      (kind == 1 ? dense_frames : sparse_frames)++;
+      cm.write_words(a, region.first_word(), rows);
+    }
+    ASSERT_GT(zero_frames, 0);
+    ASSERT_GT(dense_frames, 0);
+    ASSERT_GT(sparse_frames, 0);
+    const std::uint32_t h = region_payload_hash(cm, region);
+    EXPECT_EQ(h, reference_payload_hash(cm, region));
+
+    // The signature words stay out of both; the signature frame's other
+    // region rows are in.
+    const std::uint32_t junk[DynamicRegion::kSignatureWords] = {9, 8, 7, 6};
+    cm.write_words(region.signature_frame(), region.signature_word(), junk);
+    EXPECT_EQ(region_payload_hash(cm, region), h);
+    const int row = region.signature_word() + DynamicRegion::kSignatureWords;
+    const std::uint32_t flipped[1] = {
+        cm.frame(region.signature_frame())[static_cast<std::size_t>(row)] ^
+        1u};
+    cm.write_words(region.signature_frame(), row, flipped);
+    EXPECT_NE(region_payload_hash(cm, region), h);
+    EXPECT_EQ(region_payload_hash(cm, region),
+              reference_payload_hash(cm, region));
+  }
+}
+
 TEST(BitLinker, ThreeComponentChainAcrossTwoMacros) {
   // A -> B -> C processing chain: each boundary crossed through a bus
   // macro at a frozen position, only A mates the dock.

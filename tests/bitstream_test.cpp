@@ -53,6 +53,39 @@ TEST(Crc32, ResetRestoresInitialState) {
   EXPECT_EQ(a.value(), b.value());
 }
 
+TEST(Crc32, SlicedStepsMatchByteFeeding) {
+  // update_register_write (8 bytes per step) and update_word (4 bytes) on
+  // random register writes, against update_byte fed the same bytes: the
+  // register address first, then the word, both little-endian.
+  auto feed_bytes = [](Crc32& c, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      c.update_byte(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  sim::Rng rng{2024};
+  Crc32 sliced8, sliced4, bytes;
+  for (int i = 0; i < 20000; ++i) {
+    SCOPED_TRACE(i);
+    if (rng.below(64) == 0) {
+      sliced8.reset();
+      sliced4.reset();
+      bytes.reset();
+    }
+    // Real register addresses most of the time, any 32-bit value otherwise.
+    const std::uint32_t reg = rng.next_bool()
+                                  ? static_cast<std::uint32_t>(rng.below(13))
+                                  : rng.next_u32();
+    const std::uint32_t word = rng.below(4) == 0 ? 0 : rng.next_u32();
+    sliced8.update_register_write(reg, word);
+    sliced4.update_word(reg);
+    sliced4.update_word(word);
+    feed_bytes(bytes, reg);
+    feed_bytes(bytes, word);
+    ASSERT_EQ(sliced8.value(), bytes.value());
+    ASSERT_EQ(sliced4.value(), bytes.value());
+  }
+}
+
 TEST(Packet, Type1RoundTrip) {
   const std::uint32_t w = make_type1(Opcode::kWrite, ConfigReg::kFar, 1);
   const PacketHeader h = decode_header(w);

@@ -101,11 +101,16 @@ TEST(Cli, GarbageNumericArgsRejected) {
   EXPECT_EQ(run_cli("run --system 64 --trace-format xml").exit_code, 2);
 }
 
-// Temp-file helper for the observability flags.
+// Temp-file helper for the observability flags. The file name starts with
+// the running test's name: ctest runs every test as its own process, in
+// parallel, so two tests must never share a path.
 struct TempPath {
   std::string path;
   explicit TempPath(const char* stem) {
-    path = std::string(::testing::TempDir()) + "/" + stem;
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    path = std::string(::testing::TempDir()) + "/" +
+           test->test_suite_name() + "." + test->name() + "." + stem;
     std::remove(path.c_str());
   }
   ~TempPath() { std::remove(path.c_str()); }

@@ -1,6 +1,10 @@
 // Tests for the ICAP/HWICAP model: stream application, CRC and IDCODE
-// checking, interrupted reconfigurations, bus-level behaviour and timing.
+// checking, interrupted reconfigurations, bus-level behaviour and timing,
+// and the whole-frame feed(span) path against the per-word reference.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "bitlinker/bitlinker.hpp"
 #include "bitstream/partial_config.hpp"
@@ -9,7 +13,9 @@
 #include "fabric/device.hpp"
 #include "fabric/dynamic_region.hpp"
 #include "icap/icap.hpp"
+#include "rtr/plan_cache.hpp"
 #include "sim/kernel.hpp"
+#include "sim/random.hpp"
 
 namespace rtr::icap {
 namespace {
@@ -17,11 +23,14 @@ namespace {
 using bitlinker::BitLinker;
 using bitlinker::ComponentDescriptor;
 using bitlinker::LinkResult;
+using bitstream::ConfigReg;
+using bitstream::Opcode;
 using bitstream::PartialConfig;
 using busmacro::ConnectionInterface;
 using fabric::ConfigMemory;
 using fabric::Device;
 using fabric::DynamicRegion;
+using fabric::FrameAddress;
 using sim::Frequency;
 using sim::SimTime;
 
@@ -194,6 +203,277 @@ TEST(IcapTest, ReconfigurationTimeScale) {
   for (std::uint32_t w : words) t = opb.write(0x4100'0000, w, 4, t);
   EXPECT_GT(t, SimTime::from_ms(3));
   EXPECT_LT(t, SimTime::from_ms(15));
+}
+
+// --- feed(span) against the per-word reference -------------------------------
+
+/// An ICAP over its own blank fabric and statistics.
+struct Rig {
+  sim::Simulation sim;
+  sim::Clock& clk = sim.add_clock("icap", Frequency::from_mhz(50));
+  ConfigMemory fabric;
+  IcapController icap;
+  explicit Rig(const Device& dev)
+      : fabric{dev}, icap{sim, clk, {0x4100'0000, 0x1000}, fabric} {}
+};
+
+/// Feed `words` to `ref` one feed_word call at a time and to `got` through
+/// feed(span); both must end in the same state.
+void feed_both(Rig& ref, Rig& got, std::span<const std::uint32_t> words) {
+  for (const std::uint32_t w : words) ref.icap.feed_word(w);
+  got.icap.feed(words);
+  EXPECT_EQ(ConfigMemory::diff_frames(got.fabric, ref.fabric), 0);
+  EXPECT_EQ(got.icap.error(), ref.icap.error());
+  EXPECT_EQ(got.icap.synced(), ref.icap.synced());
+  EXPECT_EQ(got.icap.done(), ref.icap.done());
+  EXPECT_EQ(got.icap.words_consumed(), ref.icap.words_consumed());
+  EXPECT_EQ(got.icap.frames_written(), ref.icap.frames_written());
+  EXPECT_EQ(got.sim.stats().counter("icap.frames").value(),
+            ref.sim.stats().counter("icap.frames").value());
+}
+
+/// Index of the first word equal to `w` (the stream must contain it).
+std::size_t index_of(const std::vector<std::uint32_t>& words,
+                     std::uint32_t w) {
+  const auto it = std::find(words.begin(), words.end(), w);
+  RTR_CHECK(it != words.end(), "word not in stream");
+  return static_cast<std::size_t>(it - words.begin());
+}
+
+constexpr std::uint32_t kFdriLong = bitstream::make_type1(
+    Opcode::kWrite, ConfigReg::kFdri, 0);  // a type-2 header follows
+
+/// `words` with every type-2 FDRI payload re-sent as type-1 FDRI packets of
+/// at most `chunk` words. The CRC covers register writes, not headers, so
+/// the stream stays valid; frames now straddle packet boundaries.
+std::vector<std::uint32_t> repacketize(const std::vector<std::uint32_t>& words,
+                                       std::uint32_t chunk) {
+  std::vector<std::uint32_t> out;
+  for (std::size_t i = 0; i < words.size();) {
+    if (words[i] != kFdriLong) {
+      out.push_back(words[i++]);
+      continue;
+    }
+    const std::uint32_t n = bitstream::decode_header(words[i + 1]).word_count;
+    const auto payload = words.begin() + static_cast<std::ptrdiff_t>(i + 2);
+    for (std::uint32_t k = 0; k < n; k += chunk) {
+      const std::uint32_t m = std::min(chunk, n - k);
+      out.push_back(bitstream::make_type1(Opcode::kWrite, ConfigReg::kFdri, m));
+      out.insert(out.end(), payload + k, payload + k + m);
+    }
+    i += 2 + n;
+  }
+  return out;
+}
+
+constexpr hw::BehaviorId kBehaviors[] = {
+    hw::kPatternMatcher, hw::kJenkinsHash, hw::kSha1,
+    hw::kPatternMatcherXl, hw::kBrightness, hw::kBlendAdd,
+    hw::kFade,           hw::kLoopback,    hw::kSink};
+
+/// Complete and differential plans for one region, built by a PlanCache
+/// as the platforms build them (over a blank static design).
+struct Plans {
+  DynamicRegion region;
+  int width;
+  int area;
+  ConfigMemory baseline{region.device()};
+  BitLinker linker{region, ConnectionInterface::for_width(width), baseline};
+  PlanCache cache{64};
+
+  const PlanCache::Plan* complete(hw::BehaviorId id) {
+    return cache.complete(linker, id, width, nullptr, nullptr, area);
+  }
+  const PlanCache::Plan* differential(hw::BehaviorId from,
+                                      hw::BehaviorId to) {
+    return cache.differential(linker, from, to, width, nullptr, nullptr,
+                              area);
+  }
+  std::vector<hw::BehaviorId> fitting() {
+    std::vector<hw::BehaviorId> out;
+    for (hw::BehaviorId id : kBehaviors) {
+      if (complete(id) != nullptr) out.push_back(id);
+    }
+    return out;
+  }
+};
+
+TEST(IcapFeed, EveryModulePairCompleteAndDifferential) {
+  Plans layouts[] = {{DynamicRegion::xc2vp7_region(), 32, 0},
+                     {DynamicRegion::xc2vp30_region(), 64, 0},
+                     {DynamicRegion::xc2vp30_region_b(), 64, 1}};
+  for (Plans& plans : layouts) {
+    const Device& dev = plans.region.device();
+    const std::vector<hw::BehaviorId> ids = plans.fitting();
+    ASSERT_GE(ids.size(), 4u);
+    for (hw::BehaviorId from : ids) {
+      for (hw::BehaviorId to : ids) {
+        if (from == to) continue;
+        for (const bool differential : {false, true}) {
+          SCOPED_TRACE(dev.name() + " area " + std::to_string(plans.area) +
+                       ": " + hw::task_name(from) + " -> " +
+                       hw::task_name(to) +
+                       (differential ? " (differential)" : " (complete)"));
+          const PlanCache::Plan* plan = differential
+                                            ? plans.differential(from, to)
+                                            : plans.complete(to);
+          ASSERT_NE(plan, nullptr);
+          Rig ref{dev}, got{dev};
+          feed_both(ref, got, plans.complete(from)->words);
+          feed_both(ref, got, plan->words);
+          EXPECT_TRUE(got.icap.done());
+        }
+      }
+    }
+  }
+}
+
+TEST(IcapFeed, StreamCutMidFrameAndResumed) {
+  // Cuts on and around the first frame's boundaries, and random pieces
+  // down to single words: a piece that ends mid-frame leaves frame_buf_
+  // non-empty, and the next piece must finish that frame word by word.
+  Plans plans{DynamicRegion::xc2vp30_region(), 64, 0};
+  const std::vector<std::uint32_t>& words = plans.complete(hw::kFade)->words;
+  const std::size_t n = words.size();
+  const auto wpf =
+      static_cast<std::size_t>(Device::xc2vp30().words_per_frame());
+  const std::size_t p = index_of(words, kFdriLong) + 2;  // first payload word
+  for (const std::size_t cut :
+       {std::size_t{1}, p - 1, p, p + 1, p + wpf - 1, p + wpf, p + wpf + 1,
+        p + 3 * wpf / 2, n / 2, n - 2}) {
+    SCOPED_TRACE(cut);
+    Rig ref{Device::xc2vp30()}, got{Device::xc2vp30()};
+    feed_both(ref, got, std::span{words}.first(cut));
+    feed_both(ref, got, std::span{words}.subspan(cut));
+    EXPECT_TRUE(got.icap.done());
+  }
+  sim::Rng rng{16};
+  Rig ref{Device::xc2vp30()}, got{Device::xc2vp30()};
+  for (std::size_t i = 0; i < n;) {
+    const std::size_t len =
+        std::min<std::size_t>(1 + rng.below(3 * wpf), n - i);
+    feed_both(ref, got, std::span{words}.subspan(i, len));
+    i += len;
+  }
+  EXPECT_TRUE(got.icap.done());
+}
+
+TEST(IcapFeed, FramesStraddlingType1Packets) {
+  // FDRI payloads in type-1 packets of 1.5 frames, of one word short of a
+  // frame and of single words: the frame path may never read past the
+  // packet into the next header.
+  Plans plans{DynamicRegion::xc2vp30_region(), 64, 0};
+  const std::vector<std::uint32_t>& words =
+      plans.differential(hw::kBrightness, hw::kBlendAdd)->words;
+  for (const std::uint32_t chunk : {123u, 81u, 82u, 164u, 1u}) {
+    SCOPED_TRACE(chunk);
+    const std::vector<std::uint32_t> packets = repacketize(words, chunk);
+    ASSERT_GT(packets.size(), words.size());
+    Rig ref{Device::xc2vp30()}, got{Device::xc2vp30()};
+    feed_both(ref, got, packets);
+    EXPECT_TRUE(got.icap.done());
+  }
+}
+
+TEST(IcapFeed, FarAtTheDevicesLastFrame) {
+  const Device& dev = Device::xc2vp7();
+  FrameAddress last{fabric::ColumnType::kClb, 0, 0};
+  for (FrameAddress a = last; a.valid_for(dev); a = a.next_in(dev)) last = a;
+  PartialConfig cfg{dev};
+  const auto wpf = static_cast<std::size_t>(dev.words_per_frame());
+  std::vector<std::uint32_t> frame(wpf);
+  for (std::size_t i = 0; i < wpf; ++i) {
+    frame[i] = 0x100u + static_cast<std::uint32_t>(i);
+  }
+  cfg.add_run({last, 1, frame});
+  const std::vector<std::uint32_t> words = bitstream::serialize(cfg);
+  {
+    // One frame: written, after which the FAR runs off the device.
+    SCOPED_TRACE("one frame");
+    Rig ref{dev}, got{dev};
+    feed_both(ref, got, words);
+    EXPECT_TRUE(got.icap.done());
+    EXPECT_EQ(got.icap.frames_written(), 1);
+  }
+  {
+    // Two frames from the last one: the second frame's first word fails.
+    SCOPED_TRACE("two frames");
+    std::vector<std::uint32_t> longer = words;
+    const std::size_t t2 = index_of(longer, kFdriLong) + 1;
+    longer[t2] = bitstream::make_type2(Opcode::kWrite,
+                                       static_cast<std::uint32_t>(2 * wpf));
+    longer.insert(longer.begin() + static_cast<std::ptrdiff_t>(t2 + 1 + wpf),
+                  frame.begin(), frame.end());
+    Rig ref{dev}, got{dev};
+    feed_both(ref, got, longer);
+    EXPECT_TRUE(got.icap.error());
+    EXPECT_EQ(got.icap.frames_written(), 1);
+  }
+}
+
+TEST(IcapFeed, CorruptedCrcWord) {
+  Plans plans{DynamicRegion::xc2vp7_region(), 32, 0};
+  std::vector<std::uint32_t> words = plans.complete(hw::kJenkinsHash)->words;
+  // serialize() ends CRC-header, check word, DESYNC (2 words), DUMMY.
+  const std::size_t check = words.size() - 4;
+  ASSERT_EQ(words[check - 1],
+            bitstream::make_type1(Opcode::kWrite, ConfigReg::kCrc, 1));
+  words[check] ^= 0x80u;
+  Rig ref{Device::xc2vp7()}, got{Device::xc2vp7()};
+  feed_both(ref, got, words);
+  EXPECT_TRUE(got.icap.error());
+  EXPECT_FALSE(got.icap.done());
+  EXPECT_EQ(got.icap.frames_written(), plans.region.covered_frames());
+}
+
+TEST(IcapFeed, LongPacketToAnotherRegister) {
+  // Two frames' worth of NULL commands while the FAR is valid: only FDRI
+  // payload words may be taken as frames.
+  Plans plans{DynamicRegion::xc2vp7_region(), 32, 0};
+  std::vector<std::uint32_t> words = plans.complete(hw::kJenkinsHash)->words;
+  const auto wpf =
+      static_cast<std::uint32_t>(Device::xc2vp7().words_per_frame());
+  const std::size_t desync = words.size() - 3;
+  ASSERT_EQ(words[desync],
+            bitstream::make_type1(Opcode::kWrite, ConfigReg::kCmd, 1));
+  std::vector<std::uint32_t> nulls(2 * wpf + 1, 0u);
+  nulls.front() = bitstream::make_type1(Opcode::kWrite, ConfigReg::kCmd,
+                                        2 * wpf);
+  words.insert(words.begin() + static_cast<std::ptrdiff_t>(desync),
+               nulls.begin(), nulls.end());
+  Rig ref{Device::xc2vp7()}, got{Device::xc2vp7()};
+  feed_both(ref, got, words);
+  EXPECT_TRUE(got.icap.done());
+  EXPECT_EQ(got.icap.frames_written(), plans.region.covered_frames());
+}
+
+TEST(IcapFeed, ErrorLatchedMidPayload) {
+  // A readback pop while readback is not armed latches an error without
+  // leaving the synced state; the rest of the payload must be ignored.
+  Plans plans{DynamicRegion::xc2vp7_region(), 32, 0};
+  const std::vector<std::uint32_t>& words =
+      plans.complete(hw::kJenkinsHash)->words;
+  const auto wpf =
+      static_cast<std::size_t>(Device::xc2vp7().words_per_frame());
+  const std::size_t cut = index_of(words, kFdriLong) + 2 + 3 * wpf;
+  Rig ref{Device::xc2vp7()}, got{Device::xc2vp7()};
+  feed_both(ref, got, std::span{words}.first(cut));
+  EXPECT_EQ(ref.icap.readback_word(), got.icap.readback_word());
+  ASSERT_TRUE(got.icap.error());
+  ASSERT_TRUE(got.icap.synced());
+  feed_both(ref, got, std::span{words}.subspan(cut));
+  EXPECT_EQ(got.icap.frames_written(), 3);
+}
+
+TEST(IcapFeed, ZeroCountType2Header) {
+  Plans plans{DynamicRegion::xc2vp7_region(), 32, 0};
+  std::vector<std::uint32_t> words = plans.complete(hw::kJenkinsHash)->words;
+  words[index_of(words, kFdriLong) + 1] =
+      bitstream::make_type2(Opcode::kWrite, 0);
+  Rig ref{Device::xc2vp7()}, got{Device::xc2vp7()};
+  feed_both(ref, got, words);
+  EXPECT_TRUE(got.icap.error());
+  EXPECT_EQ(got.icap.frames_written(), 0);
 }
 
 }  // namespace
