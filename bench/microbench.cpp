@@ -2,10 +2,11 @@
 // simulator itself executes its primitives. These guard against
 // performance regressions in the simulation substrate -- the table benches
 // above measure *simulated* time, this binary measures *host* time. CI
-// gates eleven of them against the baselines in BENCH_microbench.json
+// gates twelve of them against the baselines in BENCH_microbench.json
 // (docs/PERFORMANCE.md "Recorded baselines" says how to re-record them).
 #include <benchmark/benchmark.h>
 
+#include "apps/drivers.hpp"
 #include "apps/memio.hpp"
 #include "bench/common.hpp"
 #include "bitstream/partial_config.hpp"
@@ -133,6 +134,25 @@ static void BM_IcapFeedFrames(benchmark::State& state) {
                           static_cast<std::int64_t>(words.size()));
 }
 BENCHMARK(BM_IcapFeedFrames);
+
+// One serving-size brightness request's transfer loop on the 64-bit
+// system: 64x48 pixels through hw_brightness_pio, 768 PIO write/read pairs
+// with the module resident. Items = words, so the per-item time is ns per
+// transferred word.
+static void BM_PioBrightness(benchmark::State& state) {
+  Platform64 p;
+  bench::must_load(p, hw::kBrightness);
+  const apps::GrayImage img = bench::random_gray(64, 48);
+  apps::store_bytes(p.cpu().plb(), bench::kA64, img.pixels);
+  const int pixels = img.width * img.height;
+  for (auto _ : state) {
+    apps::hw_brightness_pio(p.kernel(), Platform64::dock_data(), bench::kA64,
+                            bench::kOut64, pixels, 60);
+    benchmark::DoNotOptimize(p.kernel().now());
+  }
+  state.SetItemsProcessed(state.iterations() * pixels / 4);
+}
+BENCHMARK(BM_PioBrightness);
 
 // The payload-hash check every load runs before binding (and every
 // BitLinker link embeds), over the XC2VP30 region after one load.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "cpu/periodic_loop.hpp"
 #include "dma/dma.hpp"
 #include "sim/check.hpp"
 
@@ -16,6 +17,108 @@ namespace {
 /// Control register: same offset relative to the data register on both
 /// docks (see dock::OpbDock::kControlReg / dock::PlbDock::kControl).
 constexpr Addr ctrl_of(Addr dock_data) { return (dock_data & ~0x3Full) + 0x20; }
+
+constexpr Addr word_at(Addr base, std::int64_t i) {
+  return base + static_cast<Addr>(i) * 4;
+}
+constexpr bus::AddressRange bytes_at(Addr base, std::int64_t n) {
+  return {base, static_cast<std::uint64_t>(n)};
+}
+constexpr bus::AddressRange words_at(Addr base, std::int64_t n) {
+  return bytes_at(base, n * 4);
+}
+
+/// Little-endian halfword and word j of a memory block, as lhz and lw
+/// read them.
+std::uint32_t le16(std::span<const std::uint8_t> b, std::int64_t j) {
+  const std::uint8_t* p = b.data() + 2 * j;
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8;
+}
+std::uint32_t le32(std::span<const std::uint8_t> b, std::int64_t j) {
+  return le16(b, 2 * j) | le16(b, 2 * j + 1) << 16;
+}
+void put_le32(std::span<std::uint8_t> b, std::int64_t j, std::uint32_t v) {
+  for (int k = 0; k < 4; ++k) {
+    b[static_cast<std::size_t>(4 * j + k)] =
+        static_cast<std::uint8_t>(v >> (8 * k));
+  }
+}
+
+/// The bulk side of a PIO loop (cpu::run_periodic): memory moves through
+/// the backdoor in blocks, and every data word goes through the dock's own
+/// read/write on its endpoint slave, so the module and the dock's counters
+/// see each word while no bus does.
+class BulkPort {
+ public:
+  BulkPort(Kernel& k, Addr dock)
+      : mem_(&k.cpu().plb()), dock_addr_(dock), dock_(&mem_->endpoint(dock)) {}
+
+  /// `count` words from `base`, in one block.
+  [[nodiscard]] std::vector<std::uint8_t> peek(Addr base,
+                                               std::int64_t count) const {
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(count) * 4);
+    mem_->peek_block(base, out);
+    return out;
+  }
+  void poke(Addr base, std::span<const std::uint8_t> block) {
+    mem_->poke_block(base, block);
+  }
+
+  void write(std::uint32_t v) { dock_->write(dock_addr_, v, 4, SimTime{}); }
+  [[nodiscard]] std::uint32_t read() {
+    const bus::SlaveResult r = dock_->read(dock_addr_, 4, SimTime{});
+    return static_cast<std::uint32_t>(r.data);
+  }
+
+ private:
+  bus::Bus* mem_;
+  Addr dock_addr_;
+  bus::Slave* dock_;
+};
+
+/// for (i = 0; i < n; ++i) DOCK = src[i];
+void pio_feed(Kernel& k, Addr dock, Addr src, std::int64_t n) {
+  cpu::run_periodic(
+      k, {.iterations = n, .reads = {words_at(src, n)}},
+      [&](std::int64_t i) {
+        const std::uint32_t v = k.lw(word_at(src, i));
+        k.sw(dock, v);
+        k.op(2);
+        k.branch();
+      },
+      [&](std::int64_t first, std::int64_t count) {
+        BulkPort port(k, dock);
+        const auto in = port.peek(word_at(src, first), count);
+        for (std::int64_t j = 0; j < count; ++j) port.write(le32(in, j));
+      });
+}
+
+/// for (i = 0; i < n; ++i) { DOCK = src[i]; dst[i] = DOCK; }
+void pio_exchange(Kernel& k, Addr dock, Addr src, Addr dst, std::int64_t n) {
+  cpu::run_periodic(
+      k,
+      {.iterations = n,
+       .reads = {words_at(src, n)},
+       .writes = words_at(dst, n)},
+      [&](std::int64_t i) {
+        const std::uint32_t v = k.lw(word_at(src, i));
+        k.sw(dock, v);
+        const std::uint32_t r = k.lw(dock);
+        k.sw(word_at(dst, i), r);
+        k.op(2);
+        k.branch();
+      },
+      [&](std::int64_t first, std::int64_t count) {
+        BulkPort port(k, dock);
+        auto block = port.peek(word_at(src, first), count);
+        for (std::int64_t j = 0; j < count; ++j) {
+          port.write(le32(block, j));
+          put_le32(block, j, port.read());
+        }
+        port.poke(word_at(dst, first), block);
+      });
+}
 }  // namespace
 
 // --- raw transfer loops -----------------------------------------------------------
@@ -23,38 +126,34 @@ constexpr Addr ctrl_of(Addr dock_data) { return (dock_data & ~0x3Full) + 0x20; }
 SimTime pio_write_seq(Kernel& k, Addr mem, Addr dock, int n) {
   const SimTime t0 = k.now();
   k.call();
-  for (int i = 0; i < n; ++i) {
-    const std::uint32_t v = k.lw(mem + static_cast<Addr>(i) * 4);
-    k.sw(dock, v);
-    k.op(2);
-    k.branch();
-  }
+  pio_feed(k, dock, mem, n);
   return k.now() - t0;
 }
 
 SimTime pio_read_seq(Kernel& k, Addr mem, Addr dock, int n) {
   const SimTime t0 = k.now();
   k.call();
-  for (int i = 0; i < n; ++i) {
-    const std::uint32_t v = k.lw(dock);
-    k.sw(mem + static_cast<Addr>(i) * 4, v);
-    k.op(2);
-    k.branch();
-  }
+  cpu::run_periodic(
+      k, {.iterations = n, .writes = words_at(mem, n)},
+      [&](std::int64_t i) {
+        const std::uint32_t v = k.lw(dock);
+        k.sw(word_at(mem, i), v);
+        k.op(2);
+        k.branch();
+      },
+      [&](std::int64_t first, std::int64_t count) {
+        BulkPort port(k, dock);
+        std::vector<std::uint8_t> out(static_cast<std::size_t>(count) * 4);
+        for (std::int64_t j = 0; j < count; ++j) put_le32(out, j, port.read());
+        port.poke(word_at(mem, first), out);
+      });
   return k.now() - t0;
 }
 
 SimTime pio_interleaved_seq(Kernel& k, Addr mem, Addr dock, int n) {
   const SimTime t0 = k.now();
   k.call();
-  for (int i = 0; i < n; ++i) {
-    const std::uint32_t v = k.lw(mem + static_cast<Addr>(i) * 4);
-    k.sw(dock, v);
-    const std::uint32_t r = k.lw(dock);
-    k.sw(mem + static_cast<Addr>(n + i) * 4, r);
-    k.op(2);
-    k.branch();
-  }
+  pio_exchange(k, dock, mem, word_at(mem, n), n);
   return k.now() - t0;
 }
 
@@ -146,27 +245,31 @@ MatchResult hw_pattern_match_pio(Kernel& k, Addr dock, Addr img, int w, int h,
   k.sw(dock, pw[0]);
   k.sw(dock, pw[1]);
   // Image: one word = 4 pixel bytes, straight from memory.
-  const int words = w * h / 4;
-  for (int i = 0; i < words; ++i) {
-    const std::uint32_t v = k.lw(img + static_cast<Addr>(i) * 4);
-    k.sw(dock, v);
-    k.op(2);
-    k.branch();
-  }
+  pio_feed(k, dock, img, w * h / 4);
   // Results: one count per window position; the CPU tracks the best.
   MatchResult best;
   const int cols = w - 7;
-  const int positions = (h - 7) * cols;
-  for (int i = 0; i < positions; ++i) {
-    const auto count = static_cast<int>(k.lw(dock));
-    k.op(3);
-    k.branch();
+  const auto track = [&](std::int64_t i, int count) {
     if (count > best.best_count) {
       best.best_count = count;
-      best.best_row = i / cols;
-      best.best_col = i % cols;
+      best.best_row = static_cast<int>(i / cols);
+      best.best_col = static_cast<int>(i % cols);
     }
-  }
+  };
+  cpu::run_periodic(
+      k, {.iterations = (h - 7) * cols},
+      [&](std::int64_t i) {
+        const auto count = static_cast<int>(k.lw(dock));
+        k.op(3);
+        k.branch();
+        track(i, count);
+      },
+      [&](std::int64_t first, std::int64_t count) {
+        BulkPort port(k, dock);
+        for (std::int64_t i = first; i < first + count; ++i) {
+          track(i, static_cast<int>(port.read()));
+        }
+      });
   return best;
 }
 
@@ -175,13 +278,7 @@ std::uint32_t hw_jenkins_pio(Kernel& k, Addr dock, Addr key,
   k.call();
   k.sw(ctrl_of(dock), 0);  // re-arm for a new key
   k.sw(dock, len);
-  const std::uint32_t words = (len + 3) / 4;
-  for (std::uint32_t i = 0; i < words; ++i) {
-    const std::uint32_t v = k.lw(key + static_cast<Addr>(i) * 4);
-    k.sw(dock, v);
-    k.op(2);
-    k.branch();
-  }
+  pio_feed(k, dock, key, (len + 3) / 4);
   return k.lw(dock);
 }
 
@@ -190,13 +287,7 @@ std::array<std::uint32_t, 5> hw_sha1_pio(Kernel& k, Addr dock, Addr msg,
   k.call();
   k.sw(ctrl_of(dock), 0);  // re-arm for a new key
   k.sw(dock, len);
-  const std::uint32_t words = (len + 3) / 4;
-  for (std::uint32_t i = 0; i < words; ++i) {
-    const std::uint32_t v = k.lw(msg + static_cast<Addr>(i) * 4);
-    k.sw(dock, v);
-    k.op(2);
-    k.branch();
-  }
+  pio_feed(k, dock, msg, (len + 3) / 4);
   std::array<std::uint32_t, 5> digest;
   for (auto& d : digest) d = k.lw(dock);
   return digest;
@@ -207,35 +298,47 @@ void hw_brightness_pio(Kernel& k, Addr dock, Addr src, Addr dst, int n,
   RTR_CHECK(n % 4 == 0, "pixel count must be a multiple of 4");
   k.call();
   k.sw(ctrl_of(dock), static_cast<std::uint16_t>(delta));
-  for (int i = 0; i < n; i += 4) {
-    const std::uint32_t v = k.lw(src + static_cast<Addr>(i));
-    k.sw(dock, v);
-    const std::uint32_t r = k.lw(dock);
-    k.sw(dst + static_cast<Addr>(i), r);
-    k.op(2);
-    k.branch();
-  }
+  pio_exchange(k, dock, src, dst, n / 4);
 }
 
 namespace {
 void two_source_pio(Kernel& k, Addr dock, Addr a, Addr b, Addr dst, int n) {
   RTR_CHECK(n % 4 == 0, "pixel count must be a multiple of 4");
-  for (int i = 0; i < n; i += 4) {
-    // Two writes of [A0 A1 B0 B1]: the CPU combines the two sources
-    // ("this overhead is included in the measured times").
-    for (int half = 0; half < 2; ++half) {
-      const Addr off = static_cast<Addr>(i + 2 * half);
-      const std::uint32_t pa = k.lhz(a + off);
-      const std::uint32_t pb = k.lhz(b + off);
-      k.op(3);  // shift + or + address update
-      k.sw(dock, pa | (pb << 16));
-    }
-    // One packed read of 4 result pixels.
-    const std::uint32_t r = k.lw(dock);
-    k.sw(dst + static_cast<Addr>(i), r);
-    k.op(2);
-    k.branch();
-  }
+  cpu::run_periodic(
+      k,
+      {.iterations = n / 4,
+       .reads = {bytes_at(a, n), bytes_at(b, n)},
+       .writes = bytes_at(dst, n)},
+      [&](std::int64_t i) {
+        // Two writes of [A0 A1 B0 B1]: the CPU combines the two sources
+        // ("this overhead is included in the measured times").
+        const auto px = static_cast<Addr>(i) * 4;  // the group's first pixel
+        for (int half = 0; half < 2; ++half) {
+          const Addr off = px + static_cast<Addr>(2 * half);
+          const std::uint32_t pa = k.lhz(a + off);
+          const std::uint32_t pb = k.lhz(b + off);
+          k.op(3);  // shift + or + address update
+          k.sw(dock, pa | (pb << 16));
+        }
+        // One packed read of 4 result pixels.
+        const std::uint32_t r = k.lw(dock);
+        k.sw(word_at(dst, i), r);
+        k.op(2);
+        k.branch();
+      },
+      [&](std::int64_t first, std::int64_t count) {
+        BulkPort port(k, dock);
+        const auto pa = port.peek(word_at(a, first), count);
+        const auto pb = port.peek(word_at(b, first), count);
+        std::vector<std::uint8_t> out(pa.size());
+        for (std::int64_t j = 0; j < count; ++j) {
+          for (int half = 0; half < 2; ++half) {
+            port.write(le16(pa, 2 * j + half) | le16(pb, 2 * j + half) << 16);
+          }
+          put_le32(out, j, port.read());
+        }
+        port.poke(word_at(dst, first), out);
+      });
 }
 }  // namespace
 

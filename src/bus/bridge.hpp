@@ -31,13 +31,22 @@ class PlbOpbBridge : public Slave {
   [[nodiscard]] OpbBus& opb() const { return *opb_; }
 
   /// Backdoor access forwards to the OPB side (cacheable memory can live
-  /// behind the bridge, as in the 32-bit system).
+  /// behind the bridge, as in the 32-bit system); a block goes across in
+  /// one call, not one per byte.
   [[nodiscard]] std::uint64_t peek(Addr addr, int bytes) const override {
     return opb_->peek(addr, bytes);
   }
   void poke(Addr addr, std::uint64_t data, int bytes) override {
     opb_->poke(addr, data, bytes);
   }
+  void peek_block(Addr addr, std::span<std::uint8_t> out) const override {
+    opb_->peek_block(addr, out);
+  }
+  void poke_block(Addr addr, std::span<const std::uint8_t> data) override {
+    opb_->poke_block(addr, data);
+  }
+
+  [[nodiscard]] Bus* forwards_to() const override { return opb_; }
 
  private:
   [[nodiscard]] sim::SimTime forwarded(sim::SimTime start) const {

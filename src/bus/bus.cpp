@@ -60,10 +60,10 @@ Bus::Bus(std::string name, sim::Simulation& sim, sim::Clock& clock,
       sim_(&sim),
       clock_(&clock),
       protocol_(protocol),
-      transactions_(&sim.stats().counter(name_ + ".transactions")),
-      beats_(&sim.stats().counter(name_ + ".beats")),
-      busy_stat_(&sim.stats().busy(name_ + ".busy")),
-      latency_hist_(&sim.stats().histogram(name_ + ".latency_ps")) {}
+      stats_{&sim.stats().counter(name_ + ".transactions"),
+             &sim.stats().counter(name_ + ".beats"),
+             &sim.stats().busy(name_ + ".busy"),
+             &sim.stats().histogram(name_ + ".latency_ps")} {}
 
 void Bus::attach(AddressRange range, Slave& slave) {
   RTR_CHECK(range.size > 0, "empty slave range");
@@ -114,9 +114,9 @@ SimTime Bus::end_transaction(SimTime data_done, SimTime started) {
   const SimTime done =
       clock_->next_edge(data_done) + clock_->cycles(protocol_.completion_cycles);
   busy_until_ = done;
-  busy_stat_->add(started, done);
-  transactions_->add();
-  latency_hist_->sample((done - started).ps());
+  stats_.busy->add(started, done);
+  stats_.transactions->add();
+  stats_.latency->sample((done - started).ps());
   sim_->observe(done);
   return done;
 }
@@ -146,7 +146,7 @@ SlaveResult Bus::read(Addr addr, int bytes, SimTime start) {
   }
   Slave& s = slave_at(addr, static_cast<std::uint64_t>(bytes));
   const SlaveResult r = s.read(addr, bytes, data_start);
-  beats_->add();
+  stats_.beats->add();
   const SimTime done = end_transaction(r.done, start);
   if (sim_->tracer().enabled()) trace_txn("rd", addr, start, done);
   if (sim_->logger().enabled(sim::LogLevel::kTrace)) {
@@ -177,7 +177,7 @@ SimTime Bus::write(Addr addr, std::uint64_t data, int bytes, SimTime start) {
   }
   Slave& s = slave_at(addr, static_cast<std::uint64_t>(bytes));
   const SimTime slave_done = s.write(addr, data, bytes, data_start);
-  beats_->add();
+  stats_.beats->add();
   const SimTime done = end_transaction(slave_done, start);
   if (sim_->tracer().enabled()) trace_txn("wr", addr, start, done);
   if (sim_->logger().enabled(sim::LogLevel::kTrace)) {
@@ -197,7 +197,7 @@ SlaveResult Bus::burst_read(Addr addr, std::span<std::uint64_t> out,
   const SimTime data_start = begin_transaction(start, /*burst=*/true);
   Slave& s = slave_at(addr, increment ? out.size() * 8 : 8);
   const SlaveResult r = s.burst_read(addr, out, data_start, increment);
-  beats_->add(static_cast<std::int64_t>(out.size()));
+  stats_.beats->add(static_cast<std::int64_t>(out.size()));
   const SimTime done = end_transaction(r.done, start);
   if (sim_->tracer().enabled()) trace_txn("burst_rd", addr, start, done);
   return SlaveResult{r.data, done};
@@ -210,7 +210,7 @@ SimTime Bus::burst_write(Addr addr, std::span<const std::uint64_t> data,
   const SimTime data_start = begin_transaction(start, /*burst=*/true);
   Slave& s = slave_at(addr, increment ? data.size() * 8 : 8);
   const SimTime slave_done = s.burst_write(addr, data, data_start, increment);
-  beats_->add(static_cast<std::int64_t>(data.size()));
+  stats_.beats->add(static_cast<std::int64_t>(data.size()));
   const SimTime done = end_transaction(slave_done, start);
   if (sim_->tracer().enabled()) trace_txn("burst_wr", addr, start, done);
   return done;

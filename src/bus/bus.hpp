@@ -56,6 +56,15 @@ class Bus {
   /// a system-assembly bug, not a runtime condition).
   [[nodiscard]] Slave& slave_at(Addr addr, std::uint64_t len) const;
 
+  /// The slave that finally serves `addr`: the decoded slave, or through a
+  /// bridge the one behind it. Its read/write move data without the bus
+  /// timing around them.
+  [[nodiscard]] Slave& endpoint(Addr addr) const {
+    Slave& s = slave_at(addr, 1);
+    Bus* next = s.forwards_to();
+    return next != nullptr ? next->endpoint(addr) : s;
+  }
+
   /// Single-beat transfer. `bytes` must be a power of two within the bus
   /// width, naturally aligned.
   SlaveResult read(Addr addr, int bytes, sim::SimTime start);
@@ -95,6 +104,16 @@ class Bus {
   [[nodiscard]] sim::SimTime busy_until() const { return busy_until_; }
   void set_busy_until(sim::SimTime t) { busy_until_ = t; }
 
+  /// The statistics every transaction advances, registered as
+  /// `<name>.transactions`, `.beats`, `.busy` and `.latency_ps`.
+  struct Stats {
+    sim::Counter* transactions;
+    sim::Counter* beats;
+    sim::BusyTime* busy;
+    sim::Histogram* latency;
+  };
+  [[nodiscard]] const Stats& stats() const { return stats_; }
+
   /// Enumerate attachments (for topology dumps).
   struct Attachment {
     AddressRange range;
@@ -124,10 +143,7 @@ class Bus {
   BusProtocol protocol_;
   std::vector<Attachment> map_;
   sim::SimTime busy_until_;
-  sim::Counter* transactions_;
-  sim::Counter* beats_;
-  sim::BusyTime* busy_stat_;
-  sim::Histogram* latency_hist_;
+  Stats stats_;
   int trace_track_ = -1;
 };
 

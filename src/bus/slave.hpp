@@ -15,6 +15,8 @@
 
 namespace rtr::bus {
 
+class Bus;
+
 struct SlaveResult {
   std::uint64_t data = 0;
   sim::SimTime done;
@@ -60,6 +62,10 @@ class Slave {
   /// memcpy-based fast path into their backing store.
   virtual void peek_block(Addr addr, std::span<std::uint8_t> out) const;
   virtual void poke_block(Addr addr, std::span<const std::uint8_t> data);
+
+  /// The bus a bridge forwards its window to; null for a slave that serves
+  /// its accesses itself.
+  [[nodiscard]] virtual Bus* forwards_to() const { return nullptr; }
 };
 
 }  // namespace rtr::bus

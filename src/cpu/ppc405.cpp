@@ -27,6 +27,14 @@ bool Ppc405::is_cacheable(Addr a) const {
   return false;
 }
 
+bool Ppc405::is_cacheable(bus::AddressRange r) const {
+  if (r.size == 0) return false;
+  for (const auto& c : cacheable_) {
+    if (c.overlaps(r)) return true;
+  }
+  return false;
+}
+
 void Ppc405::write_back_line(Addr line_addr) {
   const int line = dcache_.params().line_bytes;
   std::vector<std::uint64_t> beats(static_cast<std::size_t>(line / 8));

@@ -76,6 +76,8 @@ class Ppc405 {
   void flush_dcache_range(bus::Addr addr, std::uint64_t len);
 
   [[nodiscard]] bool is_cacheable(bus::Addr a) const;
+  /// True when any byte of `r` is cacheable.
+  [[nodiscard]] bool is_cacheable(bus::AddressRange r) const;
 
  private:
   std::uint64_t load(bus::Addr a, int bytes);

@@ -1,12 +1,12 @@
 #include "rtr/platform.hpp"
 
-#include <array>
 #include <bit>
 #include <sstream>
 #include <utility>
 
 #include "bitstream/partial_config.hpp"
 #include "busmacro/bus_macro.hpp"
+#include "cpu/periodic_loop.hpp"
 #include "sim/check.hpp"
 
 namespace rtr {
@@ -45,72 +45,15 @@ void stage_words(bus::Bus& mem_bus, Addr staging,
   }
 }
 
-/// Words [from, to) of the CPU streaming loop
+/// Iteration i of the CPU streaming loop
 ///   for (i = 0; i < n; ++i) { w = cfg[i]; HWICAP_DATA = w; }
-/// one at a time. Returns the index the watchdog stopped at, or `to`.
-std::int64_t icap_load_words(cpu::Kernel& k, Addr staging, std::int64_t from,
-                             std::int64_t to, Addr icap_data,
-                             SimTime deadline) {
-  for (std::int64_t i = from; i < to; ++i) {
-    if (deadline.ps() > 0 && k.now() >= deadline) {
-      return i;  // watchdog: abandon the stream mid-load
-    }
-    const std::uint32_t w = k.lw(staging + static_cast<Addr>(i) * 4);
-    k.sw(icap_data, w);
-    k.op(2);  // index increment + compare
-    k.branch();
-  }
-  return to;
+void icap_load_word(cpu::Kernel& k, Addr staging, Addr icap_data,
+                    std::int64_t i) {
+  const std::uint32_t w = k.lw(staging + static_cast<Addr>(i) * 4);
+  k.sw(icap_data, w);
+  k.op(2);  // index increment + compare
+  k.branch();
 }
-
-/// The statistics one streaming-loop iteration advances, snapshotted so the
-/// closed form can apply m times their change: both buses' transactions,
-/// beats, busy time and latency histogram, the bridge's crossings and beat
-/// splits, and the CPU's loads and stores. The components a stream crosses
-/// register all of them at construction. The ICAP's counters are not here:
-/// every word still goes through the ICAP state machine.
-class IterationStats {
- public:
-  IterationStats(sim::StatRegistry& st, const bus::Bus& plb,
-                 const bus::Bus& opb)
-      : counters_{snap(st.counter(plb.name() + ".transactions")),
-                  snap(st.counter(plb.name() + ".beats")),
-                  snap(st.counter(opb.name() + ".transactions")),
-                  snap(st.counter(opb.name() + ".beats")),
-                  snap(st.counter("bridge.crossings")),
-                  snap(st.counter("bridge.beat_splits")),
-                  snap(st.counter("cpu.loads")),
-                  snap(st.counter("cpu.stores"))},
-        busy_{snap(st.busy(plb.name() + ".busy")),
-              snap(st.busy(opb.name() + ".busy"))},
-        hists_{&st.histogram(plb.name() + ".latency_ps"),
-               &st.histogram(opb.name() + ".latency_ps")},
-        hist_before_{*hists_[0], *hists_[1]} {}
-
-  /// Advance every series by `m` times its change since the snapshot.
-  void repeat(std::int64_t m) {
-    for (auto& [c, before] : counters_) c->add(m * (c->value() - before));
-    for (auto& [b, before] : busy_) {
-      b->add(SimTime::zero(), (b->total() - before) * m);
-    }
-    for (std::size_t i = 0; i < hists_.size(); ++i) {
-      hists_[i]->add_repeat(hist_before_[i], m);
-    }
-  }
-
- private:
-  static std::pair<sim::Counter*, std::int64_t> snap(sim::Counter& c) {
-    return {&c, c.value()};
-  }
-  static std::pair<sim::BusyTime*, SimTime> snap(sim::BusyTime& b) {
-    return {&b, b.total()};
-  }
-
-  std::array<std::pair<sim::Counter*, std::int64_t>, 8> counters_;
-  std::array<std::pair<sim::BusyTime*, SimTime>, 2> busy_;
-  std::array<sim::Histogram*, 2> hists_;
-  std::array<sim::Histogram, 2> hist_before_;
-};
 
 }  // namespace
 
@@ -119,64 +62,29 @@ namespace detail {
 std::int64_t icap_load_loop(cpu::Kernel& k, Addr staging, std::int64_t words,
                             Addr icap_data, sim::SimTime deadline) {
   k.call();
-  return icap_load_words(k, staging, 0, words, icap_data, deadline);
+  return cpu::run_iterations(k, deadline, 0, words, [&](std::int64_t i) {
+    icap_load_word(k, staging, icap_data, i);
+  });
 }
 
-// Why the closed form is exact: an iteration is a PLB read, a store that
-// crosses to the OPB, and fixed CPU work. Every bus step aligns to the
-// shared bus clock and Clock::cycles is linear, so an iteration that starts
-// at phase p of that clock, on buses with no reservation left from before,
-// ends a fixed time later at a fixed phase. Word 0 absorbs the phase the
-// loop starts at; word 1, timed per word, is the template. When word 2
-// starts at word 1's phase with the buses again free, every later word
-// repeats word 1 shifted by k * step, and its statistics repeat word 1's.
 std::int64_t icap_load_bulk(cpu::Kernel& k,
                             std::span<const std::uint32_t> words, Addr staging,
-                            bus::Bus& icap_bus, icap::IcapController& icap,
-                            SimTime deadline) {
+                            icap::IcapController& icap, SimTime deadline) {
   const Addr icap_data = icap.range().base + icap::IcapController::kDataReg;
   const auto n = static_cast<std::int64_t>(words.size());
-  cpu::Ppc405& cpu = k.cpu();
-  bus::Bus& plb = cpu.plb();
-  sim::Simulation& sim = plb.simulation();
-  if (n < 4 || sim.tracer().enabled() || sim.faults() != nullptr ||
-      sim.logger().enabled(sim::LogLevel::kTrace) ||
-      cpu.is_cacheable(staging) ||
-      cpu.is_cacheable(staging + static_cast<Addr>(n - 1) * 4) ||
-      &plb.clock() != &icap_bus.clock()) {
-    return icap_load_loop(k, staging, n, icap_data, deadline);
-  }
-  const auto buses_free_at = [&](SimTime t) {
-    return plb.busy_until() <= t && icap_bus.busy_until() <= t;
-  };
-
   k.call();
-  if (icap_load_words(k, staging, 0, 1, icap_data, deadline) < 1) return 0;
-  const SimTime t1 = k.now();
-  const bool free_at_t1 = buses_free_at(t1);
-  IterationStats iteration(sim.stats(), plb, icap_bus);
-  if (icap_load_words(k, staging, 1, 2, icap_data, deadline) < 2) return 1;
-  const SimTime t2 = k.now();
-  const SimTime step = t2 - t1;
-  if (!free_at_t1 || !buses_free_at(t2) ||
-      step.ps() % plb.clock().period().ps() != 0) {
-    return icap_load_words(k, staging, 2, n, icap_data, deadline);
-  }
-
-  // Word i >= 2 starts at t2 + (i - 2) * step; the watchdog stops the loop
-  // at the first word that starts at or after the deadline.
-  std::int64_t m = n - 2;
-  if (deadline.ps() > 0) {
-    const std::int64_t left = deadline.ps() - t2.ps();
-    m = std::min(m, left <= 0 ? 0 : (left + step.ps() - 1) / step.ps());
-  }
-  icap.feed(words.subspan(2, static_cast<std::size_t>(m)));
-  iteration.repeat(m);
-  const SimTime shift = step * m;
-  plb.set_busy_until(plb.busy_until() + shift);
-  icap_bus.set_busy_until(icap_bus.busy_until() + shift);
-  cpu.idle_until(t2 + shift);
-  return 2 + m;
+  return cpu::run_periodic(
+      k,
+      {.iterations = n,
+       .reads = {bus::AddressRange{staging, static_cast<std::uint64_t>(n) * 4}},
+       .deadline = deadline},
+      [&](std::int64_t i) { icap_load_word(k, staging, icap_data, i); },
+      // The ICAP still receives every word, so frames, CRC and status come
+      // from its state machine.
+      [&](std::int64_t first, std::int64_t count) {
+        icap.feed(words.subspan(static_cast<std::size_t>(first),
+                                static_cast<std::size_t>(count)));
+      });
 }
 
 bool region_validates(const fabric::ConfigMemory& cm,
@@ -228,8 +136,8 @@ void account_reconfig(sim::Simulation& sim, bool differential,
 /// to mutate the staged words -- forces a local copy.
 template <typename Dock>
 void stream_and_bind(std::span<const std::uint32_t> words, bus::Bus& mem_bus,
-                     Addr staging, bus::Bus& icap_bus,
-                     icap::IcapController& icap, cpu::Kernel& kernel,
+                     Addr staging, icap::IcapController& icap,
+                     cpu::Kernel& kernel,
                      const fabric::ConfigMemory& fabric_state,
                      const fabric::DynamicRegion& region,
                      const hw::BehaviorRegistry& registry, Dock& dock,
@@ -256,7 +164,7 @@ void stream_and_bind(std::span<const std::uint32_t> words, bus::Bus& mem_bus,
   // Reset the ICAP state machine.
   cpu.store32(icap_base + icap::IcapController::kControlReg, 1);
   const std::int64_t streamed =
-      icap_load_bulk(kernel, words, staging, icap_bus, icap, deadline);
+      icap_load_bulk(kernel, words, staging, icap, deadline);
   if (streamed < stats.stream_words) {
     // Watchdog abort: the partial stream never reaches the done state; the
     // next load's ICAP reset discards it.
@@ -294,8 +202,8 @@ void stream_and_bind(std::span<const std::uint32_t> words, bus::Bus& mem_bus,
 template <typename Dock>
 ReconfigStats do_load(hw::BehaviorId id, int dock_width,
                       bitlinker::BitLinker& linker, bus::Bus& mem_bus,
-                      Addr staging, bus::Bus& icap_bus,
-                      icap::IcapController& icap, cpu::Kernel& kernel,
+                      Addr staging, icap::IcapController& icap,
+                      cpu::Kernel& kernel,
                       const fabric::ConfigMemory& fabric_state,
                       const fabric::DynamicRegion& region,
                       const hw::BehaviorRegistry& registry, Dock& dock,
@@ -314,19 +222,19 @@ ReconfigStats do_load(hw::BehaviorId id, int dock_width,
   stats.config_bytes = linked.stats.payload_bytes;
   const auto words = bitstream::serialize(*linked.config);
   stream_and_bind(std::span<const std::uint32_t>{words}, mem_bus, staging,
-                  icap_bus, icap, kernel, fabric_state, region, registry, dock,
-                  slot, stats, deadline);
+                  icap, kernel, fabric_state, region, registry, dock, slot,
+                  stats, deadline);
   account_reconfig(mem_bus.simulation(), /*differential=*/false, stats);
   return stats;
 }
 
 template ReconfigStats do_load<dock::OpbDock>(
-    hw::BehaviorId, int, bitlinker::BitLinker&, bus::Bus&, Addr, bus::Bus&,
+    hw::BehaviorId, int, bitlinker::BitLinker&, bus::Bus&, Addr,
     icap::IcapController&, cpu::Kernel&, const fabric::ConfigMemory&,
     const fabric::DynamicRegion&, const hw::BehaviorRegistry&, dock::OpbDock&,
     std::unique_ptr<hw::HwModule>&, sim::SimTime);
 template ReconfigStats do_load<dock::PlbDock>(
-    hw::BehaviorId, int, bitlinker::BitLinker&, bus::Bus&, Addr, bus::Bus&,
+    hw::BehaviorId, int, bitlinker::BitLinker&, bus::Bus&, Addr,
     icap::IcapController&, cpu::Kernel&, const fabric::ConfigMemory&,
     const fabric::DynamicRegion&, const hw::BehaviorRegistry&, dock::PlbDock&,
     std::unique_ptr<hw::HwModule>&, sim::SimTime);
@@ -337,8 +245,7 @@ template <typename Dock>
 ReconfigStats do_load_stream(std::span<const std::uint32_t> words,
                              std::int64_t config_bytes, bool differential,
                              bus::Bus& mem_bus, Addr staging,
-                             bus::Bus& icap_bus, icap::IcapController& icap,
-                             cpu::Kernel& kernel,
+                             icap::IcapController& icap, cpu::Kernel& kernel,
                              const fabric::ConfigMemory& fabric_state,
                              const fabric::DynamicRegion& region,
                              const hw::BehaviorRegistry& registry, Dock& dock,
@@ -347,8 +254,8 @@ ReconfigStats do_load_stream(std::span<const std::uint32_t> words,
   ReconfigStats stats;
   stats.started = kernel.now();
   stats.config_bytes = config_bytes;
-  stream_and_bind(words, mem_bus, staging, icap_bus, icap, kernel,
-                  fabric_state, region, registry, dock, slot, stats, deadline);
+  stream_and_bind(words, mem_bus, staging, icap, kernel, fabric_state, region,
+                  registry, dock, slot, stats, deadline);
   account_reconfig(mem_bus.simulation(), differential, stats);
   return stats;
 }
@@ -357,8 +264,7 @@ ReconfigStats do_load_stream(std::span<const std::uint32_t> words,
 template <typename Dock>
 ReconfigStats do_load_config(const bitstream::PartialConfig& cfg,
                              bus::Bus& mem_bus, Addr staging,
-                             bus::Bus& icap_bus, icap::IcapController& icap,
-                             cpu::Kernel& kernel,
+                             icap::IcapController& icap, cpu::Kernel& kernel,
                              const fabric::ConfigMemory& fabric_state,
                              const fabric::DynamicRegion& region,
                              const hw::BehaviorRegistry& registry, Dock& dock,
@@ -368,8 +274,8 @@ ReconfigStats do_load_config(const bitstream::PartialConfig& cfg,
   return do_load_stream(std::span<const std::uint32_t>{words},
                         cfg.payload_bytes(),
                         /*differential=*/!cfg.is_complete_for(region), mem_bus,
-                        staging, icap_bus, icap, kernel, fabric_state, region,
-                        registry, dock, slot, deadline);
+                        staging, icap, kernel, fabric_state, region, registry,
+                        dock, slot, deadline);
 }
 
 }  // namespace detail
@@ -421,15 +327,15 @@ Platform32::Platform32(PlatformOptions opts)
 }
 
 ReconfigStats Platform32::load_module(hw::BehaviorId id) {
-  return detail::do_load(id, 32, *linker_, opb_, kConfigStaging, opb_, *icap_,
+  return detail::do_load(id, 32, *linker_, opb_, kConfigStaging, *icap_,
                          *kernel_, fabric_, region_, registry_, *dock_,
                          module_, load_deadline_);
 }
 
 ReconfigStats Platform32::load_config(const bitstream::PartialConfig& cfg) {
-  return detail::do_load_config(
-      cfg, opb_, kConfigStaging, opb_, *icap_, *kernel_, fabric_, region_,
-      registry_, *dock_, module_, load_deadline_);
+  return detail::do_load_config(cfg, opb_, kConfigStaging, *icap_, *kernel_,
+                                fabric_, region_, registry_, *dock_, module_,
+                                load_deadline_);
 }
 
 ReconfigStats Platform32::load_stream(std::span<const std::uint32_t> words,
@@ -437,7 +343,7 @@ ReconfigStats Platform32::load_stream(std::span<const std::uint32_t> words,
                                       bool differential, int area) {
   RTR_CHECK(area == 0, "XC2VP7: area index out of range");
   return detail::do_load_stream(
-      words, config_bytes, differential, opb_, kConfigStaging, opb_, *icap_,
+      words, config_bytes, differential, opb_, kConfigStaging, *icap_,
       *kernel_, fabric_, region_, registry_, *dock_, module_, load_deadline_);
 }
 
@@ -562,7 +468,7 @@ Platform64::Platform64(PlatformOptions opts)
 ReconfigStats Platform64::load_module(hw::BehaviorId id) {
   sync_area_gens();
   const ReconfigStats stats = detail::do_load(
-      id, 64, *linker_, plb_, kConfigStaging, opb_, *icap_, *kernel_, fabric_,
+      id, 64, *linker_, plb_, kConfigStaging, *icap_, *kernel_, fabric_,
       region_, registry_, *dock_, module_, load_deadline_);
   note_fabric_write(0);
   if (stats.stream_words > 0) active_area_ = stats.ok ? 0 : -1;
@@ -572,7 +478,7 @@ ReconfigStats Platform64::load_module(hw::BehaviorId id) {
 ReconfigStats Platform64::load_config(const bitstream::PartialConfig& cfg) {
   sync_area_gens();
   const ReconfigStats stats = detail::do_load_config(
-      cfg, plb_, kConfigStaging, opb_, *icap_, *kernel_, fabric_, region_,
+      cfg, plb_, kConfigStaging, *icap_, *kernel_, fabric_, region_,
       registry_, *dock_, module_, load_deadline_);
   note_fabric_write(0);
   if (stats.stream_words > 0) active_area_ = stats.ok ? 0 : -1;
@@ -585,7 +491,7 @@ ReconfigStats Platform64::load_stream(std::span<const std::uint32_t> words,
   RTR_CHECK(area >= 0 && area < area_count(), "load_stream: bad area");
   sync_area_gens();
   const ReconfigStats stats = detail::do_load_stream(
-      words, config_bytes, differential, plb_, kConfigStaging, opb_, *icap_,
+      words, config_bytes, differential, plb_, kConfigStaging, *icap_,
       *kernel_, fabric_, region(area), registry_, *dock_, slot(area),
       load_deadline_);
   note_fabric_write(area);

@@ -93,17 +93,14 @@ namespace detail {
 std::int64_t icap_load_loop(cpu::Kernel& k, bus::Addr staging,
                             std::int64_t words, bus::Addr icap_data,
                             sim::SimTime deadline = {});
-/// The same loop with the same result, simulated time and statistics, done
-/// in bulk when nothing observes individual words (docs/PERFORMANCE.md,
-/// "Closed-form configuration streaming"). `words` must be the stream
-/// staged at `staging`; `icap_bus` is the bus the HWICAP sits on. Runs the
-/// per-word loop when a tracer, a fault plan or trace logging is active,
-/// when the staging memory is D-cacheable, for streams under 4 words, and
-/// when the uniformity checks fail.
+/// The same loop with the same result, simulated time and statistics, run
+/// by cpu::run_periodic: words 2..n-1 in closed form when nothing observes
+/// individual words (docs/PERFORMANCE.md, "Closed-form configuration
+/// streaming"), the ICAP still fed every word. `words` must be the stream
+/// staged at `staging`.
 std::int64_t icap_load_bulk(cpu::Kernel& k,
                             std::span<const std::uint32_t> words,
-                            bus::Addr staging, bus::Bus& icap_bus,
-                            icap::IcapController& icap,
+                            bus::Addr staging, icap::IcapController& icap,
                             sim::SimTime deadline = {});
 /// Signature + payload-hash validation (runs after the ICAP reports done).
 bool region_validates(const fabric::ConfigMemory& cm,
@@ -118,8 +115,8 @@ void account_reconfig(sim::Simulation& sim, bool differential,
 template <typename Dock>
 ReconfigStats do_load(hw::BehaviorId id, int dock_width,
                       bitlinker::BitLinker& linker, bus::Bus& mem_bus,
-                      bus::Addr staging, bus::Bus& icap_bus,
-                      icap::IcapController& icap, cpu::Kernel& kernel,
+                      bus::Addr staging, icap::IcapController& icap,
+                      cpu::Kernel& kernel,
                       const fabric::ConfigMemory& fabric_state,
                       const fabric::DynamicRegion& region,
                       const hw::BehaviorRegistry& registry, Dock& dock,

@@ -67,8 +67,8 @@ Platform64Dual::Platform64Dual(PlatformOptions opts)
 ReconfigStats Platform64Dual::load_module(int region, hw::BehaviorId id) {
   const int r = check(region);
   return detail::do_load(id, 64, *linkers_[r], plb_,
-                         r == 0 ? kConfigStagingA : kConfigStagingB, opb_,
-                         *icap_, *kernel_, fabric_, *regions_[r], registry_,
+                         r == 0 ? kConfigStagingA : kConfigStagingB, *icap_,
+                         *kernel_, fabric_, *regions_[r], registry_,
                          *docks_[r], modules_[r], /*deadline=*/{});
 }
 

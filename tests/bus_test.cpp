@@ -1,6 +1,8 @@
 // Tests for the CoreConnect bus models, memory controllers and the bridge.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bus/bridge.hpp"
 #include "bus/bus.hpp"
 #include "bus/types.hpp"
@@ -197,6 +199,40 @@ TEST(BridgeTest, BackdoorForwards) {
   fx.plb.poke(0x2000'0200, 0x55, 1);
   EXPECT_EQ(fx.sram.storage().read8(0x200), 0x55);
   EXPECT_EQ(fx.plb.peek(0x2000'0200, 1), 0x55u);
+}
+
+TEST(BridgeTest, EndpointResolvesThroughTheBridge) {
+  BusFixture fx;
+  EXPECT_EQ(&fx.plb.endpoint(0x2000'0040), &fx.sram);
+  EXPECT_EQ(&fx.plb.endpoint(0x40), &fx.bram);
+  EXPECT_EQ(fx.plb.slave_at(0x2000'0040, 4).forwards_to(), &fx.opb);
+}
+
+TEST(BridgeTest, BlockBackdoorMatchesByteWiseAcrossAPage) {
+  // 96 bytes around the first 64 KiB page boundary of the SRAM, written
+  // and read back through the bridge both ways.
+  constexpr Addr kBase = 0x2000'0000 + 0x1'0000 - 40;
+  std::vector<std::uint8_t> data(96);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  BusFixture block;
+  block.plb.poke_block(kBase, data);
+  BusFixture bytes;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    bytes.plb.poke(kBase + i, data[i], 1);
+  }
+  for (BusFixture* fx : {&block, &bytes}) {
+    std::vector<std::uint8_t> got(data.size());
+    fx->plb.peek_block(kBase, got);
+    EXPECT_EQ(got, data);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      ASSERT_EQ(fx->plb.peek(kBase + i, 1), data[i]) << i;
+    }
+    EXPECT_EQ(fx->sram.storage().resident_pages(), 2u);
+    EXPECT_EQ(fx->sim.stats().counter("OPB.transactions").value(), 0);
+    EXPECT_EQ(fx->sim.stats().counter("bridge.crossings").value(), 0);
+  }
 }
 
 // --- memory controller presets ------------------------------------------------

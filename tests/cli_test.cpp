@@ -2,13 +2,13 @@
 // check exit codes and key output. The binary path is injected by CMake.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "golden.hpp"
 #include "json_reader.hpp"
 
 namespace {
@@ -20,20 +20,11 @@ using rtr::test::parse_json;
 #error "RTRSIM_CLI_PATH must be defined by the build"
 #endif
 
-struct RunResult {
-  int exit_code;
-  std::string output;
-};
+using RunResult = rtr::test::CommandResult;
 
 RunResult run_cli(const std::string& args) {
-  const std::string cmd = std::string(RTRSIM_CLI_PATH) + " " + args + " 2>&1";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  EXPECT_NE(pipe, nullptr);
-  std::string out;
-  std::array<char, 512> buf;
-  while (fgets(buf.data(), buf.size(), pipe)) out += buf.data();
-  const int status = pclose(pipe);
-  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+  return rtr::test::run_command(std::string(RTRSIM_CLI_PATH) + " " + args +
+                                " 2>&1");
 }
 
 TEST(Cli, NoArgsPrintsUsage) {
@@ -248,15 +239,8 @@ TEST(Cli, LogLevelControlsComponentLog) {
 // Like run_cli but drops stderr: the sweep prints host wall-clock timing
 // there, which must not leak into determinism comparisons.
 RunResult run_cli_stdout(const std::string& args) {
-  const std::string cmd =
-      std::string(RTRSIM_CLI_PATH) + " " + args + " 2>/dev/null";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  EXPECT_NE(pipe, nullptr);
-  std::string out;
-  std::array<char, 512> buf;
-  while (fgets(buf.data(), buf.size(), pipe)) out += buf.data();
-  const int status = pclose(pipe);
-  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+  return rtr::test::run_command(std::string(RTRSIM_CLI_PATH) + " " + args +
+                                " 2>/dev/null");
 }
 
 TEST(Cli, SweepSmokeReportsAllScenariosOk) {
@@ -623,26 +607,9 @@ TEST(Cli, OutputMatchesGoldens) {
   };
   for (const Golden& g : kGoldens) {
     SCOPED_TRACE(g.args);
-    std::ifstream in(std::string(RTRSIM_GOLDEN_DIR) + "/" + g.name + ".txt");
-    ASSERT_TRUE(in.good()) << "missing golden " << g.name;
-    std::stringstream want;
-    want << in.rdbuf();
     const auto r = run_cli_stdout(g.args);
     EXPECT_EQ(r.exit_code, 0);
-    if (r.output == want.str()) continue;
-    // Report the first differing line rather than two whole transcripts.
-    std::istringstream got_lines(r.output), want_lines(want.str());
-    std::string got_line, want_line;
-    bool got_more = true, want_more = true;
-    int line = 0;
-    do {
-      ++line;
-      want_more = static_cast<bool>(std::getline(want_lines, want_line));
-      got_more = static_cast<bool>(std::getline(got_lines, got_line));
-    } while (want_more && got_more && got_line == want_line);
-    ADD_FAILURE() << g.name << ".txt differs at line " << line
-                  << "\n  want: " << (want_more ? want_line : "<end>")
-                  << "\n  got:  " << (got_more ? got_line : "<end>");
+    rtr::test::expect_matches_golden(RTRSIM_GOLDEN_DIR, g.name, r.output);
   }
 }
 

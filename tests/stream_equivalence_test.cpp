@@ -109,7 +109,7 @@ class Streams {
                   static_cast<std::int64_t>(words.size()),
                   icap_base + icap::IcapController::kDataReg, deadline)
             : detail::icap_load_bulk(p.kernel(), words, P::kConfigStaging,
-                                     p.opb(), p.icap_ctl(), deadline);
+                                     p.icap_ctl(), deadline);
     o.now = p.kernel().now();
     std::ostringstream os;
     p.sim().stats().export_json(os);
