@@ -9,8 +9,8 @@
 #include "apps/sw_kernels.hpp"
 #include "bench/common.hpp"
 #include "report/table.hpp"
-#include "rtr/platform_dual.hpp"
 #include "rtr/manager.hpp"
+#include "rtr/platform.hpp"
 #include "rtr/readback.hpp"
 
 using namespace rtr;
@@ -132,23 +132,28 @@ int main() {
       t.row({"one region (swap)", report::fmt_int(loads),
              report::fmt_ms(reconfig), report::fmt_ms(task)});
     }
-    // Dual regions: both resident.
+    // Dual regions: both resident; the dock re-binds to each area's
+    // module before its task.
     {
-      Platform64Dual p;
+      PlatformOptions opts;
+      opts.dynamic_areas = 2;
+      Platform64 p{opts};
       apps::store_bytes(p.cpu().plb(), bench::kA64, key);
       apps::store_bytes(p.cpu().plb(), bench::kB64, img.pixels);
       sim::SimTime reconfig, task;
-      auto s = p.load_module(0, hw::kJenkinsHash);
+      auto s = p.load_module(hw::kJenkinsHash, 0);
       RTR_CHECK(s.ok, "load failed");
       reconfig += s.duration();
-      s = p.load_module(1, hw::kBrightness);
+      s = p.load_module(hw::kBrightness, 1);
       RTR_CHECK(s.ok, "load failed");
       reconfig += s.duration();
       for (int i = 0; i < 4; ++i) {
         auto t0 = p.kernel().now();
-        apps::hw_jenkins_pio(p.kernel(), Platform64Dual::dock_data(0),
-                             bench::kA64, 2048);
-        apps::hw_brightness_pio(p.kernel(), Platform64Dual::dock_data(1),
+        p.activate_area(0);
+        apps::hw_jenkins_pio(p.kernel(), Platform64::dock_data(), bench::kA64,
+                             2048);
+        p.activate_area(1);
+        apps::hw_brightness_pio(p.kernel(), Platform64::dock_data(),
                                 bench::kB64, bench::kOut64, n, 25);
         task += p.kernel().now() - t0;
       }

@@ -128,6 +128,10 @@ void account_reconfig(sim::Simulation& sim, bool differential,
   }
 }
 
+}  // namespace detail
+
+namespace {
+
 /// Stage a serialised stream in memory, drive it through the HWICAP with
 /// the CPU, validate the region and bind the behaviour. Shared by the
 /// component loads, the raw-configuration loads and the cached-plan
@@ -164,7 +168,7 @@ void stream_and_bind(std::span<const std::uint32_t> words, bus::Bus& mem_bus,
   // Reset the ICAP state machine.
   cpu.store32(icap_base + icap::IcapController::kControlReg, 1);
   const std::int64_t streamed =
-      icap_load_bulk(kernel, words, staging, icap, deadline);
+      detail::icap_load_bulk(kernel, words, staging, icap, deadline);
   if (streamed < stats.stream_words) {
     // Watchdog abort: the partial stream never reaches the done state; the
     // next load's ICAP reset discards it.
@@ -184,7 +188,7 @@ void stream_and_bind(std::span<const std::uint32_t> words, bus::Bus& mem_bus,
     return;
   }
   int bound_id = -1;
-  if (!region_validates(fabric_state, region, &bound_id)) {
+  if (!detail::region_validates(fabric_state, region, &bound_id)) {
     stats.error = "region signature/payload validation failed";
     return;
   }
@@ -199,48 +203,30 @@ void stream_and_bind(std::span<const std::uint32_t> words, bus::Bus& mem_bus,
   stats.ok = true;
 }
 
-template <typename Dock>
+/// The timed component load: link `id`'s component against `linker`'s area,
+/// then hand the serialised stream to `load_stream(words, config_bytes)`
+/// (the platform's own load_stream or load_stream_dma for that area).
+/// Linking and serialising take no simulated time, so the stream starts at
+/// the load's start. A link error returns before anything is staged or
+/// accounted.
+template <typename LoadStream>
 ReconfigStats do_load(hw::BehaviorId id, int dock_width,
-                      bitlinker::BitLinker& linker, bus::Bus& mem_bus,
-                      Addr staging, icap::IcapController& icap,
-                      cpu::Kernel& kernel,
-                      const fabric::ConfigMemory& fabric_state,
-                      const fabric::DynamicRegion& region,
-                      const hw::BehaviorRegistry& registry, Dock& dock,
-                      std::unique_ptr<hw::HwModule>& slot,
-                      sim::SimTime deadline) {
-  ReconfigStats stats;
-  stats.started = kernel.now();
-
-  const auto comp = hw::component_for(id, dock_width);
-  const auto linked = linker.link_single(comp);
+                      bitlinker::BitLinker& linker, SimTime now,
+                      LoadStream&& load_stream) {
+  const auto linked = linker.link_single(hw::component_for(id, dock_width));
   if (!linked.ok()) {
+    ReconfigStats stats;
     stats.error = linked.errors.front();
-    stats.finished = kernel.now();
+    stats.started = stats.finished = now;
     return stats;
   }
-  stats.config_bytes = linked.stats.payload_bytes;
   const auto words = bitstream::serialize(*linked.config);
-  stream_and_bind(std::span<const std::uint32_t>{words}, mem_bus, staging,
-                  icap, kernel, fabric_state, region, registry, dock, slot,
-                  stats, deadline);
-  account_reconfig(mem_bus.simulation(), /*differential=*/false, stats);
-  return stats;
+  return load_stream(std::span<const std::uint32_t>{words},
+                     linked.stats.payload_bytes);
 }
 
-template ReconfigStats do_load<dock::OpbDock>(
-    hw::BehaviorId, int, bitlinker::BitLinker&, bus::Bus&, Addr,
-    icap::IcapController&, cpu::Kernel&, const fabric::ConfigMemory&,
-    const fabric::DynamicRegion&, const hw::BehaviorRegistry&, dock::OpbDock&,
-    std::unique_ptr<hw::HwModule>&, sim::SimTime);
-template ReconfigStats do_load<dock::PlbDock>(
-    hw::BehaviorId, int, bitlinker::BitLinker&, bus::Bus&, Addr,
-    icap::IcapController&, cpu::Kernel&, const fabric::ConfigMemory&,
-    const fabric::DynamicRegion&, const hw::BehaviorRegistry&, dock::PlbDock&,
-    std::unique_ptr<hw::HwModule>&, sim::SimTime);
-
-/// Shared implementation of the pre-encoded streaming load (cached plans;
-/// also the tail of the raw-configuration load once it has serialised).
+/// The CPU-driven streaming load every non-DMA load of both platforms ends
+/// in: stream_and_bind, then account the reconfiguration.
 template <typename Dock>
 ReconfigStats do_load_stream(std::span<const std::uint32_t> words,
                              std::int64_t config_bytes, bool differential,
@@ -256,29 +242,11 @@ ReconfigStats do_load_stream(std::span<const std::uint32_t> words,
   stats.config_bytes = config_bytes;
   stream_and_bind(words, mem_bus, staging, icap, kernel, fabric_state, region,
                   registry, dock, slot, stats, deadline);
-  account_reconfig(mem_bus.simulation(), differential, stats);
+  detail::account_reconfig(mem_bus.simulation(), differential, stats);
   return stats;
 }
 
-/// Shared implementation of the raw-configuration load.
-template <typename Dock>
-ReconfigStats do_load_config(const bitstream::PartialConfig& cfg,
-                             bus::Bus& mem_bus, Addr staging,
-                             icap::IcapController& icap, cpu::Kernel& kernel,
-                             const fabric::ConfigMemory& fabric_state,
-                             const fabric::DynamicRegion& region,
-                             const hw::BehaviorRegistry& registry, Dock& dock,
-                             std::unique_ptr<hw::HwModule>& slot,
-                             sim::SimTime deadline) {
-  const auto words = bitstream::serialize(cfg);
-  return do_load_stream(std::span<const std::uint32_t>{words},
-                        cfg.payload_bytes(),
-                        /*differential=*/!cfg.is_complete_for(region), mem_bus,
-                        staging, icap, kernel, fabric_state, region, registry,
-                        dock, slot, deadline);
-}
-
-}  // namespace detail
+}  // namespace
 
 // --- Platform32 ----------------------------------------------------------------
 
@@ -327,24 +295,26 @@ Platform32::Platform32(PlatformOptions opts)
 }
 
 ReconfigStats Platform32::load_module(hw::BehaviorId id) {
-  return detail::do_load(id, 32, *linker_, opb_, kConfigStaging, *icap_,
-                         *kernel_, fabric_, region_, registry_, *dock_,
-                         module_, load_deadline_);
+  return do_load(id, 32, *linker_, kernel_->now(),
+                 [&](auto words, std::int64_t config_bytes) {
+                   return load_stream(words, config_bytes,
+                                      /*differential=*/false);
+                 });
 }
 
 ReconfigStats Platform32::load_config(const bitstream::PartialConfig& cfg) {
-  return detail::do_load_config(cfg, opb_, kConfigStaging, *icap_, *kernel_,
-                                fabric_, region_, registry_, *dock_, module_,
-                                load_deadline_);
+  const auto words = bitstream::serialize(cfg);
+  return load_stream(words, cfg.payload_bytes(),
+                     /*differential=*/!cfg.is_complete_for(region_));
 }
 
 ReconfigStats Platform32::load_stream(std::span<const std::uint32_t> words,
                                       std::int64_t config_bytes,
                                       bool differential, int area) {
-  RTR_CHECK(area == 0, "XC2VP7: area index out of range");
-  return detail::do_load_stream(
-      words, config_bytes, differential, opb_, kConfigStaging, *icap_,
-      *kernel_, fabric_, region_, registry_, *dock_, module_, load_deadline_);
+  check_area(area);
+  return do_load_stream(words, config_bytes, differential, opb_,
+                        kConfigStaging, *icap_, *kernel_, fabric_, region_,
+                        registry_, *dock_, module_, load_deadline_);
 }
 
 void Platform32::unload() {
@@ -409,9 +379,8 @@ Platform64::Platform64(PlatformOptions opts)
       bus_clk_(sim_.add_clock("bus", Frequency::from_mhz(100))),
       plb_(sim_, bus_clk_),
       opb_(sim_, bus_clk_),
-      region_(fabric::DynamicRegion::xc2vp30_region()),
-      fabric_(region_.device()),
-      baseline_(region_.device()),
+      fabric_(fabric::Device::xc2vp30()),
+      baseline_(fabric::Device::xc2vp30()),
       // Task components own at most the 6 BRAMs they were designed with on
       // the 32-bit system -- they are reused unmodified (section 4.2).
       registry_(hw::standard_registry(hw::bram_bits(6))) {
@@ -429,25 +398,17 @@ Platform64::Platform64(PlatformOptions opts)
                                           opts_.fifo_depth);
   dock_->set_irq(intc_.get(), kDockIrq);
   dma_ = std::make_unique<dma::DmaEngine>(sim_, plb_);
-  linker_ = std::make_unique<bitlinker::BitLinker>(
-      region_, busmacro::ConnectionInterface::for_width(64), baseline_);
 
-  // Co-resident dynamic areas beyond the primary region: each gets its own
-  // BitLinker (relocation anchors and bus-macro columns differ per area)
-  // and module slot. xc2vp30_areas() checks the range and the pairwise
-  // column-disjointness that lets the areas reconfigure independently.
-  const auto areas = fabric::DynamicRegion::xc2vp30_areas(opts_.dynamic_areas);
-  // The linkers hold pointers into extra_areas_: reserve once so later
-  // push_backs cannot reallocate under them.
-  extra_areas_.reserve(areas.size() - 1);
-  for (std::size_t i = 1; i < areas.size(); ++i) {
-    extra_areas_.push_back(areas[i]);
-    extra_linkers_.push_back(std::make_unique<bitlinker::BitLinker>(
-        extra_areas_.back(), busmacro::ConnectionInterface::for_width(64),
-        baseline_));
-    extra_modules_.emplace_back();
+  // The dynamic areas, the primary region first. xc2vp30_areas() checks the
+  // count and the pairwise column-disjointness that lets the areas
+  // reconfigure independently. Each area's linker points at its region:
+  // reserve once so the emplace_backs cannot reallocate under them.
+  const auto regions =
+      fabric::DynamicRegion::xc2vp30_areas(opts_.dynamic_areas);
+  areas_.reserve(regions.size());
+  for (const fabric::DynamicRegion& r : regions) {
+    areas_.emplace_back(r, baseline_);
   }
-  area_gens_.assign(static_cast<std::size_t>(area_count()), 0);
 
   plb_.attach(kDdrRange, *ddr_);
   plb_.attach(kBramRange, *bram_);
@@ -465,34 +426,33 @@ Platform64::Platform64(PlatformOptions opts)
   kernel_ = std::make_unique<cpu::Kernel>(*cpu_);
 }
 
-ReconfigStats Platform64::load_module(hw::BehaviorId id) {
-  sync_area_gens();
-  const ReconfigStats stats = detail::do_load(
-      id, 64, *linker_, plb_, kConfigStaging, *icap_, *kernel_, fabric_,
-      region_, registry_, *dock_, module_, load_deadline_);
-  note_fabric_write(0);
-  if (stats.stream_words > 0) active_area_ = stats.ok ? 0 : -1;
-  return stats;
+Platform64::Area::Area(const fabric::DynamicRegion& r,
+                       const fabric::ConfigMemory& baseline)
+    : region(r),
+      linker(region, busmacro::ConnectionInterface::for_width(64), baseline) {}
+
+ReconfigStats Platform64::load_module(hw::BehaviorId id, int area) {
+  return do_load(id, 64, linker(area), kernel_->now(),
+                 [&](auto words, std::int64_t config_bytes) {
+                   return load_stream(words, config_bytes,
+                                      /*differential=*/false, area);
+                 });
 }
 
 ReconfigStats Platform64::load_config(const bitstream::PartialConfig& cfg) {
-  sync_area_gens();
-  const ReconfigStats stats = detail::do_load_config(
-      cfg, plb_, kConfigStaging, *icap_, *kernel_, fabric_, region_,
-      registry_, *dock_, module_, load_deadline_);
-  note_fabric_write(0);
-  if (stats.stream_words > 0) active_area_ = stats.ok ? 0 : -1;
-  return stats;
+  const auto words = bitstream::serialize(cfg);
+  return load_stream(words, cfg.payload_bytes(),
+                     /*differential=*/!cfg.is_complete_for(region()));
 }
 
 ReconfigStats Platform64::load_stream(std::span<const std::uint32_t> words,
                                       std::int64_t config_bytes,
                                       bool differential, int area) {
-  RTR_CHECK(area >= 0 && area < area_count(), "load_stream: bad area");
+  Area& a = at(area);
   sync_area_gens();
-  const ReconfigStats stats = detail::do_load_stream(
+  const ReconfigStats stats = do_load_stream(
       words, config_bytes, differential, plb_, kConfigStaging, *icap_,
-      *kernel_, fabric_, region(area), registry_, *dock_, slot(area),
+      *kernel_, fabric_, a.region, registry_, *dock_, a.module,
       load_deadline_);
   note_fabric_write(area);
   // The dock unbinds before the fabric is touched and only a successful
@@ -501,40 +461,17 @@ ReconfigStats Platform64::load_stream(std::span<const std::uint32_t> words,
   return stats;
 }
 
-const fabric::DynamicRegion& Platform64::region(int area) const {
-  RTR_CHECK(area >= 0 && area < area_count(), "region: bad area");
-  return area == 0 ? region_
-                   : extra_areas_[static_cast<std::size_t>(area - 1)];
-}
-
-bitlinker::BitLinker& Platform64::linker(int area) {
-  RTR_CHECK(area >= 0 && area < area_count(), "linker: bad area");
-  return area == 0 ? *linker_
-                   : *extra_linkers_[static_cast<std::size_t>(area - 1)];
-}
-
-hw::HwModule* Platform64::area_module(int area) {
-  RTR_CHECK(area >= 0 && area < area_count(), "area_module: bad area");
-  return slot(area).get();
-}
-
 void Platform64::activate_area(int area) {
-  RTR_CHECK(area >= 0 && area < area_count(), "activate_area: bad area");
+  Area& a = at(area);
   if (area == active_area_) return;
-  RTR_CHECK(slot(area) != nullptr, "activate_area: area hosts no module");
+  RTR_CHECK(a.module != nullptr, "activate_area: area hosts no module");
   // Cross-area activation: re-select the dock's bus-macro mux and let the
   // target circuit reset (bind() resets it) -- a register write plus
   // settle, orders of magnitude below any reconfiguration.
   kernel_->op(8);
   dock_->unbind();
-  dock_->bind(slot(area).get());
+  dock_->bind(a.module.get());
   active_area_ = area;
-}
-
-std::uint64_t Platform64::area_generation(int area) {
-  RTR_CHECK(area >= 0 && area < area_count(), "area_generation: bad area");
-  sync_area_gens();
-  return area_gens_[static_cast<std::size_t>(area)];
 }
 
 void Platform64::note_fabric_write(int area) {
@@ -542,38 +479,25 @@ void Platform64::note_fabric_write(int area) {
   if (faults_ != nullptr) {
     // A corrupted stream word can carry a frame address outside the target
     // area's columns: attribute conservatively to every area.
-    for (std::uint64_t& g : area_gens_) g = ++area_gen_tick_;
-  } else {
-    area_gens_[static_cast<std::size_t>(area)] = ++area_gen_tick_;
+    bump_all_area_gens();
+    return;
   }
-  fabric_gen_seen_ = fabric_.generation();
-}
-
-void Platform64::sync_area_gens() {
-  if (fabric_.generation() == fabric_gen_seen_) return;
-  for (std::uint64_t& g : area_gens_) g = ++area_gen_tick_;
+  at(area).gen = ++area_gen_tick_;
   fabric_gen_seen_ = fabric_.generation();
 }
 
 ReconfigStats Platform64::load_module_dma(hw::BehaviorId id) {
-  const auto comp = hw::component_for(id, 64);
-  const auto linked = linker_->link_single(comp);
-  if (!linked.ok()) {
-    ReconfigStats stats;
-    stats.started = kernel_->now();
-    stats.error = linked.errors.front();
-    stats.finished = kernel_->now();
-    return stats;
-  }
-  const auto words = bitstream::serialize(*linked.config);
-  return load_stream_dma(words, linked.stats.payload_bytes,
-                         /*differential=*/false);
+  return do_load(id, 64, linker(), kernel_->now(),
+                 [&](auto words, std::int64_t config_bytes) {
+                   return load_stream_dma(words, config_bytes,
+                                          /*differential=*/false);
+                 });
 }
 
 ReconfigStats Platform64::load_stream_dma(std::span<const std::uint32_t> words,
                                           std::int64_t config_bytes,
                                           bool differential, int area) {
-  RTR_CHECK(area >= 0 && area < area_count(), "load_stream_dma: bad area");
+  Area& a = at(area);
   sync_area_gens();
   ReconfigStats stats;
   stats.started = kernel_->now();
@@ -611,7 +535,7 @@ ReconfigStats Platform64::load_stream_dma(std::span<const std::uint32_t> words,
   stage_words(plb_, kConfigStaging, words);
 
   dock_->unbind();
-  slot(area).reset();
+  a.module.reset();
 
   cpu_->store32(kIcapRange.base + icap::IcapController::kControlReg, 1);
   // One scatter-gather descriptor: staging -> HWICAP data window (fixed
@@ -647,7 +571,7 @@ ReconfigStats Platform64::load_stream_dma(std::span<const std::uint32_t> words,
     return finish();
   }
   int bound_id = -1;
-  if (!detail::region_validates(fabric_, region(area), &bound_id)) {
+  if (!detail::region_validates(fabric_, a.region, &bound_id)) {
     stats.error = "region signature/payload validation failed";
     return finish();
   }
@@ -657,24 +581,22 @@ ReconfigStats Platform64::load_stream_dma(std::span<const std::uint32_t> words,
                   std::to_string(bound_id);
     return finish();
   }
-  slot(area) = std::move(module);
-  dock_->bind(slot(area).get());
+  a.module = std::move(module);
+  dock_->bind(a.module.get());
   stats.ok = true;
   return finish();
 }
 
 void Platform64::unload() {
   dock_->unbind();
-  module_.reset();
-  for (auto& m : extra_modules_) m.reset();
+  for (Area& a : areas_) a.module.reset();
   active_area_ = -1;
 }
 
 void Platform64::external_reset() {
   icap_->reset();
-  if (module_) module_->reset();
-  for (auto& m : extra_modules_) {
-    if (m) m->reset();
+  for (Area& a : areas_) {
+    if (a.module) a.module->reset();
   }
 }
 
@@ -712,14 +634,14 @@ std::string Platform64::topology() const {
      << "    |- UART                     " << kUartRange.base << "\n"
      << "    |- OPB HWICAP -> ICAP       " << kIcapRange.base << "\n"
      << "    |- interrupt controller     " << kIntcRange.base << std::dec
-     << "\n"
-     << "  dynamic area: " << region_.rect().cols << "x" << region_.rect().rows
-     << " CLBs, " << region_.bram_blocks() << " BRAMs ("
-     << region_.slice_percent() << "% of slices)\n";
-  for (const auto& extra : extra_areas_) {
-    os << "  dynamic area (" << extra.name() << "): " << extra.rect().cols
-       << "x" << extra.rect().rows << " CLBs, " << extra.bram_blocks()
-       << " BRAMs (" << extra.slice_percent() << "% of slices)\n";
+     << "\n";
+  for (const Area& a : areas_) {
+    const fabric::DynamicRegion& r = a.region;
+    os << "  dynamic area";
+    if (areas_.size() > 1) os << " (" << r.name() << ")";
+    os << ": " << r.rect().cols << "x" << r.rect().rows << " CLBs, "
+       << r.bram_blocks() << " BRAMs (" << r.slice_percent()
+       << "% of slices)\n";
   }
   os << "  reset block, JTAGPPC\n";
   return os.str();

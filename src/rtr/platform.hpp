@@ -19,6 +19,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bitlinker/bitlinker.hpp"
@@ -76,8 +77,8 @@ struct PlatformOptions {
   /// must outlive the platform.
   trace::Tracer* tracer = nullptr;
   /// Co-resident dynamic areas the device exposes (docs/PLACEMENT.md).
-  /// Area 0 is always the legacy region, so 1 keeps the pre-multi-area
-  /// platform bit for bit. The 64-bit system hosts up to
+  /// Area 0 is always the paper's region, so 1 models the paper's system
+  /// exactly. The 64-bit system hosts up to
   /// fabric::DynamicRegion::kMaxAreasXc2vp30; the 32-bit device has no
   /// column-disjoint room for a second area and requires 1.
   int dynamic_areas = 1;
@@ -108,20 +109,6 @@ bool region_validates(const fabric::ConfigMemory& cm,
 /// Trace span + per-flavour byte counter for one finished reconfiguration.
 void account_reconfig(sim::Simulation& sim, bool differential,
                       const ReconfigStats& stats);
-/// The timed component load every platform shares: link `id`, stage its
-/// bitstream at `staging` on `mem_bus`, stream it through `icap` with the
-/// CPU, validate the region, bind the behaviour to `dock` and account the
-/// reconfiguration. Instantiated for both dock types.
-template <typename Dock>
-ReconfigStats do_load(hw::BehaviorId id, int dock_width,
-                      bitlinker::BitLinker& linker, bus::Bus& mem_bus,
-                      bus::Addr staging, icap::IcapController& icap,
-                      cpu::Kernel& kernel,
-                      const fabric::ConfigMemory& fabric_state,
-                      const fabric::DynamicRegion& region,
-                      const hw::BehaviorRegistry& registry, Dock& dock,
-                      std::unique_ptr<hw::HwModule>& slot,
-                      sim::SimTime deadline);
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -151,8 +138,16 @@ class Platform32 {
   [[nodiscard]] Uart& uart() { return *uart_; }
   [[nodiscard]] Gpio& gpio() { return *gpio_; }
   [[nodiscard]] icap::IcapController& icap_ctl() { return *icap_; }
-  [[nodiscard]] const fabric::DynamicRegion& region() const { return region_; }
-  [[nodiscard]] bitlinker::BitLinker& linker() { return *linker_; }
+  /// The dynamic area and its BitLinker. `area` must be 0: the XC2VP7
+  /// hosts a single area (see the multi-area surface below).
+  [[nodiscard]] const fabric::DynamicRegion& region(int area = 0) const {
+    check_area(area);
+    return region_;
+  }
+  [[nodiscard]] bitlinker::BitLinker& linker(int area = 0) {
+    check_area(area);
+    return *linker_;
+  }
   [[nodiscard]] const fabric::ConfigMemory& fabric_state() const { return fabric_; }
   /// The armed fault injector, or null when the options carried no plan.
   [[nodiscard]] fault::FaultInjector* faults() { return faults_.get(); }
@@ -200,7 +195,7 @@ class Platform32 {
   /// Area-scoped variant: with a single area a failure scoped to it is a
   /// failure scoped to the whole fabric, so this is the same invalidation.
   void bump_area_generation(int area) {
-    RTR_CHECK(area == 0, "XC2VP7: area index out of range");
+    check_area(area);
     bump_fabric_generation();
   }
 
@@ -211,24 +206,14 @@ class Platform32 {
   // exist). With one area the global ConfigMemory generation *is* the
   // area's generation.
   [[nodiscard]] int area_count() const { return 1; }
-  [[nodiscard]] const fabric::DynamicRegion& region(int area) const {
-    RTR_CHECK(area == 0, "XC2VP7: area index out of range");
-    return region_;
-  }
-  [[nodiscard]] bitlinker::BitLinker& linker(int area) {
-    RTR_CHECK(area == 0, "XC2VP7: area index out of range");
-    return *linker_;
-  }
   [[nodiscard]] hw::HwModule* area_module(int area) {
-    RTR_CHECK(area == 0, "XC2VP7: area index out of range");
+    check_area(area);
     return module_.get();
   }
   [[nodiscard]] int active_area() const { return 0; }
-  void activate_area(int area) {
-    RTR_CHECK(area == 0, "XC2VP7: area index out of range");
-  }
+  void activate_area(int area) { check_area(area); }
   [[nodiscard]] std::uint64_t area_generation(int area) const {
-    RTR_CHECK(area == 0, "XC2VP7: area index out of range");
+    check_area(area);
     return fabric_.generation();
   }
 
@@ -243,6 +228,10 @@ class Platform32 {
   [[nodiscard]] std::string topology() const;
 
  private:
+  static void check_area(int area) {
+    RTR_CHECK(area == 0, "XC2VP7: area index out of range");
+  }
+
   PlatformOptions opts_;
   sim::Simulation sim_;
   std::unique_ptr<fault::FaultInjector> faults_;
@@ -299,8 +288,13 @@ class Platform64 {
   [[nodiscard]] icap::IcapController& icap_ctl() { return *icap_; }
   [[nodiscard]] cpu::InterruptController& intc() { return *intc_; }
   [[nodiscard]] dma::DmaEngine& dma() { return *dma_; }
-  [[nodiscard]] const fabric::DynamicRegion& region() const { return region_; }
-  [[nodiscard]] bitlinker::BitLinker& linker() { return *linker_; }
+  /// `area`'s region and its BitLinker (relocation targets differ per area).
+  [[nodiscard]] const fabric::DynamicRegion& region(int area = 0) const {
+    return at(area).region;
+  }
+  [[nodiscard]] bitlinker::BitLinker& linker(int area = 0) {
+    return at(area).linker;
+  }
   [[nodiscard]] const fabric::ConfigMemory& fabric_state() const { return fabric_; }
   /// See Platform32::faults.
   [[nodiscard]] fault::FaultInjector* faults() { return faults_.get(); }
@@ -320,9 +314,11 @@ class Platform64 {
     return kDockRange.base + dock::PlbDock::kFifoPop;
   }
 
-  ReconfigStats load_module(hw::BehaviorId id);
+  /// See Platform32::load_module. Links against `area`'s BitLinker and
+  /// loads through load_stream, so a successful load activates `area`.
+  ReconfigStats load_module(hw::BehaviorId id, int area = 0);
 
-  /// See Platform32::load_config.
+  /// See Platform32::load_config. Targets area 0.
   ReconfigStats load_config(const bitstream::PartialConfig& cfg);
 
   /// See Platform32::load_stream. `area` selects the dynamic area the
@@ -336,8 +332,7 @@ class Platform64 {
   /// generation: an external invalidation cannot be attributed to one area.
   void bump_fabric_generation() {
     fabric_.bump_generation();
-    for (std::uint64_t& g : area_gens_) g = ++area_gen_tick_;
-    fabric_gen_seen_ = fabric_.generation();
+    bump_all_area_gens();
   }
 
   /// Invalidate one area's generation tag. A failure during a load can
@@ -348,25 +343,24 @@ class Platform64 {
   /// generation still moves so complete-plan tags warmed before the
   /// failure are re-validated.
   void bump_area_generation(int area) {
-    RTR_CHECK(area >= 0 && area < area_count(),
-              "bump_area_generation: bad area");
+    Area& a = at(area);
     fabric_.bump_generation();
-    area_gens_[static_cast<std::size_t>(area)] = ++area_gen_tick_;
+    a.gen = ++area_gen_tick_;
     fabric_gen_seen_ = fabric_.generation();
   }
 
   // --- multi-area surface -------------------------------------------------
   // With opts.dynamic_areas == 2 the device hosts the primary region and
-  // the column-disjoint xc2vp30_region_b as independent dynamic areas,
-  // each with its own BitLinker (relocation targets differ per area),
-  // module slot and generation tag. One dock serves the device; loading or
-  // activating an area re-binds it. See docs/PLACEMENT.md.
+  // the column-disjoint xc2vp30_region_b as independent dynamic areas
+  // (section 4.1's "two separate dynamic areas"), each with its own
+  // BitLinker, module slot and generation tag. One dock serves the device;
+  // loading or activating an area re-binds it. See docs/PLACEMENT.md.
   [[nodiscard]] int area_count() const {
-    return 1 + static_cast<int>(extra_areas_.size());
+    return static_cast<int>(areas_.size());
   }
-  [[nodiscard]] const fabric::DynamicRegion& region(int area) const;
-  [[nodiscard]] bitlinker::BitLinker& linker(int area);
-  [[nodiscard]] hw::HwModule* area_module(int area);
+  [[nodiscard]] hw::HwModule* area_module(int area) {
+    return at(area).module.get();
+  }
   /// Area the dock is bound to; -1 right after a failed load (the dock
   /// unbinds before any fabric write and a failed load never re-binds).
   [[nodiscard]] int active_area() const { return active_area_; }
@@ -378,7 +372,10 @@ class Platform64 {
   /// cannot be attributed and conservatively moves every area). Cached
   /// differentials against this area validate against it; a missed
   /// staleness is still caught by the signature/payload gate.
-  [[nodiscard]] std::uint64_t area_generation(int area);
+  [[nodiscard]] std::uint64_t area_generation(int area) {
+    sync_area_gens();
+    return at(area).gen;
+  }
 
   /// Extension: DMA-driven reconfiguration. The scatter-gather engine
   /// streams the staged bitstream straight into the HWICAP data window
@@ -395,7 +392,7 @@ class Platform64 {
 
   void unload();
   [[nodiscard]] hw::HwModule* active_module() {
-    return active_area_ < 0 ? nullptr : slot(active_area_).get();
+    return active_area_ < 0 ? nullptr : area_module(active_area_);
   }
 
   void external_reset();
@@ -415,39 +412,49 @@ class Platform64 {
   std::unique_ptr<mem::MemorySlave> bram_;
   std::unique_ptr<mem::MemorySlave> ddr_;
   std::unique_ptr<Uart> uart_;
-  fabric::DynamicRegion region_;
   fabric::ConfigMemory fabric_;
   fabric::ConfigMemory baseline_;
   std::unique_ptr<icap::IcapController> icap_;
   std::unique_ptr<cpu::InterruptController> intc_;
   std::unique_ptr<dock::PlbDock> dock_;
   std::unique_ptr<dma::DmaEngine> dma_;
-  std::unique_ptr<bitlinker::BitLinker> linker_;
   hw::BehaviorRegistry registry_;
   std::unique_ptr<cpu::Ppc405> cpu_;
   std::unique_ptr<cpu::Kernel> kernel_;
-  std::unique_ptr<hw::HwModule> module_;
   sim::SimTime load_deadline_{};
   ResetBlock reset_block_;
   JtagPpc jtag_;
 
-  // Multi-area state. Area 0 lives in region_/linker_/module_ (so the
-  // single-area layout is untouched); areas 1.. in the extra_* vectors.
-  [[nodiscard]] std::unique_ptr<hw::HwModule>& slot(int area) {
-    return area == 0 ? module_
-                     : extra_modules_[static_cast<std::size_t>(area - 1)];
+  /// One dynamic area. The linker points at `region`, so areas_ is
+  /// reserved once and never reallocates.
+  struct Area {
+    Area(const fabric::DynamicRegion& r, const fabric::ConfigMemory& baseline);
+    fabric::DynamicRegion region;
+    bitlinker::BitLinker linker;
+    std::unique_ptr<hw::HwModule> module;
+    std::uint64_t gen = 0;  // see area_generation
+  };
+  [[nodiscard]] const Area& at(int area) const {
+    RTR_CHECK(area >= 0 && area < area_count(), "bad area index");
+    return areas_[static_cast<std::size_t>(area)];
+  }
+  [[nodiscard]] Area& at(int area) {
+    return const_cast<Area&>(std::as_const(*this).at(area));
+  }
+  void bump_all_area_gens() {
+    for (Area& a : areas_) a.gen = ++area_gen_tick_;
+    fabric_gen_seen_ = fabric_.generation();
   }
   /// Attribute fabric writes since the last load path to `area` (or to all
   /// areas when a fault plan may have corrupted frame addressing).
   void note_fabric_write(int area);
   /// Fold in writes that happened outside any load path: they cannot be
   /// attributed to one area, so every area's generation moves.
-  void sync_area_gens();
-  std::vector<fabric::DynamicRegion> extra_areas_;
-  std::vector<std::unique_ptr<bitlinker::BitLinker>> extra_linkers_;
-  std::vector<std::unique_ptr<hw::HwModule>> extra_modules_;
+  void sync_area_gens() {
+    if (fabric_.generation() != fabric_gen_seen_) bump_all_area_gens();
+  }
+  std::vector<Area> areas_;
   int active_area_ = 0;
-  std::vector<std::uint64_t> area_gens_;
   std::uint64_t area_gen_tick_ = 0;
   std::uint64_t fabric_gen_seen_ = 0;
 };

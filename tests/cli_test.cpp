@@ -37,9 +37,10 @@ TEST(Cli, TopologyListsTheSystem) {
   const auto r32 = run_cli("topology --system 32");
   EXPECT_EQ(r32.exit_code, 0);
   EXPECT_NE(r32.output.find("XC2VP7"), std::string::npos);
-  const auto rd = run_cli("topology --system dual");
+  const auto rd = run_cli("topology --system 64 --areas 2");
   EXPECT_EQ(rd.exit_code, 0);
-  EXPECT_NE(rd.output.find("dyn64b"), std::string::npos);
+  EXPECT_NE(rd.output.find("dynamic area (dyn64)"), std::string::npos);
+  EXPECT_NE(rd.output.find("dynamic area (dyn64b)"), std::string::npos);
 }
 
 TEST(Cli, ResourcesTablePrints) {
@@ -72,6 +73,11 @@ TEST(Cli, ReconfigReportsFitFailure) {
 TEST(Cli, BadFlagsRejected) {
   EXPECT_EQ(run_cli("run --system 99").exit_code, 2);
   EXPECT_EQ(run_cli("frobnicate").exit_code, 2);
+  const auto dual = run_cli("topology --system dual");
+  EXPECT_EQ(dual.exit_code, 2);
+  EXPECT_NE(dual.output.find("invalid value 'dual' for '--system'"),
+            std::string::npos)
+      << dual.output;
 }
 
 TEST(Cli, GarbageNumericArgsRejected) {
@@ -424,9 +430,12 @@ TEST(Cli, FleetMultiAreaIsByteIdenticalAcrossJobCounts) {
 }
 
 TEST(Cli, ServeAreasRejects32BitSystem) {
-  const auto r = run_cli("serve --workload mixed --system 32 --areas 2");
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.output.find("--system 64"), std::string::npos);
+  for (const char* args : {"serve --workload mixed --system 32 --areas 2",
+                           "topology --system 32 --areas 2"}) {
+    const auto r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args;
+    EXPECT_NE(r.output.find("--system 64"), std::string::npos) << args;
+  }
 }
 
 TEST(Cli, ChaosSmokeIsByteIdenticalAcrossJobCounts) {

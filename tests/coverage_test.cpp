@@ -1,7 +1,7 @@
 // Additional coverage: software kernels under the enabled D-cache (results
 // must stay golden-exact while timing changes), cache line fills through
-// the PLB-OPB bridge, BitLinker placement sweeps, and the dual platform's
-// structural reports.
+// the PLB-OPB bridge, BitLinker placement sweeps, and the structural
+// reports of the 64-bit system with two dynamic areas.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -11,7 +11,6 @@
 #include "apps/memio.hpp"
 #include "apps/sw_kernels.hpp"
 #include "rtr/platform.hpp"
-#include "rtr/platform_dual.hpp"
 #include "sim/random.hpp"
 
 namespace rtr {
@@ -149,27 +148,33 @@ TEST(Placement, OutOfRegionOffsetRejected) {
   EXPECT_FALSE(p.linker().link(job).ok());
 }
 
-// --- dual platform structure ----------------------------------------------------------
+// --- two-area platform structure -------------------------------------------------------
+
+Platform64 two_area_platform() {
+  PlatformOptions o;
+  o.dynamic_areas = 2;
+  return Platform64{o};
+}
 
 TEST(DualPlatform, TopologyListsBothRegions) {
-  Platform64Dual p;
-  const std::string topo = p.topology();
-  EXPECT_NE(topo.find("dyn64'"), std::string::npos);
-  EXPECT_NE(topo.find("dyn64b"), std::string::npos);
-  EXPECT_NE(topo.find("Dock A"), std::string::npos);
-  EXPECT_NE(topo.find("Dock B"), std::string::npos);
+  const std::string topo = two_area_platform().topology();
+  EXPECT_NE(topo.find("dynamic area (dyn64)"), std::string::npos) << topo;
+  EXPECT_NE(topo.find("dynamic area (dyn64b)"), std::string::npos) << topo;
+  // One dock serves both areas.
+  EXPECT_EQ(topo.find("PLB Dock"), topo.rfind("PLB Dock")) << topo;
 }
 
 TEST(DualPlatform, RegionsPlusStaticFitTheDevice) {
-  Platform64Dual p;
+  Platform64 p = two_area_platform();
   const auto total = p.region(0).resources() + p.region(1).resources();
   EXPECT_TRUE(total.fits_in(fabric::Device::xc2vp30().total_resources()));
   EXPECT_EQ(p.region(0).bram_blocks() + p.region(1).bram_blocks(), 32);
 }
 
 TEST(DualPlatform, InvalidRegionIndexAborts) {
-  Platform64Dual p;
-  EXPECT_DEATH((void)p.dock(2), "region index");
+  Platform64 p = two_area_platform();
+  EXPECT_DEATH((void)p.region(2), "bad area index");
+  EXPECT_DEATH((void)p.load_module(hw::kLoopback, 2), "bad area index");
 }
 
 // --- cross-domain timing property -------------------------------------------------------

@@ -9,7 +9,6 @@
 #include "bitstream/partial_config.hpp"
 #include "icap/icap.hpp"
 #include "rtr/platform.hpp"
-#include "rtr/platform_dual.hpp"
 #include "rtr/readback.hpp"
 #include "sim/random.hpp"
 
@@ -18,6 +17,13 @@ namespace {
 
 using bus::Addr;
 using sim::SimTime;
+
+/// Options for the XC2VP30 with both co-resident dynamic areas.
+PlatformOptions two_areas() {
+  PlatformOptions o;
+  o.dynamic_areas = 2;
+  return o;
+}
 
 // --- ICAP readback (unit level) ------------------------------------------------
 
@@ -252,9 +258,9 @@ TEST(OverlappedDma, BlendMatchesGoldenWithDoubleBuffering) {
 }
 
 TEST(PatternXl, RunsInRegion0OfTheDualPlatformWhileRegion1Serves) {
-  Platform64Dual p;
-  ASSERT_TRUE(p.load_module(0, hw::kPatternMatcherXl).ok);
-  ASSERT_TRUE(p.load_module(1, hw::kBrightness).ok);
+  Platform64 p{two_areas()};
+  ASSERT_TRUE(p.load_module(hw::kPatternMatcherXl, 0).ok);
+  ASSERT_TRUE(p.load_module(hw::kBrightness, 1).ok);
 
   const int w = 128, h = 64;
   sim::Rng rng{31};
@@ -262,8 +268,8 @@ TEST(PatternXl, RunsInRegion0OfTheDualPlatformWhileRegion1Serves) {
   for (auto& word : img.words) word = rng.next_u32();
   apps::Pattern8x8 pat;
   for (auto& row : pat) row = rng.next_u8();
-  const Addr img_at = Platform64Dual::kDdrRange.base + 0x10000;
-  const Addr pat_at = Platform64Dual::kDdrRange.base + 0x90000;
+  const Addr img_at = Platform64::kDdrRange.base + 0x10000;
+  const Addr pat_at = Platform64::kDdrRange.base + 0x90000;
   apps::store_bytes(p.cpu().plb(), img_at, apps::to_bytes(img));
   std::vector<std::uint8_t> pb(64);
   for (int i = 0; i < 64; ++i) {
@@ -271,18 +277,20 @@ TEST(PatternXl, RunsInRegion0OfTheDualPlatformWhileRegion1Serves) {
         (pat[static_cast<std::size_t>(i / 8)] >> (i % 8)) & 1;
   }
   apps::store_bytes(p.cpu().plb(), pat_at, pb);
+  p.activate_area(0);
   const auto got = apps::hw_pattern_match_pio(
-      p.kernel(), Platform64Dual::dock_data(0), img_at, w, h, pat_at);
+      p.kernel(), Platform64::dock_data(), img_at, w, h, pat_at);
   const auto want = apps::pattern_match(img, pat);
   EXPECT_EQ(got.best_count, want.best_count);
 
-  // Region 1 still serves image work concurrently.
+  // Region 1 still serves image work, without a reconfiguration.
   apps::GrayImage g = apps::GrayImage::make(32, 4);
   for (auto& px : g.pixels) px = rng.next_u8();
-  const Addr g_at = Platform64Dual::kDdrRange.base + 0xA0000;
-  const Addr o_at = Platform64Dual::kDdrRange.base + 0xB0000;
+  const Addr g_at = Platform64::kDdrRange.base + 0xA0000;
+  const Addr o_at = Platform64::kDdrRange.base + 0xB0000;
   apps::store_bytes(p.cpu().plb(), g_at, g.pixels);
-  apps::hw_brightness_pio(p.kernel(), Platform64Dual::dock_data(1), g_at, o_at,
+  p.activate_area(1);
+  apps::hw_brightness_pio(p.kernel(), Platform64::dock_data(), g_at, o_at,
                           static_cast<int>(g.size()), -40);
   EXPECT_EQ(apps::fetch_bytes(p.cpu().plb(), o_at, g.size()),
             apps::brightness(g, -40).pixels);
@@ -304,55 +312,61 @@ TEST(DualRegions, SecondRegionIsValidAndDisjoint) {
 }
 
 TEST(DualRegions, IndependentLoadAndOperation) {
-  Platform64Dual p;
-  ASSERT_TRUE(p.load_module(0, hw::kJenkinsHash).ok);
-  ASSERT_TRUE(p.load_module(1, hw::kBrightness).ok);
+  Platform64 p{two_areas()};
+  ASSERT_TRUE(p.load_module(hw::kJenkinsHash, 0).ok);
+  ASSERT_TRUE(p.load_module(hw::kBrightness, 1).ok);
   // Loading region 1 must not disturb region 0's configuration.
   EXPECT_EQ(p.region(0).scan_signature(p.fabric_state()), hw::kJenkinsHash);
   EXPECT_EQ(p.region(1).scan_signature(p.fabric_state()), hw::kBrightness);
 
-  // Both modules are live at the same time: no swap between tasks.
+  // Both modules stay resident: switching tasks re-binds the dock, it
+  // does not reconfigure.
   const auto key = std::vector<std::uint8_t>(128, 0x3C);
-  const Addr key_at = Platform64Dual::kDdrRange.base + 0x1000;
+  const Addr key_at = Platform64::kDdrRange.base + 0x1000;
   apps::store_bytes(p.cpu().plb(), key_at, key);
-  EXPECT_EQ(apps::hw_jenkins_pio(p.kernel(), Platform64Dual::dock_data(0),
-                                 key_at, 128),
+  p.activate_area(0);
+  EXPECT_EQ(apps::hw_jenkins_pio(p.kernel(), Platform64::dock_data(), key_at,
+                                 128),
             apps::jenkins_hash(key));
 
   apps::GrayImage img = apps::GrayImage::make(32, 4);
   sim::Rng rng{4};
   for (auto& px : img.pixels) px = rng.next_u8();
-  const Addr img_at = Platform64Dual::kDdrRange.base + 0x2000;
-  const Addr out_at = Platform64Dual::kDdrRange.base + 0x3000;
+  const Addr img_at = Platform64::kDdrRange.base + 0x2000;
+  const Addr out_at = Platform64::kDdrRange.base + 0x3000;
   apps::store_bytes(p.cpu().plb(), img_at, img.pixels);
-  apps::hw_brightness_pio(p.kernel(), Platform64Dual::dock_data(1), img_at,
-                          out_at, static_cast<int>(img.size()), 50);
+  p.activate_area(1);
+  apps::hw_brightness_pio(p.kernel(), Platform64::dock_data(), img_at, out_at,
+                          static_cast<int>(img.size()), 50);
   EXPECT_EQ(apps::fetch_bytes(p.cpu().plb(), out_at, img.size()),
             apps::brightness(img, 50).pixels);
 
   // And hashing still works after the image task: region 0 untouched.
-  EXPECT_EQ(apps::hw_jenkins_pio(p.kernel(), Platform64Dual::dock_data(0),
-                                 key_at, 128),
+  p.activate_area(0);
+  EXPECT_EQ(apps::hw_jenkins_pio(p.kernel(), Platform64::dock_data(), key_at,
+                                 128),
             apps::jenkins_hash(key));
+  EXPECT_EQ(p.region(0).scan_signature(p.fabric_state()), hw::kJenkinsHash);
 }
 
 TEST(DualRegions, ReloadingOneRegionKeepsTheOther) {
-  Platform64Dual p;
-  ASSERT_TRUE(p.load_module(0, hw::kFade).ok);
-  ASSERT_TRUE(p.load_module(1, hw::kLoopback).ok);
-  ASSERT_TRUE(p.load_module(0, hw::kBlendAdd).ok);  // swap region 0
+  Platform64 p{two_areas()};
+  ASSERT_TRUE(p.load_module(hw::kFade, 0).ok);
+  ASSERT_TRUE(p.load_module(hw::kLoopback, 1).ok);
+  ASSERT_TRUE(p.load_module(hw::kBlendAdd, 0).ok);  // swap region 0
   EXPECT_EQ(p.region(0).scan_signature(p.fabric_state()), hw::kBlendAdd);
   EXPECT_EQ(p.region(1).scan_signature(p.fabric_state()), hw::kLoopback);
-  p.cpu().store32(Platform64Dual::dock_data(1), 909);
-  EXPECT_EQ(p.cpu().load32(Platform64Dual::dock_data(1)), 909u);
+  p.activate_area(1);
+  p.cpu().store32(Platform64::dock_data(), 909);
+  EXPECT_EQ(p.cpu().load32(Platform64::dock_data()), 909u);
 }
 
 TEST(DualRegions, SmallRegionRejectsWideModules) {
-  Platform64Dual p;
-  const auto s = p.load_module(1, hw::kPatternMatcher);  // 10x22 > 24x12
+  Platform64 p{two_areas()};
+  const auto s = p.load_module(hw::kPatternMatcher, 1);  // 10x22 > 24x12
   EXPECT_FALSE(s.ok);
   EXPECT_NE(s.error.find("does not fit"), std::string::npos);
-  const auto s2 = p.load_module(1, hw::kSha1);
+  const auto s2 = p.load_module(hw::kSha1, 1);
   EXPECT_FALSE(s2.ok);
 }
 
@@ -361,9 +375,9 @@ TEST(DualRegions, FailedLoadIsAccountedLikeEveryOtherLoad) {
   // reconfig:failed instant, as the single-region platforms' loads do.
   trace::Tracer tr;
   tr.enable();
-  PlatformOptions opts;
+  PlatformOptions opts = two_areas();
   opts.tracer = &tr;
-  Platform64Dual p{opts};
+  Platform64 p{opts};
   fault::FaultSpec corrupt;  // flip bit 8 of staged word 3000: CRC error
   corrupt.site = fault::Site::kConfigStorage;
   corrupt.kind = fault::TriggerKind::kStuck;
@@ -375,10 +389,11 @@ TEST(DualRegions, FailedLoadIsAccountedLikeEveryOtherLoad) {
   fi.bind(p.sim());
   p.sim().attach_faults(fi);
 
-  const ReconfigStats s = p.load_module(1, hw::kBrightness);
+  const ReconfigStats s = p.load_module(hw::kBrightness, 1);
   ASSERT_FALSE(s.ok);
   EXPECT_NE(s.error.find("CRC"), std::string::npos) << s.error;
-  EXPECT_EQ(p.active_module(1), nullptr);
+  EXPECT_EQ(p.area_module(1), nullptr);
+  EXPECT_EQ(p.active_area(), -1);
   EXPECT_EQ(p.sim().stats().counters().at("reconfig.complete_bytes").value(),
             s.config_bytes);
   int spans = 0, failed = 0;
@@ -391,19 +406,23 @@ TEST(DualRegions, FailedLoadIsAccountedLikeEveryOtherLoad) {
 }
 
 TEST(DualRegions, AvoidsSwapReconfigurations) {
-  // Alternate two tasks: the dual platform pays 2 loads total, the single
-  // region pays one per switch.
-  Platform64Dual dual;
-  ASSERT_TRUE(dual.load_module(0, hw::kJenkinsHash).ok);
-  ASSERT_TRUE(dual.load_module(1, hw::kBrightness).ok);
+  // Alternate two tasks: two areas pay 2 loads total, the single region
+  // pays one per switch.
+  Platform64 dual{two_areas()};
+  ASSERT_TRUE(dual.load_module(hw::kJenkinsHash, 0).ok);
+  ASSERT_TRUE(dual.load_module(hw::kBrightness, 1).ok);
   const sim::SimTime after_loads = dual.kernel().now();
 
-  const auto key = std::vector<std::uint8_t>(256, 1);
-  const Addr key_at = Platform64Dual::kDdrRange.base + 0x1000;
-  apps::store_bytes(dual.cpu().plb(), key_at, key);
+  const auto data = std::vector<std::uint8_t>(256, 1);
+  const Addr in_at = Platform64::kDdrRange.base + 0x1000;
+  const Addr out_at = Platform64::kDdrRange.base + 0x2000;
+  apps::store_bytes(dual.cpu().plb(), in_at, data);
   for (int i = 0; i < 4; ++i) {
-    apps::hw_jenkins_pio(dual.kernel(), Platform64Dual::dock_data(0), key_at,
-                         256);
+    dual.activate_area(0);
+    apps::hw_jenkins_pio(dual.kernel(), Platform64::dock_data(), in_at, 256);
+    dual.activate_area(1);
+    apps::hw_brightness_pio(dual.kernel(), Platform64::dock_data(), in_at,
+                            out_at, 256, 10);
   }
   const sim::SimTime dual_task_time = dual.kernel().now() - after_loads;
 

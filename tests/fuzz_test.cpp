@@ -10,7 +10,6 @@
 #include "apps/sw_kernels.hpp"
 #include "hw/hash_units.hpp"
 #include "rtr/platform.hpp"
-#include "rtr/platform_dual.hpp"
 #include "rtr/readback.hpp"
 #include "sim/random.hpp"
 
@@ -167,27 +166,31 @@ TEST(Fuzz, RandomDmaBlocksRoundTrip) {
   }
 }
 
-TEST(Fuzz, DualRegionDmaThroughSecondDock) {
-  // DMA flows address dock B explicitly (the drivers default to dock A).
-  Platform64Dual p;
-  ASSERT_TRUE(p.load_module(1, hw::kLoopback).ok);
+TEST(Fuzz, DmaLoopbackServedFromSecondArea) {
+  // Area 1 hosts the loopback while area 0 keeps another module resident;
+  // a DMA chain reaches area 1 through the one dock once it is active.
+  PlatformOptions opts;
+  opts.dynamic_areas = 2;
+  Platform64 p{opts};
+  ASSERT_TRUE(p.load_module(hw::kLoopback, 1).ok);
+  ASSERT_TRUE(p.load_module(hw::kBrightness, 0).ok);
+  p.activate_area(1);
   sim::Rng rng{777};
   std::vector<std::uint8_t> data(256 * 8);
   for (auto& b : data) b = rng.next_u8();
   apps::store_bytes(p.cpu().plb(), kIn64, data);
 
   const dma::DmaDescriptor chain[2] = {
-      {kIn64, Platform64Dual::kDockBRange.base + dock::PlbDock::kStream,
-       data.size(), true, false},
-      {Platform64Dual::kDockBRange.base + dock::PlbDock::kFifoPop, kOut64,
-       data.size(), false, true},
+      {kIn64, Platform64::dock_stream(), data.size(), true, false},
+      {Platform64::dock_fifo(), kOut64, data.size(), false, true},
   };
   const SimTime done = p.dma().run_chain(chain, p.kernel().now());
-  p.dock(1).signal_done(done);
-  p.cpu().take_interrupt(p.intc().assertion_time(Platform64Dual::kDockBIrq));
-  p.intc().clear(Platform64Dual::kDockBIrq);
+  p.dock().signal_done(done);
+  p.cpu().take_interrupt(p.intc().assertion_time(Platform64::kDockIrq));
+  p.intc().clear(Platform64::kDockIrq);
   EXPECT_EQ(apps::fetch_bytes(p.cpu().plb(), kOut64, data.size()), data);
-  EXPECT_FALSE(p.dock(1).overflowed());
+  EXPECT_FALSE(p.dock().overflowed());
+  EXPECT_EQ(p.region(0).scan_signature(p.fabric_state()), hw::kBrightness);
 }
 
 TEST(Fuzz, MixedWidthStrobesAgreeWithGolden) {

@@ -1,6 +1,6 @@
 // rtrsim command-line front end.
 //
-//   rtrsim_cli topology  --system 32|64|dual
+//   rtrsim_cli topology  --system 32|64 [--areas N]
 //   rtrsim_cli resources --system 32|64
 //   rtrsim_cli run       --system 32|64 --task <name> [--bytes N] [--image WxH]
 //                        [--dma] [--cache]
@@ -82,7 +82,6 @@
 #include "report/table.hpp"
 #include "rtr/manager.hpp"
 #include "rtr/platform.hpp"
-#include "rtr/platform_dual.hpp"
 #include "rtr/readback.hpp"
 #include "serve/fleet/fleet.hpp"
 #include "serve/server.hpp"
@@ -107,7 +106,6 @@ struct Args {
   int img_h = 96;
   bool dma = false;
   bool cache = false;
-  bool dual = false;
   std::string trace_out;
   std::string trace_format = "chrome";
   std::string stats_out;
@@ -140,7 +138,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: rtrsim_cli <topology|resources|run|reconfig|sweep|"
                "faults|serve|fleet|chaos> "
-               "[--system 32|64|dual] [--task NAME] [--bytes N] "
+               "[--system 32|64] [--task NAME] [--bytes N] "
                "[--image WxH] [--dma] [--cache]\n"
                "       [--trace-out FILE] [--trace-format chrome|text]\n"
                "       [--stats-out FILE] [--stats-format json|csv]\n"
@@ -203,15 +201,9 @@ bool parse(int argc, char** argv, Args& a) {
     };
     if (opt == "--system") {
       const char* v = value();
-      if (!v) return bad(v);
-      if (std::string(v) == "dual") {
-        a.dual = true;
-        a.system = 64;
-      } else {
-        long long n = 0;
-        if (!parse_i64(v, &n) || (n != 32 && n != 64)) return bad(v);
-        a.system = static_cast<int>(n);
-      }
+      long long n = 0;
+      if (!parse_i64(v, &n) || (n != 32 && n != 64)) return bad(v);
+      a.system = static_cast<int>(n);
     } else if (opt == "--task") {
       const char* v = value();
       if (!v) return bad(v);
@@ -1398,15 +1390,22 @@ bool write_serve_bench(const Args& a, std::int64_t scenarios, int jobs,
   return j.save(a.bench_out);
 }
 
+/// --areas above 1 needs the XC2VP30. Says why and returns false when the
+/// requested system cannot host the areas.
+bool areas_fit_system(const Args& a) {
+  if (a.system == 32 && a.areas > 1) {
+    std::fprintf(stderr,
+                 "rtrsim_cli: --areas %d requires --system 64 (the XC2VP7 "
+                 "hosts a single dynamic area)\n",
+                 a.areas);
+    return false;
+  }
+  return true;
+}
+
 int serve_cmd(const Args& a) {
   if (!a.workload.empty()) {
-    if (a.system == 32 && a.areas > 1) {
-      std::fprintf(stderr,
-                   "rtrsim_cli: --areas %d requires --system 64 (the XC2VP7 "
-                   "hosts a single dynamic area)\n",
-                   a.areas);
-      return 2;
-    }
+    if (!areas_fit_system(a)) return 2;
     return a.system == 32 ? serve_single<Platform32>(a)
                           : serve_single<Platform64>(a);
   }
@@ -1926,12 +1925,13 @@ int main(int argc, char** argv) {
   if (!parse(argc, argv, a)) return usage();
 
   if (a.command == "topology") {
-    if (a.dual) {
-      std::printf("%s", Platform64Dual{}.topology().c_str());
-    } else if (a.system == 32) {
+    if (!areas_fit_system(a)) return 2;
+    if (a.system == 32) {
       std::printf("%s", Platform32{}.topology().c_str());
     } else {
-      std::printf("%s", Platform64{}.topology().c_str());
+      PlatformOptions opts;
+      opts.dynamic_areas = a.areas;
+      std::printf("%s", Platform64{opts}.topology().c_str());
     }
     return 0;
   }
