@@ -2,7 +2,7 @@
 // simulator itself executes its primitives. These guard against
 // performance regressions in the simulation substrate -- the table benches
 // above measure *simulated* time, this binary measures *host* time. CI
-// gates twelve of them against the baselines in BENCH_microbench.json
+// gates thirteen of them against the baselines in BENCH_microbench.json
 // (docs/PERFORMANCE.md "Recorded baselines" says how to re-record them).
 #include <benchmark/benchmark.h>
 
@@ -153,6 +153,24 @@ static void BM_PioBrightness(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * pixels / 4);
 }
 BENCHMARK(BM_PioBrightness);
+
+// One serving-size pattern-match request on the 64-bit system, hardware
+// path, through serve::exec_request: the seeded 64x48 input staged in
+// memory, the PIO driver streaming it through the resident matcher and
+// reading back 2,337 counts, and the golden model's check.
+static void BM_PatternMatchRequest(benchmark::State& state) {
+  Platform64 p;
+  bench::must_load(p, hw::kPatternMatcher);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    const serve::ExecResult r =
+        serve::exec_request(p, hw::kPatternMatcher, ++seed, /*hw=*/true);
+    if (!r.golden_ok) state.SkipWithError("pattern request failed golden");
+    benchmark::DoNotOptimize(r.digest);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PatternMatchRequest);
 
 // The payload-hash check every load runs before binding (and every
 // BitLinker link embeds), over the XC2VP30 region after one load.

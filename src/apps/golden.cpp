@@ -1,6 +1,7 @@
 #include "apps/golden.hpp"
 
-#include <bit>
+#include <algorithm>
+#include <cstring>
 
 #include "sim/check.hpp"
 
@@ -35,23 +36,55 @@ void BinaryImage::set(int r, int c, bool v) {
   }
 }
 
+namespace {
+
+/// Eight byte lanes of a 64-bit word.
+constexpr std::uint64_t kByteLanes = 0x0101010101010101ull;
+
+/// Per-byte population count of `x`: each byte of the result counts the
+/// set bits of the same byte of `x`.
+constexpr std::uint64_t popcount_bytes(std::uint64_t x) {
+  x = x - ((x >> 1) & (kByteLanes * 0x55));
+  x = (x & (kByteLanes * 0x33)) + ((x >> 2) & (kByteLanes * 0x33));
+  return (x + (x >> 4)) & (kByteLanes * 0x0F);
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> pattern_match_counts(const BinaryImage& img,
                                                const Pattern8x8& pat) {
-  std::vector<std::uint8_t> counts;
-  counts.reserve(static_cast<std::size_t>(img.height - 7) *
-                 static_cast<std::size_t>(img.width - 7));
-  for (int r = 0; r + 8 <= img.height; ++r) {
-    for (int c = 0; c + 8 <= img.width; ++c) {
-      int count = 0;
-      for (int pr = 0; pr < 8; ++pr) {
-        std::uint8_t window = 0;
-        for (int pc = 0; pc < 8; ++pc) {
-          window |= static_cast<std::uint8_t>(img.get(r + pr, c + pc) << pc);
-        }
-        count += std::popcount(
-            static_cast<std::uint8_t>(~(window ^ pat[static_cast<std::size_t>(pr)])));
+  const auto width = static_cast<std::size_t>(img.width);
+  const auto height = static_cast<std::size_t>(img.height);
+  const std::size_t cols = width - 7;
+  const auto wpr = static_cast<std::size_t>(img.words_per_row());
+  // Window bytes per image row, padded to whole groups of eight: byte c of
+  // row r holds bits c..c+7 of the row, LSB-first.
+  const std::size_t stride = (cols + 7) / 8 * 8;
+  std::vector<std::uint8_t> windows(height * stride, 0);
+  for (std::size_t r = 0; r < height; ++r) {
+    const std::uint32_t* row = img.words.data() + r * wpr;
+    std::uint8_t* win = windows.data() + r * stride;
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t w = c / 32;
+      const std::uint64_t next = w + 1 < wpr ? row[w + 1] : 0;
+      win[c] = static_cast<std::uint8_t>((row[w] | next << 32) >> (c % 32));
+    }
+  }
+
+  // Eight window positions per 64-bit word: byte k of `sum` accumulates
+  // position c + k's matches over the eight pattern rows (at most 64, so
+  // no byte carries into the next).
+  std::vector<std::uint8_t> counts((height - 7) * cols);
+  for (std::size_t r = 0; r + 8 <= height; ++r) {
+    std::uint8_t* out = counts.data() + r * cols;
+    for (std::size_t c = 0; c < cols; c += 8) {
+      std::uint64_t sum = 0;
+      for (std::size_t pr = 0; pr < 8; ++pr) {
+        std::uint64_t group = 0;
+        std::memcpy(&group, windows.data() + (r + pr) * stride + c, 8);
+        sum += popcount_bytes(~(group ^ (kByteLanes * pat[pr])));
       }
-      counts.push_back(static_cast<std::uint8_t>(count));
+      std::memcpy(out + c, &sum, std::min<std::size_t>(8, cols - c));
     }
   }
   return counts;
@@ -225,10 +258,15 @@ GrayImage GrayImage::make(int width, int height) {
   return img;
 }
 
+// The pixel loops run over local pointers: a store through out.pixels[i]
+// may alias the vectors' own data pointers, which keeps the loop scalar.
+
 GrayImage brightness(const GrayImage& in, int delta) {
   GrayImage out = GrayImage::make(in.width, in.height);
-  for (std::size_t i = 0; i < in.pixels.size(); ++i) {
-    out.pixels[i] = sat_add(in.pixels[i], delta);
+  const std::uint8_t* src = in.pixels.data();
+  std::uint8_t* dst = out.pixels.data();
+  for (std::size_t i = 0, n = in.pixels.size(); i < n; ++i) {
+    dst[i] = sat_add(src[i], delta);
   }
   return out;
 }
@@ -237,8 +275,11 @@ GrayImage blend_add(const GrayImage& a, const GrayImage& b) {
   RTR_CHECK(a.width == b.width && a.height == b.height,
             "blend of differently sized images");
   GrayImage out = GrayImage::make(a.width, a.height);
-  for (std::size_t i = 0; i < a.pixels.size(); ++i) {
-    out.pixels[i] = sat_add(a.pixels[i], b.pixels[i]);
+  const std::uint8_t* pa = a.pixels.data();
+  const std::uint8_t* pb = b.pixels.data();
+  std::uint8_t* dst = out.pixels.data();
+  for (std::size_t i = 0, n = a.pixels.size(); i < n; ++i) {
+    dst[i] = sat_add(pa[i], pb[i]);
   }
   return out;
 }
@@ -248,8 +289,11 @@ GrayImage fade(const GrayImage& a, const GrayImage& b, int f) {
             "fade of differently sized images");
   RTR_CHECK(f >= 0 && f <= 256, "fade factor out of range");
   GrayImage out = GrayImage::make(a.width, a.height);
-  for (std::size_t i = 0; i < a.pixels.size(); ++i) {
-    out.pixels[i] = fade_px(a.pixels[i], b.pixels[i], f);
+  const std::uint8_t* pa = a.pixels.data();
+  const std::uint8_t* pb = b.pixels.data();
+  std::uint8_t* dst = out.pixels.data();
+  for (std::size_t i = 0, n = a.pixels.size(); i < n; ++i) {
+    dst[i] = fade_px(pa[i], pb[i], f);
   }
   return out;
 }

@@ -3,13 +3,17 @@
 #include <algorithm>
 #include <string>
 
+#include "fault/fault.hpp"
+
 namespace rtr::cpu {
 
 using bus::AddressRange;
 using sim::SimTime;
 
 IterationStats::IterationStats(sim::StatRegistry& st,
-                               std::span<bus::Bus* const> buses) {
+                               std::span<bus::Bus* const> buses,
+                               fault::FaultInjector* faults)
+    : faults_(faults) {
   const auto count = [&](const std::string& name) {
     sim::Counter& c = st.counter(name);
     counters_.emplace_back(&c, c.value());
@@ -28,6 +32,10 @@ IterationStats::IterationStats(sim::StatRegistry& st,
   }
   count("cpu.loads");
   count("cpu.stores");
+  if (faults_ != nullptr) {
+    bus_opportunities_ = faults_->opportunities(fault::Site::kBus);
+    icap_opportunities_ = faults_->opportunities(fault::Site::kIcap);
+  }
 }
 
 void IterationStats::repeat(std::int64_t m) {
@@ -36,6 +44,15 @@ void IterationStats::repeat(std::int64_t m) {
     b->add(SimTime::zero(), (b->total() - before) * m);
   }
   for (auto& [h, before] : hists_) h->add_repeat(before, m);
+  if (faults_ != nullptr) {
+    // A loop iteration reaches two fault sites: every single-beat bus
+    // transaction and every ICAP data-register write.
+    for (const auto& [site, before] :
+         {std::pair{fault::Site::kBus, bus_opportunities_},
+          std::pair{fault::Site::kIcap, icap_opportunities_}}) {
+      faults_->count_quiet(site, m * (faults_->opportunities(site) - before));
+    }
+  }
 }
 
 PeriodicReplay::PeriodicReplay(Kernel& k, const PeriodicLoop& loop)
@@ -44,7 +61,8 @@ PeriodicReplay::PeriodicReplay(Kernel& k, const PeriodicLoop& loop)
   bus::Bus& plb = cpu.plb();
   sim::Simulation& sim = plb.simulation();
   if (loop.iterations < 4 || sim.tracer().enabled() ||
-      sim.faults() != nullptr || sim.logger().enabled(sim::LogLevel::kTrace)) {
+      sim.logger().enabled(sim::LogLevel::kTrace) ||
+      (sim.faults() != nullptr && sim.faults()->per_transaction_active())) {
     return;
   }
   const AddressRange& w = loop.writes;
@@ -76,13 +94,18 @@ bool PeriodicReplay::buses_free_at(SimTime t) const {
 // buses with no reservation left from before, ends a fixed time later at a
 // fixed phase, and its statistics depend on p only. When iteration 2
 // starts at iteration 1's phase with the buses again free, every later
-// iteration repeats iteration 1 shifted by k * step.
+// iteration repeats iteration 1 shifted by k * step. A fault plan with no
+// active spec at a per-transaction site changes nothing here: each bus or
+// ICAP opportunity only advances that site's index and counter, and no
+// spec becomes active again, so iteration k counts iteration 1's
+// opportunities.
 void PeriodicReplay::begin_template() {
   t1_ = k_->now();
   free_at_t1_ = buses_free_at(t1_);
   busy_at_t1_.clear();
   for (const bus::Bus* b : buses_) busy_at_t1_.push_back(b->busy_until());
-  stats_.emplace(k_->cpu().plb().simulation().stats(), buses_);
+  sim::Simulation& sim = k_->cpu().plb().simulation();
+  stats_.emplace(sim.stats(), buses_, sim.faults());
 }
 
 bool PeriodicReplay::end_template() {

@@ -22,6 +22,10 @@
 #include "cpu/kernel.hpp"
 #include "sim/stats.hpp"
 
+namespace rtr::fault {
+class FaultInjector;
+}  // namespace rtr::fault
+
 namespace rtr::cpu {
 
 /// One periodic loop: `iterations` repetitions of a body that reads memory
@@ -38,12 +42,14 @@ struct PeriodicLoop {
 /// The statistics one loop iteration advances, snapshotted so the closed
 /// form can apply m times their change: every bus's transactions, beats,
 /// busy time and latency histogram, the bridge's crossings and beat splits,
-/// and the CPU's loads and stores. The components register all of them at
+/// the CPU's loads and stores, and, under a quiet fault plan, the bus and
+/// ICAP fault opportunities. The components register all of them at
 /// construction. Device counters are not here: the bulk side still hands
 /// every data word to the device.
 class IterationStats {
  public:
-  IterationStats(sim::StatRegistry& st, std::span<bus::Bus* const> buses);
+  IterationStats(sim::StatRegistry& st, std::span<bus::Bus* const> buses,
+                 fault::FaultInjector* faults);
 
   /// Advance every series by `m` times its change since the snapshot.
   void repeat(std::int64_t m);
@@ -52,6 +58,9 @@ class IterationStats {
   std::vector<std::pair<sim::Counter*, std::int64_t>> counters_;
   std::vector<std::pair<sim::BusyTime*, sim::SimTime>> busy_;
   std::vector<std::pair<sim::Histogram*, sim::Histogram>> hists_;
+  fault::FaultInjector* faults_;
+  std::int64_t bus_opportunities_ = 0;
+  std::int64_t icap_opportunities_ = 0;
 };
 
 /// The closed-form half of run_periodic: the fallback checks, the snapshot
@@ -60,10 +69,14 @@ class PeriodicReplay {
  public:
   PeriodicReplay(Kernel& k, const PeriodicLoop& loop);
 
-  /// False when every iteration must run through the models: a tracer,
-  /// a fault plan or trace logging is active, the loop touches D-cacheable
-  /// memory or writes memory it reads, it has fewer than 4 iterations, or
-  /// the buses it can reach run on different clocks.
+  /// False when every iteration must run through the models: a tracer or
+  /// trace logging is on, a fault plan has an active spec at a
+  /// per-transaction site (bus, icap, dma or readback), the loop touches
+  /// D-cacheable memory or writes memory it reads, it has fewer than 4
+  /// iterations, or the buses it can reach run on different clocks. A plan
+  /// whose active specs act per dispatch or per load (fail_stop, brownout,
+  /// storage) keeps the closed form; the m-fold advance counts its bus and
+  /// ICAP opportunities.
   [[nodiscard]] bool allowed() const { return allowed_; }
   /// Snapshot before iteration 1.
   void begin_template();

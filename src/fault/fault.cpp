@@ -1,5 +1,6 @@
 #include "fault/fault.hpp"
 
+#include "sim/check.hpp"
 #include "sim/kernel.hpp"
 #include "sim/parse.hpp"
 
@@ -263,6 +264,34 @@ void FaultInjector::repair(Site s) {
 void FaultInjector::repair_all() {
   for (Armed& a : armed_) a.active = false;
   brownout_loads_left_ = 0;
+}
+
+bool FaultInjector::per_transaction_active() const {
+  for (const Armed& a : armed_) {
+    if (!a.active) continue;
+    switch (a.spec.site) {
+      case Site::kBus:
+      case Site::kIcap:
+      case Site::kDma:
+      case Site::kReadback:
+        return true;
+      case Site::kConfigStorage:
+      case Site::kFailStop:
+      case Site::kBrownout:
+        break;
+    }
+  }
+  return false;
+}
+
+void FaultInjector::count_quiet(Site s, std::int64_t n) {
+  for (const Armed& a : armed_) {
+    RTR_CHECK(!a.active || a.spec.site != s,
+              "quiet opportunities counted at a site with an active spec");
+  }
+  const int i = static_cast<int>(s);
+  opportunities_[i] += n;
+  if (opp_ctr_[i]) opp_ctr_[i]->add(n);
 }
 
 std::int64_t FaultInjector::injected_total() const {

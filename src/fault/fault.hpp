@@ -154,6 +154,15 @@ class FaultInjector {
   void repair(Site s);
   void repair_all();
 
+  /// True while a spec that has not fired for good or been repaired sits
+  /// at a per-transaction site (bus, icap, dma or readback). Without one,
+  /// an opportunity at those sites only advances its index.
+  [[nodiscard]] bool per_transaction_active() const;
+  /// Count `n` opportunities at `s` without firing: the closed-form CPU
+  /// loops' advance over the iterations they do not run one by one. Only
+  /// valid while no spec is active at `s`.
+  void count_quiet(Site s, std::int64_t n);
+
   [[nodiscard]] std::int64_t opportunities(Site s) const {
     return opportunities_[static_cast<int>(s)];
   }

@@ -1,6 +1,7 @@
 #include "hw/pattern_matcher.hpp"
 
-#include <bit>
+#include <algorithm>
+#include <cstring>
 
 namespace rtr::hw {
 
@@ -63,34 +64,65 @@ void PatternMatcherModule::accept32(std::uint32_t w) {
   }
 }
 
+namespace {
+
+constexpr std::uint64_t kLanes = 0x0101010101010101ull;
+
+/// Set bits of each byte lane of `x`, as one count per lane.
+constexpr std::uint64_t lane_popcount(std::uint64_t x) {
+  x -= (x >> 1) & (0x55 * kLanes);
+  x = (x & (0x33 * kLanes)) + ((x >> 2) & (0x33 * kLanes));
+  return (x + (x >> 4)) & (0x0F * kLanes);
+}
+
+std::uint64_t load8(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+}  // namespace
+
 void PatternMatcherModule::finish() {
   state_ = State::kDone;
   if (capacity_error_) return;
 
-  // The eight-stage pipeline: stage pr compares pattern row pr against the
-  // 8 thresholded image bits starting at (r+pr, c); the stage sums feed the
-  // final adder. Counts stream out in window scan order.
-  auto row_bits8 = [&](int r, int c) {
-    const std::size_t base = static_cast<std::size_t>(r) *
-                                 static_cast<std::size_t>(width_) +
-                             static_cast<std::size_t>(c);
-    std::uint8_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint8_t>(bits_[base + static_cast<std::size_t>(i)] << i);
+  // Each BRAM row shifts through an 8-bit register: after pixel c + 7 it
+  // holds the row's window at column c (bit i = pixel c + i). Windows sit
+  // at their column in a row-strided buffer; a row's last 7 bytes hold no
+  // window, and the count lanes they feed below are never stored.
+  const auto w = static_cast<std::size_t>(width_);
+  const auto h = static_cast<std::size_t>(height_);
+  const std::size_t cols = w - 7;
+  windows_.resize(w * h);
+  for (std::size_t base = 0; base < w * h; base += w) {
+    unsigned v = 0;
+    for (std::size_t c = 0; c < w; ++c) {
+      v = (v >> 1) | static_cast<unsigned>(bits_[base + c]) << 7;
+      if (c >= 7) windows_[base + c - 7] = static_cast<std::uint8_t>(v);
     }
-    return v;
-  };
+  }
 
-  counts_.reserve(static_cast<std::size_t>(height_ - 7) *
-                  static_cast<std::size_t>(width_ - 7));
-  for (int r = 0; r + 8 <= height_; ++r) {
-    for (int c = 0; c + 8 <= width_; ++c) {
-      int count = 0;
-      for (int pr = 0; pr < 8; ++pr) {
-        count += std::popcount(static_cast<std::uint8_t>(
-            ~(row_bits8(r + pr, c) ^ pattern_[pr])));
+  // The eight-stage pipeline, eight window positions per 64-bit word:
+  // stage pr counts the pixels of pattern row pr matched by window row
+  // r + pr. A lane's stage count is at most 8 and its sum at most 64, so no
+  // carry crosses a lane. Counts stream out in window scan order.
+  std::uint64_t pattern[8] = {};
+  for (int pr = 0; pr < 8; ++pr) pattern[pr] = pattern_[pr] * kLanes;
+  counts_.resize((h - 7) * cols);
+  std::uint8_t* out = counts_.data();
+  for (std::size_t r = 0; r + 8 <= h; ++r) {
+    const std::uint8_t* row = windows_.data() + r * w;
+    for (std::size_t c = 0; c < cols; c += 8) {
+      std::uint64_t sum = 0;
+      for (std::size_t pr = 0; pr < 8; ++pr) {
+        sum += lane_popcount(~(load8(row + pr * w + c) ^ pattern[pr]));
       }
-      counts_.push_back(static_cast<std::uint8_t>(count));
+      // Lane k is byte k of `sum` in memory, as of each load. The last
+      // group of a row may hold fewer than eight positions.
+      const std::size_t n = std::min<std::size_t>(8, cols - c);
+      std::memcpy(out, &sum, n);
+      out += n;
     }
   }
 }

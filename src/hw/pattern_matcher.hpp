@@ -77,6 +77,7 @@ class PatternMatcherModule : public HwModule {
   std::size_t pixels_expected_ = 0;
   std::size_t pixels_received_ = 0;
   std::vector<std::uint8_t> bits_;  // thresholded pixels (model of the BRAM)
+  std::vector<std::uint8_t> windows_;  // each row's 8-bit window per column
   std::uint8_t pattern_[8] = {};
   std::vector<std::uint8_t> counts_;
   std::size_t read_index_ = 0;

@@ -78,11 +78,14 @@ bool exec_image_batch(Platform& p, hw::BehaviorId id,
       const bus::Addr off = static_cast<bus::Addr>(m) * detail::kBatchStride;
       sim::Rng rng{members[m].input_seed};
       apps::GrayImage ia = apps::GrayImage::make(tp.img_w, tp.img_h);
-      apps::GrayImage ib = apps::GrayImage::make(tp.img_w, tp.img_h);
       for (auto& px : ia.pixels) px = rng.next_u8();
-      for (auto& px : ib.pixels) px = rng.next_u8();
       apps::store_bytes(p.cpu().plb(), S::in + off, ia.pixels);
-      apps::store_bytes(p.cpu().plb(), S::in_b + off, ib.pixels);
+      apps::GrayImage ib;  // the last draw; brightness has one source
+      if (two_source) {
+        ib = apps::GrayImage::make(tp.img_w, tp.img_h);
+        for (auto& px : ib.pixels) px = rng.next_u8();
+        apps::store_bytes(p.cpu().plb(), S::in_b + off, ib.pixels);
+      }
       if (id == hw::kBrightness) {
         want[m] = apps::brightness(ia, 60).pixels;
       } else if (id == hw::kBlendAdd) {

@@ -135,11 +135,16 @@ ExecResult exec_request(Platform& p, hw::BehaviorId id, std::uint64_t input_seed
     case hw::kFade: {
       const int n = tp.img_w * tp.img_h;
       apps::GrayImage ia = apps::GrayImage::make(tp.img_w, tp.img_h);
-      apps::GrayImage ib = apps::GrayImage::make(tp.img_w, tp.img_h);
       for (auto& px : ia.pixels) px = rng.next_u8();
-      for (auto& px : ib.pixels) px = rng.next_u8();
       apps::store_bytes(p.cpu().plb(), S::in, ia.pixels);
-      apps::store_bytes(p.cpu().plb(), S::in_b, ib.pixels);
+      // The second source is the request's last draw, so brightness, which
+      // never reads it, skips it.
+      apps::GrayImage ib;
+      if (id != hw::kBrightness) {
+        ib = apps::GrayImage::make(tp.img_w, tp.img_h);
+        for (auto& px : ib.pixels) px = rng.next_u8();
+        apps::store_bytes(p.cpu().plb(), S::in_b, ib.pixels);
+      }
       std::vector<std::uint8_t> want;
       if (id == hw::kBrightness) {
         want = apps::brightness(ia, 60).pixels;

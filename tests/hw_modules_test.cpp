@@ -3,7 +3,10 @@
 // and 64-bit connection protocols.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/golden.hpp"
@@ -111,6 +114,115 @@ TEST(PatternMatcherHw, RejectsNonMultipleOf4Width) {
   PatternMatcherModule m{bram_bits(6)};
   m.write_word((30u << 16) | 16u, 32);
   EXPECT_TRUE(m.capacity_error());
+}
+
+// --- both pattern implementations against a per-bit oracle ---------------------
+
+/// Every window rebuilt from single pixels, one count per position: an
+/// oracle for the golden model's and the module's word-parallel counts.
+std::vector<std::uint8_t> per_bit_counts(const BinaryImage& img,
+                                         const Pattern8x8& pat) {
+  std::vector<std::uint8_t> counts;
+  for (int r = 0; r + 8 <= img.height; ++r) {
+    for (int c = 0; c + 8 <= img.width; ++c) {
+      int count = 0;
+      for (int pr = 0; pr < 8; ++pr) {
+        std::uint8_t window = 0;
+        for (int pc = 0; pc < 8; ++pc) {
+          window |= static_cast<std::uint8_t>(img.get(r + pr, c + pc) << pc);
+        }
+        count += std::popcount(static_cast<std::uint8_t>(
+            ~(window ^ pat[static_cast<std::size_t>(pr)])));
+      }
+      counts.push_back(static_cast<std::uint8_t>(count));
+    }
+  }
+  return counts;
+}
+
+enum class Fill { kRandom, kZero, kOne };
+
+/// A `w` x `h` image and a pattern, each seeded or all zero or all one.
+/// Random images also set the bits past the width in each row's last word.
+std::pair<BinaryImage, Pattern8x8> pattern_case(int w, int h, Fill image,
+                                                Fill pattern, sim::Rng& rng) {
+  BinaryImage img = BinaryImage::make(w, h);
+  for (auto& word : img.words) {
+    word = image == Fill::kRandom ? rng.next_u32()
+           : image == Fill::kOne  ? ~0u
+                                  : 0u;
+  }
+  Pattern8x8 pat;
+  for (auto& row : pat) {
+    row = pattern == Fill::kRandom ? rng.next_u8()
+          : pattern == Fill::kOne  ? std::uint8_t{0xFF}
+                                   : std::uint8_t{0};
+  }
+  return {std::move(img), pat};
+}
+
+/// The golden model's counts, and the module's streamed counts where its
+/// protocol takes the width (a multiple of 4), equal the oracle's.
+void expect_oracle_counts(const BinaryImage& img, const Pattern8x8& pat) {
+  SCOPED_TRACE(std::to_string(img.width) + "x" + std::to_string(img.height));
+  const std::vector<std::uint8_t> want = per_bit_counts(img, pat);
+  EXPECT_EQ(apps::pattern_match_counts(img, pat), want) << "golden";
+  if (img.width % 4 != 0) return;
+  for (const int strobe : {32, 64}) {
+    PatternMatcherModule m{bram_bits(6)};
+    stream_words(m, pattern_stream(img, pat), strobe);
+    ASSERT_EQ(m.result_count(), static_cast<std::int64_t>(want.size()));
+    std::vector<std::uint8_t> got(want.size());
+    for (auto& c : got) c = static_cast<std::uint8_t>(m.read_word(32));
+    EXPECT_EQ(got, want) << "module, " << strobe << "-bit strobes";
+    EXPECT_EQ(m.read_word(32), 0xFFFFFFFFu);
+  }
+}
+
+TEST(PatternOracle, RowEdgesAndWordBoundariesMatch) {
+  // Width 8 (one position per row); widths around each multiple of 8,
+  // where a row's last group of positions is partial; widths past 64,
+  // where golden rows span three or more words; height 8.
+  sim::Rng rng{7};
+  for (const int w : {8, 9, 12, 13, 15, 16, 17, 20, 23, 24, 25, 31, 32, 33,
+                      36, 63, 64, 65, 68, 95, 96, 97, 100, 129, 132, 307}) {
+    for (const int h : {8, 9, 15}) {
+      const auto [img, pat] = pattern_case(w, h, Fill::kRandom, Fill::kRandom, rng);
+      expect_oracle_counts(img, pat);
+    }
+  }
+}
+
+TEST(PatternOracle, AllZeroAndAllOneImagesAndPatternsMatch) {
+  sim::Rng rng{11};
+  for (const int w : {8, 12, 20, 33, 68, 97}) {
+    for (const Fill image : {Fill::kZero, Fill::kOne, Fill::kRandom}) {
+      for (const Fill pattern : {Fill::kZero, Fill::kOne, Fill::kRandom}) {
+        const auto [img, pat] = pattern_case(w, 10, image, pattern, rng);
+        expect_oracle_counts(img, pat);
+      }
+    }
+  }
+}
+
+TEST(PatternOracle, TableSizesMatch) {
+  // The geometries Tables 3 and 9 run; 64x48 is also the serving size.
+  sim::Rng rng{3};
+  for (const auto& [w, h] :
+       {std::pair{64, 48}, {128, 96}, {128, 128}, {256, 128}}) {
+    const auto [img, pat] = pattern_case(w, h, Fill::kRandom, Fill::kRandom, rng);
+    expect_oracle_counts(img, pat);
+  }
+}
+
+TEST(PatternOracle, SeededGeometriesMatch) {
+  sim::Rng rng{2024};
+  for (int trial = 0; trial < 300; ++trial) {
+    const int w = 8 + static_cast<int>(rng.below(300));
+    const int h = 8 + static_cast<int>(rng.below(16));
+    const auto [img, pat] = pattern_case(w, h, Fill::kRandom, Fill::kRandom, rng);
+    expect_oracle_counts(img, pat);
+  }
 }
 
 TEST(PatternMatcherHw, ResetClearsResult) {

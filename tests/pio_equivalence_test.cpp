@@ -18,6 +18,7 @@
 
 #include "apps/drivers.hpp"
 #include "cpu/periodic_loop.hpp"
+#include "fault/fault.hpp"
 #include "rtr/plan_cache.hpp"
 #include "rtr/platform.hpp"
 #include "sim/random.hpp"
@@ -44,6 +45,8 @@ struct Setup {
   bool dcache = false;
   bool unbound = false;   // no circuit bound to the dock
   SimTime reserved{};     // both buses busy this long past the start
+  std::vector<std::string> faults{};  // fault specs armed from construction
+  bool repair_bus = false;  // repair the bus specs before the driver runs
 };
 
 /// The state both paths must leave behind.
@@ -54,6 +57,8 @@ struct Outcome {
   SimTime plb_busy_until;
   SimTime opb_busy_until;
   std::vector<std::uint8_t> written;
+  std::int64_t bus_opportunities_at_start = 0;  // with a fault plan armed
+  SimTime first_fault;  // the first injection, if any
 };
 
 void expect_same(const Outcome& ref, const Outcome& got) {
@@ -63,6 +68,25 @@ void expect_same(const Outcome& ref, const Outcome& got) {
   EXPECT_EQ(got.plb_busy_until, ref.plb_busy_until);
   EXPECT_EQ(got.opb_busy_until, ref.opb_busy_until);
   EXPECT_TRUE(got.written == ref.written) << "written memory differs";
+  EXPECT_EQ(got.first_fault, ref.first_fault);
+}
+
+fault::FaultPlan plan_of(const std::vector<std::string>& specs) {
+  fault::FaultPlan plan;
+  for (const std::string& text : specs) {
+    fault::FaultSpec spec;
+    EXPECT_TRUE(fault::FaultSpec::parse(text, &spec)) << text;
+    plan.add(spec);
+  }
+  return plan;
+}
+
+/// Plans that act on no single transaction: whole-device specs, and a bus
+/// spec repaired before the driver runs.
+std::vector<Setup> quiet_plans() {
+  return {{.faults = {"fail_stop:once@0:1"}},
+          {.faults = {"brownout:every@1:3"}},
+          {.faults = {"bus:stuck@4000000000:5"}, .repair_bus = true}};
 }
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
@@ -191,8 +215,11 @@ class Layout {
   /// (`traced`) or in closed form where the runner allows it.
   Outcome run(const Case& c, bool traced, const Setup& setup = {}) {
     trace::Tracer tr;
-    P p{options(areas_, setup.dcache, &tr)};
+    PlatformOptions opts = options(areas_, setup.dcache, &tr);
+    opts.fault_plan = plan_of(setup.faults);
+    P p{opts};
     if (!setup.unbound) load(p, c.module);
+    if (setup.repair_bus) p.faults()->repair(fault::Site::kBus);
     sim::Rng rng{c.in_bytes + 1};
     std::vector<std::uint8_t> input(c.in_bytes);
     for (auto& b : input) b = rng.next_u8();
@@ -205,7 +232,11 @@ class Layout {
     }
     tr.enable(traced);
     Outcome o;
+    if (p.faults() != nullptr) {
+      o.bus_opportunities_at_start = p.faults()->opportunities(fault::Site::kBus);
+    }
     o.result = c.run(p.kernel());
+    if (p.faults() != nullptr) o.first_fault = p.faults()->first_injection();
     o.now = p.kernel().now();
     std::ostringstream os;
     p.sim().stats().export_json(os);
@@ -330,6 +361,73 @@ TEST(PioEquivalence, DcacheCasesMatch) {
   }
   for (const Case& c : serving_cases<Platform64>()) {
     l64.expect_equivalent(c, {.dcache = true});
+  }
+}
+
+TEST(PioEquivalence, QuietFaultPlansMatch) {
+  // Whole-device specs and a repaired bus spec keep the closed form; the
+  // bulk side's iterations still count their bus and ICAP opportunities
+  // (fault.opportunities.* in the stats export).
+  Layout<Platform32> l32(1, 0);
+  Layout<Platform64> l64(1, 0);
+  for (const auto& setup : quiet_plans()) {
+    SCOPED_TRACE(setup.faults.front());
+    for (const Case& c : serving_cases<Platform32>()) {
+      l32.expect_equivalent(c, setup);
+    }
+    for (const Case& c : serving_cases<Platform64>()) {
+      l64.expect_equivalent(c, setup);
+    }
+  }
+}
+
+template <typename P>
+void bus_fault_inside_the_loop() {
+  // bus:once@N with N inside the driver's loop: the loop runs every
+  // iteration through the models and the fault fires at the transaction
+  // it fires at in the reference.
+  Layout<P> layout(1, 0);
+  for (const Case& c : serving_cases<P>()) {
+    SCOPED_TRACE(c.name);
+    const Outcome quiet =
+        layout.run(c, /*traced=*/false, {.faults = {"fail_stop:once@0:1"}});
+    const std::int64_t n = quiet.bus_opportunities_at_start + 301;
+    const Setup setup{.faults = {"bus:once@" + std::to_string(n) + ":9"}};
+    const Outcome ref = layout.run(c, /*traced=*/true, setup);
+    const Outcome got = layout.run(c, /*traced=*/false, setup);
+    expect_same(ref, got);
+    EXPECT_EQ(ref.bus_opportunities_at_start, quiet.bus_opportunities_at_start);
+    EXPECT_NE(ref.stats.find("\"fault.injected.bus\": 1"), std::string::npos);
+    EXPECT_GT(ref.first_fault, SimTime{});
+  }
+}
+
+TEST(PioEquivalence, BusFaultInsideTheLoopMatchesTheReference) {
+  bus_fault_inside_the_loop<Platform32>();
+  bus_fault_inside_the_loop<Platform64>();
+}
+
+TEST(PioEquivalence, ClosedFormEngagesOnlyUnderQuietPlans) {
+  const bus::AddressRange src{Platform64::kConfigStaging, 40};
+  const auto allowed = [&](const std::vector<std::string>& specs,
+                           bool repair_bus) {
+    PlatformOptions opts;
+    opts.fault_plan = plan_of(specs);
+    Platform64 p{opts};
+    if (repair_bus) p.faults()->repair(fault::Site::kBus);
+    return cpu::PeriodicReplay(p.kernel(), {.iterations = 10, .reads = {src}})
+        .allowed();
+  };
+  EXPECT_TRUE(allowed({}, false));
+  EXPECT_TRUE(allowed({"fail_stop:once@0:1"}, false));
+  EXPECT_TRUE(allowed({"brownout:every@1:3"}, false));
+  EXPECT_TRUE(allowed({"storage:once@0:1"}, false));
+  EXPECT_TRUE(allowed({"bus:stuck@5:1", "fail_stop:stuck@0:1"}, true));
+  for (const char* site : {"bus", "icap", "dma", "readback"}) {
+    SCOPED_TRACE(site);
+    EXPECT_FALSE(allowed({std::string(site) + ":every@1000:1"}, false));
+    EXPECT_FALSE(allowed(
+        {"fail_stop:once@0:1", std::string(site) + ":once@1000000:1"}, false));
   }
 }
 

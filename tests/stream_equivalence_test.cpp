@@ -13,6 +13,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "rtr/plan_cache.hpp"
 #include "rtr/platform.hpp"
 
@@ -43,6 +44,15 @@ struct Outcome {
   bool synced = false;
   bool error = false;
   bool done = false;
+  std::int64_t bus_opportunities_at_start = 0;  // with a fault plan armed
+  SimTime first_fault;  // the first injection, if any
+};
+
+/// A fault plan armed from construction; with `repair_bus`, its bus specs
+/// are repaired before the stream starts.
+struct Faults {
+  std::vector<std::string> specs;
+  bool repair_bus = false;
 };
 
 void expect_same(const Outcome& ref, const Outcome& got) {
@@ -57,6 +67,7 @@ void expect_same(const Outcome& ref, const Outcome& got) {
   EXPECT_EQ(got.synced, ref.synced);
   EXPECT_EQ(got.error, ref.error);
   EXPECT_EQ(got.done, ref.done);
+  EXPECT_EQ(got.first_fault, ref.first_fault);
 }
 
 /// One device layout under test: `areas` dynamic areas, streaming into
@@ -93,8 +104,14 @@ class Streams {
   Outcome run(const PlanCache::Plan& resident,
               const std::vector<std::uint32_t>& words, SimTime deadline,
               Path path, trace::Tracer* tracer = nullptr,
-              SimTime reserved = {}) {
-    P p{options(areas_, tracer)};
+              SimTime reserved = {}, const Faults& faults = {}) {
+    PlatformOptions opts = options(areas_, tracer);
+    for (const std::string& text : faults.specs) {
+      fault::FaultSpec spec;
+      EXPECT_TRUE(fault::FaultSpec::parse(text, &spec)) << text;
+      opts.fault_plan.add(spec);
+    }
+    P p{opts};
     prepare(p, resident, words);
     if (reserved.ps() > 0) {
       p.cpu().plb().set_busy_until(p.kernel().now() + reserved);
@@ -102,6 +119,10 @@ class Streams {
     }
     const Addr icap_base = p.icap_ctl().range().base;
     Outcome o;
+    if (fault::FaultInjector* fi = p.faults()) {
+      if (faults.repair_bus) fi->repair(fault::Site::kBus);
+      o.bus_opportunities_at_start = fi->opportunities(fault::Site::kBus);
+    }
     o.streamed =
         path == Path::kPerWord
             ? detail::icap_load_loop(
@@ -122,6 +143,7 @@ class Streams {
     o.synced = p.icap_ctl().synced();
     o.error = p.icap_ctl().error();
     o.done = p.icap_ctl().done();
+    if (p.faults() != nullptr) o.first_fault = p.faults()->first_injection();
     return o;
   }
 
@@ -295,6 +317,57 @@ TEST(StreamEquivalence, ReservedBusesAtTheStartMatch) {
         s.run(*resident, plan->words, SimTime{}, Path::kPerWord, nullptr, r),
         s.run(*resident, plan->words, SimTime{}, Path::kBulk, nullptr, r));
   }
+}
+
+TEST(StreamEquivalence, QuietFaultPlansMatch) {
+  // Whole-device specs and a repaired bus spec keep the closed form; the
+  // bulk words still count their bus and ICAP opportunities
+  // (fault.opportunities.* in the stats export).
+  const std::vector<Faults> plans = {
+      {{"fail_stop:once@0:1"}},
+      {{"brownout:every@1:3"}},
+      {{"bus:stuck@4000000000:5"}, /*repair_bus=*/true}};
+  Streams<Platform32> s32(1, 0);
+  Streams<Platform64> s64(1, 0);
+  for (const Faults& f : plans) {
+    SCOPED_TRACE(f.specs.front());
+    for (const bool differential : {false, true}) {
+      SCOPED_TRACE(differential);
+      const auto pair = [&](auto& s) {
+        const PlanCache::Plan* resident = s.complete(hw::kBrightness);
+        const PlanCache::Plan* plan =
+            differential ? s.differential(hw::kBrightness, hw::kFade)
+                         : s.complete(hw::kFade);
+        ASSERT_NE(plan, nullptr);
+        expect_same(s.run(*resident, plan->words, SimTime{}, Path::kPerWord,
+                          nullptr, {}, f),
+                    s.run(*resident, plan->words, SimTime{}, Path::kBulk,
+                          nullptr, {}, f));
+      };
+      pair(s32);
+      pair(s64);
+    }
+  }
+}
+
+TEST(StreamEquivalence, BusFaultInsideTheStreamMatchesTheReference) {
+  // bus:once@N with N inside the stream: the bulk path streams every word
+  // through the models and the fault fires at the reference's transaction.
+  Streams<Platform64> s(1, 0);
+  const PlanCache::Plan* resident = s.complete(hw::kBrightness);
+  const PlanCache::Plan* plan = s.complete(hw::kFade);
+  ASSERT_NE(plan, nullptr);
+  const Outcome quiet = s.run(*resident, plan->words, SimTime{}, Path::kBulk,
+                              nullptr, {}, {{"fail_stop:once@0:1"}});
+  const std::int64_t n = quiet.bus_opportunities_at_start + 301;
+  const Faults f{{"bus:once@" + std::to_string(n) + ":9"}};
+  const Outcome ref =
+      s.run(*resident, plan->words, SimTime{}, Path::kPerWord, nullptr, {}, f);
+  expect_same(ref, s.run(*resident, plan->words, SimTime{}, Path::kBulk,
+                         nullptr, {}, f));
+  EXPECT_EQ(ref.bus_opportunities_at_start, quiet.bus_opportunities_at_start);
+  EXPECT_NE(ref.stats.find("\"fault.injected.bus\": 1"), std::string::npos);
+  EXPECT_GT(ref.first_fault, SimTime{});
 }
 
 TEST(StreamEquivalence, TracedRunsAgreeWithUntraced) {
