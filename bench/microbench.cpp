@@ -2,7 +2,7 @@
 // simulator itself executes its primitives. These guard against
 // performance regressions in the simulation substrate -- the table benches
 // above measure *simulated* time, this binary measures *host* time. CI
-// gates thirteen of them against the baselines in BENCH_microbench.json
+// gates fourteen of them against the baselines in BENCH_microbench.json
 // (docs/PERFORMANCE.md "Recorded baselines" says how to re-record them).
 #include <benchmark/benchmark.h>
 
@@ -171,6 +171,23 @@ static void BM_PatternMatchRequest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PatternMatchRequest);
+
+// One serving-size SHA-1 request on the 32-bit system, software path,
+// through serve::exec_request: the seeded 1 KiB message staged in memory,
+// apps::sw_sha1 on the CPU (SHA-1 cannot be placed on the XC2VP7), and the
+// golden model's check. degraded_32's hot operation.
+static void BM_Sha1SoftwareRequest(benchmark::State& state) {
+  Platform32 p;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    const serve::ExecResult r =
+        serve::exec_request(p, hw::kSha1, ++seed, /*hw=*/false);
+    if (!r.golden_ok) state.SkipWithError("software SHA-1 failed golden");
+    benchmark::DoNotOptimize(r.digest);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Sha1SoftwareRequest);
 
 // The payload-hash check every load runs before binding (and every
 // BitLinker link embeds), over the XC2VP30 region after one load.

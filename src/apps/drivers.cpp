@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "apps/memio.hpp"
 #include "cpu/periodic_loop.hpp"
 #include "dma/dma.hpp"
 #include "sim/check.hpp"
@@ -21,28 +22,8 @@ constexpr Addr ctrl_of(Addr dock_data) { return (dock_data & ~0x3Full) + 0x20; }
 constexpr Addr word_at(Addr base, std::int64_t i) {
   return base + static_cast<Addr>(i) * 4;
 }
-constexpr bus::AddressRange bytes_at(Addr base, std::int64_t n) {
-  return {base, static_cast<std::uint64_t>(n)};
-}
 constexpr bus::AddressRange words_at(Addr base, std::int64_t n) {
   return bytes_at(base, n * 4);
-}
-
-/// Little-endian halfword and word j of a memory block, as lhz and lw
-/// read them.
-std::uint32_t le16(std::span<const std::uint8_t> b, std::int64_t j) {
-  const std::uint8_t* p = b.data() + 2 * j;
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8;
-}
-std::uint32_t le32(std::span<const std::uint8_t> b, std::int64_t j) {
-  return le16(b, 2 * j) | le16(b, 2 * j + 1) << 16;
-}
-void put_le32(std::span<std::uint8_t> b, std::int64_t j, std::uint32_t v) {
-  for (int k = 0; k < 4; ++k) {
-    b[static_cast<std::size_t>(4 * j + k)] =
-        static_cast<std::uint8_t>(v >> (8 * k));
-  }
 }
 
 /// The bulk side of a PIO loop (cpu::run_periodic): memory moves through
@@ -391,14 +372,32 @@ SimTime dma_prepare_interleave(Kernel& k, Addr a, Addr b, Addr staging,
   // DMA transfer mode".
   const SimTime t0 = k.now();
   const int beats = n / 4;  // one beat per 4 output pixels
-  for (int i = 0; i < beats; ++i) {
-    const std::uint32_t va = k.lw(a + static_cast<Addr>(i) * 4);
-    const std::uint32_t vb = k.lw(b + static_cast<Addr>(i) * 4);
-    k.sw(staging + static_cast<Addr>(i) * 8, va);
-    k.sw(staging + static_cast<Addr>(i) * 8 + 4, vb);
-    k.op(2);
-    k.branch();
-  }
+  cpu::run_periodic(
+      k,
+      {.iterations = beats,
+       .reads = {words_at(a, beats), words_at(b, beats)},
+       .writes = words_at(staging, 2 * beats)},
+      [&](std::int64_t i) {
+        const std::uint32_t va = k.lw(word_at(a, i));
+        const std::uint32_t vb = k.lw(word_at(b, i));
+        k.sw(word_at(staging, 2 * i), va);
+        k.sw(word_at(staging, 2 * i + 1), vb);
+        k.op(2);
+        k.branch();
+      },
+      [&](std::int64_t first, std::int64_t count) {
+        bus::Bus& mem = k.cpu().plb();
+        const auto pa = fetch_bytes(mem, word_at(a, first),
+                                    static_cast<std::size_t>(count) * 4);
+        const auto pb = fetch_bytes(mem, word_at(b, first),
+                                    static_cast<std::size_t>(count) * 4);
+        std::vector<std::uint8_t> out(pa.size() * 2);
+        for (std::int64_t j = 0; j < count; ++j) {
+          put_le32(out, 2 * j, le32(pa, j));
+          put_le32(out, 2 * j + 1, le32(pb, j));
+        }
+        store_bytes(mem, word_at(staging, 2 * first), out);
+      });
   return k.now() - t0;
 }
 
@@ -476,20 +475,10 @@ DmaTaskStats hw_blend_dma_overlapped(Platform64& p, Addr a, Addr b,
 
   // Prepare one block of [A0..A3 B0..B3] beats into half-buffer `half`.
   auto prep = [&](int first_beat, int count, int half) {
-    SimTime prep_start = k.now();
-    for (int i = 0; i < count; ++i) {
-      const Addr src_off = static_cast<Addr>(first_beat + i) * 4;
-      const std::uint32_t va = k.lw(a + src_off);
-      const std::uint32_t vb = k.lw(b + src_off);
-      const Addr out =
-          staging + static_cast<Addr>(half) * static_cast<Addr>(block) * 8 +
-          static_cast<Addr>(i) * 8;
-      k.sw(out, va);
-      k.sw(out + 4, vb);
-      k.op(2);
-      k.branch();
-    }
-    return k.now() - prep_start;
+    return dma_prepare_interleave(
+        k, word_at(a, first_beat), word_at(b, first_beat),
+        staging + static_cast<Addr>(half) * static_cast<Addr>(block) * 8,
+        4 * count);
   };
 
   SimTime prep_total = prep(0, std::min(block, beats), 0);

@@ -6,7 +6,10 @@
 //
 // Coding model: scalar locals live in registers (free); arrays -- inputs,
 // outputs, lookup tables, the SHA-1 W[] schedule -- live in memory and pay
-// for every access. This mirrors compiled C on the 405.
+// for every access. This mirrors compiled C on the 405. Every fixed-body
+// loop runs on cpu::run_periodic: iterations 0 and 1 go through the CPU and
+// bus models, and the rest are applied in closed form where the runner
+// allows it, with the same timing, statistics and memory.
 #pragma once
 
 #include <array>
@@ -29,8 +32,9 @@ MatchResult sw_pattern_match(cpu::Kernel& k, bus::Addr img, int w, int h,
 std::uint32_t sw_jenkins(cpu::Kernel& k, bus::Addr key, std::uint32_t len);
 
 /// SHA-1 per the RFC 3174 reference code structure: the 80-word message
-/// schedule W[] lives in memory at `scratch` (>= 320 bytes + one 64-byte
-/// block buffer).
+/// schedule W[] lives in memory at `scratch`, followed by the padded tail
+/// block(s). A tail of 56 or more bytes pads into a second block, so the
+/// scratch needs 448 bytes (320 for W[], 128 for two blocks).
 std::array<std::uint32_t, 5> sw_sha1(cpu::Kernel& k, bus::Addr msg,
                                      std::uint32_t len, bus::Addr scratch);
 

@@ -28,10 +28,17 @@ class FaultInjector;
 
 namespace rtr::cpu {
 
-/// One periodic loop: `iterations` repetitions of a body that reads memory
-/// only inside `reads` and writes it only inside `writes` (an empty range
-/// is unused). A non-zero `deadline` arms a watchdog that stops the loop at
-/// the first iteration starting at or after it.
+/// One periodic loop: `iterations` repetitions of a body. `reads` holds the
+/// ranges whose pre-loop contents an iteration reads. Memory the loop
+/// writes before it reads it goes in `writes` only: SHA-1's W[] within a
+/// block, or across the expansion's iterations, where iteration t reads
+/// W[t-3], which the loop wrote. Such a loop's bulk side computes its
+/// iterations in order. Every address an iteration touches lies in one of
+/// the ranges (an empty range is unused), so the D-cacheable fallback
+/// covers all of them, and the overlap fallback keeps its meaning: the
+/// bulk side reads every pre-loop source before it writes. A non-zero
+/// `deadline` arms a watchdog that stops the loop at the first iteration
+/// starting at or after it.
 struct PeriodicLoop {
   std::int64_t iterations = 0;
   std::array<bus::AddressRange, 2> reads{};
@@ -72,11 +79,11 @@ class PeriodicReplay {
   /// False when every iteration must run through the models: a tracer or
   /// trace logging is on, a fault plan has an active spec at a
   /// per-transaction site (bus, icap, dma or readback), the loop touches
-  /// D-cacheable memory or writes memory it reads, it has fewer than 4
-  /// iterations, or the buses it can reach run on different clocks. A plan
-  /// whose active specs act per dispatch or per load (fail_stop, brownout,
-  /// storage) keeps the closed form; the m-fold advance counts its bus and
-  /// ICAP opportunities.
+  /// D-cacheable memory, a range it writes overlaps one whose pre-loop
+  /// contents it reads, it has fewer than 4 iterations, or the buses it can
+  /// reach run on different clocks. A plan whose active specs act per
+  /// dispatch or per load (fail_stop, brownout, storage) keeps the closed
+  /// form; the m-fold advance counts its bus and ICAP opportunities.
   [[nodiscard]] bool allowed() const { return allowed_; }
   /// Snapshot before iteration 1.
   void begin_template();

@@ -188,23 +188,43 @@ TEST(SwKernels, PatternMatchMatchesGolden) {
   EXPECT_GT(p.kernel().now(), SimTime::zero());
 }
 
+/// The fixture's key extended to `len` bytes with further seeded draws.
+std::vector<std::uint8_t> long_key(const Workloads& w, std::size_t len) {
+  std::vector<std::uint8_t> key = w.key;
+  sim::Rng rng{78};
+  while (key.size() < len) key.push_back(rng.next_u8());
+  return key;
+}
+
 TEST(SwKernels, JenkinsMatchesGolden) {
   Platform32 p;
   Workloads w;
-  apps::store_bytes(p.cpu().plb(), kA32, w.key);
-  EXPECT_EQ(apps::sw_jenkins(p.kernel(), kA32,
-                             static_cast<std::uint32_t>(w.key.size())),
-            apps::jenkins_hash(w.key));
+  // Every tail length, without and with whole blocks, and the full key.
+  const std::vector<std::uint8_t> key = long_key(w, 108);
+  apps::store_bytes(p.cpu().plb(), kA32, key);
+  std::vector<std::uint32_t> lengths = {
+      static_cast<std::uint32_t>(w.key.size())};
+  for (std::uint32_t tail = 0; tail < 12; ++tail) {
+    lengths.push_back(tail);
+    lengths.push_back(96 + tail);
+  }
+  for (const std::uint32_t len : lengths) {
+    EXPECT_EQ(apps::sw_jenkins(p.kernel(), kA32, len),
+              apps::jenkins_hash(std::span{key}.first(len)))
+        << "len " << len;
+  }
 }
 
 TEST(SwKernels, Sha1MatchesGolden) {
   Platform64 p;
   Workloads w;
-  for (std::uint32_t len : {0u, 3u, 55u, 64u, 100u}) {
-    apps::store_bytes(p.cpu().plb(), kA64, std::span{w.key}.first(len));
+  // len % 64 >= 56 pads into a second block at scratch + 384.
+  const std::vector<std::uint8_t> msg = long_key(w, 1024);
+  apps::store_bytes(p.cpu().plb(), kA64, msg);
+  for (std::uint32_t len :
+       {0u, 3u, 55u, 56u, 63u, 64u, 100u, 119u, 120u, 1024u}) {
     const auto got = apps::sw_sha1(p.kernel(), kA64, len, kOut64);
-    const auto want =
-        apps::sha1(std::span<const std::uint8_t>{w.key}.first(len));
+    const auto want = apps::sha1(std::span{msg}.first(len));
     EXPECT_EQ(got, want) << "len " << len;
   }
 }

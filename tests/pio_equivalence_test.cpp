@@ -1,12 +1,16 @@
-// Per-word vs closed-form PIO loops. Every programmed-I/O driver runs its
-// loop through cpu::run_periodic: untraced, iterations 2..n-1 are applied
-// in closed form; with an enabled tracer every iteration runs through the
-// CPU and bus models, the reference. Both must leave the same state: the
-// driver's result, now(), the full StatRegistry export, both buses'
-// reservations and the memory the driver writes. Cases cover every driver
-// on the XC2VP7, the XC2VP30 and the XC2VP30's second area, at 0-6
-// iterations, the serving sizes and the paper tables' sizes, plus buses
-// reserved at the start, an unbound dock and the D-cache.
+// Per-iteration vs closed-form CPU loops. Every programmed-I/O driver, every
+// software kernel (apps::sw_*, whose loops nest) and the DMA data
+// preparation run their loops through cpu::run_periodic: untraced,
+// iterations 2..n-1 are applied in closed form; with an enabled tracer
+// every iteration runs through the CPU and bus models, the reference. Both
+// must leave the same state: the call's result, now(), the full
+// StatRegistry export, both buses' reservations and the memory the call
+// writes. Cases cover every driver on the XC2VP7, the XC2VP30 and the
+// XC2VP30's second area, at 0-6 iterations, the serving sizes and the paper
+// tables' sizes; every software kernel on both systems at boundary lengths
+// and geometries; and, at the serving sizes, buses reserved at the start,
+// an unbound dock, the D-cache, quiet fault plans and a bus fault inside a
+// loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "apps/drivers.hpp"
+#include "apps/sw_kernels.hpp"
 #include "cpu/periodic_loop.hpp"
 #include "fault/fault.hpp"
 #include "rtr/plan_cache.hpp"
@@ -29,15 +34,16 @@ namespace {
 using bus::Addr;
 using sim::SimTime;
 
-/// One driver call: the circuit it drives, the seeded input bytes it reads
-/// at `in` and `in_b`, the memory it writes, and the call, returning a
-/// digest of the driver's result.
+/// One driver or kernel call: the circuit it drives, the seeded input bytes
+/// it reads at `in` and `in_b` (each ANDed with `mask`), the memory it
+/// writes, and the call, returning a digest of its result.
 struct Case {
   std::string name;
   hw::BehaviorId module;
   std::size_t in_bytes = 0;
   bus::AddressRange written;
   std::function<std::uint64_t(cpu::Kernel&)> run;
+  std::uint8_t mask = 0xFF;
 };
 
 /// Variations of the platform the driver starts on.
@@ -200,6 +206,100 @@ std::vector<Case> every_case() {
   return cases;
 }
 
+/// Every software kernel, and the DMA data preparation, at boundary sizes
+/// and the serving sizes. The kernels need no circuit; SHA-1's scratch (W[]
+/// and two padding blocks, 448 bytes) sits at `out`.
+template <typename P>
+std::vector<Case> software_cases() {
+  constexpr Addr in = Staging<P>::in;
+  constexpr Addr in_b = Staging<P>::in_b;
+  constexpr Addr out = Staging<P>::out;
+  std::vector<Case> cases;
+  const auto add = [&](std::string name, std::size_t in_bytes,
+                       bus::AddressRange written,
+                       std::function<std::uint64_t(cpu::Kernel&)> run,
+                       std::uint8_t mask = 0xFF) {
+    cases.push_back({std::move(name), hw::kLoopback, in_bytes, written,
+                     std::move(run), mask});
+  };
+
+  // Every tail length with 0-6 whole blocks, then the serving size.
+  std::vector<std::uint32_t> lengths;
+  for (std::uint32_t len = 0; len <= 80; ++len) lengths.push_back(len);
+  for (const std::uint32_t len : {1000u, 2048u, 16384u}) lengths.push_back(len);
+  for (const std::uint32_t len : lengths) {
+    add("sw_jenkins len=" + std::to_string(len), len, {},
+        [=](cpu::Kernel& k) {
+          return std::uint64_t{apps::sw_jenkins(k, in, len)};
+        });
+  }
+  // Every len % 64 and both padding shapes with 0-4 whole blocks, then the
+  // serving and table sizes.
+  lengths.clear();
+  for (std::uint32_t len = 0; len <= 300; ++len) lengths.push_back(len);
+  for (const std::uint32_t len : {1000u, 1024u, 8192u, 65536u}) {
+    lengths.push_back(len);
+  }
+  for (const std::uint32_t len : lengths) {
+    add("sw_sha1 len=" + std::to_string(len), len, {out, 448},
+        [=](cpu::Kernel& k) {
+          std::uint64_t h = 0;
+          for (const std::uint32_t d : apps::sw_sha1(k, in, len, out)) {
+            h = mix(h, d);
+          }
+          return h;
+        });
+  }
+  for (const int n : {0, 1, 2, 3, 4, 5, 6, 7, 64 * 48, 256 * 128}) {
+    const std::string sz = " n=" + std::to_string(n);
+    const auto bytes = static_cast<std::uint64_t>(n);
+    add("sw_brightness" + sz, bytes, {out, bytes}, [=](cpu::Kernel& k) {
+      apps::sw_brightness(k, in, out, n, 60);
+      return std::uint64_t{0};
+    });
+    add("sw_blend" + sz, bytes, {out, bytes}, [=](cpu::Kernel& k) {
+      apps::sw_blend(k, in, in_b, out, n);
+      return std::uint64_t{0};
+    });
+    add("sw_fade" + sz, bytes, {out, bytes}, [=](cpu::Kernel& k) {
+      apps::sw_fade(k, in, in_b, out, n, 160);
+      return std::uint64_t{0};
+    });
+  }
+  // n pixels are n / 4 beats: 0-1 beats, the 4-beat closed-form boundary,
+  // then the serving and table sizes.
+  for (const int n : {0, 1, 2, 3, 4, 5, 6, 7, 12, 16, 20, 64 * 48, 256 * 128}) {
+    const auto bytes = static_cast<std::uint64_t>(n);
+    add("dma_prepare_interleave n=" + std::to_string(n), bytes,
+        {out, 2 * bytes}, [=](cpu::Kernel& k) {
+          return static_cast<std::uint64_t>(
+              apps::dma_prepare_interleave(k, in, in_b, out, n).ps());
+        });
+  }
+  // No window, 1-7 rows and columns of windows, then the serving and table
+  // geometries. Bilevel pixels (0 or 1) and pattern at in_b, so the best
+  // window moves with the counts.
+  std::vector<std::pair<int, int>> geometries = {{0, 8}, {7, 8}, {8, 7}};
+  for (int w = 8; w <= 14; ++w) {
+    for (int h = 8; h <= 14; ++h) geometries.emplace_back(w, h);
+  }
+  for (const auto& wh : {std::pair{37, 23}, {64, 48}, {128, 96}}) {
+    geometries.push_back(wh);
+  }
+  for (const auto& [w, h] : geometries) {
+    add("sw_pattern_match " + std::to_string(w) + "x" + std::to_string(h),
+        static_cast<std::size_t>(std::max(w * h, 64)), {},
+        [=](cpu::Kernel& k) {
+          const apps::MatchResult m = apps::sw_pattern_match(k, in, w, h, in_b);
+          return mix(mix(static_cast<std::uint64_t>(m.best_count),
+                         static_cast<std::uint64_t>(m.best_row)),
+                     static_cast<std::uint64_t>(m.best_col));
+        },
+        /*mask=*/1);
+  }
+  return cases;
+}
+
 /// One device layout under test: `areas` dynamic areas with `area` active.
 /// Plans are pure in (behaviour, width, area), so one planning platform's
 /// linker serves every case.
@@ -222,15 +322,20 @@ class Layout {
     if (setup.repair_bus) p.faults()->repair(fault::Site::kBus);
     sim::Rng rng{c.in_bytes + 1};
     std::vector<std::uint8_t> input(c.in_bytes);
-    for (auto& b : input) b = rng.next_u8();
+    for (auto& b : input) b = rng.next_u8() & c.mask;
     p.ext_mem().poke_block(Staging<P>::in, input);
-    for (auto& b : input) b = rng.next_u8();
+    for (auto& b : input) b = rng.next_u8() & c.mask;
     p.ext_mem().poke_block(Staging<P>::in_b, input);
+    // Stale bytes where the call writes, so a write it skips shows.
+    std::vector<std::uint8_t> stale(c.written.size);
+    for (auto& b : stale) b = rng.next_u8();
+    if (!stale.empty()) p.ext_mem().poke_block(c.written.base, stale);
     if (setup.reserved.ps() > 0) {
       p.cpu().plb().set_busy_until(p.kernel().now() + setup.reserved);
       p.opb().set_busy_until(p.kernel().now() + setup.reserved);
     }
     tr.enable(traced);
+    tr.set_store_events(false);  // the reference needs the path, not events
     Outcome o;
     if (p.faults() != nullptr) {
       o.bus_opportunities_at_start = p.faults()->opportunities(fault::Site::kBus);
@@ -295,16 +400,27 @@ void every_driver(int areas, int area) {
   for (const Case& c : every_case<P>()) layout.expect_equivalent(c);
 }
 
+template <typename P>
+void every_software_kernel() {
+  Layout<P> layout(1, 0);
+  for (const Case& c : software_cases<P>()) layout.expect_equivalent(c);
+}
+
 /// One realistic-size call of each loop shape, for the variant cases.
 template <typename P>
 std::vector<Case> serving_cases() {
   std::vector<Case> out;
-  for (Case& c : every_case<P>()) {
-    for (const char* name :
-         {"pio_write_seq n=1024", "pio_read_seq n=1024",
-          "hw_jenkins_pio len=2048", "hw_brightness_pio n=3072",
-          "hw_fade_pio n=3072", "hw_pattern_match_pio 64x48"}) {
-      if (c.name == name) out.push_back(std::move(c));
+  for (std::vector<Case> cases : {every_case<P>(), software_cases<P>()}) {
+    for (Case& c : cases) {
+      for (const char* name :
+           {"pio_write_seq n=1024", "pio_read_seq n=1024",
+            "hw_jenkins_pio len=2048", "hw_brightness_pio n=3072",
+            "hw_fade_pio n=3072", "hw_pattern_match_pio 64x48",
+            "sw_jenkins len=2048", "sw_sha1 len=1024",
+            "sw_brightness n=3072", "sw_blend n=3072", "sw_fade n=3072",
+            "dma_prepare_interleave n=3072", "sw_pattern_match 64x48"}) {
+        if (c.name == name) out.push_back(std::move(c));
+      }
     }
   }
   return out;
@@ -314,6 +430,12 @@ TEST(PioEquivalence, Platform32EveryDriver) { every_driver<Platform32>(1, 0); }
 TEST(PioEquivalence, Platform64EveryDriver) { every_driver<Platform64>(1, 0); }
 TEST(PioEquivalence, Platform64SecondAreaEveryDriver) {
   every_driver<Platform64>(2, 1);
+}
+TEST(PioEquivalence, Platform32EverySoftwareKernel) {
+  every_software_kernel<Platform32>();
+}
+TEST(PioEquivalence, Platform64EverySoftwareKernel) {
+  every_software_kernel<Platform64>();
 }
 
 TEST(PioEquivalence, ReservedBusesAtTheStartMatch) {
