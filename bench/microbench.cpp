@@ -2,9 +2,11 @@
 // simulator itself executes its primitives. These guard against
 // performance regressions in the simulation substrate -- the table benches
 // above measure *simulated* time, this binary measures *host* time. CI
-// gates fourteen of them against the baselines in BENCH_microbench.json
+// gates fifteen of them against the baselines in BENCH_microbench.json
 // (docs/PERFORMANCE.md "Recorded baselines" says how to re-record them).
 #include <benchmark/benchmark.h>
+
+#include <utility>
 
 #include "apps/drivers.hpp"
 #include "apps/memio.hpp"
@@ -13,6 +15,7 @@
 #include "fabric/config_memory.hpp"
 #include "mem/sparse_memory.hpp"
 #include "rtr/manager.hpp"
+#include "rtr/plan_cache.hpp"
 #include "rtr/platform.hpp"
 #include "serve/fleet/fleet.hpp"
 #include "serve/server.hpp"
@@ -251,6 +254,29 @@ static void BM_EnsureUncachedDiff(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EnsureUncachedDiff);
+
+// One differential-plan rebuild on the XC2VP30: a 1-entry PlanCache
+// alternates brightness -> fade and fade -> brightness, so every iteration
+// evicts the other direction and diffs the two cached complete plans
+// again -- the LRU miss a mix of more module pairs than entries pays.
+static void BM_DiffPlanBuild(benchmark::State& state) {
+  Platform64 p;
+  PlanCache cache{1};
+  hw::BehaviorId from = hw::kBrightness;
+  hw::BehaviorId to = hw::kFade;
+  (void)cache.complete(p.linker(), from, 64, nullptr, nullptr);
+  (void)cache.complete(p.linker(), to, 64, nullptr, nullptr);
+  for (auto _ : state) {
+    bool hit = true;
+    const PlanCache::Plan* plan =
+        cache.differential(p.linker(), from, to, 64, nullptr, &hit);
+    if (plan == nullptr || hit) state.SkipWithError("expected a rebuild");
+    benchmark::DoNotOptimize(plan);
+    std::swap(from, to);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DiffPlanBuild);
 
 // The whole serving hot path with tracing disabled: a steady closed-loop
 // workload through admission, plan-cache reconfiguration, execution and

@@ -10,33 +10,49 @@ namespace rtr::bitlinker {
 using busmacro::BusMacro;
 using fabric::ColumnType;
 using fabric::ConfigMemory;
-using fabric::Device;
 using fabric::DynamicRegion;
 using fabric::FrameAddress;
 
 std::uint32_t region_payload_hash(const ConfigMemory& cm,
                                   const DynamicRegion& region) {
   const FrameAddress sig_frame = region.signature_frame();
-  const int sig_w0 = region.signature_word();
+  const auto wpf = static_cast<std::size_t>(cm.words_per_frame());
+  const auto w0 = static_cast<std::size_t>(region.first_word());
+  const auto wn = static_cast<std::size_t>(region.word_count());
+  const auto sig0 = static_cast<std::size_t>(region.signature_word()) - w0;
   std::uint32_t h = kPayloadHashBasis;
-
-  const Device& dev = cm.device();
-  FrameAddress a{ColumnType::kClb, 0, 0};
-  const int w0 = region.first_word();
-  const int wn = region.word_count();
-  while (a.valid_for(dev)) {
-    if (region.covers(a)) {
-      const auto f = cm.frame(a);
-      const bool is_sig = (a == sig_frame);
-      for (int w = w0; w < w0 + wn; ++w) {
-        if (is_sig && w >= sig_w0 && w < sig_w0 + DynamicRegion::kSignatureWords)
-          continue;
-        h = payload_hash_word(h, f[static_cast<std::size_t>(w)]);
-      }
+  std::uint64_t zeros = 0;  // zero words not yet folded into h
+  auto add = [&](std::uint32_t v) {
+    if (v == 0) {
+      ++zeros;
+      return;
     }
-    a = a.next_in(dev);
-  }
-  return h;
+    h = payload_hash_word(payload_hash_zeros(h, zeros), v);
+    zeros = 0;
+  };
+  region.for_each_covered_column([&](FrameAddress first, int frames) {
+    const auto words = cm.frames(first, frames);
+    for (int m = 0; m < frames; ++m) {
+      const auto rows =
+          words.subspan(static_cast<std::size_t>(m) * wpf + w0, wn);
+      if (FrameAddress{first.type, first.major, m} == sig_frame) {
+        for (std::size_t w = 0; w < wn; ++w) {
+          if (w < sig0 || w >= sig0 + DynamicRegion::kSignatureWords) {
+            add(rows[w]);
+          }
+        }
+        continue;
+      }
+      std::uint32_t any = 0;
+      for (const std::uint32_t v : rows) any |= v;
+      if (any == 0) {
+        zeros += wn;
+        continue;
+      }
+      for (const std::uint32_t v : rows) add(v);
+    }
+  });
+  return payload_hash_zeros(h, zeros);
 }
 
 BitLinker::BitLinker(const DynamicRegion& region,
@@ -155,20 +171,14 @@ std::vector<std::string> BitLinker::compose(const LinkJob& job,
 
   // --- compose the assembled full-device state ----------------------------
   out.restore(baseline_->snapshot());
-  const Device& dev = region.device();
   const int w0 = region.first_word();
   const int wn = region.word_count();
 
   // Clean slate: zero the region rows of every covered frame so that
   // nothing of a previously assembled module can survive.
-  {
-    std::vector<std::uint32_t> zeros(static_cast<std::size_t>(wn), 0);
-    FrameAddress a{ColumnType::kClb, 0, 0};
-    while (a.valid_for(dev)) {
-      if (region.covers(a)) out.write_words(a, w0, zeros);
-      a = a.next_in(dev);
-    }
-  }
+  const std::vector<std::uint32_t> zeros(static_cast<std::size_t>(wn), 0);
+  region.for_each_covered_frame(
+      [&](FrameAddress a) { out.write_words(a, w0, zeros); });
 
   // Paint each component's configuration into its columns.
   for (const LinkInput& in : job.parts) {

@@ -63,21 +63,37 @@ struct LinkResult {
 /// words: it starts at kPayloadHashBasis and payload_hash_word adds a word.
 inline constexpr std::uint32_t kPayloadHashBasis = 2166136261u;
 
-/// Add one word to a payload hash. A zero byte makes the xor a no-op,
-/// (h ^ 0) * P == h * P, so a zero word -- most of a sparsely configured
-/// region -- is one multiply by P^4 (mod 2^32).
+inline constexpr std::uint32_t kPayloadHashPrime = 16777619u;
+
+/// Add a run of `z` zero words to a payload hash. A zero byte makes the xor
+/// a no-op, (h ^ 0) * P == h * P, so z zero words -- most of a sparsely
+/// configured region -- are one multiply by P^(4z) (mod 2^32), raised here
+/// by squaring.
+[[nodiscard]] constexpr std::uint32_t payload_hash_zeros(std::uint32_t h,
+                                                         std::uint64_t z) {
+  std::uint32_t p = kPayloadHashPrime * kPayloadHashPrime *
+                    kPayloadHashPrime * kPayloadHashPrime;  // P^4
+  for (; z != 0; z >>= 1, p *= p) {
+    if (z & 1) h *= p;
+  }
+  return h;
+}
+
+/// Add one word to a payload hash.
 [[nodiscard]] constexpr std::uint32_t payload_hash_word(std::uint32_t h,
                                                         std::uint32_t v) {
-  constexpr std::uint32_t kPrime = 16777619u;
-  if (v == 0) return h * (kPrime * kPrime * kPrime * kPrime);
-  for (int i = 0; i < 4; ++i) h = (h ^ ((v >> (8 * i)) & 0xFF)) * kPrime;
+  if (v == 0) return payload_hash_zeros(h, 1);
+  for (int i = 0; i < 4; ++i) {
+    h = (h ^ ((v >> (8 * i)) & 0xFF)) * kPayloadHashPrime;
+  }
   return h;
 }
 
 /// Payload hash over the region-row words of every frame covering `region`,
 /// skipping the signature words themselves. The BitLinker stores this hash
 /// in the signature; the dock re-computes it before binding a behaviour, so
-/// half-applied or stale-base configurations never bind.
+/// half-applied or stale-base configurations never bind. Walks only the
+/// covered frames, and hashes each run of zero words in one step.
 [[nodiscard]] std::uint32_t region_payload_hash(
     const fabric::ConfigMemory& cm, const fabric::DynamicRegion& region);
 

@@ -10,10 +10,19 @@
 // advances a byte through k further zero bytes, which lets one step fold
 // 4 (update_word) or 8 (update_register_write) bytes with independent
 // lookups. update_byte is the byte-wise reference both must equal.
+//
+// Most configuration words are zero (the static rows of full-height
+// frames), and a run of zero writes costs one closed-form step: the CRC is
+// linear over GF(2), so a zero write to register r maps the state S to
+// A(S) ^ A(r), where A advances the state through 8 zero bytes. k such
+// writes map S to A^k(S) ^ c_k with c_k = A(r) ^ A^2(r) ^ ... ^ A^k(r).
+// update_zero_writes applies A^k as power-of-two jumps from tables that
+// advance the state by 2^j writes, each with its jump constant c_(2^j).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 namespace rtr::bitstream {
 
@@ -62,6 +71,32 @@ class Crc32 {
     state_ = t[7][x & 0xFF] ^ t[6][(x >> 8) & 0xFF] ^ t[5][(x >> 16) & 0xFF] ^
              t[4][x >> 24] ^ t[3][word & 0xFF] ^ t[2][(word >> 8) & 0xFF] ^
              t[1][(word >> 16) & 0xFF] ^ t[0][word >> 24];
+  }
+
+  /// `k` register writes of a zero word to `reg`, in closed form: the state
+  /// after k update_register_write(reg, 0) calls. Out of line, so that its
+  /// jump tables are computed in one translation unit (crc.cpp).
+  void update_zero_writes(std::uint32_t reg, std::uint64_t k);
+
+  /// update_register_write(reg, w) for every word of `words`, each run of
+  /// zero words in one update_zero_writes step.
+  void update_register_writes(std::uint32_t reg,
+                              std::span<const std::uint32_t> words) {
+    const std::size_t n = words.size();
+    for (std::size_t i = 0; i < n;) {
+      if (words[i] != 0) {
+        update_register_write(reg, words[i++]);
+        continue;
+      }
+      std::size_t end = i + 1;
+      while (end + 4 <= n && (words[end] | words[end + 1] | words[end + 2] |
+                              words[end + 3]) == 0) {
+        end += 4;
+      }
+      while (end < n && words[end] == 0) ++end;
+      update_zero_writes(reg, end - i);
+      i = end;
+    }
   }
 
   void update_byte(std::uint8_t b) {

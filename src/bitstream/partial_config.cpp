@@ -14,6 +14,31 @@ using fabric::Device;
 using fabric::DynamicRegion;
 using fabric::FrameAddress;
 
+namespace {
+
+/// Appends frames visited in scan order to `runs`, merging each frame that
+/// follows the previous one into its run.
+class RunAppender {
+ public:
+  RunAppender(const Device& dev, std::vector<FrameRun>& runs)
+      : dev_(&dev), runs_(&runs) {}
+
+  void add(FrameAddress a, std::span<const std::uint32_t> frame) {
+    if (runs_->empty() || a != next_) runs_->push_back(FrameRun{a, 0, {}});
+    FrameRun& run = runs_->back();
+    ++run.frame_count;
+    run.words.insert(run.words.end(), frame.begin(), frame.end());
+    next_ = a.next_in(*dev_);
+  }
+
+ private:
+  const Device* dev_;
+  std::vector<FrameRun>* runs_;
+  FrameAddress next_{};
+};
+
+}  // namespace
+
 void PartialConfig::add_run(FrameRun run) {
   RTR_CHECK(run.frame_count > 0, "empty frame run");
   RTR_CHECK(static_cast<int>(run.words.size()) ==
@@ -34,23 +59,23 @@ int PartialConfig::total_frames() const {
 }
 
 bool PartialConfig::is_complete_for(const DynamicRegion& region) const {
-  // Collect the linear indices present.
-  ConfigMemory probe{*dev_};  // only used for linear_index()
-  std::vector<char> present(static_cast<std::size_t>(probe.total_frames()), 0);
+  std::vector<FrameAddress> present;
   for (const auto& r : runs_) {
     FrameAddress a = r.start;
-    for (int i = 0; i < r.frame_count; ++i) {
-      present[static_cast<std::size_t>(probe.linear_index(a))] = 1;
-      a = a.next_in(*dev_);
+    for (int i = 0; i < r.frame_count; ++i, a = a.next_in(*dev_)) {
+      present.push_back(a);
     }
   }
-  FrameAddress a{ColumnType::kClb, 0, 0};
-  while (a.valid_for(*dev_)) {
-    if (region.covers(a) && !present[static_cast<std::size_t>(probe.linear_index(a))])
-      return false;
-    a = a.next_in(*dev_);
-  }
-  return true;
+  // FrameAddress orders as the scan does, so the covered frames are a
+  // sorted sequence to look up in order.
+  std::sort(present.begin(), present.end());
+  auto it = present.begin();
+  bool complete = true;
+  region.for_each_covered_frame([&](FrameAddress a) {
+    it = std::lower_bound(it, present.end(), a);
+    if (it == present.end() || *it != a) complete = false;
+  });
+  return complete;
 }
 
 bool PartialConfig::confined_to(const DynamicRegion& region) const {
@@ -82,67 +107,54 @@ PartialConfig PartialConfig::diff(const ConfigMemory& base,
   RTR_CHECK(&base.device() == &target.device(), "diff across devices");
   const Device& dev = base.device();
   PartialConfig out{dev};
-  const int wpf = dev.words_per_frame();
-
-  FrameAddress a{ColumnType::kClb, 0, 0};
-  FrameRun run;
-  bool open = false;
-  FrameAddress expected_next{};
-  while (a.valid_for(dev)) {
+  RunAppender runs{dev, out.runs_};
+  for (FrameAddress a{ColumnType::kClb, 0, 0}; a.valid_for(dev);
+       a = a.next_in(dev)) {
     // Frames untouched in both memories are all-zero on both sides;
     // skip the word comparison for the (vast) unconfigured expanse.
-    if (!base.frame_touched(a) && !target.frame_touched(a)) {
-      a = a.next_in(dev);
-      continue;
-    }
+    if (!base.frame_touched(a) && !target.frame_touched(a)) continue;
     const auto fb = base.frame(a);
     const auto ft = target.frame(a);
-    const bool differs = !std::equal(fb.begin(), fb.end(), ft.begin());
-    if (differs) {
-      if (open && a == expected_next) {
-        ++run.frame_count;
-      } else {
-        if (open) out.runs_.push_back(std::move(run));
-        run = FrameRun{a, 1, {}};
-        run.words.reserve(static_cast<std::size_t>(wpf));
-        open = true;
-      }
-      run.words.insert(run.words.end(), ft.begin(), ft.end());
-      expected_next = a.next_in(dev);
-    }
-    a = a.next_in(dev);
+    if (!std::equal(fb.begin(), fb.end(), ft.begin())) runs.add(a, ft);
   }
-  if (open) out.runs_.push_back(std::move(run));
+  return out;
+}
+
+PartialConfig PartialConfig::diff(const PartialConfig& base,
+                                  const PartialConfig& target) {
+  RTR_CHECK(&base.device() == &target.device(), "diff across devices");
+  const Device& dev = base.device();
+  const auto wpf = static_cast<std::size_t>(dev.words_per_frame());
+  RTR_CHECK(base.runs_.size() == target.runs_.size(),
+            "configurations hold different frames");
+  PartialConfig out{dev};
+  RunAppender runs{dev, out.runs_};
+  FrameAddress last{};
+  for (std::size_t r = 0; r < base.runs_.size(); ++r) {
+    const FrameRun& rb = base.runs_[r];
+    const FrameRun& rt = target.runs_[r];
+    RTR_CHECK(rb.start == rt.start && rb.frame_count == rt.frame_count,
+              "configurations hold different frames");
+    RTR_CHECK(r == 0 || last < rt.start,
+              "configuration frames are not in scan order");
+    FrameAddress a = rt.start;
+    for (std::size_t i = 0; i < static_cast<std::size_t>(rt.frame_count); ++i) {
+      const auto fb = std::span{rb.words}.subspan(i * wpf, wpf);
+      const auto ft = std::span{rt.words}.subspan(i * wpf, wpf);
+      if (!std::equal(fb.begin(), fb.end(), ft.begin())) runs.add(a, ft);
+      last = a;
+      a = a.next_in(dev);
+    }
+  }
   return out;
 }
 
 PartialConfig PartialConfig::full_region(const ConfigMemory& state,
                                          const DynamicRegion& region) {
-  const Device& dev = state.device();
-  PartialConfig out{dev};
-  const int wpf = dev.words_per_frame();
-
-  FrameAddress a{ColumnType::kClb, 0, 0};
-  FrameRun run;
-  bool open = false;
-  FrameAddress expected_next{};
-  while (a.valid_for(dev)) {
-    if (region.covers(a)) {
-      const auto f = state.frame(a);
-      if (open && a == expected_next) {
-        ++run.frame_count;
-      } else {
-        if (open) out.runs_.push_back(std::move(run));
-        run = FrameRun{a, 1, {}};
-        run.words.reserve(static_cast<std::size_t>(wpf));
-        open = true;
-      }
-      run.words.insert(run.words.end(), f.begin(), f.end());
-      expected_next = a.next_in(dev);
-    }
-    a = a.next_in(dev);
-  }
-  if (open) out.runs_.push_back(std::move(run));
+  PartialConfig out{state.device()};
+  RunAppender runs{state.device(), out.runs_};
+  region.for_each_covered_frame(
+      [&](FrameAddress a) { runs.add(a, state.frame(a)); });
   return out;
 }
 
@@ -177,10 +189,9 @@ std::vector<std::uint32_t> serialize(const PartialConfig& cfg, bool with_crc) {
     out.push_back(make_type1(Opcode::kWrite, ConfigReg::kFdri, 0));
     out.push_back(make_type2(Opcode::kWrite,
                              static_cast<std::uint32_t>(r.words.size())));
-    for (std::uint32_t w : r.words) {
-      out.push_back(w);
-      crc.update_register_write(static_cast<std::uint32_t>(ConfigReg::kFdri), w);
-    }
+    out.insert(out.end(), r.words.begin(), r.words.end());
+    crc.update_register_writes(static_cast<std::uint32_t>(ConfigReg::kFdri),
+                               r.words);
   }
 
   reg_write(ConfigReg::kCmd, static_cast<std::uint32_t>(Command::kLfrm));

@@ -61,6 +61,14 @@ class PartialConfig {
   static PartialConfig diff(const fabric::ConfigMemory& base,
                             const fabric::ConfigMemory& target);
 
+  /// The same diff between two configurations that hold the same frames,
+  /// each once and in scan order -- two complete configurations of one
+  /// region: equal to diff() of the two applied to blank memories, whose
+  /// frames outside the configurations are zero in both. Compares frame
+  /// by frame without building either state.
+  static PartialConfig diff(const PartialConfig& base,
+                            const PartialConfig& target);
+
   /// Complete configuration for `region`: every covered frame, taken from
   /// `state` (full height, including the static rows -- which is what makes
   /// the result safe to load regardless of the fabric's current state).

@@ -46,6 +46,15 @@ std::span<const std::uint32_t> ConfigMemory::frame(FrameAddress a) const {
   return {words_.data() + idx, static_cast<std::size_t>(wpf_)};
 }
 
+std::span<const std::uint32_t> ConfigMemory::frames(FrameAddress first,
+                                                    int count) const {
+  const int f = linear_index(first);
+  RTR_CHECK(count >= 0 && f + count <= total_frames_,
+            "frame range outside the device");
+  return {words_.data() + static_cast<std::size_t>(f) * wpf_,
+          static_cast<std::size_t>(count) * wpf_};
+}
+
 std::span<std::uint32_t> ConfigMemory::frame_mut(FrameAddress a) {
   const auto f = static_cast<std::size_t>(linear_index(a));
   touched_[f] = 1;  // the caller holds a mutable view; assume it writes

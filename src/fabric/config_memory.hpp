@@ -38,6 +38,10 @@ class ConfigMemory {
   }
 
   [[nodiscard]] std::span<const std::uint32_t> frame(FrameAddress a) const;
+  /// The words of `count` frames consecutive in scan order from `first`:
+  /// storage follows the scan, so they lie contiguous.
+  [[nodiscard]] std::span<const std::uint32_t> frames(FrameAddress first,
+                                                      int count) const;
   [[nodiscard]] std::span<std::uint32_t> frame_mut(FrameAddress a);
 
   /// Overwrite a whole frame. `data.size()` must equal words_per_frame().

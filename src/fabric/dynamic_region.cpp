@@ -42,7 +42,11 @@ DynamicRegion::DynamicRegion(std::string name, const Device& dev, ClbRect rect,
       (void)span;
     }
     (void)col;
+    bram_cols_.push_back(b.column_index);
   }
+  std::sort(bram_cols_.begin(), bram_cols_.end());
+  bram_cols_.erase(std::unique(bram_cols_.begin(), bram_cols_.end()),
+                   bram_cols_.end());
 }
 
 int DynamicRegion::bram_blocks() const {
@@ -63,24 +67,15 @@ bool DynamicRegion::covers(FrameAddress a) const {
       return a.major >= rect_.col0 && a.major < rect_.col_end();
     case ColumnType::kBramInterconnect:
     case ColumnType::kBramContent:
-      return std::any_of(brams_.begin(), brams_.end(),
-                         [&](const BramAllocation& b) {
-                           return b.column_index == a.major;
-                         });
+      return std::binary_search(bram_cols_.begin(), bram_cols_.end(), a.major);
   }
   return false;
 }
 
 int DynamicRegion::covered_frames() const {
-  int n = rect_.cols * kFramesPerClbColumn;
-  // Count each allocated BRAM column once (both planes).
-  std::vector<int> cols;
-  for (const auto& b : brams_) cols.push_back(b.column_index);
-  std::sort(cols.begin(), cols.end());
-  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-  n += static_cast<int>(cols.size()) *
-       (kFramesPerBramInterconnect + kFramesPerBramContent);
-  return n;
+  return rect_.cols * kFramesPerClbColumn +
+         static_cast<int>(bram_cols_.size()) *
+             (kFramesPerBramInterconnect + kFramesPerBramContent);
 }
 
 int DynamicRegion::scan_signature(const ConfigMemory& cm) const {

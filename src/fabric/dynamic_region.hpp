@@ -87,6 +87,35 @@ class DynamicRegion {
   /// covered column, CLB and BRAM planes).
   [[nodiscard]] int covered_frames() const;
 
+  /// Call `f(first, frames)` on every covered column once, in device scan
+  /// order: the rect's CLB columns, then the allocated BRAM columns'
+  /// interconnect plane, then their content plane. `first` is the column's
+  /// minor-0 frame and its `frames` frames follow it in scan order, so the
+  /// walk visits exactly the frames covers() accepts, without the others.
+  template <typename F>
+  void for_each_covered_column(F&& f) const {
+    for (int c = rect_.col0; c < rect_.col_end(); ++c) {
+      f(FrameAddress{ColumnType::kClb, c, 0}, kFramesPerClbColumn);
+    }
+    for (const int c : bram_cols_) {
+      f(FrameAddress{ColumnType::kBramInterconnect, c, 0},
+        kFramesPerBramInterconnect);
+    }
+    for (const int c : bram_cols_) {
+      f(FrameAddress{ColumnType::kBramContent, c, 0}, kFramesPerBramContent);
+    }
+  }
+
+  /// The same walk, one `f(FrameAddress)` call per covered frame.
+  template <typename F>
+  void for_each_covered_frame(F&& f) const {
+    for_each_covered_column([&](FrameAddress first, int frames) {
+      for (int m = 0; m < frames; ++m) {
+        f(FrameAddress{first.type, first.major, m});
+      }
+    });
+  }
+
   // --- module signature -------------------------------------------------
   // A loaded module advertises itself through a 4-word signature placed at
   // a fixed, region-relative location (the model equivalent of the dock
@@ -151,6 +180,7 @@ class DynamicRegion {
   const Device* dev_;
   ClbRect rect_;
   std::vector<BramAllocation> brams_;
+  std::vector<int> bram_cols_;  // allocated BRAM columns, ascending, once each
 };
 
 }  // namespace rtr::fabric

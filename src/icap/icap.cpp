@@ -1,5 +1,7 @@
 #include "icap/icap.hpp"
 
+#include <algorithm>
+
 #include "bitstream/partial_config.hpp"
 #include "fault/fault.hpp"
 #include "sim/check.hpp"
@@ -185,20 +187,27 @@ void IcapController::feed(std::span<const std::uint32_t> words) {
     if (synced_ && !error_ && expect_ == Expect::kPayload &&
         payload_reg_ == ConfigReg::kFdri && far_valid_ && frame_buf_.empty() &&
         payload_left_ >= wpf && words.size() >= wpf) {
-      const auto frame = words.first(wpf);
-      for (const std::uint32_t w : frame) {
-        crc_.update_register_write(static_cast<std::uint32_t>(ConfigReg::kFdri),
-                                   w);
+      // Every whole frame left in the payload, in the span and on the
+      // device from the FAR on, with one CRC pass over all of their words
+      // so that zero runs crossing frame boundaries take one step.
+      const std::size_t frames = std::min(
+          {payload_left_ / wpf, words.size() / wpf,
+           static_cast<std::size_t>(cm_->total_frames() -
+                                    cm_->linear_index(far_))});
+      const auto run = words.first(frames * wpf);
+      crc_.update_register_writes(static_cast<std::uint32_t>(ConfigReg::kFdri),
+                                  run);
+      for (std::size_t f = 0; f < frames; ++f) {
+        cm_->write_frame(far_, run.subspan(f * wpf, wpf));
+        far_ = far_.next_in(cm_->device());
       }
-      cm_->write_frame(far_, frame);
-      far_ = far_.next_in(cm_->device());
       far_valid_ = far_.valid_for(cm_->device());
-      ++frames_written_;
-      stat_frames_->add();
-      words_consumed_ += static_cast<std::int64_t>(wpf);
-      payload_left_ -= static_cast<std::uint32_t>(wpf);
+      frames_written_ += static_cast<std::int64_t>(frames);
+      stat_frames_->add(static_cast<std::int64_t>(frames));
+      words_consumed_ += static_cast<std::int64_t>(run.size());
+      payload_left_ -= static_cast<std::uint32_t>(run.size());
       if (payload_left_ == 0) expect_ = Expect::kHeader;
-      words = words.subspan(wpf);
+      words = words.subspan(run.size());
     } else {
       feed_word(words.front());
       words = words.subspan(1);

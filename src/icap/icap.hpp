@@ -67,8 +67,9 @@ class IcapController : public bus::Slave {
   void feed_word(std::uint32_t w);
 
   /// Feed a whole stream functionally (no timing). Equivalent to calling
-  /// feed_word on every word: a frame that starts on a frame boundary of a
-  /// valid FDRI payload and lies whole in `words` is CRC'd and written to
+  /// feed_word on every word: the whole frames from a frame boundary of a
+  /// valid FDRI payload that lie in `words`, in the payload and on the
+  /// device are CRC'd in one pass (zero runs in closed form) and written to
   /// configuration memory straight from the span; every other word goes
   /// through feed_word.
   void feed(std::span<const std::uint32_t> words);

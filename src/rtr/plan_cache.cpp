@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "fabric/config_memory.hpp"
-
 namespace rtr {
 
 const PlanCache::Plan* PlanCache::complete(const bitlinker::BitLinker& linker,
@@ -46,18 +44,11 @@ const PlanCache::Plan* PlanCache::differential(
   const Plan* to_plan = complete(linker, to, dock_width, error, nullptr, area);
   if (to_plan == nullptr) return nullptr;
 
-  // Reconstruct the two pure post-load states and diff them. Content-wise
-  // this equals diffing live snapshots taken after loading `from`/`to`
-  // (see the purity argument in the header); the touched-bit sets differ
-  // but only over frames whose content is equal in both states, which the
-  // diff excludes either way.
-  const fabric::Device& dev = from_plan->config.device();
-  fabric::ConfigMemory from_state{dev};
-  from_plan->config.apply_to(from_state);
-  fabric::ConfigMemory to_state{dev};
-  to_plan->config.apply_to(to_state);
-
-  Plan plan{bitstream::PartialConfig::diff(from_state, to_state), {}, 0};
+  // Diff the two complete plans frame by frame: they hold the same covered
+  // frames in the same scan order, so this equals diffing the two pure
+  // post-load states (see the purity argument in the header).
+  Plan plan{bitstream::PartialConfig::diff(from_plan->config, to_plan->config),
+            {}, 0};
   plan.payload_bytes = plan.config.payload_bytes();
   plan.words = bitstream::serialize(plan.config);
 

@@ -1,12 +1,12 @@
 // Reconfiguration plan cache: memoized link/diff/encode pipeline.
 //
 // Every module swap used to repeat the same host-side work: re-link the
-// component with the BitLinker, rebuild two full-fabric states to diff
-// them, and re-encode the resulting configuration into ICAP packets. All
-// of that work is a pure function of the module pair (see below), so it is
-// done once here and reused -- the simulated cost (streaming the words
-// through the HWICAP) is untouched, which keeps every simulated time and
-// every matrix output byte-identical with or without the cache.
+// component with the BitLinker, diff the two modules' configurations, and
+// re-encode the result into ICAP packets. All of that work is a pure
+// function of the module pair (see below), so it is done once here and
+// reused -- the simulated cost (streaming the words through the HWICAP) is
+// untouched, which keeps every simulated time and every matrix output
+// byte-identical with or without the cache.
 //
 // Purity argument. A complete configuration (BitLinker output) covers
 // every frame of the dynamic region full-height: it first zeroes the
@@ -15,13 +15,16 @@
 // state that depends only on (behavior, dock_width) -- not on what was
 // there before. Frames outside the region are never written by any
 // configuration load. So the fabric state after a successful load of X is
-// pure in X, and the differential X -> Y computed between two freshly
-// assembled pure states is byte-identical to one diffed against a live
-// snapshot. The one thing that breaks purity is an *external* write to the
-// fabric (a debugger poke, a scrubber, a mid-stream fault) -- which is
-// exactly what the ConfigMemory generation tag detects: the ModuleManager
-// records the generation when it establishes residency and refuses any
-// cached differential once the tag has moved.
+// pure in X: over the covered frames it is X's complete plan, frame for
+// frame. Two complete plans of one area hold the same covered frames in
+// the same scan order, so the differential X -> Y is the frames where Y's
+// plan differs from X's, diffed plan against plan without building either
+// fabric state -- byte-identical to one diffed against a live snapshot.
+// The one thing that breaks purity is an *external* write to the fabric (a
+// debugger poke, a scrubber, a mid-stream fault) -- which is exactly what
+// the ConfigMemory generation tag detects: the ModuleManager records the
+// generation when it establishes residency and refuses any cached
+// differential once the tag has moved.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +68,7 @@ class PlanCache {
                        int area = 0);
 
   /// Memoized differential plan `from` -> `to` (LRU, keyed per dock width
-  /// and area). Built from the two complete plans' pure fabric states; the
+  /// and area), diffed frame by frame from the two complete plans. The
   /// caller is responsible for generation-tag validation (a cached
   /// differential is only safe while the area still holds the pure
   /// post-`from` state).

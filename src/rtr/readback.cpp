@@ -10,7 +10,6 @@ namespace rtr {
 using bitstream::Command;
 using bitstream::ConfigReg;
 using bus::Addr;
-using fabric::ColumnType;
 using fabric::ConfigMemory;
 using fabric::DynamicRegion;
 using fabric::FrameAddress;
@@ -43,33 +42,29 @@ ReadbackStats readback_verify(cpu::Kernel& k, Addr icap_base,
   const int wn = region.word_count();
   std::uint32_t sig[DynamicRegion::kSignatureWords] = {};
 
-  FrameAddress a{ColumnType::kClb, 0, 0};
-  while (a.valid_for(dev)) {
-    if (region.covers(a)) {
-      // FAR packet + RCFG command, then pop the frame.
-      k.sw(data, bitstream::make_type1(bitstream::Opcode::kWrite,
-                                       ConfigReg::kFar, 1));
-      k.sw(data, a.pack());
-      k.sw(data, bitstream::make_type1(bitstream::Opcode::kWrite,
-                                       ConfigReg::kCmd, 1));
-      k.sw(data, static_cast<std::uint32_t>(Command::kRcfg));
-      const bool is_sig = (a == sig_frame);
-      for (int wi = 0; wi < wpf; ++wi) {
-        const std::uint32_t v = k.lw(data);
-        k.op(2);
-        k.branch();
-        if (wi < w0 || wi >= w0 + wn) continue;  // static rows: not hashed
-        if (is_sig && wi >= sig_w0 &&
-            wi < sig_w0 + DynamicRegion::kSignatureWords) {
-          sig[wi - sig_w0] = v;
-          continue;
-        }
-        feed(v);
+  region.for_each_covered_frame([&](FrameAddress a) {
+    // FAR packet + RCFG command, then pop the frame.
+    k.sw(data, bitstream::make_type1(bitstream::Opcode::kWrite,
+                                     ConfigReg::kFar, 1));
+    k.sw(data, a.pack());
+    k.sw(data, bitstream::make_type1(bitstream::Opcode::kWrite,
+                                     ConfigReg::kCmd, 1));
+    k.sw(data, static_cast<std::uint32_t>(Command::kRcfg));
+    const bool is_sig = (a == sig_frame);
+    for (int wi = 0; wi < wpf; ++wi) {
+      const std::uint32_t v = k.lw(data);
+      k.op(2);
+      k.branch();
+      if (wi < w0 || wi >= w0 + wn) continue;  // static rows: not hashed
+      if (is_sig && wi >= sig_w0 &&
+          wi < sig_w0 + DynamicRegion::kSignatureWords) {
+        sig[wi - sig_w0] = v;
+        continue;
       }
-      ++stats.frames;
+      feed(v);
     }
-    a = a.next_in(dev);
-  }
+    ++stats.frames;
+  });
   k.sw(data, bitstream::make_type1(bitstream::Opcode::kWrite, ConfigReg::kCmd, 1));
   k.sw(data, static_cast<std::uint32_t>(Command::kDesync));
 

@@ -376,10 +376,12 @@ std::uint32_t reference_payload_hash(const ConfigMemory& cm,
 
 TEST(BitLinker, PayloadHashMatchesByteWiseFnvOnSparseContent) {
   // Covered frames are left all zero, filled with nonzero words, or filled
-  // sparsely (zero words between nonzero ones), on both devices' regions.
+  // sparsely (zero words between nonzero ones), on both devices' regions
+  // and the XC2VP30's second area. Zero runs cross frame boundaries.
   for (const DynamicRegion& region :
-       {DynamicRegion::xc2vp7_region(), DynamicRegion::xc2vp30_region()}) {
-    SCOPED_TRACE(region.device().name());
+       {DynamicRegion::xc2vp7_region(), DynamicRegion::xc2vp30_region(),
+        DynamicRegion::xc2vp30_region_b()}) {
+    SCOPED_TRACE(region.name());
     const fabric::Device& dev = region.device();
     sim::Rng rng{77};
     ConfigMemory cm{dev};

@@ -2,6 +2,7 @@
 // configurations, serialisation round-trips.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "bitstream/crc.hpp"
@@ -83,6 +84,54 @@ TEST(Crc32, SlicedStepsMatchByteFeeding) {
     feed_bytes(bytes, word);
     ASSERT_EQ(sliced8.value(), bytes.value());
     ASSERT_EQ(sliced4.value(), bytes.value());
+  }
+}
+
+TEST(Crc32, ZeroRunsMatchByteFeeding) {
+  // update_zero_writes and update_register_writes against update_byte fed
+  // the same register writes, on seeded streams with resets between them.
+  // Each stream is a few nonzero writes, a run of zero writes of length
+  // 0-300 (every jump level, and runs longer than the largest jump), then
+  // a few more nonzero writes, to FDRI and to other registers.
+  auto feed_bytes = [](Crc32& c, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      c.update_byte(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  sim::Rng rng{2121};
+  Crc32 run, span, bytes;
+  for (std::uint64_t len = 0; len <= 300; ++len) {
+    for (int other = 0; other < 2; ++other) {
+      const std::uint32_t reg =
+          other == 0 ? static_cast<std::uint32_t>(ConfigReg::kFdri)
+          : rng.next_bool() ? static_cast<std::uint32_t>(rng.below(13))
+                            : rng.next_u32();
+      SCOPED_TRACE(std::to_string(len) + " zero writes to register " +
+                   std::to_string(reg));
+      if (rng.below(4) == 0) {
+        run.reset();
+        span.reset();
+        bytes.reset();
+      }
+      std::vector<std::uint32_t> lead(rng.below(3));
+      std::vector<std::uint32_t> tail(rng.below(3));
+      for (auto& w : lead) w = rng.next_u32() | 1u;
+      for (auto& w : tail) w = rng.next_u32() | 1u;
+      std::vector<std::uint32_t> words = lead;
+      words.resize(lead.size() + len, 0u);
+      words.insert(words.end(), tail.begin(), tail.end());
+
+      for (const std::uint32_t w : lead) run.update_register_write(reg, w);
+      run.update_zero_writes(reg, len);
+      for (const std::uint32_t w : tail) run.update_register_write(reg, w);
+      span.update_register_writes(reg, words);
+      for (const std::uint32_t w : words) {
+        feed_bytes(bytes, reg);
+        feed_bytes(bytes, w);
+      }
+      ASSERT_EQ(run.value(), bytes.value());
+      ASSERT_EQ(span.value(), bytes.value());
+    }
   }
 }
 

@@ -331,6 +331,52 @@ TEST(DynamicRegion, CoversItsColumnsOnly) {
   EXPECT_GT(r.covered_frames(), 28 * kFramesPerClbColumn);
 }
 
+TEST(DynamicRegion, CoveredWalkMatchesTheCoversScan) {
+  // The covered-frame walk against covers() tested on every device frame:
+  // the same frames, each once, in the same scan order, by whole columns.
+  for (const DynamicRegion& r :
+       {DynamicRegion::xc2vp7_region(), DynamicRegion::xc2vp30_region(),
+        DynamicRegion::xc2vp30_region_b()}) {
+    SCOPED_TRACE(r.name());
+    const Device& dev = r.device();
+    std::vector<FrameAddress> scan;
+    for (FrameAddress a{ColumnType::kClb, 0, 0}; a.valid_for(dev);
+         a = a.next_in(dev)) {
+      if (r.covers(a)) scan.push_back(a);
+    }
+    std::vector<FrameAddress> walk;
+    r.for_each_covered_frame([&](FrameAddress a) { walk.push_back(a); });
+    EXPECT_EQ(walk, scan);
+    EXPECT_EQ(static_cast<int>(walk.size()), r.covered_frames());
+
+    std::vector<FrameAddress> by_column;
+    r.for_each_covered_column([&](FrameAddress first, int frames) {
+      EXPECT_EQ(first.minor, 0);
+      EXPECT_EQ(frames, Device::frames_in_column(first.type));
+      for (FrameAddress a = first; frames-- > 0; a = a.next_in(dev)) {
+        by_column.push_back(a);
+      }
+    });
+    EXPECT_EQ(by_column, scan);
+  }
+}
+
+TEST(ConfigMemory, FramesSpanConsecutiveFrames) {
+  ConfigMemory cm{Device::xc2vp7()};
+  const FrameAddress first{ColumnType::kBramInterconnect, 1, 20};
+  const std::uint32_t a[1] = {7};
+  const std::uint32_t b[1] = {9};
+  cm.write_words(first, 3, a);
+  cm.write_words(first.next_in(cm.device()).next_in(cm.device()), 5, b);
+  const auto words = cm.frames(first, 3);
+  const auto wpf = static_cast<std::size_t>(cm.words_per_frame());
+  ASSERT_EQ(words.size(), 3 * wpf);
+  EXPECT_EQ(words[3], 7u);
+  EXPECT_EQ(words[2 * wpf + 5], 9u);
+  EXPECT_EQ(std::accumulate(words.begin(), words.end(), std::uint64_t{0}),
+            16u);
+}
+
 TEST(DynamicRegion, ColumnListMatchesRect) {
   const DynamicRegion r = DynamicRegion::xc2vp30_region();
   const auto cols = r.clb_columns();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "bitlinker/bitlinker.hpp"
@@ -474,6 +475,100 @@ TEST(IcapFeed, ZeroCountType2Header) {
   feed_both(ref, got, words);
   EXPECT_TRUE(got.icap.error());
   EXPECT_EQ(got.icap.frames_written(), 0);
+}
+
+/// Word classes of a well-formed stream, by index.
+struct StreamMap {
+  std::vector<std::size_t> headers, far, fdri, crc;
+};
+
+StreamMap map_stream(const std::vector<std::uint32_t>& words) {
+  StreamMap m;
+  std::size_t i = index_of(words, bitstream::kSyncWord) + 1;
+  while (i < words.size()) {
+    const bitstream::PacketHeader h = bitstream::decode_header(words[i]);
+    if (h.type != bitstream::PacketHeader::Type::kType1) break;  // DUMMY
+    m.headers.push_back(i++);
+    std::uint32_t count = h.word_count;
+    if (h.reg == ConfigReg::kFdri && count == 0) {
+      m.headers.push_back(i);
+      count = bitstream::decode_header(words[i++]).word_count;
+    }
+    std::vector<std::size_t>* cls = h.reg == ConfigReg::kFar    ? &m.far
+                                    : h.reg == ConfigReg::kFdri ? &m.fdri
+                                    : h.reg == ConfigReg::kCrc  ? &m.crc
+                                                                : nullptr;
+    for (std::uint32_t k = 0; k < count; ++k, ++i) {
+      if (cls != nullptr) cls->push_back(i);
+    }
+  }
+  return m;
+}
+
+TEST(IcapFeed, GarbledStreamsThroughBothPaths) {
+  // 2,000 seeded mutations of real complete and differential streams:
+  // truncation, a bit flip in a header, FAR, FDRI or CRC word, and a
+  // dropped or duplicated word. feed(span) and a feed_word loop must end in
+  // the same state, and neither may abort.
+  Plans layouts[] = {{DynamicRegion::xc2vp7_region(), 32, 0},
+                     {DynamicRegion::xc2vp30_region(), 64, 0},
+                     {DynamicRegion::xc2vp30_region_b(), 64, 1}};
+  std::vector<hw::BehaviorId> ids[3];
+  for (int l = 0; l < 3; ++l) ids[l] = layouts[l].fitting();
+  sim::Rng rng{2100};
+  int errors = 0;
+  for (int n = 0; n < 2000; ++n) {
+    const auto l = static_cast<std::size_t>(rng.below(3));
+    Plans& plans = layouts[l];
+    const hw::BehaviorId from = ids[l][rng.below(ids[l].size())];
+    const hw::BehaviorId to = ids[l][rng.below(ids[l].size())];
+    const bool differential = from != to && rng.next_bool();
+    std::vector<std::uint32_t> words = differential
+                                           ? plans.differential(from, to)->words
+                                           : plans.complete(to)->words;
+    const StreamMap map = map_stream(words);
+    auto pick = [&](const std::vector<std::size_t>& v) {
+      return v.empty() ? rng.below(words.size()) : v[rng.below(v.size())];
+    };
+    const std::uint32_t bit = 1u << rng.below(32);
+    const auto kind = rng.below(7);
+    switch (kind) {
+      case 0:
+        words.resize(rng.below(words.size()));
+        break;
+      case 1:
+        words[pick(map.headers)] ^= bit;
+        break;
+      case 2:
+        words[pick(map.far)] ^= bit;
+        break;
+      case 3:
+        words[pick(map.fdri)] ^= bit;
+        break;
+      case 4:
+        words[pick(map.crc)] ^= bit;
+        break;
+      case 5:
+        words.erase(words.begin() +
+                    static_cast<std::ptrdiff_t>(rng.below(words.size())));
+        break;
+      default: {
+        const std::size_t at = rng.below(words.size());
+        const std::uint32_t w = words[at];
+        words.insert(words.begin() + static_cast<std::ptrdiff_t>(at), w);
+      }
+    }
+    SCOPED_TRACE("mutation " + std::to_string(n) + " (kind " +
+                 std::to_string(kind) + ") of " + plans.region.name() + " " +
+                 hw::task_name(from) + " -> " + hw::task_name(to) +
+                 (differential ? " (differential)" : " (complete)"));
+    Rig ref{plans.region.device()}, got{plans.region.device()};
+    feed_both(ref, got, words);
+    errors += got.icap.error() ? 1 : 0;
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Most mutations are caught by the CRC, the IDCODE or the packet checks.
+  EXPECT_GT(errors, 1000);
 }
 
 }  // namespace

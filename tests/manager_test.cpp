@@ -8,6 +8,7 @@
 #include "apps/memio.hpp"
 #include "bitstream/partial_config.hpp"
 #include "rtr/manager.hpp"
+#include "rtr/plan_cache.hpp"
 #include "rtr/platform.hpp"
 
 namespace rtr {
@@ -253,6 +254,79 @@ TEST(ManagerPlanCache, ExternalFabricWriteFailsTheGenerationTag) {
   EXPECT_GT(
       p.sim().stats().counter("rtr.plan_cache.gen_invalidations").value(), 0);
   EXPECT_EQ(p.region().scan_signature(p.fabric_state()), hw::kFade);
+}
+
+TEST(PlanCache, DifferentialEqualsTheStateDiff) {
+  // For every ordered pair of fitting behaviours on the XC2VP7, the XC2VP30
+  // and its second area, the cached differential -- diffed plan against
+  // plan -- equals PartialConfig::diff over the two complete plans applied
+  // to blank fabric: runs, payload bytes and serialized words.
+  struct Layout {
+    fabric::DynamicRegion region;
+    int width;
+    int area;
+  };
+  const Layout layouts[] = {{fabric::DynamicRegion::xc2vp7_region(), 32, 0},
+                            {fabric::DynamicRegion::xc2vp30_region(), 64, 0},
+                            {fabric::DynamicRegion::xc2vp30_region_b(), 64, 1}};
+  constexpr hw::BehaviorId kBehaviors[] = {
+      hw::kPatternMatcher, hw::kJenkinsHash, hw::kSha1,
+      hw::kPatternMatcherXl, hw::kBrightness, hw::kBlendAdd,
+      hw::kFade,           hw::kLoopback,    hw::kSink};
+  for (const Layout& l : layouts) {
+    const fabric::Device& dev = l.region.device();
+    const fabric::ConfigMemory baseline{dev};
+    const bitlinker::BitLinker linker{
+        l.region, busmacro::ConnectionInterface::for_width(l.width), baseline};
+    PlanCache cache;
+    std::vector<hw::BehaviorId> ids;
+    for (const hw::BehaviorId id : kBehaviors) {
+      if (cache.complete(linker, id, l.width, nullptr, nullptr, l.area)) {
+        ids.push_back(id);
+      }
+    }
+    ASSERT_GE(ids.size(), 4u);
+    for (const hw::BehaviorId from : ids) {
+      for (const hw::BehaviorId to : ids) {
+        SCOPED_TRACE(l.region.name() + ": " + hw::task_name(from) + " -> " +
+                     hw::task_name(to));
+        const PlanCache::Plan* plan = cache.differential(
+            linker, from, to, l.width, nullptr, nullptr, l.area);
+        ASSERT_NE(plan, nullptr);
+        fabric::ConfigMemory from_state{dev};
+        fabric::ConfigMemory to_state{dev};
+        cache.complete(linker, from, l.width, nullptr, nullptr, l.area)
+            ->config.apply_to(from_state);
+        cache.complete(linker, to, l.width, nullptr, nullptr, l.area)
+            ->config.apply_to(to_state);
+        const bitstream::PartialConfig want =
+            bitstream::PartialConfig::diff(from_state, to_state);
+        ASSERT_EQ(plan->config.runs().size(), want.runs().size());
+        for (std::size_t r = 0; r < want.runs().size(); ++r) {
+          EXPECT_EQ(plan->config.runs()[r].start, want.runs()[r].start);
+          EXPECT_EQ(plan->config.runs()[r].frame_count,
+                    want.runs()[r].frame_count);
+          EXPECT_EQ(plan->config.runs()[r].words, want.runs()[r].words);
+        }
+        EXPECT_EQ(plan->payload_bytes, want.payload_bytes());
+        EXPECT_EQ(plan->words, bitstream::serialize(want));
+        if (from == to) {
+          EXPECT_EQ(want.total_frames(), 0);
+        }
+      }
+    }
+  }
+}
+
+TEST(PlanCache, PlanDiffRejectsConfigurationsOfDifferentFrames) {
+  const fabric::Device& dev = fabric::Device::xc2vp7();
+  const std::vector<std::uint32_t> frame(
+      static_cast<std::size_t>(dev.words_per_frame()), 1u);
+  bitstream::PartialConfig a{dev};
+  a.add_run({fabric::FrameAddress{fabric::ColumnType::kClb, 3, 0}, 1, frame});
+  bitstream::PartialConfig b{dev};
+  b.add_run({fabric::FrameAddress{fabric::ColumnType::kClb, 4, 0}, 1, frame});
+  EXPECT_DEATH((void)bitstream::PartialConfig::diff(a, b), "different frames");
 }
 
 }  // namespace
