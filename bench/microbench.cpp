@@ -2,7 +2,7 @@
 // simulator itself executes its primitives. These guard against
 // performance regressions in the simulation substrate -- the table benches
 // above measure *simulated* time, this binary measures *host* time. CI
-// gates fifteen of them against the baselines in BENCH_microbench.json
+// gates sixteen of them against the baselines in BENCH_microbench.json
 // (docs/PERFORMANCE.md "Recorded baselines" says how to re-record them).
 #include <benchmark/benchmark.h>
 
@@ -174,6 +174,24 @@ static void BM_PatternMatchRequest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PatternMatchRequest);
+
+// One serving-size Jenkins request on the 64-bit system, hardware path,
+// through serve::exec_request: the seeded 2 KiB key staged in memory, the
+// PIO driver streaming it through the resident hash unit, and the golden
+// model's check. With brightness, the other half of resident_hot.
+static void BM_JenkinsRequest(benchmark::State& state) {
+  Platform64 p;
+  bench::must_load(p, hw::kJenkinsHash);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    const serve::ExecResult r =
+        serve::exec_request(p, hw::kJenkinsHash, ++seed, /*hw=*/true);
+    if (!r.golden_ok) state.SkipWithError("Jenkins request failed golden");
+    benchmark::DoNotOptimize(r.digest);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_JenkinsRequest);
 
 // One serving-size SHA-1 request on the 32-bit system, software path,
 // through serve::exec_request: the seeded 1 KiB message staged in memory,

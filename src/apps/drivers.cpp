@@ -27,29 +27,27 @@ constexpr bus::AddressRange words_at(Addr base, std::int64_t n) {
 }
 
 /// The bulk side of a PIO loop (cpu::run_periodic): memory moves through
-/// the backdoor in blocks, and every data word goes through the dock's own
-/// read/write on its endpoint slave, so the module and the dock's counters
-/// see each word while no bus does.
+/// the backdoor in blocks, and the data words go to the dock's endpoint
+/// slave in one block of strobes (bus::Slave::pio_block), so the module and
+/// the dock's counters see every word while no bus does.
 class BulkPort {
  public:
   BulkPort(Kernel& k, Addr dock)
       : mem_(&k.cpu().plb()), dock_addr_(dock), dock_(&mem_->endpoint(dock)) {}
 
   /// `count` words from `base`, in one block.
-  [[nodiscard]] std::vector<std::uint8_t> peek(Addr base,
-                                               std::int64_t count) const {
-    std::vector<std::uint8_t> out(static_cast<std::size_t>(count) * 4);
-    mem_->peek_block(base, out);
-    return out;
+  [[nodiscard]] std::vector<std::uint32_t> peek(Addr base,
+                                                std::int64_t count) const {
+    return fetch_words(*mem_, base, static_cast<std::size_t>(count));
   }
-  void poke(Addr base, std::span<const std::uint8_t> block) {
-    mem_->poke_block(base, block);
+  void poke(Addr base, std::span<const std::uint32_t> words) {
+    store_words(*mem_, base, words);
   }
 
-  void write(std::uint32_t v) { dock_->write(dock_addr_, v, 4, SimTime{}); }
-  [[nodiscard]] std::uint32_t read() {
-    const bus::SlaveResult r = dock_->read(dock_addr_, 4, SimTime{});
-    return static_cast<std::uint32_t>(r.data);
+  /// One block of data-register strobes: the writes of `in`, with a read
+  /// into each word of `out` after every in.size() / out.size() of them.
+  void strobe(std::span<const std::uint32_t> in, std::span<std::uint32_t> out) {
+    dock_->pio_block(dock_addr_, in, out);
   }
 
  private:
@@ -70,8 +68,7 @@ void pio_feed(Kernel& k, Addr dock, Addr src, std::int64_t n) {
       },
       [&](std::int64_t first, std::int64_t count) {
         BulkPort port(k, dock);
-        const auto in = port.peek(word_at(src, first), count);
-        for (std::int64_t j = 0; j < count; ++j) port.write(le32(in, j));
+        port.strobe(port.peek(word_at(src, first), count), {});
       });
 }
 
@@ -92,12 +89,9 @@ void pio_exchange(Kernel& k, Addr dock, Addr src, Addr dst, std::int64_t n) {
       },
       [&](std::int64_t first, std::int64_t count) {
         BulkPort port(k, dock);
-        auto block = port.peek(word_at(src, first), count);
-        for (std::int64_t j = 0; j < count; ++j) {
-          port.write(le32(block, j));
-          put_le32(block, j, port.read());
-        }
-        port.poke(word_at(dst, first), block);
+        std::vector<std::uint32_t> out(static_cast<std::size_t>(count));
+        port.strobe(port.peek(word_at(src, first), count), out);
+        port.poke(word_at(dst, first), out);
       });
 }
 }  // namespace
@@ -124,8 +118,8 @@ SimTime pio_read_seq(Kernel& k, Addr mem, Addr dock, int n) {
       },
       [&](std::int64_t first, std::int64_t count) {
         BulkPort port(k, dock);
-        std::vector<std::uint8_t> out(static_cast<std::size_t>(count) * 4);
-        for (std::int64_t j = 0; j < count; ++j) put_le32(out, j, port.read());
+        std::vector<std::uint32_t> out(static_cast<std::size_t>(count));
+        port.strobe({}, out);
         port.poke(word_at(mem, first), out);
       });
   return k.now() - t0;
@@ -247,8 +241,10 @@ MatchResult hw_pattern_match_pio(Kernel& k, Addr dock, Addr img, int w, int h,
       },
       [&](std::int64_t first, std::int64_t count) {
         BulkPort port(k, dock);
-        for (std::int64_t i = first; i < first + count; ++i) {
-          track(i, static_cast<int>(port.read()));
+        std::vector<std::uint32_t> counts(static_cast<std::size_t>(count));
+        port.strobe({}, counts);
+        for (std::int64_t j = 0; j < count; ++j) {
+          track(first + j, static_cast<int>(counts[static_cast<std::size_t>(j)]));
         }
       });
   return best;
@@ -311,13 +307,14 @@ void two_source_pio(Kernel& k, Addr dock, Addr a, Addr b, Addr dst, int n) {
         BulkPort port(k, dock);
         const auto pa = port.peek(word_at(a, first), count);
         const auto pb = port.peek(word_at(b, first), count);
-        std::vector<std::uint8_t> out(pa.size());
-        for (std::int64_t j = 0; j < count; ++j) {
-          for (int half = 0; half < 2; ++half) {
-            port.write(le16(pa, 2 * j + half) | le16(pb, 2 * j + half) << 16);
-          }
-          put_le32(out, j, port.read());
+        // Each group's halves [A0 A1 B0 B1] and [A2 A3 B2 B3], then a read.
+        std::vector<std::uint32_t> in(2 * pa.size());
+        for (std::size_t j = 0; j < pa.size(); ++j) {
+          in[2 * j] = (pa[j] & 0xFFFFu) | pb[j] << 16;
+          in[2 * j + 1] = pa[j] >> 16 | (pb[j] & 0xFFFF0000u);
         }
+        std::vector<std::uint32_t> out(pa.size());
+        port.strobe(in, out);
         port.poke(word_at(dst, first), out);
       });
 }

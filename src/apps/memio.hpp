@@ -3,6 +3,7 @@
 // as the paper's do).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -46,18 +47,36 @@ inline void put_le32(std::span<std::uint8_t> b, std::int64_t j,
   }
 }
 
+/// Blocks of words in the simulator's little-endian memory convention:
+/// store_words writes them as sw does, fetch_words reads them as lw does.
+/// One block copy where that is the host's byte order, byte by byte
+/// elsewhere.
 inline void store_words(bus::Bus& b, bus::Addr base,
                         std::span<const std::uint32_t> words) {
-  // Words are staged in the simulator's little-endian memory convention;
-  // serialise explicitly so the block path is host-endian independent.
-  std::vector<std::uint8_t> bytes(words.size() * 4);
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    bytes[i * 4 + 0] = static_cast<std::uint8_t>(words[i]);
-    bytes[i * 4 + 1] = static_cast<std::uint8_t>(words[i] >> 8);
-    bytes[i * 4 + 2] = static_cast<std::uint8_t>(words[i] >> 16);
-    bytes[i * 4 + 3] = static_cast<std::uint8_t>(words[i] >> 24);
+  if constexpr (std::endian::native == std::endian::little) {
+    b.poke_block(base, {reinterpret_cast<const std::uint8_t*>(words.data()),
+                        words.size() * 4});
+  } else {
+    std::vector<std::uint8_t> bytes(words.size() * 4);
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      put_le32(bytes, static_cast<std::int64_t>(i), words[i]);
+    }
+    b.poke_block(base, bytes);
   }
-  b.poke_block(base, bytes);
+}
+
+inline std::vector<std::uint32_t> fetch_words(bus::Bus& b, bus::Addr base,
+                                              std::size_t n) {
+  std::vector<std::uint32_t> words(n);
+  if constexpr (std::endian::native == std::endian::little) {
+    b.peek_block(base, {reinterpret_cast<std::uint8_t*>(words.data()), n * 4});
+  } else {
+    const std::vector<std::uint8_t> bytes = fetch_bytes(b, base, n * 4);
+    for (std::size_t i = 0; i < n; ++i) {
+      words[i] = le32(bytes, static_cast<std::int64_t>(i));
+    }
+  }
+  return words;
 }
 
 }  // namespace rtr::apps

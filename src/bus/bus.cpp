@@ -54,6 +54,16 @@ void Slave::poke_block(Addr addr, std::span<const std::uint8_t> data) {
   for (std::size_t i = 0; i < data.size(); ++i) poke(addr + i, data[i], 1);
 }
 
+void Slave::pio_block(Addr addr, std::span<const std::uint32_t> in,
+                      std::span<std::uint32_t> out) {
+  for_each_pio_group(
+      in, out,
+      [&](std::span<const std::uint32_t> words) {
+        for (const std::uint32_t w : words) write(addr, w, 4, SimTime{});
+      },
+      [&] { return static_cast<std::uint32_t>(read(addr, 4, SimTime{}).data); });
+}
+
 Bus::Bus(std::string name, sim::Simulation& sim, sim::Clock& clock,
          BusProtocol protocol)
     : name_(std::move(name)),

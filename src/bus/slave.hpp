@@ -11,6 +11,7 @@
 #include <string>
 
 #include "bus/types.hpp"
+#include "sim/check.hpp"
 #include "sim/time.hpp"
 
 namespace rtr::bus {
@@ -63,9 +64,39 @@ class Slave {
   virtual void peek_block(Addr addr, std::span<std::uint8_t> out) const;
   virtual void poke_block(Addr addr, std::span<const std::uint8_t> data);
 
+  /// A block of 32-bit programmed-I/O strobes on one register, as the bulk
+  /// side of a closed-form CPU loop hands them over: no timing, no bus
+  /// transaction. With `out` empty it is `in.size()` writes; with `in`
+  /// empty, `out.size()` reads; otherwise `out.size()` groups, each of
+  /// `in.size() / out.size()` writes followed by one read (see
+  /// for_each_pio_group). It must equal the same single beats one by one;
+  /// the default is that loop.
+  virtual void pio_block(Addr addr, std::span<const std::uint32_t> in,
+                         std::span<std::uint32_t> out);
+
   /// The bus a bridge forwards its window to; null for a slave that serves
   /// its accesses itself.
   [[nodiscard]] virtual Bus* forwards_to() const { return nullptr; }
 };
+
+/// Split a programmed-I/O block (Slave::pio_block) into its groups:
+/// `writes(span)` with each group's writes, then `read()` for its read. A
+/// block without reads is one group of writes.
+template <typename Writes, typename Read>
+void for_each_pio_group(std::span<const std::uint32_t> in,
+                        std::span<std::uint32_t> out, Writes&& writes,
+                        Read&& read) {
+  if (out.empty()) {
+    writes(in);
+    return;
+  }
+  RTR_CHECK(in.size() % out.size() == 0,
+            "a PIO block's writes split evenly between its reads");
+  const std::size_t per = in.size() / out.size();
+  for (std::size_t g = 0; g < out.size(); ++g) {
+    writes(in.subspan(g * per, per));
+    out[g] = read();
+  }
+}
 
 }  // namespace rtr::bus

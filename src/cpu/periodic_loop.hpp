@@ -51,8 +51,9 @@ struct PeriodicLoop {
 /// busy time and latency histogram, the bridge's crossings and beat splits,
 /// the CPU's loads and stores, and, under a quiet fault plan, the bus and
 /// ICAP fault opportunities. The components register all of them at
-/// construction. Device counters are not here: the bulk side still hands
-/// every data word to the device.
+/// construction. Device counters are not here: the bulk side hands its data
+/// words to the device in one block (bus::Slave::pio_block), and the device
+/// counts every strobe of it.
 class IterationStats {
  public:
   IterationStats(sim::StatRegistry& st, std::span<bus::Bus* const> buses,

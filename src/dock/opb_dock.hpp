@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "bus/slave.hpp"
 #include "fabric/resources.hpp"
@@ -20,6 +21,26 @@
 namespace rtr::dock {
 
 inline constexpr std::uint64_t kUnboundReadValue = 0xDEADBEEFDEADBEEFULL;
+
+/// A block of strobes on either dock's data register (bus::Slave::pio_block):
+/// the counters advance as the single beats would advance them, and the
+/// bound module consumes the block whole. With nothing bound, every strobe
+/// is an orphan access and every read returns the poison value.
+inline void data_block(hw::HwModule* module, sim::Counter& writes,
+                       sim::Counter& reads, sim::Counter& orphans,
+                       std::span<const std::uint32_t> in,
+                       std::span<std::uint32_t> out) {
+  writes.add(static_cast<std::int64_t>(in.size()));
+  reads.add(static_cast<std::int64_t>(out.size()));
+  if (module) {
+    module->pio_block(in, out);
+    return;
+  }
+  orphans.add(static_cast<std::int64_t>(in.size() + out.size()));
+  bus::for_each_pio_group(
+      in, out, [](std::span<const std::uint32_t>) {},
+      [] { return static_cast<std::uint32_t>(kUnboundReadValue); });
+}
 
 class OpbDock : public bus::Slave {
  public:
@@ -82,6 +103,13 @@ class OpbDock : public bus::Slave {
       orphans_->add();
     }
     return clock_->after_cycles(start, 2);
+  }
+
+  void pio_block(bus::Addr addr, std::span<const std::uint32_t> in,
+                 std::span<std::uint32_t> out) override {
+    RTR_CHECK(addr - range_.base == kDataReg,
+              "OPB dock blocks strobe the data register");
+    data_block(module_, *writes_, *reads_, *orphans_, in, out);
   }
 
  private:

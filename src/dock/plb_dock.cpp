@@ -1,6 +1,6 @@
 #include "dock/plb_dock.hpp"
 
-#include "dock/opb_dock.hpp"  // kUnboundReadValue
+#include "dock/opb_dock.hpp"  // kUnboundReadValue, data_block
 #include "sim/check.hpp"
 
 namespace rtr::dock {
@@ -105,6 +105,13 @@ SimTime PlbDock::write(bus::Addr addr, std::uint64_t data, int bytes,
   }
   RTR_CHECK(false, "write to undefined PLB dock register");
   __builtin_unreachable();
+}
+
+void PlbDock::pio_block(bus::Addr addr, std::span<const std::uint32_t> in,
+                        std::span<std::uint32_t> out) {
+  RTR_CHECK(addr - range_.base == kPioData,
+            "PLB dock blocks strobe the PIO data register");
+  data_block(module_, *writes_, *reads_, *orphans_, in, out);
 }
 
 bus::SlaveResult PlbDock::burst_read(bus::Addr addr,

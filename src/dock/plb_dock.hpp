@@ -101,6 +101,11 @@ class PlbDock : public bus::Slave {
   sim::SimTime write(bus::Addr addr, std::uint64_t data, int bytes,
                      sim::SimTime start) override;
 
+  /// A block of PIO strobes on the data register (the closed-form bulk
+  /// side of a CPU loop).
+  void pio_block(bus::Addr addr, std::span<const std::uint32_t> in,
+                 std::span<std::uint32_t> out) override;
+
   /// Pipelined burst pop from the FIFO (DMA drain path).
   bus::SlaveResult burst_read(bus::Addr addr, std::span<std::uint64_t> out,
                               sim::SimTime start, bool increment) override;

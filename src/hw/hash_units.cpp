@@ -1,5 +1,7 @@
 #include "hw/hash_units.hpp"
 
+#include <algorithm>
+
 namespace rtr::hw {
 
 // --- ByteStreamModule -----------------------------------------------------------
@@ -15,6 +17,38 @@ void ByteStreamModule::reset() {
 void ByteStreamModule::write_word(std::uint64_t data, int width_bits) {
   accept32(static_cast<std::uint32_t>(data));
   if (width_bits == 64) accept32(static_cast<std::uint32_t>(data >> 32));
+}
+
+void ByteStreamModule::pio_block(std::span<const std::uint32_t> in,
+                                 std::span<std::uint32_t> out) {
+  bus::for_each_pio_group(
+      in, out,
+      [this](std::span<const std::uint32_t> words) { accept_words(words); },
+      [this] { return static_cast<std::uint32_t>(read_word(32)); });
+}
+
+void ByteStreamModule::accept_words(std::span<const std::uint32_t> words) {
+  // Strobes after the digest are ignored, as accept32 ignores them.
+  while (!words.empty() && !done_) {
+    // The words that carry four message bytes each; the length word and
+    // the tail word take the single-strobe path.
+    const std::size_t whole =
+        have_length_ ? std::min<std::size_t>(words.size(),
+                                             (length_ - received_) / 4)
+                     : 0;
+    if (whole == 0) {
+      accept32(words.front());
+      words = words.subspan(1);
+      continue;
+    }
+    absorb_words(words.first(whole));
+    received_ += static_cast<std::uint32_t>(4 * whole);
+    words = words.subspan(whole);
+    if (received_ == length_) {
+      finalize();
+      done_ = true;
+    }
+  }
 }
 
 void ByteStreamModule::accept32(std::uint32_t w) {
@@ -45,15 +79,7 @@ void JenkinsHashModule::clear_state() {
   fill_ = 0;
 }
 
-void JenkinsHashModule::mix_block() {
-  auto word = [&](int base) {
-    return block_[base] | (std::uint32_t{block_[base + 1]} << 8) |
-           (std::uint32_t{block_[base + 2]} << 16) |
-           (std::uint32_t{block_[base + 3]} << 24);
-  };
-  a_ += word(0);
-  b_ += word(4);
-  c_ += word(8);
+void JenkinsHashModule::mix() {
   a_ -= b_; a_ -= c_; a_ ^= (c_ >> 13);
   b_ -= c_; b_ -= a_; b_ ^= (a_ << 8);
   c_ -= a_; c_ -= b_; c_ ^= (b_ >> 13);
@@ -63,12 +89,38 @@ void JenkinsHashModule::mix_block() {
   a_ -= b_; a_ -= c_; a_ ^= (c_ >> 3);
   b_ -= c_; b_ -= a_; b_ ^= (a_ << 10);
   c_ -= a_; c_ -= b_; c_ ^= (b_ >> 15);
+}
+
+void JenkinsHashModule::mix_block() {
+  auto word = [&](int base) {
+    return block_[base] | (std::uint32_t{block_[base + 1]} << 8) |
+           (std::uint32_t{block_[base + 2]} << 16) |
+           (std::uint32_t{block_[base + 3]} << 24);
+  };
+  a_ += word(0);
+  b_ += word(4);
+  c_ += word(8);
+  mix();
   fill_ = 0;
 }
 
 void JenkinsHashModule::absorb(std::uint8_t byte) {
   block_[fill_++] = byte;
   if (fill_ == 12) mix_block();
+}
+
+void JenkinsHashModule::absorb_words(std::span<const std::uint32_t> words) {
+  // The pending block holds 0, 4 or 8 bytes: top it up, then add whole
+  // 12-byte blocks straight into a, b and c.
+  std::size_t i = 0;
+  for (; i < words.size() && fill_ != 0; ++i) absorb_bytes(words[i]);
+  for (; i + 3 <= words.size(); i += 3) {
+    a_ += words[i];
+    b_ += words[i + 1];
+    c_ += words[i + 2];
+    mix();
+  }
+  for (; i < words.size(); ++i) absorb_bytes(words[i]);
 }
 
 void JenkinsHashModule::finalize() {
@@ -89,16 +141,7 @@ void JenkinsHashModule::finalize() {
   if (n >= 2) a_ += at(1) << 8;
   if (n >= 1) a_ += at(0);
   fill_ = 0;
-  // final mix
-  a_ -= b_; a_ -= c_; a_ ^= (c_ >> 13);
-  b_ -= c_; b_ -= a_; b_ ^= (a_ << 8);
-  c_ -= a_; c_ -= b_; c_ ^= (b_ >> 13);
-  a_ -= b_; a_ -= c_; a_ ^= (c_ >> 12);
-  b_ -= c_; b_ -= a_; b_ ^= (a_ << 16);
-  c_ -= a_; c_ -= b_; c_ ^= (b_ >> 5);
-  a_ -= b_; a_ -= c_; a_ ^= (c_ >> 3);
-  b_ -= c_; b_ -= a_; b_ ^= (a_ << 10);
-  c_ -= a_; c_ -= b_; c_ ^= (b_ >> 15);
+  mix();
 }
 
 std::uint64_t JenkinsHashModule::read_word(int) {
@@ -114,15 +157,10 @@ void Sha1Module::clear_state() {
   read_index_ = 0;
 }
 
-void Sha1Module::process_block() {
+void Sha1Module::compress(const std::uint32_t (&block)[16]) {
   auto rol = [](std::uint32_t x, int n) { return (x << n) | (x >> (32 - n)); };
   std::uint32_t w[80];
-  for (int t = 0; t < 16; ++t) {
-    const int i = t * 4;
-    w[t] = (std::uint32_t{block_[i]} << 24) |
-           (std::uint32_t{block_[i + 1]} << 16) |
-           (std::uint32_t{block_[i + 2]} << 8) | block_[i + 3];
-  }
+  for (int t = 0; t < 16; ++t) w[t] = block[t];
   for (int t = 16; t < 80; ++t) {
     w[t] = rol(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
   }
@@ -154,6 +192,17 @@ void Sha1Module::process_block() {
   h_[2] += c;
   h_[3] += d;
   h_[4] += e;
+}
+
+void Sha1Module::process_block() {
+  std::uint32_t w[16];
+  for (int t = 0; t < 16; ++t) {
+    const int i = t * 4;
+    w[t] = (std::uint32_t{block_[i]} << 24) |
+           (std::uint32_t{block_[i + 1]} << 16) |
+           (std::uint32_t{block_[i + 2]} << 8) | block_[i + 3];
+  }
+  compress(w);
   fill_ = 0;
 }
 
@@ -161,6 +210,25 @@ void Sha1Module::absorb(std::uint8_t byte) {
   block_[fill_++] = byte;
   ++total_bytes_;
   if (fill_ == 64) process_block();
+}
+
+void Sha1Module::absorb_words(std::span<const std::uint32_t> words) {
+  // The pending block holds a whole number of words: top it up, then
+  // compress whole 64-byte blocks straight from the words, each turned to
+  // SHA-1's big-endian byte order.
+  std::size_t i = 0;
+  for (; i < words.size() && fill_ != 0; ++i) absorb_bytes(words[i]);
+  for (; i + 16 <= words.size(); i += 16) {
+    std::uint32_t w[16];
+    for (int t = 0; t < 16; ++t) {
+      const std::uint32_t v = words[i + static_cast<std::size_t>(t)];
+      w[t] = (v >> 24) | ((v >> 8) & 0xFF00u) | ((v << 8) & 0xFF0000u) |
+             (v << 24);
+    }
+    compress(w);
+    total_bytes_ += 64;
+  }
+  for (; i < words.size(); ++i) absorb_bytes(words[i]);
 }
 
 void Sha1Module::finalize() {

@@ -11,10 +11,16 @@
 // When all bytes have arrived the digest is valid:
 //   Jenkins: read 0 -> the 32-bit hash
 //   SHA-1:   reads 0..4 -> H0..H4
+//
+// A block of strobes (pio_block) hands whole message words to the digest
+// at once: Jenkins adds three of them straight into a, b and c, SHA-1
+// compresses sixteen. Partial blocks and the tail go byte by byte, as a
+// single strobe does.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hw/module.hpp"
@@ -28,20 +34,31 @@ class ByteStreamModule : public HwModule {
   /// A control strobe re-arms the unit for a new message.
   void control(std::uint32_t) override { reset(); }
   void write_word(std::uint64_t data, int width_bits) override;
+  void pio_block(std::span<const std::uint32_t> in,
+                 std::span<std::uint32_t> out) override;
   [[nodiscard]] bool has_output() const override { return false; }
   [[nodiscard]] bool result_ready() const { return done_; }
 
  protected:
   /// A message byte arrived.
   virtual void absorb(std::uint8_t byte) = 0;
+  /// Whole message words arrived, each four bytes little-endian and none
+  /// past the message's end: the same as absorb() of their bytes in order.
+  /// They start at a 4-byte boundary of the message.
+  virtual void absorb_words(std::span<const std::uint32_t> words) = 0;
   /// All `length` bytes arrived; finalise the digest.
   virtual void finalize() = 0;
   virtual void clear_state() = 0;
 
   [[nodiscard]] std::uint32_t length() const { return length_; }
+  /// absorb() of a whole word's four bytes, low byte first.
+  void absorb_bytes(std::uint32_t w) {
+    for (int i = 0; i < 4; ++i) absorb(static_cast<std::uint8_t>(w >> (8 * i)));
+  }
 
  private:
   void accept32(std::uint32_t w);
+  void accept_words(std::span<const std::uint32_t> words);
 
   bool have_length_ = false;
   bool done_ = false;
@@ -49,7 +66,7 @@ class ByteStreamModule : public HwModule {
   std::uint32_t received_ = 0;
 };
 
-class JenkinsHashModule : public ByteStreamModule {
+class JenkinsHashModule final : public ByteStreamModule {
  public:
   static constexpr int kBehaviorId = 101;
 
@@ -60,10 +77,13 @@ class JenkinsHashModule : public ByteStreamModule {
 
  protected:
   void absorb(std::uint8_t byte) override;
+  void absorb_words(std::span<const std::uint32_t> words) override;
   void finalize() override;
   void clear_state() override;
 
  private:
+  /// lookup2's mix of a, b and c.
+  void mix();
   void mix_block();
 
   std::uint32_t a_ = 0, b_ = 0, c_ = 0;
@@ -71,7 +91,7 @@ class JenkinsHashModule : public ByteStreamModule {
   int fill_ = 0;
 };
 
-class Sha1Module : public ByteStreamModule {
+class Sha1Module final : public ByteStreamModule {
  public:
   static constexpr int kBehaviorId = 102;
 
@@ -82,10 +102,13 @@ class Sha1Module : public ByteStreamModule {
 
  protected:
   void absorb(std::uint8_t byte) override;
+  void absorb_words(std::span<const std::uint32_t> words) override;
   void finalize() override;
   void clear_state() override;
 
  private:
+  /// One 80-round compression of the block whose big-endian words are `w`.
+  void compress(const std::uint32_t (&w)[16]);
   void process_block();
 
   std::array<std::uint32_t, 5> h_ = {};

@@ -16,15 +16,20 @@
 //    pixels are packed in groups of four, before being read back" -- so the
 //    read/FIFO side sees one full-width word every second strobe. Fade's
 //    control value is the factor f; blend ignores the value.
+//
+// A block of strobes (pio_block) runs the same steps with the pixel
+// arithmetic inlined: brightness maps each block through one 256-entry
+// table, blend and fade combine without a virtual call per pixel.
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "hw/module.hpp"
 
 namespace rtr::hw {
 
-class BrightnessModule : public HwModule {
+class BrightnessModule final : public HwModule {
  public:
   static constexpr int kBehaviorId = 110;
 
@@ -37,6 +42,8 @@ class BrightnessModule : public HwModule {
     fresh_ = false;
   }
   void write_word(std::uint64_t data, int width_bits) override;
+  void pio_block(std::span<const std::uint32_t> in,
+                 std::span<std::uint32_t> out) override;
   [[nodiscard]] std::uint64_t read_word(int /*width_bits*/) override { return out_; }
   [[nodiscard]] bool has_output() const override { return fresh_; }
 
@@ -64,34 +71,45 @@ class TwoSourceModule : public HwModule {
   [[nodiscard]] virtual std::uint8_t combine(std::uint8_t a,
                                              std::uint8_t b) const = 0;
   virtual void set_control(std::uint32_t) {}
+  /// pio_block with `fn`, the function combine() computes, inlined.
+  template <typename Combine>
+  void combine_block(std::span<const std::uint32_t> in,
+                     std::span<std::uint32_t> out, Combine fn);
 
  private:
+  /// Pack one strobe's `n` output pixels `res` with the previous strobe's.
+  void pack(std::uint64_t res, int n);
+
   std::uint64_t half_ = 0;  // output pixels of the previous strobe
   int phase_ = 0;
   std::uint64_t out_ = 0;
   bool fresh_ = false;
 };
 
-class BlendAddModule : public TwoSourceModule {
+class BlendAddModule final : public TwoSourceModule {
  public:
   static constexpr int kBehaviorId = 111;
 
   BlendAddModule() { BlendAddModule::reset(); }
   [[nodiscard]] int behavior_id() const override { return kBehaviorId; }
   [[nodiscard]] std::string name() const override { return "blend-add"; }
+  void pio_block(std::span<const std::uint32_t> in,
+                 std::span<std::uint32_t> out) override;
 
  protected:
   [[nodiscard]] std::uint8_t combine(std::uint8_t a,
                                      std::uint8_t b) const override;
 };
 
-class FadeModule : public TwoSourceModule {
+class FadeModule final : public TwoSourceModule {
  public:
   static constexpr int kBehaviorId = 112;
 
   FadeModule() { FadeModule::reset(); }
   [[nodiscard]] int behavior_id() const override { return kBehaviorId; }
   [[nodiscard]] std::string name() const override { return "fade"; }
+  void pio_block(std::span<const std::uint32_t> in,
+                 std::span<std::uint32_t> out) override;
 
  protected:
   [[nodiscard]] std::uint8_t combine(std::uint8_t a,

@@ -12,8 +12,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 
+#include "bus/slave.hpp"
 #include "sim/check.hpp"
 
 namespace rtr::hw {
@@ -45,6 +47,21 @@ class HwModule {
   /// reduce (hashes) or repack (blend) return true less than once per
   /// strobe.
   [[nodiscard]] virtual bool has_output() const { return true; }
+
+  /// A block of 32-bit data strobes with reads between them, in the shape
+  /// of bus::Slave::pio_block. It must leave the module, and fill `out`,
+  /// exactly as write_word(w, 32) and read_word(32) one by one would; the
+  /// default is that loop, and a module overrides it to consume the block
+  /// whole.
+  virtual void pio_block(std::span<const std::uint32_t> in,
+                         std::span<std::uint32_t> out) {
+    bus::for_each_pio_group(
+        in, out,
+        [this](std::span<const std::uint32_t> words) {
+          for (const std::uint32_t w : words) write_word(w, 32);
+        },
+        [this] { return static_cast<std::uint32_t>(read_word(32)); });
+  }
 };
 
 /// Maps behaviour ids (from configuration signatures) to module factories.

@@ -127,17 +127,28 @@ void PatternMatcherModule::finish() {
   }
 }
 
+std::uint32_t PatternMatcherModule::next_count() {
+  if (state_ != State::kDone || capacity_error_ || read_index_ >= counts_.size())
+    return 0xFFFFFFFFu;
+  return counts_[read_index_++];
+}
+
 std::uint64_t PatternMatcherModule::read_word(int width_bits) {
-  auto next32 = [&]() -> std::uint32_t {
-    if (state_ != State::kDone || capacity_error_ || read_index_ >= counts_.size())
-      return 0xFFFFFFFFu;
-    return counts_[read_index_++];
-  };
   if (width_bits == 64) {
-    const std::uint64_t lo = next32();
-    return lo | (static_cast<std::uint64_t>(next32()) << 32);
+    const std::uint64_t lo = next_count();
+    return lo | (static_cast<std::uint64_t>(next_count()) << 32);
   }
-  return next32();
+  return next_count();
+}
+
+void PatternMatcherModule::pio_block(std::span<const std::uint32_t> in,
+                                     std::span<std::uint32_t> out) {
+  bus::for_each_pio_group(
+      in, out,
+      [this](std::span<const std::uint32_t> words) {
+        for (const std::uint32_t w : words) accept32(w);
+      },
+      [this] { return next_count(); });
 }
 
 }  // namespace rtr::hw

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hw/module.hpp"
@@ -51,6 +52,9 @@ class PatternMatcherModule : public HwModule {
   void control(std::uint32_t) override { reset(); }
   void write_word(std::uint64_t data, int width_bits) override;
   [[nodiscard]] std::uint64_t read_word(int width_bits) override;
+  /// Image words and count reads without a virtual call per word.
+  void pio_block(std::span<const std::uint32_t> in,
+                 std::span<std::uint32_t> out) override;
   /// Results are pulled by the CPU (PIO reads), not streamed to the FIFO.
   [[nodiscard]] bool has_output() const override { return false; }
 
@@ -68,6 +72,8 @@ class PatternMatcherModule : public HwModule {
 
   void accept32(std::uint32_t w);
   void finish();
+  /// The next 32-bit read: a count, or ~0u.
+  std::uint32_t next_count();
 
   std::int64_t capacity_bits_;
   State state_ = State::kGeometry;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "bus/bus.hpp"
@@ -65,6 +67,50 @@ class PairSummer : public hw::HwModule {
   bool fresh_ = false;
 };
 
+/// Send one set of data-register strobes to two identical docks, to one as
+/// pio_block calls and to the other as single beats: every read and the
+/// dock's writes, reads and orphan_accesses counters must agree.
+template <typename Fixture>
+void expect_blocks_count_like_single_beats(const std::string& prefix,
+                                           bus::Addr data, bool bound) {
+  Fixture blocks;
+  Fixture beats;
+  if (bound) {
+    blocks.dock.bind(&blocks.module);
+    beats.dock.bind(&beats.module);
+  }
+  const std::vector<std::uint32_t> words = {5, 6, 7, 8, 9, 10};
+  struct Shape {
+    std::size_t writes, reads;
+  };
+  for (const auto& [writes, reads] :
+       {Shape{6, 0}, Shape{0, 4}, Shape{6, 3}, Shape{6, 1}, Shape{6, 6}}) {
+    const std::span<const std::uint32_t> in{words.data(), writes};
+    std::vector<std::uint32_t> out(reads);
+    blocks.dock.pio_block(data, in, out);
+    const std::size_t per = reads == 0 ? 0 : writes / reads;
+    std::size_t w = 0;
+    for (std::size_t g = 0; g < reads; ++g) {
+      for (std::size_t j = 0; j < per; ++j) {
+        beats.dock.write(data, in[w++], 4, SimTime::zero());
+      }
+      EXPECT_EQ(out[g], beats.dock.read(data, 4, SimTime::zero()).data);
+      if (!bound) {
+        EXPECT_EQ(out[g], 0xDEADBEEFu);
+      }
+    }
+    for (; w < writes; ++w) beats.dock.write(data, in[w], 4, SimTime::zero());
+  }
+  for (const char* c : {".writes", ".reads", ".orphan_accesses"}) {
+    const std::int64_t want = beats.sim.stats().counter(prefix + c).value();
+    EXPECT_EQ(blocks.sim.stats().counter(prefix + c).value(), want) << c;
+  }
+  EXPECT_EQ(beats.sim.stats().counter(prefix + ".writes").value(), 24);
+  EXPECT_EQ(beats.sim.stats().counter(prefix + ".reads").value(), 14);
+  EXPECT_EQ(beats.sim.stats().counter(prefix + ".orphan_accesses").value(),
+            bound ? 0 : 38);
+}
+
 // --- OPB dock ------------------------------------------------------------------
 
 struct OpbDockFixture {
@@ -102,6 +148,20 @@ TEST(OpbDockTest, BindResetsModuleState) {
   EXPECT_EQ(fx.module.strobes(), 0);
   const auto r = fx.opb.read(0x4200'0000, 4, SimTime::zero());
   EXPECT_EQ(r.data, 0u);
+}
+
+TEST(OpbDockTest, PioBlockCountsLikeSingleBeats) {
+  for (const bool bound : {true, false}) {
+    SCOPED_TRACE(bound ? "bound" : "unbound");
+    expect_blocks_count_like_single_beats<OpbDockFixture>("dock32", 0x4200'0000,
+                                                          bound);
+  }
+  OpbDockFixture fx;
+  fx.dock.bind(&fx.module);
+  const std::uint32_t in[2] = {1, 2};
+  for (const bus::Addr off : {OpbDock::kControlReg, bus::Addr{0x4}}) {
+    EXPECT_DEATH(fx.dock.pio_block(0x4200'0000 + off, in, {}), "data register");
+  }
 }
 
 // --- PLB dock --------------------------------------------------------------------
@@ -195,6 +255,22 @@ TEST(PlbDockTest, DecimatingModulePushesEverySecondStrobe) {
   EXPECT_EQ(r.data, 3u);  // 1+2
   r = fx.plb.read(0x7400'0010, 8, r.done);
   EXPECT_EQ(r.data, 7u);  // 3+4
+}
+
+TEST(PlbDockTest, PioBlockCountsLikeSingleBeats) {
+  for (const bool bound : {true, false}) {
+    SCOPED_TRACE(bound ? "bound" : "unbound");
+    expect_blocks_count_like_single_beats<PlbDockFixture>("dock64", 0x7400'0000,
+                                                          bound);
+  }
+  PlbDockFixture fx;
+  fx.dock.bind(&fx.module);
+  const std::uint32_t in[2] = {1, 2};
+  for (const bus::Addr off : {PlbDock::kStream, PlbDock::kFifoPop,
+                              PlbDock::kStatus, PlbDock::kControl,
+                              PlbDock::kDmaRegs}) {
+    EXPECT_DEATH(fx.dock.pio_block(0x7400'0000 + off, in, {}), "data register");
+  }
 }
 
 // --- DMA ----------------------------------------------------------------------

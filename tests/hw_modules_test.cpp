@@ -1,15 +1,19 @@
 // Property tests: every hardware behavioural model is functionally
 // equivalent to its golden software implementation, through both the 32-bit
-// and 64-bit connection protocols.
+// and 64-bit connection protocols, and consumes a block of strobes
+// (pio_block) exactly as it consumes the same strobes one by one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "apps/golden.hpp"
+#include "fabric/dynamic_region.hpp"
 #include "hw/hash_units.hpp"
 #include "hw/image_units.hpp"
 #include "hw/library.hpp"
@@ -384,6 +388,231 @@ TEST(TwoSourceHw, OutputEverySecondStrobeOnly) {
   EXPECT_FALSE(m.has_output());
   m.write_word(0, 32);
   EXPECT_TRUE(m.has_output());
+}
+
+// --- blocks of strobes against single strobes -----------------------------------------
+
+/// One strobe on the dock's data register: a 32-bit write, or a read.
+struct Strobe {
+  bool read = false;
+  std::uint32_t word = 0;
+};
+using Strobes = std::vector<Strobe>;
+
+/// The writes of `words`, then `reads` reads (a hash, the matcher, a sink).
+Strobes writes_then_reads(std::span<const std::uint32_t> words, int reads) {
+  Strobes out;
+  for (const std::uint32_t w : words) out.push_back({false, w});
+  out.insert(out.end(), static_cast<std::size_t>(reads), Strobe{true, 0});
+  return out;
+}
+
+/// Groups of `per` writes, each followed by one read (1:1 for brightness
+/// and the loopback, 2:1 for blend and fade).
+Strobes grouped(std::span<const std::uint32_t> words, std::size_t per) {
+  Strobes out;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    out.push_back({false, words[i]});
+    if ((i + 1) % per == 0) out.push_back({true, 0});
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> seeded_words(std::size_t n, sim::Rng& rng) {
+  std::vector<std::uint32_t> words(n);
+  for (auto& w : words) w = rng.next_u32();
+  return words;
+}
+
+/// One pio_block call: its writes and the number of reads.
+struct Block {
+  std::vector<std::uint32_t> in;
+  std::size_t reads = 0;
+};
+
+/// The blocks a run of strobes splits into: consecutive groups of equally
+/// many writes then one read form one block, and writes left after the
+/// last read form a block of their own.
+std::vector<Block> blocks_of(std::span<const Strobe> run) {
+  std::vector<Block> blocks;
+  std::vector<std::uint32_t> pending;
+  std::size_t per = 0;  // writes per read of the open block
+  for (const Strobe& s : run) {
+    if (!s.read) {
+      pending.push_back(s.word);
+      continue;
+    }
+    if (blocks.empty() || pending.size() != per) {
+      blocks.push_back({});
+      per = pending.size();
+    }
+    Block& b = blocks.back();
+    b.in.insert(b.in.end(), pending.begin(), pending.end());
+    ++b.reads;
+    pending.clear();
+  }
+  if (!pending.empty()) blocks.push_back({std::move(pending), 0});
+  return blocks;
+}
+
+/// The completion flag of the modules that have one.
+std::optional<bool> result_ready(const HwModule& m) {
+  if (const auto* h = dynamic_cast<const ByteStreamModule*>(&m)) {
+    return h->result_ready();
+  }
+  if (const auto* p = dynamic_cast<const PatternMatcherModule*>(&m)) {
+    return p->result_ready();
+  }
+  return std::nullopt;
+}
+
+/// Feed `strobes` to one fresh module in blocks, the runs between `cuts`
+/// (ascending strobe indices) each split by blocks_of, and to another one
+/// strobe at a time. Every read, has_output() and result_ready() after
+/// every block, and a trailing 32- and 64-bit read must agree.
+void expect_blocks_match(const BehaviorRegistry& reg, int id,
+                         std::uint32_t control, const Strobes& strobes,
+                         std::vector<std::size_t> cuts) {
+  const std::unique_ptr<HwModule> block = reg.create(id);
+  const std::unique_ptr<HwModule> single = reg.create(id);
+  block->control(control);
+  single->control(control);
+  cuts.push_back(strobes.size());
+  std::size_t at = 0;
+  for (const std::size_t cut : cuts) {
+    const std::span<const Strobe> run{strobes.data() + at, cut - at};
+    for (const Block& b : blocks_of(run)) {
+      std::vector<std::uint32_t> out(b.reads);
+      block->pio_block(b.in, out);
+      const std::size_t per = b.reads == 0 ? 0 : b.in.size() / b.reads;
+      std::size_t w = 0;
+      for (std::size_t g = 0; g < b.reads; ++g) {
+        for (std::size_t j = 0; j < per; ++j) single->write_word(b.in[w++], 32);
+        ASSERT_EQ(out[g], static_cast<std::uint32_t>(single->read_word(32)))
+            << "read " << g << " of a block at strobe " << at;
+      }
+      for (; w < b.in.size(); ++w) single->write_word(b.in[w], 32);
+      ASSERT_EQ(block->has_output(), single->has_output()) << "at strobe " << at;
+      ASSERT_EQ(result_ready(*block), result_ready(*single)) << "at strobe " << at;
+    }
+    at = cut;
+  }
+  EXPECT_EQ(block->read_word(32), single->read_word(32));
+  EXPECT_EQ(block->read_word(64), single->read_word(64));
+}
+
+/// Every way `strobes` is cut: for short streams each single cut point and
+/// a block per strobe; for all, four seeded sets of up to eight cuts.
+void expect_blocks_match_every_cut(const BehaviorRegistry& reg, int id,
+                                   std::uint32_t control,
+                                   const Strobes& strobes, sim::Rng& rng) {
+  const std::size_t n = strobes.size();
+  if (n < 40) {
+    std::vector<std::size_t> every;
+    for (std::size_t c = 0; c <= n; ++c) {
+      expect_blocks_match(reg, id, control, strobes, {c});
+      every.push_back(c);
+    }
+    expect_blocks_match(reg, id, control, strobes, every);
+  }
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<std::size_t> cuts(1 + rng.below(8));
+    for (auto& c : cuts) c = rng.below(n + 1);
+    std::sort(cuts.begin(), cuts.end());
+    expect_blocks_match(reg, id, control, strobes, cuts);
+  }
+}
+
+/// The protocol stream of a `w` x `h` image (random pixels, about half of
+/// them set) and a random pattern, then `reads` count reads.
+Strobes matcher_strobes(int w, int h, int reads, sim::Rng& rng) {
+  std::vector<std::uint32_t> words{(static_cast<std::uint32_t>(w) << 16) |
+                                   static_cast<std::uint32_t>(h)};
+  words.push_back(rng.next_u32());
+  words.push_back(rng.next_u32());
+  for (int i = 0; i < w * h / 4; ++i) {
+    std::uint32_t v = 0;
+    for (int b = 0; b < 4; ++b) {
+      if (rng.next_bool()) v |= std::uint32_t{rng.next_u8() | 1u} << (8 * b);
+    }
+    words.push_back(v);
+  }
+  return writes_then_reads(words, reads);
+}
+
+TEST(HwBlocks, PioBlockEqualsPerWordStrobes) {
+  sim::Rng rng{2206};
+  const std::size_t image_words[] = {0, 1, 2, 3, 4, 7, 19, 768};
+  for (const auto& region : {fabric::DynamicRegion::xc2vp7_region(),
+                             fabric::DynamicRegion::xc2vp30_region()}) {
+    const BehaviorRegistry reg = standard_registry(bram_bits(region.bram_blocks()));
+    for (const int id : {kPatternMatcher, kJenkinsHash, kSha1, kBrightness,
+                         kBlendAdd, kFade, kLoopback, kSink, kPatternMatcherXl}) {
+      ASSERT_TRUE(reg.contains(id));
+      SCOPED_TRACE(std::string(task_name(static_cast<BehaviorId>(id))) +
+                   " at " + std::to_string(region.bram_blocks()) + " BRAMs");
+      switch (id) {
+        case kJenkinsHash:
+        case kSha1:
+          // Every length 0-300 covers every len % 12 and len % 64.
+          for (std::uint32_t len = 0; len <= 300; ++len) {
+            std::vector<std::uint8_t> msg(len);
+            for (auto& b : msg) b = rng.next_u8();
+            std::vector<std::uint32_t> words{len};
+            const auto packed = pack_bytes(msg);
+            words.insert(words.end(), packed.begin(), packed.end());
+            expect_blocks_match_every_cut(
+                reg, id, 0, writes_then_reads(words, id == kSha1 ? 6 : 2), rng);
+          }
+          break;
+        case kPatternMatcher:
+        case kPatternMatcherXl:
+          for (const auto& [w, h] : {std::pair{8, 8}, {12, 9}, {64, 48}}) {
+            const int counts = (w - 7) * (h - 7);
+            expect_blocks_match_every_cut(
+                reg, id, 0, matcher_strobes(w, h, counts + 2, rng), rng);
+          }
+          // 720x576 pixels exceed both areas' buffers: a capacity error.
+          expect_blocks_match_every_cut(reg, id, 0,
+                                        matcher_strobes(720, 576, 3, rng), rng);
+          break;
+        case kBrightness:
+          for (const int delta : {-255, -1, 0, 60, 255}) {
+            const auto ctrl = static_cast<std::uint16_t>(delta);
+            for (const std::size_t n : image_words) {
+              // The drivers' 1:1 shape, and many writes before one read.
+              const auto words = seeded_words(n, rng);
+              expect_blocks_match_every_cut(reg, id, ctrl, grouped(words, 1), rng);
+              expect_blocks_match_every_cut(reg, id, ctrl,
+                                            writes_then_reads(words, 2), rng);
+            }
+          }
+          break;
+        case kBlendAdd:
+        case kFade:
+          for (const std::uint32_t f : {0u, 160u, 511u}) {
+            if (id == kBlendAdd && f != 0) continue;
+            for (const std::size_t n : image_words) {
+              expect_blocks_match_every_cut(reg, id, f,
+                                            grouped(seeded_words(2 * n, rng), 2),
+                                            rng);
+            }
+          }
+          break;
+        case kLoopback:
+        case kSink:
+          for (const std::size_t n : image_words) {
+            const auto words = seeded_words(n, rng);
+            expect_blocks_match_every_cut(reg, id, 0, grouped(words, 1), rng);
+            expect_blocks_match_every_cut(reg, id, 0,
+                                          writes_then_reads(words, 3), rng);
+          }
+          break;
+        default:
+          ADD_FAILURE() << "no protocol stream for behaviour " << id;
+      }
+    }
+  }
 }
 
 // --- library -------------------------------------------------------------------------
