@@ -26,7 +26,7 @@ int main() {
     apps::store_bytes(p.cpu().plb(), bench::kA64, data);
 
     const auto total = apps::dma_interleaved_seq(p, bench::kA64, bench::kOut64, n);
-    RTR_CHECK(!p.dock().overflowed(), "overflow");
+    RTR_CHECK(!p.plb_dock().overflowed(), "overflow");
     RTR_CHECK(apps::fetch_bytes(p.cpu().plb(), bench::kOut64, data.size()) ==
                   data,
               "data corrupted");

@@ -74,8 +74,7 @@ inline apps::GrayImage random_gray(int w, int h, std::uint64_t seed = 3) {
 }
 
 /// Abort-on-failure module load for bench setup.
-template <typename Platform>
-void must_load(Platform& p, hw::BehaviorId id) {
+inline void must_load(Platform& p, hw::BehaviorId id) {
   const ReconfigStats s = p.load_module(id);
   RTR_CHECK(s.ok, "bench module load failed");
 }

@@ -172,7 +172,7 @@ int main() {
                     "system)",
                     {"Swap", "Path", "Stream KB", "Time (ms)"}};
     Platform32 p;
-    ModuleManager<Platform32> mgr{p};
+    ModuleManager mgr{p};
     const hw::BehaviorId seq[] = {hw::kJenkinsHash, hw::kBrightness,
                                   hw::kJenkinsHash, hw::kBrightness,
                                   hw::kJenkinsHash};

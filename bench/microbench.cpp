@@ -238,7 +238,7 @@ BENCHMARK(BM_BitLinkerAssembly);
 // words. Host work per swap is the simulated streaming loop only.
 static void BM_EnsureCachedDiff(benchmark::State& state) {
   Platform32 p;
-  ModuleManager<Platform32> mgr{p};
+  ModuleManager mgr{p};
   (void)mgr.ensure(hw::kBrightness, 32);
   (void)mgr.ensure(hw::kFade, 32);  // warm both diff directions
   (void)mgr.ensure(hw::kBrightness, 32);
@@ -258,7 +258,7 @@ BENCHMARK(BM_EnsureCachedDiff);
 // honest uncached host-time baseline for BM_EnsureCachedDiff.
 static void BM_EnsureUncachedDiff(benchmark::State& state) {
   Platform32 p;
-  ModuleManager<Platform32> mgr{p};
+  ModuleManager mgr{p};
   mgr.set_plan_cache_enabled(false);
   (void)mgr.ensure(hw::kBrightness, 32);
   (void)mgr.ensure(hw::kFade, 32);

@@ -35,7 +35,7 @@ int main() {
     sim::SimTime read_total = sim::SimTime::zero();
     int done = 0;
     while (done < n) {
-      const int chunk = std::min(p.dock().fifo_depth(), n - done);
+      const int chunk = std::min(p.plb_dock().fifo_depth(), n - done);
       apps::dma_write_seq(p, bench::kA64 + static_cast<bus::Addr>(done) * 8,
                           chunk);  // refill (not measured)
       read_total += apps::dma_read_seq(

@@ -51,7 +51,7 @@ int main() {
     RTR_CHECK(apps::fetch_bytes(hw_p.cpu().plb(), bench::kOut64, want.size()) ==
                   want,
               "HW result wrong");
-    RTR_CHECK(!hw_p.dock().overflowed(), "FIFO overflow");
+    RTR_CHECK(!hw_p.plb_dock().overflowed(), "FIFO overflow");
 
     // 32-bit system reference speedup (table 5 column).
     Platform32 r_sw;

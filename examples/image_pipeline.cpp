@@ -37,7 +37,7 @@ int main() {
   std::printf("fade module loaded in %s; %dx%d frames, 64-bit DMA with the "
               "%d-deep output FIFO\n\n",
               load.duration().to_string().c_str(), w, h,
-              p.dock().fifo_depth());
+              p.plb_dock().fifo_depth());
 
   std::printf("%8s %14s %14s %10s\n", "f", "data prep", "frame total",
               "verified");

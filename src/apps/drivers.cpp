@@ -137,11 +137,11 @@ SimTime pio_interleaved_seq(Kernel& k, Addr mem, Addr dock, int n) {
 namespace {
 /// CPU-side cost of building and kicking one descriptor chain, then the
 /// chain itself; the CPU sleeps until the dock's completion interrupt.
-SimTime run_dma_chain(Platform64& p, std::span<const dma::DmaDescriptor> chain) {
+SimTime run_dma_chain(Platform& p, std::span<const dma::DmaDescriptor> chain) {
   cpu::Kernel& k = p.kernel();
   // Program the dock's scatter-gather registers: src/dst/len/flags per
   // descriptor plus the go bit -- real (uncached) bus writes.
-  const Addr dma_regs = Platform64::kDockRange.base + dock::PlbDock::kDmaRegs;
+  const Addr dma_regs = p.spec().dock_range.base + dock::PlbDock::kDmaRegs;
   for (std::size_t d = 0; d < chain.size(); ++d) {
     k.op(8);  // marshal one descriptor
     for (int r = 0; r < 5; ++r) {
@@ -151,47 +151,47 @@ SimTime run_dma_chain(Platform64& p, std::span<const dma::DmaDescriptor> chain) 
   k.sw(dma_regs + 0x1C, 1);  // go
 
   const SimTime done = p.dma().run_chain(chain, k.now());
-  p.dock().signal_done(done);
-  k.cpu().take_interrupt(p.intc().assertion_time(Platform64::kDockIrq));
+  p.plb_dock().signal_done(done);
+  k.cpu().take_interrupt(p.intc().assertion_time(p.spec().dock_irq));
   // Interrupt handler: identify the source and acknowledge it at the OPB
   // interrupt controller (through the bridge), then return.
-  (void)k.lw(Platform64::kIntcRange.base + cpu::InterruptController::kStatusReg);
-  k.sw(Platform64::kIntcRange.base + cpu::InterruptController::kAckReg,
-       1u << Platform64::kDockIrq);
+  (void)k.lw(p.spec().intc.base + cpu::InterruptController::kStatusReg);
+  k.sw(p.spec().intc.base + cpu::InterruptController::kAckReg,
+       1u << p.spec().dock_irq);
   k.op(20);  // handler prologue/epilogue beyond the entry cost
-  p.intc().clear(Platform64::kDockIrq);
+  p.intc().clear(p.spec().dock_irq);
   return done;
 }
 }  // namespace
 
-SimTime dma_write_seq(Platform64& p, Addr mem, int n) {
+SimTime dma_write_seq(Platform& p, Addr mem, int n) {
   const SimTime t0 = p.kernel().now();
-  const dma::DmaDescriptor feed{mem, Platform64::dock_stream(),
+  const dma::DmaDescriptor feed{mem, p.dock_stream(),
                                 static_cast<std::uint64_t>(n) * 8, true,
                                 false};
   run_dma_chain(p, {&feed, 1});
   return p.kernel().now() - t0;
 }
 
-SimTime dma_read_seq(Platform64& p, Addr mem, int n) {
+SimTime dma_read_seq(Platform& p, Addr mem, int n) {
   const SimTime t0 = p.kernel().now();
-  const dma::DmaDescriptor drain{Platform64::dock_fifo(), mem,
+  const dma::DmaDescriptor drain{p.dock_fifo(), mem,
                                  static_cast<std::uint64_t>(n) * 8, false,
                                  true};
   run_dma_chain(p, {&drain, 1});
   return p.kernel().now() - t0;
 }
 
-SimTime dma_interleaved_seq(Platform64& p, Addr src, Addr dst, int n) {
+SimTime dma_interleaved_seq(Platform& p, Addr src, Addr dst, int n) {
   const SimTime t0 = p.kernel().now();
-  const int depth = p.dock().fifo_depth();
+  const int depth = p.plb_dock().fifo_depth();
   int done = 0;
   while (done < n) {
     const int chunk = std::min(depth, n - done);
     const dma::DmaDescriptor chain[2] = {
-        {src + static_cast<Addr>(done) * 8, Platform64::dock_stream(),
+        {src + static_cast<Addr>(done) * 8, p.dock_stream(),
          static_cast<std::uint64_t>(chunk) * 8, true, false},
-        {Platform64::dock_fifo(), dst + static_cast<Addr>(done) * 8,
+        {p.dock_fifo(), dst + static_cast<Addr>(done) * 8,
          static_cast<std::uint64_t>(chunk) * 8, false, true},
     };
     run_dma_chain(p, chain);
@@ -335,25 +335,25 @@ void hw_fade_pio(Kernel& k, Addr dock, Addr a, Addr b, Addr dst, int n,
 
 // --- 64-bit DMA task drivers -----------------------------------------------------------------
 
-DmaTaskStats hw_brightness_dma(Platform64& p, Addr src, Addr dst, int n,
+DmaTaskStats hw_brightness_dma(Platform& p, Addr src, Addr dst, int n,
                                int delta) {
   RTR_CHECK(n % 8 == 0, "pixel count must be a multiple of 8");
   Kernel& k = p.kernel();
   const SimTime t0 = k.now();
   k.call();
-  k.sw(ctrl_of(Platform64::dock_data()), static_cast<std::uint16_t>(delta));
+  k.sw(ctrl_of(p.dock_data()), static_cast<std::uint16_t>(delta));
 
   // "The 64-bit data transfers could be employed without additional work,
   // since only one image is involved": blocks straight from the source.
   const int beats = n / 8;
-  const int depth = p.dock().fifo_depth();
+  const int depth = p.plb_dock().fifo_depth();
   int done = 0;
   while (done < beats) {
     const int chunk = std::min(depth, beats - done);
     const dma::DmaDescriptor chain[2] = {
-        {src + static_cast<Addr>(done) * 8, Platform64::dock_stream(),
+        {src + static_cast<Addr>(done) * 8, p.dock_stream(),
          static_cast<std::uint64_t>(chunk) * 8, true, false},
-        {Platform64::dock_fifo(), dst + static_cast<Addr>(done) * 8,
+        {p.dock_fifo(), dst + static_cast<Addr>(done) * 8,
          static_cast<std::uint64_t>(chunk) * 8, false, true},
     };
     run_dma_chain(p, chain);
@@ -398,23 +398,23 @@ SimTime dma_prepare_interleave(Kernel& k, Addr a, Addr b, Addr staging,
   return k.now() - t0;
 }
 
-SimTime hw_sg_batch_dma(Platform64& p, std::span<const SgSeg> segs) {
+SimTime hw_sg_batch_dma(Platform& p, std::span<const SgSeg> segs) {
   std::vector<dma::DmaDescriptor> chain;
   chain.reserve(segs.size() * 2);
   for (const SgSeg& s : segs) {
     RTR_CHECK(s.drain_bytes / 8 <=
-                  static_cast<std::uint64_t>(p.dock().fifo_depth()),
+                  static_cast<std::uint64_t>(p.plb_dock().fifo_depth()),
               "batched segment must fit the output FIFO");
-    chain.push_back({s.src, Platform64::dock_stream(), s.feed_bytes, true,
+    chain.push_back({s.src, p.dock_stream(), s.feed_bytes, true,
                      false});
-    chain.push_back({Platform64::dock_fifo(), s.dst, s.drain_bytes, false,
+    chain.push_back({p.dock_fifo(), s.dst, s.drain_bytes, false,
                      true});
   }
   return run_dma_chain(p, chain);
 }
 
 namespace {
-DmaTaskStats two_source_dma(Platform64& p, Addr a, Addr b, Addr staging,
+DmaTaskStats two_source_dma(Platform& p, Addr a, Addr b, Addr staging,
                             Addr dst, int n) {
   RTR_CHECK(n % 8 == 0, "pixel count must be a multiple of 8");
   Kernel& k = p.kernel();
@@ -424,15 +424,15 @@ DmaTaskStats two_source_dma(Platform64& p, Addr a, Addr b, Addr staging,
 
   // Stream blocks: 2 beats in -> 1 FIFO entry; a feed chunk of 2*depth
   // beats fills the FIFO exactly.
-  const int depth = p.dock().fifo_depth();
+  const int depth = p.plb_dock().fifo_depth();
   int done = 0;
   while (done < beats) {
     int chunk = std::min(2 * (depth & ~1), beats - done);
     if (chunk > 1) chunk &= ~1;  // keep the pair phase aligned
     const dma::DmaDescriptor chain[2] = {
-        {staging + static_cast<Addr>(done) * 8, Platform64::dock_stream(),
+        {staging + static_cast<Addr>(done) * 8, p.dock_stream(),
          static_cast<std::uint64_t>(chunk) * 8, true, false},
-        {Platform64::dock_fifo(), dst + static_cast<Addr>(done) * 4,
+        {p.dock_fifo(), dst + static_cast<Addr>(done) * 4,
          static_cast<std::uint64_t>(chunk) * 4, false, true},
     };
     run_dma_chain(p, chain);
@@ -442,33 +442,33 @@ DmaTaskStats two_source_dma(Platform64& p, Addr a, Addr b, Addr staging,
 }
 }  // namespace
 
-DmaTaskStats hw_blend_dma(Platform64& p, Addr a, Addr b, Addr staging,
+DmaTaskStats hw_blend_dma(Platform& p, Addr a, Addr b, Addr staging,
                           Addr dst, int n) {
   p.kernel().call();
-  p.kernel().sw(ctrl_of(Platform64::dock_data()), 0);
+  p.kernel().sw(ctrl_of(p.dock_data()), 0);
   return two_source_dma(p, a, b, staging, dst, n);
 }
 
-DmaTaskStats hw_fade_dma(Platform64& p, Addr a, Addr b, Addr staging,
+DmaTaskStats hw_fade_dma(Platform& p, Addr a, Addr b, Addr staging,
                          Addr dst, int n, int f) {
   Kernel& k = p.kernel();
   k.call();
-  k.sw(ctrl_of(Platform64::dock_data()), static_cast<std::uint32_t>(f));
+  k.sw(ctrl_of(p.dock_data()), static_cast<std::uint32_t>(f));
   return two_source_dma(p, a, b, staging, dst, n);
 }
 
-DmaTaskStats hw_blend_dma_overlapped(Platform64& p, Addr a, Addr b,
+DmaTaskStats hw_blend_dma_overlapped(Platform& p, Addr a, Addr b,
                                      Addr staging, Addr dst, int n) {
   RTR_CHECK(n % 8 == 0, "pixel count must be a multiple of 8");
   Kernel& k = p.kernel();
   const SimTime t0 = k.now();
   k.call();
-  k.sw(ctrl_of(Platform64::dock_data()), 0);
+  k.sw(ctrl_of(p.dock_data()), 0);
 
   const int beats = n / 4;  // one beat per 4 output pixels
-  const int depth = p.dock().fifo_depth();
+  const int depth = p.plb_dock().fifo_depth();
   const int block = std::min(2 * (depth & ~1), beats);
-  const Addr dma_regs = Platform64::kDockRange.base + dock::PlbDock::kDmaRegs;
+  const Addr dma_regs = p.spec().dock_range.base + dock::PlbDock::kDmaRegs;
 
   // Prepare one block of [A0..A3 B0..B3] beats into half-buffer `half`.
   auto prep = [&](int first_beat, int count, int half) {
@@ -492,25 +492,25 @@ DmaTaskStats hw_blend_dma_overlapped(Platform64& p, Addr a, Addr b,
     for (int r = 0; r < 10; ++r) k.sw(dma_regs + (r % 8) * 4, 0);
     const dma::DmaDescriptor chain[2] = {
         {staging + static_cast<Addr>(half) * static_cast<Addr>(block) * 8,
-         Platform64::dock_stream(), static_cast<std::uint64_t>(chunk) * 8,
+         p.dock_stream(), static_cast<std::uint64_t>(chunk) * 8,
          true, false},
-        {Platform64::dock_fifo(), dst + static_cast<Addr>(done) * 4,
+        {p.dock_fifo(), dst + static_cast<Addr>(done) * 4,
          static_cast<std::uint64_t>(chunk) * 4, false, true},
     };
     const SimTime dma_done = p.dma().run_chain(chain, k.now());
-    p.dock().signal_done(dma_done);
+    p.plb_dock().signal_done(dma_done);
 
     // ...and prepare the next block while it runs.
     const int next = done + chunk;
     if (next < beats) {
       prep_total += prep(next, std::min(block, beats - next), 1 - half);
     }
-    k.cpu().take_interrupt(p.intc().assertion_time(Platform64::kDockIrq));
-    (void)k.lw(Platform64::kIntcRange.base +
+    k.cpu().take_interrupt(p.intc().assertion_time(p.spec().dock_irq));
+    (void)k.lw(p.spec().intc.base +
                cpu::InterruptController::kStatusReg);
-    k.sw(Platform64::kIntcRange.base + cpu::InterruptController::kAckReg,
-         1u << Platform64::kDockIrq);
-    p.intc().clear(Platform64::kDockIrq);
+    k.sw(p.spec().intc.base + cpu::InterruptController::kAckReg,
+         1u << p.spec().dock_irq);
+    p.intc().clear(p.spec().dock_irq);
     done = next;
     half = 1 - half;
   }

@@ -32,15 +32,17 @@ sim::SimTime pio_interleaved_seq(cpu::Kernel& k, bus::Addr mem,
                                  bus::Addr dock, int n);
 
 // --- DMA transfer flows (table 8) -----------------------------------------------
+// The DMA flows and drivers need a platform with a DMA engine
+// (Platform::has_dma, the 64-bit system).
 
 /// DMA a block of `n` 64-bit items memory -> dock stream register.
-sim::SimTime dma_write_seq(Platform64& p, bus::Addr mem, int n);
+sim::SimTime dma_write_seq(Platform& p, bus::Addr mem, int n);
 /// DMA-drain `n` 64-bit items dock FIFO -> memory (FIFO pre-filled by the
 /// caller).
-sim::SimTime dma_read_seq(Platform64& p, bus::Addr mem, int n);
+sim::SimTime dma_read_seq(Platform& p, bus::Addr mem, int n);
 /// Block-interleaved write/read through the output FIFO: stream until the
 /// FIFO fills, stop, drain by DMA, repeat (paper section 4.2).
-sim::SimTime dma_interleaved_seq(Platform64& p, bus::Addr src, bus::Addr dst,
+sim::SimTime dma_interleaved_seq(Platform& p, bus::Addr src, bus::Addr dst,
                                  int n);
 
 // --- task drivers (hardware versions) --------------------------------------------
@@ -78,13 +80,13 @@ struct DmaTaskStats {
 };
 
 /// Brightness with 64-bit DMA: no data preparation needed (one source).
-DmaTaskStats hw_brightness_dma(Platform64& p, bus::Addr src, bus::Addr dst,
+DmaTaskStats hw_brightness_dma(Platform& p, bus::Addr src, bus::Addr dst,
                                int n, int delta);
 /// Blend with 64-bit DMA: the CPU first interleaves the two sources into
 /// `staging` (charged as data preparation), then DMA streams blocks.
-DmaTaskStats hw_blend_dma(Platform64& p, bus::Addr a, bus::Addr b,
+DmaTaskStats hw_blend_dma(Platform& p, bus::Addr a, bus::Addr b,
                           bus::Addr staging, bus::Addr dst, int n);
-DmaTaskStats hw_fade_dma(Platform64& p, bus::Addr a, bus::Addr b,
+DmaTaskStats hw_fade_dma(Platform& p, bus::Addr a, bus::Addr b,
                          bus::Addr staging, bus::Addr dst, int n, int f);
 
 /// One buffer of a batched multi-buffer scatter-gather chain: where its
@@ -106,7 +108,7 @@ struct SgSeg {
 /// kick, the completion interrupt, the handler -- are paid once for the
 /// whole batch; the resident module streams straight from buffer to buffer.
 /// Returns the chain's completion time.
-sim::SimTime hw_sg_batch_dma(Platform64& p, std::span<const SgSeg> segs);
+sim::SimTime hw_sg_batch_dma(Platform& p, std::span<const SgSeg> segs);
 
 /// Data preparation for one two-source segment: interleave sources `a` and
 /// `b` into [A0..A3 B0..B3] beats at `staging` (the paper's section 4.2
@@ -122,7 +124,7 @@ sim::SimTime dma_prepare_interleave(cpu::Kernel& k, bus::Addr a, bus::Addr b,
 /// same PLB the DMA occupies, so overlap gains little; with the cache on
 /// the prep runs genuinely in parallel (see the extension bench).
 /// `staging` must hold 2x the block size (double buffering).
-DmaTaskStats hw_blend_dma_overlapped(Platform64& p, bus::Addr a, bus::Addr b,
+DmaTaskStats hw_blend_dma_overlapped(Platform& p, bus::Addr a, bus::Addr b,
                                      bus::Addr staging, bus::Addr dst, int n);
 
 }  // namespace rtr::apps

@@ -137,7 +137,7 @@ std::vector<DynamicRegion> DynamicRegion::xc2vp30_areas(int n) {
 }
 
 std::vector<DynamicRegion> DynamicRegion::xc2vp7_areas(int n) {
-  RTR_CHECK(n == 1, "the XC2VP7 has no room for a second dynamic area");
+  RTR_CHECK(n == 1, "the XC2VP7 hosts exactly one dynamic area");
   std::vector<DynamicRegion> areas;
   areas.push_back(xc2vp7_region());
   return areas;

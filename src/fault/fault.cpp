@@ -94,7 +94,7 @@ std::string FaultSpec::to_string() const {
   }
   std::string out =
       std::string(site_name(site)) + ":" + t + ":" + std::to_string(seed);
-  if (device >= 0) out += ":" + std::to_string(device);
+  if (device >= 0) out.append(":").append(std::to_string(device));
   return out;
 }
 

@@ -49,7 +49,6 @@
 #include "rtr/placer.hpp"
 #include "rtr/plan_cache.hpp"
 #include "rtr/platform.hpp"
-#include "rtr/readback.hpp"
 #include "trace/flight_recorder.hpp"
 
 namespace rtr {
@@ -73,7 +72,7 @@ struct RecoveryPolicy {
   /// Scrub attempts before a verification failure becomes a giveup.
   int max_scrubs = 2;
   /// Recover through the DMA load path when the platform has one
-  /// (Platform64::load_module_dma); ignored elsewhere.
+  /// (Platform::has_dma); ignored on a platform without DMA.
   bool use_dma = false;
 };
 
@@ -99,20 +98,16 @@ struct EnsureStats {
   int scrubs = 0;                 // verify-failure scrub reloads
 };
 
-/// Works with any platform exposing the per-area surface -- area_count()/
-/// region(a)/linker(a)/area_module(a)/active_area()/activate_area(a)/
-/// area_generation(a)/load_stream(..., a) -- plus kernel()/sim()
-/// (Platform32, Platform64).
-template <typename Platform>
-class ModuleManager {
+namespace detail {
+
+/// The body of ModuleManager (below), compiled once in manager.cpp. It
+/// drives either system through the Platform's per-area surface.
+class ModuleManagerBase {
  public:
-  explicit ModuleManager(Platform& p, bool enable_differential = true)
-      : p_(&p),
-        differential_(enable_differential),
-        areas_(static_cast<std::size_t>(p.area_count())),
-        placer_(area_footprints(p)) {}
-  ModuleManager(Platform& p, RecoveryPolicy policy,
-                bool enable_differential = true)
+  explicit ModuleManagerBase(Platform& p, bool enable_differential = true)
+      : ModuleManagerBase(p, RecoveryPolicy{}, enable_differential) {}
+  ModuleManagerBase(Platform& p, RecoveryPolicy policy,
+                    bool enable_differential = true)
       : p_(&p),
         policy_(policy),
         differential_(enable_differential),
@@ -126,48 +121,7 @@ class ModuleManager {
   /// reconfigure → activate; the inner reconfiguration span comes from the
   /// platform), with instants marking residency hits, retries, fallbacks
   /// and scrubs.
-  EnsureStats ensure(hw::BehaviorId id, int dock_width) {
-    trace::Tracer& tr = p_->sim().tracer();
-    int track = -1;
-    if (tr.enabled()) {
-      track = tr.track("RTR.manager");
-      tr.begin(track, "swap:" + std::to_string(id), p_->kernel().now());
-      if (const sim::RequestContext* rq = p_->sim().active_request()) {
-        // Link the swap into the owning request's flow chain.
-        tr.flow(trace::Phase::kFlowStep, track, "req", rq->id,
-                p_->kernel().now());
-      }
-    }
-    EnsureStats res = ensure_impl(id, dock_width);
-    if (track >= 0) {
-      const sim::SimTime now = p_->kernel().now();
-      if (res.already_resident) tr.instant(track, "already_resident", now);
-      if (res.fell_back) tr.instant(track, "differential_fallback", now);
-      if (res.ok && !res.already_resident) tr.instant(track, "activate", now);
-      if (res.ok && multi()) {
-        // Per-area residency track: which area served the behaviour and how
-        // (hit in place / cross-area dock re-bind / reconfiguration load).
-        tr.instant(tr.track("RTR.area." + std::to_string(res.area)),
-                   res.already_resident ? (res.activated ? "activate" : "hit")
-                                        : "load",
-                   now);
-      }
-      tr.end(track, now);
-    }
-    if (res.ok) {
-      // Per-path latency: "cached" means the differential plan came out of
-      // the plan cache; "differential"/"complete" are cold-plan loads.
-      const char* path = res.already_resident ? "resident"
-                         : res.used_differential
-                             ? (res.plan_cached ? "cached" : "differential")
-                             : "complete";
-      p_->sim()
-          .stats()
-          .histogram(std::string("rtr.ensure.latency_ps.") + path)
-          .sample(res.time.ps());
-    }
-    return res;
-  }
+  EnsureStats ensure(hw::BehaviorId id, int dock_width);
 
   /// Behaviour the dock currently serves: the active area's resident (with
   /// one area, simply the resident), -1 when none.
@@ -204,7 +158,6 @@ class ModuleManager {
     cache_enabled_ = on;
     if (!on) cache_.clear();
   }
-  [[nodiscard]] bool plan_cache_enabled() const { return cache_enabled_; }
   [[nodiscard]] const PlanCache& plan_cache() const { return cache_; }
 
   /// Build (off the simulated clock) the plans a future ensure(id) would
@@ -213,27 +166,7 @@ class ModuleManager {
   /// path is live and the area generation still matches the manager's
   /// assumption. Returns false when the cache is disabled or the component
   /// does not link.
-  bool warm(hw::BehaviorId id, int dock_width) {
-    if (!cache_enabled_) return false;
-    int area = 0;
-    if (multi()) {
-      const auto dec = placer_.plan(id, module_footprint(id, dock_width));
-      area = dec.compatible ? dec.area : 0;
-    }
-    std::string err;
-    if (cache_.complete(p_->linker(area), id, dock_width, &err, nullptr,
-                        area) == nullptr) {
-      return false;
-    }
-    const AreaState& st = areas_[static_cast<std::size_t>(area)];
-    if (differential_ && st.have_base && !degraded_ && st.resident >= 0 &&
-        st.resident != id && p_->area_generation(area) == st.gen) {
-      (void)cache_.differential(p_->linker(area),
-                                static_cast<hw::BehaviorId>(st.resident), id,
-                                dock_width, &err, nullptr, area);
-    }
-    return true;
-  }
+  bool warm(hw::BehaviorId id, int dock_width);
 
   /// Drop the manager's state assumption (e.g. after an external event
   /// touched the fabric); the next ensure() uses the complete path. Also
@@ -260,41 +193,7 @@ class ModuleManager {
   /// rebuilds it from scratch. Returns true when every resident area ended
   /// up verified -- the gate a quarantined device must pass to re-enter
   /// the routing pool.
-  bool verify_and_scrub_residents(int dock_width) {
-    bool all_ok = true;
-    for (int a = 0; a < static_cast<int>(areas_.size()); ++a) {
-      AreaState& st = areas_[static_cast<std::size_t>(a)];
-      if (st.resident < 0) continue;
-      const auto id = static_cast<hw::BehaviorId>(st.resident);
-      ReadbackStats rb = readback_verify(p_->kernel(),
-                                         Platform::kIcapRange.base,
-                                         p_->region(a));
-      int scrubs = 0;
-      while (!rb.ok && scrubs < policy_.max_scrubs) {
-        ++scrubs;
-        counter("rtr.recovery.scrubs").add();
-        mark("probe_scrub");
-        std::string err;
-        PlanCache scratch{1};
-        PlanCache& plans = cache_enabled_ ? cache_ : scratch;
-        const PlanCache::Plan* plan =
-            plans.complete(p_->linker(a), id, dock_width, &err, nullptr, a);
-        if (plan == nullptr) continue;  // link failure still costs a scrub
-        const ReconfigStats s = load_complete(*plan, a);
-        if (!s.ok) continue;  // the scrub load itself failed; costs a scrub
-        st.gen = p_->area_generation(a);
-        rb = readback_verify(p_->kernel(), Platform::kIcapRange.base,
-                             p_->region(a));
-      }
-      if (!rb.ok) {
-        all_ok = false;
-        counter("rtr.recovery.giveups").add();
-        mark("probe_giveup");
-        clear_area(a);
-      }
-    }
-    return all_ok;
-  }
+  bool verify_and_scrub_residents(int dock_width);
 
  private:
   struct AreaState {
@@ -322,157 +221,7 @@ class ModuleManager {
     if (multi()) placer_.evict(area);
   }
 
-  EnsureStats ensure_impl(hw::BehaviorId id, int dock_width) {
-    EnsureStats res;
-    const sim::SimTime t0 = p_->kernel().now();
-
-    // Residency hit in any area: with one area this is the legacy fast
-    // path; with several, a non-active area's warm module is served by
-    // re-binding the dock to it -- a few CPU ops, no reconfiguration.
-    for (int a = 0; a < static_cast<int>(areas_.size()); ++a) {
-      if (areas_[static_cast<std::size_t>(a)].resident == id &&
-          p_->area_module(a) != nullptr) {
-        if (multi()) {
-          (void)placer_.place(id, module_footprint(id, dock_width));
-          if (a != p_->active_area()) {
-            p_->activate_area(a);
-            res.activated = true;
-            counter("rtr.place.activations").add();
-          }
-        }
-        res.ok = true;
-        res.already_resident = true;
-        res.area = a;
-        res.time = p_->kernel().now() - t0;
-        return res;
-      }
-    }
-
-    // Placement: pick the target area (decided now, committed only once a
-    // load succeeds -- a link failure must leave the placer untouched).
-    int area = 0;
-    if (multi()) {
-      const AreaPlacer::Decision dec =
-          placer_.plan(id, module_footprint(id, dock_width));
-      if (!dec.compatible) {
-        // No area fits the footprint: target the primary area so the link
-        // failure carries the legacy "does not fit the region" error.
-        counter("rtr.place.incompatible").add();
-      } else {
-        area = dec.area;
-        counter(dec.evicted >= 0 ? "rtr.place.evictions"
-                                 : "rtr.place.placements")
-            .add();
-      }
-    }
-    res.area = area;
-    AreaState& st = areas_[static_cast<std::size_t>(area)];
-
-    // Scratch store for the disabled-cache baseline: the same builders run,
-    // but every plan is rebuilt from scratch and dropped afterwards.
-    PlanCache scratch{1};
-    PlanCache& plans = cache_enabled_ ? cache_ : scratch;
-
-    if (differential_ && st.have_base && !degraded_) {
-      if (p_->area_generation(area) != st.gen) {
-        // Something outside the manager wrote the fabric (debugger poke,
-        // injected fault, scrub) since residency was established: the
-        // assumed base state is stale, so any differential against it would
-        // fail the validation gate. Detect it up front -- same fallback
-        // bookkeeping as a failed differential load, minus the doomed load.
-        detect(res, area);
-        counter("rtr.plan_cache.gen_invalidations").add();
-        res.fell_back = true;
-        counter("rtr.recovery.fallbacks").add();
-        mark("fallback:complete");
-        if (policy_.diff_failures_before_degrade > 0 &&
-            ++diff_failures_ >= policy_.diff_failures_before_degrade) {
-          degraded_ = true;
-          res.degraded = true;
-          counter("rtr.recovery.degraded").add();
-          mark("degrade:complete-only");
-        }
-      } else {
-        bool hit = false;
-        const PlanCache::Plan* plan = plans.differential(
-            p_->linker(area), static_cast<hw::BehaviorId>(st.resident), id,
-            dock_width, &res.error, &hit, area);
-        counter(hit ? "rtr.plan_cache.hits" : "rtr.plan_cache.misses").add();
-        if (plan == nullptr) {
-          res.time = p_->kernel().now() - t0;
-          return res;
-        }
-        const ReconfigStats s =
-            p_->load_stream(plan->words, plan->payload_bytes,
-                            /*differential=*/true, area);
-        res.stream_words += s.stream_words;
-        if (s.ok) {
-          diff_failures_ = 0;
-          res.used_differential = true;
-          res.plan_cached = hit;
-          return finish_load(id, dock_width, res, t0, area);
-        }
-        detect(res, area);
-        if (s.watchdog) {
-          // The load deadline expired mid-stream: no time budget remains
-          // for the complete fallback either. Give up now; the caller's
-          // watchdog owns what happens next (degrade, breaker, ...).
-          res.error = s.error;
-          return watchdog_giveup(res, t0, area);
-        }
-        // Stale assumption (or corruption): the validation gate refused to
-        // bind. Fall back to the complete configuration.
-        res.fell_back = true;
-        counter("rtr.recovery.fallbacks").add();
-        mark("fallback:complete");
-        if (policy_.diff_failures_before_degrade > 0 &&
-            ++diff_failures_ >= policy_.diff_failures_before_degrade) {
-          degraded_ = true;
-          res.degraded = true;
-          counter("rtr.recovery.degraded").add();
-          mark("degrade:complete-only");
-        }
-      }
-    }
-
-    // Complete path: bounded retry with exponential backoff.
-    for (int attempt = 0;; ++attempt) {
-      ++res.attempts;
-      bool hit = false;
-      ReconfigStats s;
-      const PlanCache::Plan* plan = plans.complete(p_->linker(area), id,
-                                                   dock_width, &res.error,
-                                                   &hit, area);
-      counter(hit ? "rtr.plan_cache.hits" : "rtr.plan_cache.misses").add();
-      if (plan == nullptr) {
-        res.time = p_->kernel().now() - t0;
-        return res;
-      }
-      s = load_complete(*plan, area);
-      res.stream_words += s.stream_words;
-      if (s.ok) {
-        res.error.clear();
-        res.plan_cached = hit;
-        return finish_load(id, dock_width, res, t0, area);
-      }
-      res.error = s.error;
-      detect(res, area);
-      if (s.watchdog) return watchdog_giveup(res, t0, area);
-      if (attempt + 1 >= policy_.max_attempts) {
-        counter("rtr.recovery.giveups").add();
-        mark("giveup");
-        incident("rtr_giveup");
-        clear_area(area);
-        res.time = p_->kernel().now() - t0;
-        return res;
-      }
-      ++res.retries;
-      counter("rtr.recovery.retries").add();
-      mark("retry");
-      p_->kernel().op(static_cast<std::int64_t>(policy_.backoff_cycles)
-                      << attempt);
-    }
-  }
+  EnsureStats ensure_impl(hw::BehaviorId id, int dock_width);
 
   /// A watchdog-aborted load: retrying past the deadline is pointless, so
   /// every abort is an immediate giveup (distinct counter + instant so the
@@ -493,64 +242,14 @@ class ModuleManager {
   /// scrubbing (complete golden reload) on mismatch, then record residency
   /// plus the area generation it was established at.
   EnsureStats finish_load(hw::BehaviorId id, int dock_width, EnsureStats& res,
-                          sim::SimTime t0, int area) {
-    res.ok = true;
-    if (policy_.verify_after_load) {
-      ReadbackStats rb =
-          readback_verify(p_->kernel(), Platform::kIcapRange.base,
-                          p_->region(area));
-      while (!rb.ok && res.scrubs < policy_.max_scrubs) {
-        detect(res, area);
-        ++res.scrubs;
-        counter("rtr.recovery.scrubs").add();
-        mark("scrub");
-        std::string scrub_err;
-        PlanCache scratch{1};
-        PlanCache& plans = cache_enabled_ ? cache_ : scratch;
-        const PlanCache::Plan* plan = plans.complete(
-            p_->linker(area), id, dock_width, &scrub_err, nullptr, area);
-        if (plan == nullptr) continue;  // link failure still costs a scrub
-        const ReconfigStats s = load_complete(*plan, area);
-        res.stream_words += s.stream_words;
-        if (!s.ok) continue;  // the scrub load itself failed; costs a scrub
-        rb = readback_verify(p_->kernel(), Platform::kIcapRange.base,
-                             p_->region(area));
-      }
-      if (!rb.ok) {
-        detect(res, area);
-        res.ok = false;
-        res.error = "readback verification failed after scrubbing";
-        counter("rtr.recovery.giveups").add();
-        mark("giveup");
-        incident("rtr_giveup");
-        clear_area(area);
-        res.time = p_->kernel().now() - t0;
-        return res;
-      }
-      res.verified = true;
-    }
-    AreaState& st = areas_[static_cast<std::size_t>(area)];
-    st.resident = id;
-    st.gen = p_->area_generation(area);
-    st.have_base = true;
-    if (multi()) {
-      (void)placer_.place(id, module_footprint(id, dock_width));
-    }
-    res.time = p_->kernel().now() - t0;
-    return res;
-  }
+                          sim::SimTime t0, int area);
 
   /// Stream a pre-built complete plan, routed through DMA when asked for
   /// and the platform has one.
   ReconfigStats load_complete(const PlanCache::Plan& plan, int area) {
-    if constexpr (requires(Platform& p) {
-                    p.load_stream_dma(std::span<const std::uint32_t>{},
-                                      std::int64_t{}, bool{}, int{});
-                  }) {
-      if (policy_.use_dma) {
-        return p_->load_stream_dma(plan.words, plan.payload_bytes,
-                                   /*differential=*/false, area);
-      }
+    if (policy_.use_dma && p_->has_dma()) {
+      return p_->load_stream_dma(plan.words, plan.payload_bytes,
+                                 /*differential=*/false, area);
     }
     return p_->load_stream(plan.words, plan.payload_bytes,
                            /*differential=*/false, area);
@@ -603,5 +302,20 @@ class ModuleManager {
   AreaPlacer placer_;             // consulted only when areas_.size() > 1
   PlanCache cache_;
 };
+
+}  // namespace detail
+
+/// The module manager. Its template parameter is unused:
+/// benchmark/rtrsim_bench.cpp names ModuleManager<Platform32> and
+/// ModuleManager<Platform64>, so the parameter stays until that benchmark
+/// stops naming it. Every instantiation is the one compiled body; elsewhere
+/// let the constructor deduce ModuleManager<> (ModuleManager mgr{p}).
+template <typename = Platform>
+class ModuleManager final : public detail::ModuleManagerBase {
+ public:
+  using ModuleManagerBase::ModuleManagerBase;
+};
+template <typename... Args>
+ModuleManager(Platform&, Args&&...) -> ModuleManager<>;
 
 }  // namespace rtr

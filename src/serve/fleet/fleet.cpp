@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <string>
-#include <type_traits>
 
 #include "rtr/platform.hpp"
 #include "sim/parallel.hpp"
@@ -53,14 +52,10 @@ std::int64_t count_swaps(const sim::StatRegistry& stats) {
 
 namespace {
 
-/// Dynamic areas a shard of this system actually hosts: the 32-bit device
-/// cannot fit a second column-disjoint area, the 64-bit one is capped by
-/// its catalogue.
+/// Dynamic areas a shard of this system actually hosts: at most its
+/// device's cap (one on the XC2VP7, two on the XC2VP30).
 int shard_areas(int system, int areas) {
-  if (system == 32) return 1;
-  return areas < fabric::DynamicRegion::kMaxAreasXc2vp30
-             ? areas
-             : fabric::DynamicRegion::kMaxAreasXc2vp30;
+  return std::min(areas, SystemSpec::of(system).max_areas);
 }
 
 /// Persistent per-shard simulation: the device (and its clock, faults,
@@ -70,35 +65,21 @@ int shard_areas(int system, int areas) {
 /// index) -- nothing here may observe another shard or the host.
 class ShardRuntime {
  public:
-  virtual ~ShardRuntime() = default;
-  /// Replay one epoch's script (sorted by submission time) to drain.
-  virtual void serve_epoch(const std::vector<Request>& script) = 0;
-  [[nodiscard]] virtual const ServeReport& report() const = 0;
-  [[nodiscard]] virtual const sim::StatRegistry& stats() const = 0;
-  [[nodiscard]] virtual std::int64_t now_ps() const = 0;
-  /// Probation gate: readback-verify-then-scrub every resident area.
-  virtual bool probe_scrub() = 0;
-  /// Field repair: clear every armed fault on this device.
-  virtual void repair_faults() = 0;
-};
-
-template <typename Platform>
-class ShardRuntimeT final : public ShardRuntime {
- public:
-  ShardRuntimeT(const FleetOptions& opts, int index, int areas) {
+  ShardRuntime(const FleetOptions& opts, int index, int system, int areas) {
     rtr::PlatformOptions po;
     po.dynamic_areas = areas;
     po.fault_plan = opts.fault_plan.for_device(index);
-    p_ = std::make_unique<Platform>(po);
+    p_ = std::make_unique<Platform>(SystemSpec::of(system), po);
     ServeOptions so;
     so.plan_cache = opts.plan_cache;
     so.slos = opts.slos;
     so.batch = opts.batch;
-    srv_ = std::make_unique<TaskServer<Platform>>(*p_, opts.queue_capacity,
-                                                  so, opts.seed);
+    srv_ = std::make_unique<TaskServer<>>(*p_, opts.queue_capacity, so,
+                                          opts.seed);
   }
 
-  void serve_epoch(const std::vector<Request>& script) override {
+  /// Replay one epoch's script (sorted by submission time) to drain.
+  void serve_epoch(const std::vector<Request>& script) {
     std::size_t next = 0;
     while (next < script.size() || srv_->pending()) {
       if (!srv_->pending() && next < script.size() &&
@@ -114,28 +95,27 @@ class ShardRuntimeT final : public ShardRuntime {
     }
   }
 
-  [[nodiscard]] const ServeReport& report() const override {
-    return srv_->report();
-  }
-  [[nodiscard]] const sim::StatRegistry& stats() const override {
+  [[nodiscard]] const ServeReport& report() const { return srv_->report(); }
+  [[nodiscard]] const sim::StatRegistry& stats() const {
     return p_->sim().stats();
   }
-  [[nodiscard]] std::int64_t now_ps() const override {
+  [[nodiscard]] std::int64_t now_ps() const {
     return p_->kernel().now().ps();
   }
 
-  bool probe_scrub() override {
-    constexpr int kWidth = std::is_same_v<Platform, rtr::Platform64> ? 64 : 32;
-    return srv_->manager().verify_and_scrub_residents(kWidth);
+  /// Probation gate: readback-verify-then-scrub every resident area.
+  bool probe_scrub() {
+    return srv_->manager().verify_and_scrub_residents(p_->dock_width());
   }
 
-  void repair_faults() override {
+  /// Field repair: clear every armed fault on this device.
+  void repair_faults() {
     if (p_->faults() != nullptr) p_->faults()->repair_all();
   }
 
  private:
   std::unique_ptr<Platform> p_;
-  std::unique_ptr<TaskServer<Platform>> srv_;
+  std::unique_ptr<TaskServer<>> srv_;
 };
 
 /// Distill one shard's new completions (since the previous epoch) into
@@ -210,13 +190,8 @@ FleetReport run_fleet(const FleetOptions& opts, const FleetWorkloadSpec& w) {
   std::vector<std::unique_ptr<ShardRuntime>> rt;
   rt.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (systems[i] == 32) {
-      rt.push_back(std::make_unique<ShardRuntimeT<rtr::Platform32>>(
-          opts, static_cast<int>(i), areas[i]));
-    } else {
-      rt.push_back(std::make_unique<ShardRuntimeT<rtr::Platform64>>(
-          opts, static_cast<int>(i), areas[i]));
-    }
+    rt.push_back(std::make_unique<ShardRuntime>(opts, static_cast<int>(i),
+                                                systems[i], areas[i]));
   }
 
   FleetReport fr;

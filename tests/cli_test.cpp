@@ -64,6 +64,35 @@ TEST(Cli, RunFadeWithDma) {
   EXPECT_NE(r.output.find("sw == hw == golden"), std::string::npos);
 }
 
+TEST(Cli, RunDmaRejects32BitSystem) {
+  // The 32-bit system has no DMA engine: --dma is a usage error, not a
+  // silent PIO run labelled (DMA).
+  const auto r = run_cli("run --system 32 --task fade --dma");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--dma requires --system 64"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("(DMA)"), std::string::npos) << r.output;
+}
+
+TEST(Cli, ReconfigAndServeDmaReject32BitSystem) {
+  for (const char* args : {"reconfig --system 32 --task jenkins --dma",
+                           "serve --workload steady --system 32 --dma"}) {
+    const auto r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args;
+    EXPECT_NE(r.output.find("--dma requires --system 64"), std::string::npos)
+        << args;
+  }
+}
+
+TEST(Cli, RunDmaLabelsOnlyDmaDataMovement) {
+  // SHA-1's data moves by programmed I/O even with --dma (only the image
+  // tasks stream by DMA), so its hardware line says (PIO).
+  const auto r = run_cli("run --system 64 --task sha1 --bytes 512 --dma");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find(" (PIO)"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("(DMA)"), std::string::npos) << r.output;
+}
+
 TEST(Cli, ReconfigReportsFitFailure) {
   const auto r = run_cli("reconfig --system 32 --task sha1");
   EXPECT_EQ(r.exit_code, 1);

@@ -177,6 +177,24 @@ TEST(DualPlatform, InvalidRegionIndexAborts) {
   EXPECT_DEATH((void)p.load_module(hw::kLoopback, 2), "bad area index");
 }
 
+// The area count a platform accepts is its spec's area builder's rule: one
+// area on the XC2VP7, one or two on the XC2VP30.
+void build_with_areas(const SystemSpec& spec, int areas) {
+  PlatformOptions o;
+  o.dynamic_areas = areas;
+  const Platform p{spec, o};
+}
+
+TEST(DualPlatform, Xc2vp7AreaCountOtherThanOneAborts) {
+  EXPECT_DEATH(build_with_areas(SystemSpec::k32, 0), "exactly one");
+  EXPECT_DEATH(build_with_areas(SystemSpec::k32, 2), "exactly one");
+}
+
+TEST(DualPlatform, Xc2vp30AreaCountOutsideOneToTwoAborts) {
+  EXPECT_DEATH(build_with_areas(SystemSpec::k64, 0), "1 or 2 dynamic areas");
+  EXPECT_DEATH(build_with_areas(SystemSpec::k64, 3), "1 or 2 dynamic areas");
+}
+
 // --- cross-domain timing property -------------------------------------------------------
 
 TEST(CrossDomain, CpuEdgesNeverPrecedeBusCompletion) {

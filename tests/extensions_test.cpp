@@ -253,7 +253,7 @@ TEST(OverlappedDma, BlendMatchesGoldenWithDoubleBuffering) {
               apps::blend_add(a, b).pixels)
         << "cached=" << cached;
     EXPECT_GT(stats.data_preparation, SimTime::zero());
-    EXPECT_FALSE(p.dock().overflowed());
+    EXPECT_FALSE(p.plb_dock().overflowed());
   }
 }
 

@@ -142,9 +142,9 @@ fault::FaultSpec spec_of(const char* text) {
 // snapshots proves both halves of the recovery invariant at once -- the
 // dynamic area matches the golden linker output AND the static region was
 // never touched.
-template <typename P>
-std::vector<std::uint32_t> golden_snapshot(hw::BehaviorId id) {
-  P q;
+std::vector<std::uint32_t> golden_snapshot(const SystemSpec& spec,
+                                           hw::BehaviorId id) {
+  Platform q{spec};
   RTR_CHECK(q.load_module(id).ok, "golden load failed");
   return q.fabric_state().snapshot();
 }
@@ -153,7 +153,7 @@ TEST(FaultRecovery, IcapBitFlipIsDetectedRetriedAndVerified) {
   PlatformOptions opts;
   opts.fault_plan.add(spec_of("icap:once@20000:1"));
   Platform32 p{opts};
-  ModuleManager<Platform32> mgr{p, RecoveryPolicy{.verify_after_load = true}};
+  ModuleManager mgr{p, RecoveryPolicy{.verify_after_load = true}};
 
   const EnsureStats res = mgr.ensure(hw::kBrightness, 32);
   ASSERT_TRUE(res.ok) << res.error;
@@ -163,14 +163,14 @@ TEST(FaultRecovery, IcapBitFlipIsDetectedRetriedAndVerified) {
   EXPECT_EQ(p.faults()->injected(fault::Site::kIcap), 1);
   EXPECT_GT(res.detected_at, SimTime::zero());
   EXPECT_EQ(p.fabric_state().snapshot(),
-            golden_snapshot<Platform32>(hw::kBrightness));
+            golden_snapshot(SystemSpec::k32, hw::kBrightness));
 }
 
 TEST(FaultRecovery, BusTransactionFaultIsDetectedAndRecovered) {
   PlatformOptions opts;
   opts.fault_plan.add(spec_of("bus:once@60000:1"));
   Platform32 p{opts};
-  ModuleManager<Platform32> mgr{p, RecoveryPolicy{.verify_after_load = true}};
+  ModuleManager mgr{p, RecoveryPolicy{.verify_after_load = true}};
 
   const EnsureStats res = mgr.ensure(hw::kBrightness, 32);
   ASSERT_TRUE(res.ok) << res.error;
@@ -178,7 +178,7 @@ TEST(FaultRecovery, BusTransactionFaultIsDetectedAndRecovered) {
   EXPECT_TRUE(res.verified);
   EXPECT_EQ(p.faults()->injected(fault::Site::kBus), 1);
   EXPECT_EQ(p.fabric_state().snapshot(),
-            golden_snapshot<Platform32>(hw::kBrightness));
+            golden_snapshot(SystemSpec::k32, hw::kBrightness));
 }
 
 TEST(FaultRecovery, StorageFaultWithPinnedWordIsDetectedAndRecovered) {
@@ -188,7 +188,7 @@ TEST(FaultRecovery, StorageFaultWithPinnedWordIsDetectedAndRecovered) {
   PlatformOptions opts;
   opts.fault_plan.add(s);
   Platform32 p{opts};
-  ModuleManager<Platform32> mgr{p, RecoveryPolicy{.verify_after_load = true}};
+  ModuleManager mgr{p, RecoveryPolicy{.verify_after_load = true}};
 
   const EnsureStats res = mgr.ensure(hw::kBrightness, 32);
   ASSERT_TRUE(res.ok) << res.error;
@@ -196,7 +196,7 @@ TEST(FaultRecovery, StorageFaultWithPinnedWordIsDetectedAndRecovered) {
   EXPECT_GE(res.retries, 1);
   EXPECT_EQ(p.faults()->injected(fault::Site::kConfigStorage), 1);
   EXPECT_EQ(p.fabric_state().snapshot(),
-            golden_snapshot<Platform32>(hw::kBrightness));
+            golden_snapshot(SystemSpec::k32, hw::kBrightness));
 }
 
 TEST(FaultRecovery, ReadbackCorruptionTriggersScrubThenVerifies) {
@@ -211,7 +211,7 @@ TEST(FaultRecovery, ReadbackCorruptionTriggersScrubThenVerifies) {
   PlatformOptions opts;
   opts.fault_plan.add(s);
   Platform32 p{opts};
-  ModuleManager<Platform32> mgr{p, RecoveryPolicy{.verify_after_load = true}};
+  ModuleManager mgr{p, RecoveryPolicy{.verify_after_load = true}};
 
   const EnsureStats res = mgr.ensure(hw::kBrightness, 32);
   ASSERT_TRUE(res.ok) << res.error;
@@ -220,7 +220,7 @@ TEST(FaultRecovery, ReadbackCorruptionTriggersScrubThenVerifies) {
   EXPECT_TRUE(res.verified);
   EXPECT_EQ(p.faults()->injected(fault::Site::kReadback), 1);
   EXPECT_EQ(p.fabric_state().snapshot(),
-            golden_snapshot<Platform32>(hw::kBrightness));
+            golden_snapshot(SystemSpec::k32, hw::kBrightness));
 }
 
 TEST(FaultRecovery, DmaBeatFaultRecoveredThroughTheDmaPath) {
@@ -230,7 +230,7 @@ TEST(FaultRecovery, DmaBeatFaultRecoveredThroughTheDmaPath) {
   RecoveryPolicy policy;
   policy.verify_after_load = true;
   policy.use_dma = true;
-  ModuleManager<Platform64> mgr{p, policy};
+  ModuleManager mgr{p, policy};
 
   const EnsureStats res = mgr.ensure(hw::kJenkinsHash, 64);
   ASSERT_TRUE(res.ok) << res.error;
@@ -240,14 +240,14 @@ TEST(FaultRecovery, DmaBeatFaultRecoveredThroughTheDmaPath) {
   EXPECT_EQ(p.faults()->injected(fault::Site::kDma), 1);
   // The DMA-loaded fabric must equal a clean PIO load of the same module.
   EXPECT_EQ(p.fabric_state().snapshot(),
-            golden_snapshot<Platform64>(hw::kJenkinsHash));
+            golden_snapshot(SystemSpec::k64, hw::kJenkinsHash));
 }
 
 TEST(FaultRecovery, StickyIcapFaultExhaustsRetriesThenRepairRecovers) {
   PlatformOptions opts;
   opts.fault_plan.add(spec_of("icap:stuck@15000:1"));
   Platform32 p{opts};
-  ModuleManager<Platform32> mgr{p, RecoveryPolicy{.verify_after_load = true}};
+  ModuleManager mgr{p, RecoveryPolicy{.verify_after_load = true}};
 
   const EnsureStats res = mgr.ensure(hw::kBrightness, 32);
   EXPECT_FALSE(res.ok);
@@ -262,7 +262,7 @@ TEST(FaultRecovery, StickyIcapFaultExhaustsRetriesThenRepairRecovers) {
   ASSERT_TRUE(again.ok) << again.error;
   EXPECT_TRUE(again.verified);
   EXPECT_EQ(p.fabric_state().snapshot(),
-            golden_snapshot<Platform32>(hw::kBrightness));
+            golden_snapshot(SystemSpec::k32, hw::kBrightness));
 }
 
 TEST(FaultRecovery, InjectedFaultsBumpTheFabricGeneration) {
@@ -282,7 +282,7 @@ TEST(FaultRecovery, InjectedFaultsBumpTheFabricGeneration) {
       opts.fault_plan.add(s);
     }
     Platform32 p{opts};
-    ModuleManager<Platform32> mgr{p, RecoveryPolicy{.verify_after_load = true}};
+    ModuleManager mgr{p, RecoveryPolicy{.verify_after_load = true}};
     const EnsureStats res = mgr.ensure(hw::kBrightness, 32);
     RTR_CHECK(res.ok, "recovery must converge");
     return std::pair{p.fabric_state().generation(), res.detected};
@@ -304,7 +304,7 @@ TEST(FaultRecovery, InjectedFaultsBumpTheFabricGeneration) {
   PlatformOptions opts;
   opts.fault_plan.add(rb);
   Platform32 p{opts};
-  ModuleManager<Platform32> mgr{p, RecoveryPolicy{.verify_after_load = true}};
+  ModuleManager mgr{p, RecoveryPolicy{.verify_after_load = true}};
   const EnsureStats res = mgr.ensure(hw::kBrightness, 32);
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_TRUE(res.detected);
@@ -321,7 +321,7 @@ TEST(FaultRecovery, PlanCacheStaysCorrectAcrossFaultRecovery) {
   PlatformOptions opts;
   opts.fault_plan.add(s);
   Platform32 p{opts};
-  ModuleManager<Platform32> mgr{p, RecoveryPolicy{.verify_after_load = true}};
+  ModuleManager mgr{p, RecoveryPolicy{.verify_after_load = true}};
 
   const EnsureStats first = mgr.ensure(hw::kBrightness, 32);
   ASSERT_TRUE(first.ok) << first.error;
@@ -333,7 +333,7 @@ TEST(FaultRecovery, PlanCacheStaysCorrectAcrossFaultRecovery) {
   EXPECT_TRUE(second.used_differential);
   EXPECT_TRUE(second.plan_cached);
   EXPECT_EQ(p.fabric_state().snapshot(),
-            golden_snapshot<Platform32>(hw::kFade));
+            golden_snapshot(SystemSpec::k32, hw::kFade));
 }
 
 TEST(FaultRecovery, SeededInjectionIsDeterministicAcrossRuns) {
@@ -341,7 +341,7 @@ TEST(FaultRecovery, SeededInjectionIsDeterministicAcrossRuns) {
     PlatformOptions opts;
     opts.fault_plan.add(spec_of("icap:rand:7"));
     Platform32 p{opts};
-    ModuleManager<Platform32> mgr{p, RecoveryPolicy{.verify_after_load = true}};
+    ModuleManager mgr{p, RecoveryPolicy{.verify_after_load = true}};
     const EnsureStats res = mgr.ensure(hw::kBrightness, 32);
     return std::tuple{res.ok, res.retries, res.error,
                       p.faults()->injected(fault::Site::kIcap),
@@ -439,7 +439,9 @@ TEST(FaultDeviceSites, BrownoutArmsAFiniteSeededCorruptionBurst) {
     }
     EXPECT_LE(diffs, 1);
     corrupted += diffs;
-    if (load >= 3) EXPECT_EQ(diffs, 0) << "burst must be over by load " << load;
+    if (load >= 3) {
+      EXPECT_EQ(diffs, 0) << "burst must be over by load " << load;
+    }
   }
   EXPECT_GE(corrupted, 1);
   EXPECT_LE(corrupted, 3);

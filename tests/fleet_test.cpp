@@ -86,7 +86,9 @@ TEST(FleetStream, DeterministicOrderedAndIdsPreassigned) {
     EXPECT_EQ(a[i].id, static_cast<std::int64_t>(i + 1));
     EXPECT_EQ(a[i].behavior, b[i].behavior);
     EXPECT_EQ(a[i].submitted.ps(), b[i].submitted.ps());
-    if (i > 0) EXPECT_GE(a[i].submitted.ps(), a[i - 1].submitted.ps());
+    if (i > 0) {
+      EXPECT_GE(a[i].submitted.ps(), a[i - 1].submitted.ps());
+    }
     EXPECT_EQ(a[i].deadline.ps(), a[i].submitted.ps() + w.rel_deadline_ps);
   }
   const std::vector<Request> c = make_fleet_stream(w, 43);

@@ -19,39 +19,30 @@ namespace {
 using bus::Addr;
 using sim::SimTime;
 
-constexpr Addr kIn32 = Platform32::kSramRange.base + 0x10000;
-constexpr Addr kIn32b = Platform32::kSramRange.base + 0x80000;
-constexpr Addr kOut32 = Platform32::kSramRange.base + 0x100000;
 constexpr Addr kIn64 = Platform64::kDdrRange.base + 0x10000;
-constexpr Addr kIn64b = Platform64::kDdrRange.base + 0x80000;
 constexpr Addr kOut64 = Platform64::kDdrRange.base + 0x100000;
-constexpr Addr kStage64 = Platform64::kDdrRange.base + 0x200000;
 
-template <typename Platform>
-struct FuzzAddrs;
-template <>
-struct FuzzAddrs<Platform32> {
-  static constexpr Addr in = kIn32, in_b = kIn32b, out = kOut32;
-  static constexpr Addr dock = Platform32::dock_data();
-};
-template <>
-struct FuzzAddrs<Platform64> {
-  static constexpr Addr in = kIn64, in_b = kIn64b, out = kOut64;
-  static constexpr Addr dock = Platform64::dock_data();
+/// The fuzz buffers in external memory, and the dock's data register.
+struct FuzzAddrs {
+  explicit FuzzAddrs(const Platform& p)
+      : in(p.spec().memory_range.base + 0x10000),
+        in_b(p.spec().memory_range.base + 0x80000),
+        out(p.spec().memory_range.base + 0x100000),
+        dock(p.dock_data()) {}
+  Addr in, in_b, out, dock;
 };
 
 /// One random task round against the currently loaded module. Returns the
 /// behaviour the round needs loaded.
-template <typename Platform>
 void run_task(Platform& p, hw::BehaviorId id, sim::Rng& rng) {
-  using A = FuzzAddrs<Platform>;
+  const FuzzAddrs addr{p};
   cpu::Kernel& k = p.kernel();
   switch (id) {
     case hw::kJenkinsHash: {
       std::vector<std::uint8_t> key(1 + rng.below(200));
       for (auto& b : key) b = rng.next_u8();
-      apps::store_bytes(p.cpu().plb(), A::in, key);
-      ASSERT_EQ(apps::hw_jenkins_pio(k, A::dock, A::in,
+      apps::store_bytes(p.cpu().plb(), addr.in, key);
+      ASSERT_EQ(apps::hw_jenkins_pio(k, addr.dock, addr.in,
                                      static_cast<std::uint32_t>(key.size())),
                 apps::jenkins_hash(key));
       break;
@@ -61,10 +52,10 @@ void run_task(Platform& p, hw::BehaviorId id, sim::Rng& rng) {
       std::vector<std::uint8_t> px(static_cast<std::size_t>(n));
       for (auto& b : px) b = rng.next_u8();
       const int delta = static_cast<int>(rng.below(511)) - 255;
-      apps::store_bytes(p.cpu().plb(), A::in, px);
-      apps::hw_brightness_pio(k, A::dock, A::in, A::out, n, delta);
+      apps::store_bytes(p.cpu().plb(), addr.in, px);
+      apps::hw_brightness_pio(k, addr.dock, addr.in, addr.out, n, delta);
       apps::GrayImage img{n, 1, px};
-      ASSERT_EQ(apps::fetch_bytes(p.cpu().plb(), A::out, px.size()),
+      ASSERT_EQ(apps::fetch_bytes(p.cpu().plb(), addr.out, px.size()),
                 apps::brightness(img, delta).pixels);
       break;
     }
@@ -77,16 +68,16 @@ void run_task(Platform& p, hw::BehaviorId id, sim::Rng& rng) {
       b.pixels.resize(static_cast<std::size_t>(n));
       for (auto& x : a.pixels) x = rng.next_u8();
       for (auto& x : b.pixels) x = rng.next_u8();
-      apps::store_bytes(p.cpu().plb(), A::in, a.pixels);
-      apps::store_bytes(p.cpu().plb(), A::in_b, b.pixels);
+      apps::store_bytes(p.cpu().plb(), addr.in, a.pixels);
+      apps::store_bytes(p.cpu().plb(), addr.in_b, b.pixels);
       if (id == hw::kBlendAdd) {
-        apps::hw_blend_pio(k, A::dock, A::in, A::in_b, A::out, n);
-        ASSERT_EQ(apps::fetch_bytes(p.cpu().plb(), A::out, a.pixels.size()),
+        apps::hw_blend_pio(k, addr.dock, addr.in, addr.in_b, addr.out, n);
+        ASSERT_EQ(apps::fetch_bytes(p.cpu().plb(), addr.out, a.pixels.size()),
                   apps::blend_add(a, b).pixels);
       } else {
         const int f = static_cast<int>(rng.below(257));
-        apps::hw_fade_pio(k, A::dock, A::in, A::in_b, A::out, n, f);
-        ASSERT_EQ(apps::fetch_bytes(p.cpu().plb(), A::out, a.pixels.size()),
+        apps::hw_fade_pio(k, addr.dock, addr.in, addr.in_b, addr.out, n, f);
+        ASSERT_EQ(apps::fetch_bytes(p.cpu().plb(), addr.out, a.pixels.size()),
                   apps::fade(a, b, f).pixels);
       }
       break;
@@ -98,14 +89,15 @@ void run_task(Platform& p, hw::BehaviorId id, sim::Rng& rng) {
       for (auto& word : img.words) word = rng.next_u32();
       apps::Pattern8x8 pat;
       for (auto& row : pat) row = rng.next_u8();
-      apps::store_bytes(p.cpu().plb(), A::in, apps::to_bytes(img));
+      apps::store_bytes(p.cpu().plb(), addr.in, apps::to_bytes(img));
       std::vector<std::uint8_t> pb(64);
       for (int i = 0; i < 64; ++i) {
         pb[static_cast<std::size_t>(i)] =
             (pat[static_cast<std::size_t>(i / 8)] >> (i % 8)) & 1;
       }
-      apps::store_bytes(p.cpu().plb(), A::in_b, pb);
-      const auto got = apps::hw_pattern_match_pio(k, A::dock, A::in, w, h, A::in_b);
+      apps::store_bytes(p.cpu().plb(), addr.in_b, pb);
+      const auto got =
+          apps::hw_pattern_match_pio(k, addr.dock, addr.in, w, h, addr.in_b);
       const auto want = apps::pattern_match(img, pat);
       ASSERT_EQ(got.best_count, want.best_count);
       ASSERT_EQ(got.best_row, want.best_row);
@@ -117,10 +109,9 @@ void run_task(Platform& p, hw::BehaviorId id, sim::Rng& rng) {
   }
 }
 
-template <typename Platform>
-void fuzz_platform(std::uint64_t seed, int rounds) {
+void fuzz_platform(const SystemSpec& spec, std::uint64_t seed, int rounds) {
   sim::Rng rng{seed};
-  Platform p;
+  Platform p{spec};
   const hw::BehaviorId pool[] = {hw::kJenkinsHash, hw::kBrightness,
                                  hw::kBlendAdd, hw::kFade,
                                  hw::kPatternMatcher};
@@ -144,10 +135,18 @@ void fuzz_platform(std::uint64_t seed, int rounds) {
   }
 }
 
-TEST(Fuzz, RandomModuleSequencesOn32) { fuzz_platform<Platform32>(1001, 30); }
-TEST(Fuzz, RandomModuleSequencesOn32B) { fuzz_platform<Platform32>(2002, 30); }
-TEST(Fuzz, RandomModuleSequencesOn64) { fuzz_platform<Platform64>(3003, 30); }
-TEST(Fuzz, RandomModuleSequencesOn64B) { fuzz_platform<Platform64>(4004, 30); }
+TEST(Fuzz, RandomModuleSequencesOn32) {
+  fuzz_platform(SystemSpec::k32, 1001, 30);
+}
+TEST(Fuzz, RandomModuleSequencesOn32B) {
+  fuzz_platform(SystemSpec::k32, 2002, 30);
+}
+TEST(Fuzz, RandomModuleSequencesOn64) {
+  fuzz_platform(SystemSpec::k64, 3003, 30);
+}
+TEST(Fuzz, RandomModuleSequencesOn64B) {
+  fuzz_platform(SystemSpec::k64, 4004, 30);
+}
 
 TEST(Fuzz, RandomDmaBlocksRoundTrip) {
   sim::Rng rng{555};
@@ -161,7 +160,7 @@ TEST(Fuzz, RandomDmaBlocksRoundTrip) {
     for (auto& b : data) b = rng.next_u8();
     apps::store_bytes(p.cpu().plb(), kIn64, data);
     apps::dma_interleaved_seq(p, kIn64, kOut64, items);
-    ASSERT_FALSE(p.dock().overflowed());
+    ASSERT_FALSE(p.plb_dock().overflowed());
     ASSERT_EQ(apps::fetch_bytes(p.cpu().plb(), kOut64, data.size()), data);
   }
 }
@@ -185,11 +184,11 @@ TEST(Fuzz, DmaLoopbackServedFromSecondArea) {
       {Platform64::dock_fifo(), kOut64, data.size(), false, true},
   };
   const SimTime done = p.dma().run_chain(chain, p.kernel().now());
-  p.dock().signal_done(done);
+  p.plb_dock().signal_done(done);
   p.cpu().take_interrupt(p.intc().assertion_time(Platform64::kDockIrq));
   p.intc().clear(Platform64::kDockIrq);
   EXPECT_EQ(apps::fetch_bytes(p.cpu().plb(), kOut64, data.size()), data);
-  EXPECT_FALSE(p.dock().overflowed());
+  EXPECT_FALSE(p.plb_dock().overflowed());
   EXPECT_EQ(p.region(0).scan_signature(p.fabric_state()), hw::kBrightness);
 }
 

@@ -4,11 +4,15 @@
 // implementations.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "apps/drivers.hpp"
 #include "apps/golden.hpp"
 #include "apps/memio.hpp"
 #include "apps/sw_kernels.hpp"
+#include "rtr/manager.hpp"
 #include "rtr/platform.hpp"
+#include "serve/batch_exec.hpp"
 #include "sim/random.hpp"
 
 namespace rtr {
@@ -150,6 +154,64 @@ TEST(Platform32Test, ExternalResetPreservesConfiguration) {
   EXPECT_EQ(p.cpu().load32(Platform32::dock_data()), 77u);
 }
 
+std::string stats_export(Platform& p) {
+  std::ostringstream os;
+  p.sim().stats().export_json(os);
+  return os.str();
+}
+
+TEST(Platform32Test, DmaIsATypedError) {
+  // A part the spec lacks is never built and registers no stats series.
+  Platform64 fresh64;
+  EXPECT_EQ(stats_export(fresh64).find("\"dock32."), std::string::npos);
+  Platform32 p;
+  EXPECT_FALSE(p.has_dma());
+  for (const char* series : {"\"dma.", "\"dock64."}) {
+    EXPECT_EQ(stats_export(p).find(series), std::string::npos) << series;
+  }
+
+  // The DMA loads refuse with a typed error and touch nothing.
+  ASSERT_TRUE(p.load_module(hw::kBrightness).ok);
+  const SimTime t0 = p.kernel().now();
+  const std::uint64_t gen = p.fabric_state().generation();
+  hw::HwModule* const bound = p.active_module();
+  const std::string stats = stats_export(p);
+  const ReconfigStats by_id = p.load_module_dma(hw::kFade);
+  const std::vector<std::uint32_t> words(64, 0);
+  const ReconfigStats by_stream =
+      p.load_stream_dma(words, 0, /*differential=*/false);
+  for (const ReconfigStats& s : {by_id, by_stream}) {
+    EXPECT_FALSE(s.ok);
+    EXPECT_NE(s.error.find("no DMA engine"), std::string::npos) << s.error;
+  }
+  // Image batches fall back to per-member execution.
+  std::vector<serve::BatchMember> members(2);
+  EXPECT_FALSE(serve::exec_image_batch(p, hw::kBrightness, members));
+  EXPECT_EQ(p.kernel().now(), t0);
+  EXPECT_EQ(p.fabric_state().generation(), gen);
+  EXPECT_EQ(p.active_module(), bound);
+  EXPECT_EQ(stats_export(p), stats);
+  // The brightness circuit still answers on the dock.
+  const GrayImage img = GrayImage::make(16, 1);
+  apps::store_bytes(p.cpu().plb(), kA32, img.pixels);
+  apps::hw_brightness_pio(p.kernel(), p.dock_data(), kA32, kOut32,
+                          static_cast<int>(img.pixels.size()), 9);
+  EXPECT_EQ(apps::fetch_bytes(p.cpu().plb(), kOut32, img.pixels.size()),
+            apps::brightness(img, 9).pixels);
+
+  // A manager told to recover through DMA loads through the CPU, exactly
+  // as one that was not.
+  Platform32 with_dma, without;
+  ModuleManager dma_mgr{with_dma, RecoveryPolicy{.use_dma = true}};
+  ModuleManager cpu_mgr{without};
+  const EnsureStats a = dma_mgr.ensure(hw::kJenkinsHash, 32);
+  const EnsureStats b = cpu_mgr.ensure(hw::kJenkinsHash, 32);
+  ASSERT_TRUE(a.ok) << a.error;
+  EXPECT_EQ(a.time, b.time);
+  EXPECT_EQ(a.stream_words, b.stream_words);
+  EXPECT_EQ(stats_export(with_dma), stats_export(without));
+}
+
 TEST(Platform64Test, ReconfigurationFasterThanOn32) {
   // Same flow, 100 MHz buses and no CPU-side bridge hop for the staging
   // fetches -> loading the (larger) region is still competitive; per-word
@@ -251,20 +313,17 @@ TEST(SwKernels, ImageOpsMatchGolden) {
 
 // --- PIO hardware drivers vs golden, both platforms --------------------------------
 
-template <typename Platform>
-struct PioAddrs;
-template <>
-struct PioAddrs<Platform32> {
-  static constexpr Addr a = kA32, b = kB32, out = kOut32;
-  static constexpr Addr dock = Platform32::dock_data();
-};
-template <>
-struct PioAddrs<Platform64> {
-  static constexpr Addr a = kA64, b = kB64, out = kOut64;
-  static constexpr Addr dock = Platform64::dock_data();
+/// The buffers in external memory, and the dock's data register.
+struct PioAddrs {
+  explicit PioAddrs(const Platform& p)
+      : a(p.spec().memory_range.base + 0x10000),
+        b(p.spec().memory_range.base + 0x80000),
+        out(p.spec().memory_range.base + 0x100000),
+        dock(p.dock_data()) {}
+  Addr a, b, out, dock;
 };
 
-template <typename Platform>
+template <typename P>
 class PioDriverTest : public ::testing::Test {};
 using BothPlatforms = ::testing::Types<Platform32, Platform64>;
 TYPED_TEST_SUITE(PioDriverTest, BothPlatforms);
@@ -272,17 +331,17 @@ TYPED_TEST_SUITE(PioDriverTest, BothPlatforms);
 TYPED_TEST(PioDriverTest, PatternMatch) {
   TypeParam p;
   Workloads w;
-  using A = PioAddrs<TypeParam>;
+  const PioAddrs at{p};
   ASSERT_TRUE(p.load_module(hw::kPatternMatcher).ok);
-  apps::store_bytes(p.cpu().plb(), A::a, apps::to_bytes(w.img));
+  apps::store_bytes(p.cpu().plb(), at.a, apps::to_bytes(w.img));
   std::vector<std::uint8_t> patb(64);
   for (int i = 0; i < 64; ++i) {
     patb[static_cast<std::size_t>(i)] =
         (w.pat[static_cast<std::size_t>(i / 8)] >> (i % 8)) & 1;
   }
-  apps::store_bytes(p.cpu().plb(), A::b, patb);
-  const auto got = apps::hw_pattern_match_pio(p.kernel(), A::dock, A::a,
-                                              w.img.width, w.img.height, A::b);
+  apps::store_bytes(p.cpu().plb(), at.b, patb);
+  const auto got = apps::hw_pattern_match_pio(p.kernel(), at.dock, at.a,
+                                              w.img.width, w.img.height, at.b);
   const auto want = apps::pattern_match(w.img, w.pat);
   EXPECT_EQ(got.best_count, want.best_count);
   EXPECT_EQ(got.best_row, want.best_row);
@@ -292,10 +351,10 @@ TYPED_TEST(PioDriverTest, PatternMatch) {
 TYPED_TEST(PioDriverTest, Jenkins) {
   TypeParam p;
   Workloads w;
-  using A = PioAddrs<TypeParam>;
+  const PioAddrs at{p};
   ASSERT_TRUE(p.load_module(hw::kJenkinsHash).ok);
-  apps::store_bytes(p.cpu().plb(), A::a, w.key);
-  EXPECT_EQ(apps::hw_jenkins_pio(p.kernel(), A::dock, A::a,
+  apps::store_bytes(p.cpu().plb(), at.a, w.key);
+  EXPECT_EQ(apps::hw_jenkins_pio(p.kernel(), at.dock, at.a,
                                  static_cast<std::uint32_t>(w.key.size())),
             apps::jenkins_hash(w.key));
 }
@@ -303,24 +362,24 @@ TYPED_TEST(PioDriverTest, Jenkins) {
 TYPED_TEST(PioDriverTest, ImageOps) {
   TypeParam p;
   Workloads w;
-  using A = PioAddrs<TypeParam>;
+  const PioAddrs at{p};
   const int n = static_cast<int>(w.ga.size());
-  apps::store_bytes(p.cpu().plb(), A::a, w.ga.pixels);
-  apps::store_bytes(p.cpu().plb(), A::b, w.gb.pixels);
+  apps::store_bytes(p.cpu().plb(), at.a, w.ga.pixels);
+  apps::store_bytes(p.cpu().plb(), at.b, w.gb.pixels);
 
   ASSERT_TRUE(p.load_module(hw::kBrightness).ok);
-  apps::hw_brightness_pio(p.kernel(), A::dock, A::a, A::out, n, -30);
-  EXPECT_EQ(apps::fetch_bytes(p.cpu().plb(), A::out, w.ga.size()),
+  apps::hw_brightness_pio(p.kernel(), at.dock, at.a, at.out, n, -30);
+  EXPECT_EQ(apps::fetch_bytes(p.cpu().plb(), at.out, w.ga.size()),
             apps::brightness(w.ga, -30).pixels);
 
   ASSERT_TRUE(p.load_module(hw::kBlendAdd).ok);
-  apps::hw_blend_pio(p.kernel(), A::dock, A::a, A::b, A::out, n);
-  EXPECT_EQ(apps::fetch_bytes(p.cpu().plb(), A::out, w.ga.size()),
+  apps::hw_blend_pio(p.kernel(), at.dock, at.a, at.b, at.out, n);
+  EXPECT_EQ(apps::fetch_bytes(p.cpu().plb(), at.out, w.ga.size()),
             apps::blend_add(w.ga, w.gb).pixels);
 
   ASSERT_TRUE(p.load_module(hw::kFade).ok);
-  apps::hw_fade_pio(p.kernel(), A::dock, A::a, A::b, A::out, n, 128);
-  EXPECT_EQ(apps::fetch_bytes(p.cpu().plb(), A::out, w.ga.size()),
+  apps::hw_fade_pio(p.kernel(), at.dock, at.a, at.b, at.out, n, 128);
+  EXPECT_EQ(apps::fetch_bytes(p.cpu().plb(), at.out, w.ga.size()),
             apps::fade(w.ga, w.gb, 128).pixels);
 }
 
@@ -347,7 +406,7 @@ TEST(DmaDrivers, BrightnessMatchesGoldenWithoutPreparation) {
             apps::brightness(w.ga, 25).pixels);
   EXPECT_EQ(stats.data_preparation, SimTime::zero());
   EXPECT_GT(stats.total, SimTime::zero());
-  EXPECT_FALSE(p.dock().overflowed());
+  EXPECT_FALSE(p.plb_dock().overflowed());
 }
 
 TEST(DmaDrivers, BlendMatchesGoldenWithPreparation) {
@@ -387,8 +446,8 @@ TEST(DmaDrivers, BlockInterleavingRespectsFifoDepth) {
   for (auto& b : data) b = rng.next_u8();
   apps::store_bytes(p.cpu().plb(), kA64, data);
   apps::dma_interleaved_seq(p, kA64, kOut64, static_cast<int>(data.size() / 8));
-  EXPECT_FALSE(p.dock().overflowed());
-  EXPECT_FALSE(p.dock().underflowed());
+  EXPECT_FALSE(p.plb_dock().overflowed());
+  EXPECT_FALSE(p.plb_dock().underflowed());
   EXPECT_EQ(apps::fetch_bytes(p.cpu().plb(), kOut64, data.size()), data);
 }
 

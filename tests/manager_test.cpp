@@ -18,25 +18,14 @@ using bus::Addr;
 using sim::SimTime;
 
 template <typename P>
-struct Width;
-template <>
-struct Width<Platform32> {
-  static constexpr int v = 32;
-};
-template <>
-struct Width<Platform64> {
-  static constexpr int v = 64;
-};
-
-template <typename P>
 class ManagerTest : public ::testing::Test {};
 using BothPlatforms = ::testing::Types<Platform32, Platform64>;
 TYPED_TEST_SUITE(ManagerTest, BothPlatforms);
 
 TYPED_TEST(ManagerTest, FirstLoadIsCompleteThenDifferentials) {
   TypeParam p;
-  ModuleManager<TypeParam> mgr{p};
-  const int w = Width<TypeParam>::v;
+  ModuleManager mgr{p};
+  const int w = p.dock_width();
 
   const auto first = mgr.ensure(hw::kBrightness, w);
   ASSERT_TRUE(first.ok) << first.error;
@@ -59,24 +48,23 @@ TYPED_TEST(ManagerTest, FirstLoadIsCompleteThenDifferentials) {
 
 TYPED_TEST(ManagerTest, DifferentialLoadsAreFunctionallyComplete) {
   TypeParam p;
-  ModuleManager<TypeParam> mgr{p};
-  const int w = Width<TypeParam>::v;
+  ModuleManager mgr{p};
+  const int w = p.dock_width();
   ASSERT_TRUE(mgr.ensure(hw::kBrightness, w).ok);
   const auto s = mgr.ensure(hw::kJenkinsHash, w);
   ASSERT_TRUE(s.ok);
   ASSERT_TRUE(s.used_differential);
 
   const auto key = std::vector<std::uint8_t>(77, 0x44);
-  const Addr key_at = TypeParam::kConfigStaging - 0x10000;
+  const Addr key_at = p.config_staging() - 0x10000;
   apps::store_bytes(p.cpu().plb(), key_at, key);
-  EXPECT_EQ(apps::hw_jenkins_pio(p.kernel(), TypeParam::dock_data(), key_at,
-                                 77),
+  EXPECT_EQ(apps::hw_jenkins_pio(p.kernel(), p.dock_data(), key_at, 77),
             apps::jenkins_hash(key));
 }
 
 TEST(ManagerFallback, StaleAssumptionFallsBackToComplete) {
   Platform32 p;
-  ModuleManager<Platform32> mgr{p};
+  ModuleManager mgr{p};
   ASSERT_TRUE(mgr.ensure(hw::kBrightness, 32).ok);
 
   // Someone else rewrites part of the region behind the manager's back (a
@@ -103,7 +91,7 @@ TEST(ManagerFallback, StaleAssumptionFallsBackToComplete) {
 
 TEST(ManagerFallback, InvalidateForcesCompletePath) {
   Platform32 p;
-  ModuleManager<Platform32> mgr{p};
+  ModuleManager mgr{p};
   ASSERT_TRUE(mgr.ensure(hw::kBrightness, 32).ok);
   mgr.invalidate();
   EXPECT_EQ(mgr.resident(), -1);
@@ -115,7 +103,7 @@ TEST(ManagerFallback, InvalidateForcesCompletePath) {
 
 TEST(ManagerFallback, DisabledDifferentialAlwaysLoadsComplete) {
   Platform32 p;
-  ModuleManager<Platform32> mgr{p, /*enable_differential=*/false};
+  ModuleManager mgr{p, /*enable_differential=*/false};
   ASSERT_TRUE(mgr.ensure(hw::kBrightness, 32).ok);
   const auto s = mgr.ensure(hw::kFade, 32);
   ASSERT_TRUE(s.ok);
@@ -126,7 +114,7 @@ TEST(ManagerSavings, AlternationIsMuchCheaperWithDifferentials) {
   // The module_swap scenario, managed: after warmup every swap ships only
   // the frames that differ between the two assemblies.
   Platform32 managed;
-  ModuleManager<Platform32> mgr{managed};
+  ModuleManager mgr{managed};
   ASSERT_TRUE(mgr.ensure(hw::kJenkinsHash, 32).ok);
   ASSERT_TRUE(mgr.ensure(hw::kBrightness, 32).ok);  // warmup pair
   SimTime diff_time;
@@ -152,16 +140,16 @@ TEST(ManagerSavings, AlternationIsMuchCheaperWithDifferentials) {
 TYPED_TEST(ManagerTest, CachedAndUncachedRunsAreByteIdentical) {
   // The plan cache removes host-side work only: simulated times, stream
   // word counts and the bound signature must not depend on it.
-  const int w = Width<TypeParam>::v;
   const hw::BehaviorId seq[] = {hw::kBrightness, hw::kFade, hw::kBrightness,
                                 hw::kJenkinsHash, hw::kFade, hw::kFade,
                                 hw::kBrightness};
 
   TypeParam pc;
-  ModuleManager<TypeParam> cached{pc};
+  ModuleManager cached{pc};
   TypeParam pu;
-  ModuleManager<TypeParam> uncached{pu};
+  ModuleManager uncached{pu};
   uncached.set_plan_cache_enabled(false);
+  const int w = pc.dock_width();
 
   for (const hw::BehaviorId id : seq) {
     const auto a = cached.ensure(id, w);
@@ -180,7 +168,7 @@ TYPED_TEST(ManagerTest, CachedAndUncachedRunsAreByteIdentical) {
 
 TEST(ManagerPlanCache, RepeatSwapsHitTheDifferentialCache) {
   Platform32 p;
-  ModuleManager<Platform32> mgr{p};
+  ModuleManager mgr{p};
   ASSERT_TRUE(mgr.ensure(hw::kBrightness, 32).ok);
   const auto cold = mgr.ensure(hw::kFade, 32);
   ASSERT_TRUE(cold.ok);
@@ -204,7 +192,7 @@ TEST(ManagerPlanCache, RepeatSwapsHitTheDifferentialCache) {
 
 TEST(ManagerPlanCache, WarmMakesTheNextSwapAPlanHit) {
   Platform32 p;
-  ModuleManager<Platform32> mgr{p};
+  ModuleManager mgr{p};
   ASSERT_TRUE(mgr.ensure(hw::kBrightness, 32).ok);
   const sim::SimTime before = p.kernel().now();
   ASSERT_TRUE(mgr.warm(hw::kFade, 32));
@@ -217,7 +205,7 @@ TEST(ManagerPlanCache, WarmMakesTheNextSwapAPlanHit) {
 
 TEST(ManagerPlanCache, InvalidateBumpsGenerationAndForcesColdPath) {
   Platform32 p;
-  ModuleManager<Platform32> mgr{p};
+  ModuleManager mgr{p};
   ASSERT_TRUE(mgr.ensure(hw::kBrightness, 32).ok);
   ASSERT_TRUE(mgr.warm(hw::kFade, 32));  // plan warmed against current state
   const std::uint64_t gen = p.fabric_state().generation();
@@ -230,7 +218,7 @@ TEST(ManagerPlanCache, InvalidateBumpsGenerationAndForcesColdPath) {
 
 TEST(ManagerPlanCache, ExternalFabricWriteFailsTheGenerationTag) {
   Platform32 p;
-  ModuleManager<Platform32> mgr{p};
+  ModuleManager mgr{p};
   ASSERT_TRUE(mgr.ensure(hw::kBrightness, 32).ok);
   const std::uint64_t gen = p.fabric_state().generation();
 

@@ -17,7 +17,6 @@
 #include <functional>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "apps/drivers.hpp"
@@ -101,22 +100,20 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 
 /// Where the drivers' data lives in external memory: the inputs start
 /// 1 KiB below a 64 KiB page boundary, so block transfers cross pages.
-template <typename P>
 struct Staging {
-  static constexpr Addr in = P::kConfigStaging - 0x0100'0000 + 0xFC00;
-  static constexpr Addr in_b = in + 0x0040'0000;
-  static constexpr Addr out = in + 0x0080'0000;
+  explicit Staging(const SystemSpec& spec)
+      : in(spec.config_staging - 0x0100'0000 + 0xFC00),
+        in_b(in + 0x0040'0000),
+        out(in + 0x0080'0000) {}
+  Addr in, in_b, out;
 };
 
 /// Every driver at 0-6 loop iterations, the serving sizes of
 /// serve::params_for (jenkins 2048 B, SHA-1 1024 B, 64x48 images) and the
 /// sizes of Tables 2-5 and 7-12.
-template <typename P>
-std::vector<Case> every_case() {
-  constexpr Addr in = Staging<P>::in;
-  constexpr Addr in_b = Staging<P>::in_b;
-  constexpr Addr out = Staging<P>::out;
-  constexpr Addr dock = P::dock_data();
+std::vector<Case> every_case(const SystemSpec& spec) {
+  const auto [in, in_b, out] = Staging{spec};
+  const Addr dock = spec.dock_data();
   std::vector<Case> cases;
   const auto add = [&](std::string name, hw::BehaviorId module,
                        std::size_t in_bytes, bus::AddressRange written,
@@ -209,11 +206,8 @@ std::vector<Case> every_case() {
 /// Every software kernel, and the DMA data preparation, at boundary sizes
 /// and the serving sizes. The kernels need no circuit; SHA-1's scratch (W[]
 /// and two padding blocks, 448 bytes) sits at `out`.
-template <typename P>
-std::vector<Case> software_cases() {
-  constexpr Addr in = Staging<P>::in;
-  constexpr Addr in_b = Staging<P>::in_b;
-  constexpr Addr out = Staging<P>::out;
+std::vector<Case> software_cases(const SystemSpec& spec) {
+  const auto [in, in_b, out] = Staging{spec};
   std::vector<Case> cases;
   const auto add = [&](std::string name, std::size_t in_bytes,
                        bus::AddressRange written,
@@ -300,16 +294,16 @@ std::vector<Case> software_cases() {
   return cases;
 }
 
-/// One device layout under test: `areas` dynamic areas with `area` active.
-/// Plans are pure in (behaviour, width, area), so one planning platform's
-/// linker serves every case.
-template <typename P>
+/// One device layout under test: `spec`'s system with `areas` dynamic areas
+/// and `area` active. Plans are pure in (behaviour, width, area), so one
+/// planning platform's linker serves every case.
 class Layout {
  public:
-  static constexpr int kWidth = std::is_same_v<P, Platform32> ? 32 : 64;
-
-  Layout(int areas, int area)
-      : areas_(areas), area_(area), planner_(options(areas, false, nullptr)) {}
+  Layout(const SystemSpec& spec, int areas, int area)
+      : spec_(spec),
+        areas_(areas),
+        area_(area),
+        planner_(spec, options(areas, false, nullptr)) {}
 
   /// `c` on a fresh platform, with every iteration through the models
   /// (`traced`) or in closed form where the runner allows it.
@@ -317,15 +311,16 @@ class Layout {
     trace::Tracer tr;
     PlatformOptions opts = options(areas_, setup.dcache, &tr);
     opts.fault_plan = plan_of(setup.faults);
-    P p{opts};
+    Platform p{spec_, opts};
     if (!setup.unbound) load(p, c.module);
     if (setup.repair_bus) p.faults()->repair(fault::Site::kBus);
     sim::Rng rng{c.in_bytes + 1};
     std::vector<std::uint8_t> input(c.in_bytes);
     for (auto& b : input) b = rng.next_u8() & c.mask;
-    p.ext_mem().poke_block(Staging<P>::in, input);
+    const Staging st{spec_};
+    p.ext_mem().poke_block(st.in, input);
     for (auto& b : input) b = rng.next_u8() & c.mask;
-    p.ext_mem().poke_block(Staging<P>::in_b, input);
+    p.ext_mem().poke_block(st.in_b, input);
     // Stale bytes where the call writes, so a write it skips shows.
     std::vector<std::uint8_t> stale(c.written.size);
     for (auto& b : stale) b = rng.next_u8();
@@ -372,13 +367,14 @@ class Layout {
   /// Bind `id`'s circuit in the area; loopback where `id` does not fit
   /// it (SHA-1 on the XC2VP7, the wide modules in the second area). The
   /// dock still sees every word.
-  void load(P& p, hw::BehaviorId id) {
+  void load(Platform& p, hw::BehaviorId id) {
     std::string err;
     bool hit = false;
-    const PlanCache::Plan* plan =
-        plans_.complete(planner_.linker(area_), id, kWidth, &err, &hit, area_);
+    const int width = spec_.system;
+    const PlanCache::Plan* plan = plans_.complete(planner_.linker(area_), id,
+                                                  width, &err, &hit, area_);
     if (plan == nullptr) {
-      plan = plans_.complete(planner_.linker(area_), hw::kLoopback, kWidth,
+      plan = plans_.complete(planner_.linker(area_), hw::kLoopback, width,
                              &err, &hit, area_);
     }
     ASSERT_NE(plan, nullptr) << err;
@@ -388,29 +384,27 @@ class Layout {
     ASSERT_EQ(p.active_area(), area_);
   }
 
+  const SystemSpec& spec_;
   int areas_;
   int area_;
-  P planner_;
+  Platform planner_;
   PlanCache plans_{64};
 };
 
-template <typename P>
-void every_driver(int areas, int area) {
-  Layout<P> layout(areas, area);
-  for (const Case& c : every_case<P>()) layout.expect_equivalent(c);
+void every_driver(const SystemSpec& spec, int areas, int area) {
+  Layout layout(spec, areas, area);
+  for (const Case& c : every_case(spec)) layout.expect_equivalent(c);
 }
 
-template <typename P>
-void every_software_kernel() {
-  Layout<P> layout(1, 0);
-  for (const Case& c : software_cases<P>()) layout.expect_equivalent(c);
+void every_software_kernel(const SystemSpec& spec) {
+  Layout layout(spec, 1, 0);
+  for (const Case& c : software_cases(spec)) layout.expect_equivalent(c);
 }
 
 /// One realistic-size call of each loop shape, for the variant cases.
-template <typename P>
-std::vector<Case> serving_cases() {
+std::vector<Case> serving_cases(const SystemSpec& spec) {
   std::vector<Case> out;
-  for (std::vector<Case> cases : {every_case<P>(), software_cases<P>()}) {
+  for (std::vector<Case> cases : {every_case(spec), software_cases(spec)}) {
     for (Case& c : cases) {
       for (const char* name :
            {"pio_write_seq n=1024", "pio_read_seq n=1024",
@@ -426,30 +420,34 @@ std::vector<Case> serving_cases() {
   return out;
 }
 
-TEST(PioEquivalence, Platform32EveryDriver) { every_driver<Platform32>(1, 0); }
-TEST(PioEquivalence, Platform64EveryDriver) { every_driver<Platform64>(1, 0); }
+TEST(PioEquivalence, Platform32EveryDriver) {
+  every_driver(SystemSpec::k32, 1, 0);
+}
+TEST(PioEquivalence, Platform64EveryDriver) {
+  every_driver(SystemSpec::k64, 1, 0);
+}
 TEST(PioEquivalence, Platform64SecondAreaEveryDriver) {
-  every_driver<Platform64>(2, 1);
+  every_driver(SystemSpec::k64, 2, 1);
 }
 TEST(PioEquivalence, Platform32EverySoftwareKernel) {
-  every_software_kernel<Platform32>();
+  every_software_kernel(SystemSpec::k32);
 }
 TEST(PioEquivalence, Platform64EverySoftwareKernel) {
-  every_software_kernel<Platform64>();
+  every_software_kernel(SystemSpec::k64);
 }
 
 TEST(PioEquivalence, ReservedBusesAtTheStartMatch) {
   // A reservation left on the buses delays the first iterations; iteration
   // 0 absorbs it, or the runner falls back when iteration 1 still sees it.
-  Layout<Platform32> l32(1, 0);
-  Layout<Platform64> l64(1, 0);
+  Layout l32(SystemSpec::k32, 1, 0);
+  Layout l64(SystemSpec::k64, 1, 0);
   for (const SimTime r :
        {SimTime{37'000}, SimTime{210'000}, SimTime::from_us(1)}) {
     SCOPED_TRACE(r.ps());
-    for (const Case& c : serving_cases<Platform32>()) {
+    for (const Case& c : serving_cases(SystemSpec::k32)) {
       l32.expect_equivalent(c, {.reserved = r});
     }
-    for (const Case& c : serving_cases<Platform64>()) {
+    for (const Case& c : serving_cases(SystemSpec::k64)) {
       l64.expect_equivalent(c, {.reserved = r});
     }
   }
@@ -458,15 +456,15 @@ TEST(PioEquivalence, ReservedBusesAtTheStartMatch) {
 TEST(PioEquivalence, UnboundDockCountsEveryOrphan) {
   // With no circuit bound, every data word is an orphan access; the bulk
   // side's dock calls must count each one.
-  Layout<Platform32> l32(1, 0);
-  Layout<Platform64> l64(1, 0);
-  for (const Case& c : serving_cases<Platform32>()) {
+  Layout l32(SystemSpec::k32, 1, 0);
+  Layout l64(SystemSpec::k64, 1, 0);
+  for (const Case& c : serving_cases(SystemSpec::k32)) {
     l32.expect_equivalent(c, {.unbound = true});
   }
-  for (const Case& c : serving_cases<Platform64>()) {
+  for (const Case& c : serving_cases(SystemSpec::k64)) {
     l64.expect_equivalent(c, {.unbound = true});
   }
-  const Outcome o = l64.run(serving_cases<Platform64>().front(),
+  const Outcome o = l64.run(serving_cases(SystemSpec::k64).front(),
                             /*traced=*/false, {.unbound = true});
   EXPECT_NE(o.stats.find("\"dock64.orphan_accesses\": 1024"),
             std::string::npos);
@@ -476,12 +474,12 @@ TEST(PioEquivalence, DcacheCasesMatch) {
   // Cacheable memory is a fallback: the cache model sees single accesses.
   // A loop that touches no memory (the matcher's result loop) still takes
   // the closed form.
-  Layout<Platform32> l32(1, 0);
-  Layout<Platform64> l64(1, 0);
-  for (const Case& c : serving_cases<Platform32>()) {
+  Layout l32(SystemSpec::k32, 1, 0);
+  Layout l64(SystemSpec::k64, 1, 0);
+  for (const Case& c : serving_cases(SystemSpec::k32)) {
     l32.expect_equivalent(c, {.dcache = true});
   }
-  for (const Case& c : serving_cases<Platform64>()) {
+  for (const Case& c : serving_cases(SystemSpec::k64)) {
     l64.expect_equivalent(c, {.dcache = true});
   }
 }
@@ -490,26 +488,25 @@ TEST(PioEquivalence, QuietFaultPlansMatch) {
   // Whole-device specs and a repaired bus spec keep the closed form; the
   // bulk side's iterations still count their bus and ICAP opportunities
   // (fault.opportunities.* in the stats export).
-  Layout<Platform32> l32(1, 0);
-  Layout<Platform64> l64(1, 0);
+  Layout l32(SystemSpec::k32, 1, 0);
+  Layout l64(SystemSpec::k64, 1, 0);
   for (const auto& setup : quiet_plans()) {
     SCOPED_TRACE(setup.faults.front());
-    for (const Case& c : serving_cases<Platform32>()) {
+    for (const Case& c : serving_cases(SystemSpec::k32)) {
       l32.expect_equivalent(c, setup);
     }
-    for (const Case& c : serving_cases<Platform64>()) {
+    for (const Case& c : serving_cases(SystemSpec::k64)) {
       l64.expect_equivalent(c, setup);
     }
   }
 }
 
-template <typename P>
-void bus_fault_inside_the_loop() {
+void bus_fault_inside_the_loop(const SystemSpec& spec) {
   // bus:once@N with N inside the driver's loop: the loop runs every
   // iteration through the models and the fault fires at the transaction
   // it fires at in the reference.
-  Layout<P> layout(1, 0);
-  for (const Case& c : serving_cases<P>()) {
+  Layout layout(spec, 1, 0);
+  for (const Case& c : serving_cases(spec)) {
     SCOPED_TRACE(c.name);
     const Outcome quiet =
         layout.run(c, /*traced=*/false, {.faults = {"fail_stop:once@0:1"}});
@@ -525,8 +522,8 @@ void bus_fault_inside_the_loop() {
 }
 
 TEST(PioEquivalence, BusFaultInsideTheLoopMatchesTheReference) {
-  bus_fault_inside_the_loop<Platform32>();
-  bus_fault_inside_the_loop<Platform64>();
+  bus_fault_inside_the_loop(SystemSpec::k32);
+  bus_fault_inside_the_loop(SystemSpec::k64);
 }
 
 TEST(PioEquivalence, ClosedFormEngagesOnlyUnderQuietPlans) {

@@ -227,7 +227,7 @@ Platform64 two_area_platform() {
 
 TEST(ManagerMultiAreaTest, CoResidentBehavioursEnsureWithoutReconfig) {
   Platform64 p = two_area_platform();
-  ModuleManager<Platform64> mgr{p};
+  ModuleManager mgr{p};
 
   const auto first = mgr.ensure(hw::kJenkinsHash, 64);
   ASSERT_TRUE(first.ok) << first.error;
@@ -266,7 +266,7 @@ TEST(ManagerMultiAreaTest, CoResidentBehavioursEnsureWithoutReconfig) {
 
 TEST(ManagerMultiAreaTest, WideModuleEvictsOnlyCompatibleArea) {
   Platform64 p = two_area_platform();
-  ModuleManager<Platform64> mgr{p};
+  ModuleManager mgr{p};
   ASSERT_TRUE(mgr.ensure(hw::kJenkinsHash, 64).ok);
   ASSERT_TRUE(mgr.ensure(hw::kBrightness, 64).ok);
   // patmatch fits only area 0: jenkins is displaced, brightness survives.
@@ -291,7 +291,7 @@ TEST(ManagerMultiAreaTest, SingleBehaviourIsByteIdenticalToSingleArea) {
     PlatformOptions po;
     po.dynamic_areas = areas;
     Platform64 p{po};
-    ModuleManager<Platform64> mgr{p};
+    ModuleManager mgr{p};
     std::vector<std::int64_t> sig;
     for (int i = 0; i < 4; ++i) {
       const auto es = mgr.ensure(hw::kJenkinsHash, 64);
@@ -308,7 +308,7 @@ TEST(ManagerMultiAreaTest, SingleBehaviourIsByteIdenticalToSingleArea) {
 
 TEST(ManagerMultiAreaTest, InvalidateClearsEveryArea) {
   Platform64 p = two_area_platform();
-  ModuleManager<Platform64> mgr{p};
+  ModuleManager mgr{p};
   ASSERT_TRUE(mgr.ensure(hw::kJenkinsHash, 64).ok);
   ASSERT_TRUE(mgr.ensure(hw::kBrightness, 64).ok);
   mgr.invalidate();
@@ -337,7 +337,7 @@ TEST(ManagerMultiAreaTest, FailedLoadEvictsOnlyTheTargetAreaAndRecovers) {
     po.dynamic_areas = 2;
     po.fault_plan.add(benign);
     Platform64 p{po};
-    ModuleManager<Platform64> mgr{p};
+    ModuleManager mgr{p};
     ASSERT_TRUE(mgr.ensure(hw::kJenkinsHash, 64).ok);
     ASSERT_TRUE(mgr.ensure(hw::kBrightness, 64).ok);
     // Refresh jenkins' recency so brightness (area 1) is the LRU victim.
@@ -357,7 +357,7 @@ TEST(ManagerMultiAreaTest, FailedLoadEvictsOnlyTheTargetAreaAndRecovers) {
   po.dynamic_areas = 2;
   po.fault_plan.add(stuck);
   Platform64 p{po};
-  ModuleManager<Platform64> mgr{p};
+  ModuleManager mgr{p};
   ASSERT_TRUE(mgr.ensure(hw::kJenkinsHash, 64).ok);
   ASSERT_TRUE(mgr.ensure(hw::kBrightness, 64).ok);
   ASSERT_TRUE(mgr.ensure(hw::kJenkinsHash, 64).already_resident);

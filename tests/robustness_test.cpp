@@ -203,7 +203,7 @@ TEST(FaultSpecParse, RejectsMalformedSpecsUntouched) {
 
 TEST(ManagerDegrade, RepeatedDiffFailuresDegradeToCompleteOnly) {
   Platform32 p;
-  ModuleManager<Platform32> mgr{p};  // default: degrade after 2 failures
+  ModuleManager mgr{p};  // default: degrade after 2 failures
   ASSERT_TRUE(mgr.ensure(hw::kBrightness, 32).ok);
 
   // Rewrite a frame the differentials never touch, behind the manager's
@@ -253,7 +253,7 @@ TEST(ManagerRetry, SingleAttemptPolicyObservesOneFailure) {
   stuck_storage.mask = 0x0100;
   opts.fault_plan.add(stuck_storage);
   Platform32 p{opts};
-  ModuleManager<Platform32> mgr{p, RecoveryPolicy{.max_attempts = 1}};
+  ModuleManager mgr{p, RecoveryPolicy{.max_attempts = 1}};
   const auto res = mgr.ensure(hw::kBrightness, 32);
   EXPECT_FALSE(res.ok);
   EXPECT_TRUE(res.detected);
@@ -270,7 +270,7 @@ TEST(ManagerRecoveryEdges, StickyGiveupThenManualReloadAfterRepair) {
   PlatformOptions opts;
   opts.fault_plan.add(spec);
   Platform32 p{opts};
-  ModuleManager<Platform32> mgr{p};
+  ModuleManager mgr{p};
 
   const auto fail = mgr.ensure(hw::kBrightness, 32);
   EXPECT_FALSE(fail.ok);
@@ -297,7 +297,7 @@ TEST(ManagerRecoveryEdges, ResetDegradedRestoresTheDifferentialPath) {
   // with reset_degraded() -- the hook the serving layer's breaker-close
   // uses -- and check the differential path is genuinely back.
   Platform32 p;
-  ModuleManager<Platform32> mgr{p};
+  ModuleManager mgr{p};
   ASSERT_TRUE(mgr.ensure(hw::kBrightness, 32).ok);
 
   auto poke = [&p] {
@@ -334,7 +334,7 @@ TEST(ManagerRecoveryEdges, WatchdogAbortShortCircuitsTheRetryLadder) {
   PlatformOptions opts;
   opts.fault_plan.add(spec);
   Platform32 p{opts};
-  ModuleManager<Platform32> mgr{p};
+  ModuleManager mgr{p};
 
   p.set_load_deadline(p.kernel().now() + SimTime::from_ms(40));
   const auto res = mgr.ensure(hw::kBrightness, 32);

@@ -155,7 +155,7 @@ TEST(ExecPaths, HwAndSwDigestsAreBitIdentical32) {
   // software kernel must hash to the same FNV digest -- that is what makes
   // degradation transparent to the client.
   Platform32 p;
-  ModuleManager<Platform32> mgr{p};
+  ModuleManager mgr{p};
   const hw::BehaviorId tasks[] = {hw::kJenkinsHash, hw::kPatternMatcher,
                                   hw::kBrightness, hw::kBlendAdd, hw::kFade};
   for (const hw::BehaviorId id : tasks) {
@@ -171,7 +171,7 @@ TEST(ExecPaths, HwAndSwDigestsAreBitIdentical32) {
 
 TEST(ExecPaths, HwAndSwDigestsAreBitIdentical64Sha1) {
   Platform64 p;  // SHA-1 only fits the 64-bit system's region
-  ModuleManager<Platform64> mgr{p};
+  ModuleManager mgr{p};
   ASSERT_TRUE(mgr.ensure(hw::kSha1, 64).ok);
   const auto hw_res = serve::exec_request(p, hw::kSha1, 0xFEED, /*hw=*/true);
   const auto sw_res = serve::exec_request(p, hw::kSha1, 0xFEED, /*hw=*/false);
@@ -184,7 +184,7 @@ TEST(ExecPaths, HwAndSwDigestsAreBitIdentical64Sha1) {
 
 TEST(TaskServerTest, UnservableBehaviorRefusedAtAdmission) {
   Platform32 p;
-  TaskServer<Platform32> srv{p, 4};
+  TaskServer srv{p, 4};
   // Loopback has a hardware circuit but no software kernel: the serving
   // layer refuses it up front rather than losing it later.
   EXPECT_EQ(srv.submit(make_request(1, hw::kLoopback)),
@@ -195,7 +195,7 @@ TEST(TaskServerTest, UnservableBehaviorRefusedAtAdmission) {
 
 TEST(TaskServerTest, ExpiredRequestIsDroppedBeforeExecution) {
   Platform32 p;
-  TaskServer<Platform32> srv{p, 4};
+  TaskServer srv{p, 4};
   Request r = make_request(1, hw::kJenkinsHash);
   r.deadline = SimTime::from_ns(100);
   ASSERT_EQ(srv.submit(r), AdmitError::kNone);
@@ -211,7 +211,7 @@ TEST(TaskServerTest, UnplaceableModuleDegradesToSoftware) {
   // the breaker records it, and the request is served by the software
   // kernel with a golden-verified result.
   Platform32 p;
-  TaskServer<Platform32> srv{p, 4};
+  TaskServer srv{p, 4};
   ASSERT_EQ(srv.submit(make_request(1, hw::kSha1)), AdmitError::kNone);
   const auto c = srv.serve_batch().front();
   EXPECT_EQ(c.outcome, Outcome::kSw);
@@ -225,7 +225,7 @@ TEST(TaskServerTest, BreakerOpensAfterRepeatedFailuresAndSkipsHardware) {
   Platform32 p;
   ServeOptions so;
   so.breaker.failures_to_open = 2;
-  TaskServer<Platform32> srv{p, 8, so};
+  TaskServer srv{p, 8, so};
   for (int i = 1; i <= 3; ++i) {
     ASSERT_EQ(srv.submit(make_request(i, hw::kSha1)), AdmitError::kNone);
   }
@@ -404,7 +404,7 @@ TEST(RunWorkload, ProbeSuccessLiftsManagerDegradation) {
   PlatformOptions opts;
   opts.fault_plan.add(spec);
   Platform32 p{opts};
-  TaskServer<Platform32> srv{p, 4};
+  TaskServer srv{p, 4};
   // Three failing requests open the breaker (watchdog-aborted loads).
   for (int i = 1; i <= 3; ++i) {
     ASSERT_EQ(srv.submit(make_request(i, hw::kJenkinsHash)),

@@ -10,7 +10,6 @@
 
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -70,31 +69,31 @@ void expect_same(const Outcome& ref, const Outcome& got) {
   EXPECT_EQ(got.first_fault, ref.first_fault);
 }
 
-/// One device layout under test: `areas` dynamic areas, streaming into
-/// `area`. Plans are pure in (behaviour, width, area), so one planning
-/// platform's linker serves every case.
-template <typename P>
+/// One device layout under test: `spec`'s system with `areas` dynamic
+/// areas, streaming into `area`. Plans are pure in (behaviour, width,
+/// area), so one planning platform's linker serves every case.
 class Streams {
  public:
-  static constexpr int kWidth = std::is_same_v<P, Platform32> ? 32 : 64;
-
-  Streams(int areas, int area)
-      : areas_(areas), area_(area), planner_(options(areas, nullptr)) {}
+  Streams(const SystemSpec& spec, int areas, int area)
+      : spec_(spec),
+        areas_(areas),
+        area_(area),
+        planner_(spec, options(areas, nullptr)) {}
 
   /// The complete plan for `id` in this layout's area; null when `id`
   /// does not fit there.
   const PlanCache::Plan* complete(hw::BehaviorId id) {
     std::string err;
     bool hit = false;
-    return plans_.complete(planner_.linker(area_), id, kWidth, &err, &hit,
-                           area_);
+    return plans_.complete(planner_.linker(area_), id, spec_.system, &err,
+                           &hit, area_);
   }
   const PlanCache::Plan* differential(hw::BehaviorId from,
                                       hw::BehaviorId to) {
     std::string err;
     bool hit = false;
-    return plans_.differential(planner_.linker(area_), from, to, kWidth, &err,
-                               &hit, area_);
+    return plans_.differential(planner_.linker(area_), from, to,
+                               spec_.system, &err, &hit, area_);
   }
 
   /// A fresh platform with `resident` loaded into the area, `words` staged
@@ -111,7 +110,7 @@ class Streams {
       EXPECT_TRUE(fault::FaultSpec::parse(text, &spec)) << text;
       opts.fault_plan.add(spec);
     }
-    P p{opts};
+    Platform p{spec_, opts};
     prepare(p, resident, words);
     if (reserved.ps() > 0) {
       p.cpu().plb().set_busy_until(p.kernel().now() + reserved);
@@ -126,10 +125,10 @@ class Streams {
     o.streamed =
         path == Path::kPerWord
             ? detail::icap_load_loop(
-                  p.kernel(), P::kConfigStaging,
+                  p.kernel(), spec_.config_staging,
                   static_cast<std::int64_t>(words.size()),
                   icap_base + icap::IcapController::kDataReg, deadline)
-            : detail::icap_load_bulk(p.kernel(), words, P::kConfigStaging,
+            : detail::icap_load_bulk(p.kernel(), words, spec_.config_staging,
                                      p.icap_ctl(), deadline);
     o.now = p.kernel().now();
     std::ostringstream os;
@@ -153,11 +152,11 @@ class Streams {
                                    const std::vector<std::uint32_t>& words) {
     trace::Tracer tr;
     tr.enable();
-    P p{options(areas_, &tr)};
+    Platform p{spec_, options(areas_, &tr)};
     prepare(p, resident, words);
     tr.clear();
     const Addr icap_base = p.icap_ctl().range().base;
-    detail::icap_load_loop(p.kernel(), P::kConfigStaging,
+    detail::icap_load_loop(p.kernel(), spec_.config_staging,
                            static_cast<std::int64_t>(words.size()),
                            icap_base + icap::IcapController::kDataReg);
     const int plb = tr.track("PLB");
@@ -201,28 +200,29 @@ class Streams {
     return o;
   }
 
-  void prepare(P& p, const PlanCache::Plan& resident,
+  void prepare(Platform& p, const PlanCache::Plan& resident,
                const std::vector<std::uint32_t>& words) {
     ASSERT_TRUE(p.load_stream(resident.words, resident.payload_bytes,
                               /*differential=*/false, area_)
                     .ok);
     p.ext_mem().poke_block(
-        P::kConfigStaging,
+        spec_.config_staging,
         {reinterpret_cast<const std::uint8_t*>(words.data()),
          words.size() * 4});
     p.cpu().store32(
         p.icap_ctl().range().base + icap::IcapController::kControlReg, 1);
   }
 
+  const SystemSpec& spec_;
   int areas_;
   int area_;
-  P planner_;
+  Platform planner_;
   PlanCache plans_{64};
 };
 
-template <typename P>
-void every_pair(int areas, int area, bool differential) {
-  Streams<P> s(areas, area);
+void every_pair(const SystemSpec& spec, int areas, int area,
+                bool differential) {
+  Streams s(spec, areas, area);
   const std::vector<hw::BehaviorId> ids = s.fitting();
   ASSERT_GE(ids.size(), 4u);
   for (hw::BehaviorId from : ids) {
@@ -235,9 +235,9 @@ void every_pair(int areas, int area, bool differential) {
 
 /// Deadlines on and one picosecond past the start of words 0, 1, 2, 3, a
 /// mid-stream word and the last word, plus one long before the stream.
-template <typename P>
-void every_deadline(int areas, int area, bool differential) {
-  Streams<P> s(areas, area);
+void every_deadline(const SystemSpec& spec, int areas, int area,
+                    bool differential) {
+  Streams s(spec, areas, area);
   const hw::BehaviorId from = hw::kBrightness;
   const hw::BehaviorId to = hw::kFade;
   const PlanCache::Plan* resident = s.complete(from);
@@ -259,41 +259,41 @@ void every_deadline(int areas, int area, bool differential) {
 }
 
 TEST(StreamEquivalence, Platform32EveryPairComplete) {
-  every_pair<Platform32>(1, 0, false);
+  every_pair(SystemSpec::k32, 1, 0, false);
 }
 TEST(StreamEquivalence, Platform32EveryPairDifferential) {
-  every_pair<Platform32>(1, 0, true);
+  every_pair(SystemSpec::k32, 1, 0, true);
 }
 TEST(StreamEquivalence, Platform64EveryPairComplete) {
-  every_pair<Platform64>(1, 0, false);
+  every_pair(SystemSpec::k64, 1, 0, false);
 }
 TEST(StreamEquivalence, Platform64EveryPairDifferential) {
-  every_pair<Platform64>(1, 0, true);
+  every_pair(SystemSpec::k64, 1, 0, true);
 }
 TEST(StreamEquivalence, Platform64SecondAreaEveryPairComplete) {
-  every_pair<Platform64>(2, 1, false);
+  every_pair(SystemSpec::k64, 2, 1, false);
 }
 TEST(StreamEquivalence, Platform64SecondAreaEveryPairDifferential) {
-  every_pair<Platform64>(2, 1, true);
+  every_pair(SystemSpec::k64, 2, 1, true);
 }
 
 TEST(StreamEquivalence, Platform32WatchdogCuts) {
-  every_deadline<Platform32>(1, 0, false);
-  every_deadline<Platform32>(1, 0, true);
+  every_deadline(SystemSpec::k32, 1, 0, false);
+  every_deadline(SystemSpec::k32, 1, 0, true);
 }
 TEST(StreamEquivalence, Platform64WatchdogCuts) {
-  every_deadline<Platform64>(1, 0, false);
-  every_deadline<Platform64>(1, 0, true);
+  every_deadline(SystemSpec::k64, 1, 0, false);
+  every_deadline(SystemSpec::k64, 1, 0, true);
 }
 TEST(StreamEquivalence, Platform64SecondAreaWatchdogCuts) {
-  every_deadline<Platform64>(2, 1, false);
-  every_deadline<Platform64>(2, 1, true);
+  every_deadline(SystemSpec::k64, 2, 1, false);
+  every_deadline(SystemSpec::k64, 2, 1, true);
 }
 
 TEST(StreamEquivalence, ShortStreamsMatch) {
   // Under four words the bulk path is the per-word loop; the boundary
   // itself (four words, two of them replayed) must match too.
-  Streams<Platform64> s(1, 0);
+  Streams s(SystemSpec::k64, 1, 0);
   const PlanCache::Plan* resident = s.complete(hw::kBrightness);
   ASSERT_NE(resident, nullptr);
   for (std::size_t n = 0; n <= 6; ++n) {
@@ -307,7 +307,7 @@ TEST(StreamEquivalence, ShortStreamsMatch) {
 TEST(StreamEquivalence, ReservedBusesAtTheStartMatch) {
   // A reservation left on the buses delays the first words; word 0 absorbs
   // it before the template word is taken.
-  Streams<Platform32> s(1, 0);
+  Streams s(SystemSpec::k32, 1, 0);
   const PlanCache::Plan* resident = s.complete(hw::kBrightness);
   const PlanCache::Plan* plan = s.complete(hw::kBlendAdd);
   ASSERT_NE(plan, nullptr);
@@ -327,8 +327,8 @@ TEST(StreamEquivalence, QuietFaultPlansMatch) {
       {{"fail_stop:once@0:1"}},
       {{"brownout:every@1:3"}},
       {{"bus:stuck@4000000000:5"}, /*repair_bus=*/true}};
-  Streams<Platform32> s32(1, 0);
-  Streams<Platform64> s64(1, 0);
+  Streams s32(SystemSpec::k32, 1, 0);
+  Streams s64(SystemSpec::k64, 1, 0);
   for (const Faults& f : plans) {
     SCOPED_TRACE(f.specs.front());
     for (const bool differential : {false, true}) {
@@ -353,7 +353,7 @@ TEST(StreamEquivalence, QuietFaultPlansMatch) {
 TEST(StreamEquivalence, BusFaultInsideTheStreamMatchesTheReference) {
   // bus:once@N with N inside the stream: the bulk path streams every word
   // through the models and the fault fires at the reference's transaction.
-  Streams<Platform64> s(1, 0);
+  Streams s(SystemSpec::k64, 1, 0);
   const PlanCache::Plan* resident = s.complete(hw::kBrightness);
   const PlanCache::Plan* plan = s.complete(hw::kFade);
   ASSERT_NE(plan, nullptr);
@@ -373,7 +373,7 @@ TEST(StreamEquivalence, BusFaultInsideTheStreamMatchesTheReference) {
 TEST(StreamEquivalence, TracedRunsAgreeWithUntraced) {
   // A tracer selects the per-word path; the statistics it leaves are those
   // of the untraced bulk path.
-  Streams<Platform32> s(1, 0);
+  Streams s(SystemSpec::k32, 1, 0);
   const PlanCache::Plan* resident = s.complete(hw::kJenkinsHash);
   const PlanCache::Plan* plan = s.differential(hw::kJenkinsHash, hw::kFade);
   ASSERT_NE(plan, nullptr);

@@ -64,8 +64,8 @@ TEST_P(DmaSizes, InterleavedRoundTripsExactly) {
   }();
   apps::store_bytes(p.cpu().plb(), kMem64, data);
   apps::dma_interleaved_seq(p, kMem64, kOut64, items);
-  EXPECT_FALSE(p.dock().overflowed());
-  EXPECT_FALSE(p.dock().underflowed());
+  EXPECT_FALSE(p.plb_dock().overflowed());
+  EXPECT_FALSE(p.plb_dock().underflowed());
   EXPECT_EQ(apps::fetch_bytes(p.cpu().plb(), kOut64, data.size()), data);
 }
 

@@ -15,7 +15,7 @@
 //   rtrsim_cli chaos     [-j N] [--smoke] [--seed N] [--bench-out FILE]
 //                        [--stats-out FILE] [--trace-out FILE]
 //
-// `sweep` runs a fixed list of Platform32/Platform64 scenarios across a
+// `sweep` runs a fixed list of 32-bit and 64-bit scenarios across a
 // worker-thread pool (each simulation is single-threaded and owns all its
 // state; only independent simulations run concurrently), so stdout is
 // byte-identical for any -j. Host wall-clock goes to stderr; --bench-out
@@ -580,19 +580,17 @@ hw::BehaviorId behavior_of(const std::string& task) {
 struct TaskOutcome {
   sim::SimTime sw_time, hw_time;
   bool match = true;
+  bool dma = false;  // the hardware version's data moved by DMA
   // patmatch detail (for the run command's report line)
   int pm_count = 0, pm_row = 0, pm_col = 0;
 };
 
 /// Stage deterministic inputs, run the software and hardware versions of
 /// `a.task` and cross-check them. The module must already be loaded.
-/// Handles every task except loopback (which has no sw/hw split).
-template <typename Platform>
+/// Handles every task except loopback (which has no sw/hw split). With
+/// `a.dma` the image tasks move their data by DMA.
 TaskOutcome exec_task(const Args& a, Platform& p) {
-  const Addr in = Platform::kConfigStaging - 0x0100'0000;
-  const Addr in_b = Platform::kConfigStaging - 0x00C0'0000;
-  const Addr out = Platform::kConfigStaging - 0x0080'0000;
-  const Addr scratch = Platform::kConfigStaging - 0x0040'0000;
+  const auto [in, in_b, out, scratch] = serve::Staging{p};
 
   sim::Rng rng{2026};
   TaskOutcome r;
@@ -607,7 +605,7 @@ TaskOutcome exec_task(const Args& a, Platform& p) {
       r.sw_time = p.kernel().now() - t0;
       t0 = p.kernel().now();
       const auto hw =
-          apps::hw_jenkins_pio(p.kernel(), Platform::dock_data(), in, a.bytes);
+          apps::hw_jenkins_pio(p.kernel(), p.dock_data(), in, a.bytes);
       r.hw_time = p.kernel().now() - t0;
       r.match = sw == hw && sw == apps::jenkins_hash(msg);
     } else {
@@ -615,7 +613,7 @@ TaskOutcome exec_task(const Args& a, Platform& p) {
       r.sw_time = p.kernel().now() - t0;
       t0 = p.kernel().now();
       const auto hw =
-          apps::hw_sha1_pio(p.kernel(), Platform::dock_data(), in, a.bytes);
+          apps::hw_sha1_pio(p.kernel(), p.dock_data(), in, a.bytes);
       r.hw_time = p.kernel().now() - t0;
       r.match = sw == hw && sw == apps::sha1(msg);
     }
@@ -635,7 +633,7 @@ TaskOutcome exec_task(const Args& a, Platform& p) {
     const auto sw = apps::sw_pattern_match(p.kernel(), in, a.img_w, a.img_h, in_b);
     r.sw_time = p.kernel().now() - t0;
     t0 = p.kernel().now();
-    const auto hw = apps::hw_pattern_match_pio(p.kernel(), Platform::dock_data(),
+    const auto hw = apps::hw_pattern_match_pio(p.kernel(), p.dock_data(),
                                                in, a.img_w, a.img_h, in_b);
     r.hw_time = p.kernel().now() - t0;
     r.match = sw.best_count == hw.best_count && sw.best_row == hw.best_row &&
@@ -668,47 +666,36 @@ TaskOutcome exec_task(const Args& a, Platform& p) {
     r.match = apps::fetch_bytes(p.cpu().plb(), out, want.size()) == want;
 
     t0 = p.kernel().now();
-    if constexpr (std::is_same_v<Platform, Platform64>) {
-      if (a.dma) {
-        if (a.task == "brightness") {
-          apps::hw_brightness_dma(p, in, out, n, 60);
-        } else if (a.task == "blend") {
-          apps::hw_blend_dma(p, in, in_b, scratch, out, n);
-        } else {
-          apps::hw_fade_dma(p, in, in_b, scratch, out, n, 160);
-        }
-        r.hw_time = p.kernel().now() - t0;
-        r.match = r.match &&
-                  apps::fetch_bytes(p.cpu().plb(), out, want.size()) == want;
-      }
-    }
-    if (r.hw_time == sim::SimTime::zero()) {
+    r.dma = a.dma;
+    if (a.dma) {
       if (a.task == "brightness") {
-        apps::hw_brightness_pio(p.kernel(), Platform::dock_data(), in, out, n, 60);
+        apps::hw_brightness_dma(p, in, out, n, 60);
       } else if (a.task == "blend") {
-        apps::hw_blend_pio(p.kernel(), Platform::dock_data(), in, in_b, out, n);
+        apps::hw_blend_dma(p, in, in_b, scratch, out, n);
       } else {
-        apps::hw_fade_pio(p.kernel(), Platform::dock_data(), in, in_b, out, n, 160);
+        apps::hw_fade_dma(p, in, in_b, scratch, out, n, 160);
       }
-      r.hw_time = p.kernel().now() - t0;
-      r.match = r.match &&
-                apps::fetch_bytes(p.cpu().plb(), out, want.size()) == want;
+    } else {
+      if (a.task == "brightness") {
+        apps::hw_brightness_pio(p.kernel(), p.dock_data(), in, out, n, 60);
+      } else if (a.task == "blend") {
+        apps::hw_blend_pio(p.kernel(), p.dock_data(), in, in_b, out, n);
+      } else {
+        apps::hw_fade_pio(p.kernel(), p.dock_data(), in, in_b, out, n, 160);
+      }
     }
+    r.hw_time = p.kernel().now() - t0;
+    r.match = r.match &&
+              apps::fetch_bytes(p.cpu().plb(), out, want.size()) == want;
   }
   return r;
 }
 
-template <typename Platform>
 int run_task_inner(const Args& a, Platform& p) {
-  const Addr in = Platform::kConfigStaging - 0x0100'0000;
+  const Addr in = serve::Staging{p}.in;
 
-  ReconfigStats load;
-  if constexpr (std::is_same_v<Platform, Platform64>) {
-    load = a.dma ? p.load_module_dma(behavior_of(a.task))
-                 : p.load_module(behavior_of(a.task));
-  } else {
-    load = p.load_module(behavior_of(a.task));
-  }
+  const ReconfigStats load = a.dma ? p.load_module_dma(behavior_of(a.task))
+                                   : p.load_module(behavior_of(a.task));
   if (!load.ok) {
     std::printf("load failed: %s\n", load.error.c_str());
     return 1;
@@ -723,7 +710,7 @@ int run_task_inner(const Args& a, Platform& p) {
     for (auto& b : data) b = rng.next_u8();
     apps::store_bytes(p.cpu().plb(), in, data);
     const sim::SimTime t = apps::pio_write_seq(
-        p.kernel(), in, Platform::dock_data(), static_cast<int>(a.bytes / 4));
+        p.kernel(), in, p.dock_data(), static_cast<int>(a.bytes / 4));
     std::printf("%u bytes written to the dock in %s\n", a.bytes,
                 t.to_string().c_str());
     return 0;
@@ -736,7 +723,7 @@ int run_task_inner(const Args& a, Platform& p) {
   }
   std::printf("software: %s\nhardware: %s%s\nspeedup : %.2fx\nresults : %s\n",
               r.sw_time.to_string().c_str(), r.hw_time.to_string().c_str(),
-              a.dma ? " (DMA)" : " (PIO)",
+              r.dma ? " (DMA)" : " (PIO)",
               static_cast<double>(r.sw_time.ps()) /
                   static_cast<double>(r.hw_time.ps()),
               r.match ? "sw == hw == golden" : "MISMATCH");
@@ -746,7 +733,6 @@ int run_task_inner(const Args& a, Platform& p) {
 /// Build the platform with observability wired in, run the task, then dump
 /// the requested trace/stats files (also on failure: a failed run's trace is
 /// exactly when you want one).
-template <typename Platform>
 int run_task(const Args& a) {
   trace::Tracer tracer;
   tracer.enable(!a.trace_out.empty());
@@ -754,7 +740,7 @@ int run_task(const Args& a) {
   opts.enable_dcache = a.cache;
   opts.tracer = &tracer;
   if (!build_fault_plan(a, &opts.fault_plan)) return 2;
-  Platform p{opts};
+  Platform p{SystemSpec::of(a.system), opts};
   apply_log_level(p.sim(), a);
   const int rc = run_task_inner(a, p);
   if (!a.fault_specs.empty()) print_fault_summary(p.faults());
@@ -770,7 +756,7 @@ struct Scenario {
   const char* name;
   int system;  // 32 or 64
   const char* task;
-  bool dma;  // Platform64 only: DMA configuration load + DMA data movement
+  bool dma;  // 64-bit only: DMA configuration load + DMA data movement
   std::uint32_t bytes;
   int img_w, img_h;
 };
@@ -809,7 +795,6 @@ struct SweepOutcome {
 /// Run one scenario on a freshly built platform. Everything this returns is
 /// a function of the scenario alone (fixed input seed, single-threaded
 /// simulation), so results are independent of worker scheduling.
-template <typename Platform>
 SweepOutcome sweep_one(const Scenario& sc) {
   Args a;
   a.system = sc.system;
@@ -822,14 +807,9 @@ SweepOutcome sweep_one(const Scenario& sc) {
   }
 
   SweepOutcome o;
-  Platform p;
-  ReconfigStats load;
-  if constexpr (std::is_same_v<Platform, Platform64>) {
-    load = sc.dma ? p.load_module_dma(behavior_of(a.task))
-                  : p.load_module(behavior_of(a.task));
-  } else {
-    load = p.load_module(behavior_of(a.task));
-  }
+  Platform p{SystemSpec::of(sc.system)};
+  const ReconfigStats load = sc.dma ? p.load_module_dma(behavior_of(a.task))
+                                    : p.load_module(behavior_of(a.task));
   if (!load.ok) {
     o.line = std::string(sc.name) + ": load failed: " + load.error;
     return o;
@@ -864,8 +844,7 @@ int sweep(const Args& a) {
   const auto run = timed([&] {
     std::vector<SweepOutcome> results(list.size());
     sim::parallel_for(list.size(), jobs, [&](std::size_t i) {
-      results[i] = list[i].system == 32 ? sweep_one<Platform32>(list[i])
-                                        : sweep_one<Platform64>(list[i]);
+      results[i] = sweep_one(list[i]);
     });
     return results;
   });
@@ -915,7 +894,7 @@ struct FaultScenario {
   const char* task;          // module the manager ensures
   const char* site_trigger;  // "site:trigger"; ":<seed>" appended at runtime
   std::int64_t word;         // storage only: pinned staged word (-1 = seeded)
-  bool dma;                  // recover through DMA loads (Platform64)
+  bool dma;                  // recover through DMA loads (64-bit only)
   bool verify;               // RecoveryPolicy::verify_after_load
   const char* second_task;   // non-empty: second (differential-path) ensure
   const char* expect;        // clean | tolerated | recovered | failed
@@ -923,7 +902,7 @@ struct FaultScenario {
 
 // One seeded fault per site on both platforms. Trigger indexes are placed
 // inside the first faulted operation's opportunity stream (a complete
-// Platform32 load streams ~33k ICAP words and ~130k bus beats; a DMA load
+// 32-bit load streams ~33k ICAP words and ~130k bus beats; a DMA load
 // moves ~16k beats; a region readback pops tens of thousands of FDRO
 // words). The sticky ICAP scenario is expected to exhaust retries and
 // fail; the diff scenario faults the differential load and must fall back
@@ -957,8 +936,8 @@ constexpr std::size_t kFaultSmokeIndices[] = {0, 1, 2, 7, 9};
 /// Run one fault scenario: arm the spec, drive the manager, classify the
 /// end state. Everything printed is simulated, so output is a pure
 /// function of (scenario, seed).
-template <typename Platform>
 std::string fault_one(const FaultScenario& sc, std::uint64_t seed, bool* ok) {
+  const SystemSpec& system = SystemSpec::of(sc.system);
   fault::FaultSpec spec;
   RTR_CHECK(fault::FaultSpec::parse(
                 std::string(sc.site_trigger) + ":" + std::to_string(seed),
@@ -972,10 +951,7 @@ std::string fault_one(const FaultScenario& sc, std::uint64_t seed, bool* ok) {
     // The verifier only hashes the region's row window of each frame; aim
     // the fault at the middle of that window in the 10th covered frame so
     // the flip is always observable.
-    const fabric::DynamicRegion region =
-        std::is_same_v<Platform, Platform64>
-            ? fabric::DynamicRegion::xc2vp30_region()
-            : fabric::DynamicRegion::xc2vp7_region();
+    const fabric::DynamicRegion region = system.areas(1).front();
     spec.n = 10u * static_cast<std::uint64_t>(
                        region.device().words_per_frame()) +
              static_cast<std::uint64_t>(region.first_word()) +
@@ -984,12 +960,12 @@ std::string fault_one(const FaultScenario& sc, std::uint64_t seed, bool* ok) {
   const std::string text = spec.to_string();
   PlatformOptions opts;
   opts.fault_plan.add(spec);
-  Platform p{opts};
+  Platform p{system, opts};
   RecoveryPolicy pol;
   pol.verify_after_load = sc.verify;
   pol.use_dma = sc.dma;
-  ModuleManager<Platform> mgr{p, pol};
-  const int w = std::is_same_v<Platform, Platform64> ? 64 : 32;
+  ModuleManager mgr{p, pol};
+  const int w = p.dock_width();
 
   EnsureStats res = mgr.ensure(behavior_of(sc.task), w);
   if (sc.second_task[0] != '\0') {
@@ -1004,7 +980,7 @@ std::string fault_one(const FaultScenario& sc, std::uint64_t seed, bool* ok) {
       behavior_of(sc.second_task[0] != '\0' ? sc.second_task : sc.task);
   const bool golden =
       res.ok && p.region().scan_signature(p.fabric_state()) == target &&
-      readback_verify(p.kernel(), Platform::kIcapRange.base, p.region()).ok;
+      readback_verify(p.kernel(), system.icap.base, p.region()).ok;
 
   const char* outcome = "failed";
   if (fi->injected_total() == 0) {
@@ -1047,9 +1023,7 @@ int faults_cmd(const Args& a) {
   for (const std::size_t i : idx) {
     const FaultScenario& sc = kFaultScenarios[i];
     bool ok = false;
-    const std::string line = sc.system == 32
-                                 ? fault_one<Platform32>(sc, a.fault_seed, &ok)
-                                 : fault_one<Platform64>(sc, a.fault_seed, &ok);
+    const std::string line = fault_one(sc, a.fault_seed, &ok);
     std::printf("%s\n", line.c_str());
     all_ok = all_ok && ok;
   }
@@ -1067,7 +1041,7 @@ struct ServeScenario {
   int system;            // 32 or 64
   const char* workload;  // named WorkloadSpec
   const char* fault;     // "" = none; "site:trigger" (":<seed>" appended)
-  bool dma;              // recover module loads through DMA (Platform64)
+  bool dma;              // recover module loads through DMA (64-bit only)
   int repair_at;         // FaultInjector::repair_all after N dispositions
   int budget_ms;         // watchdog budget; 0 = ServeOptions default
   // Self-check expectations: what this scenario MUST exhibit (and, for
@@ -1113,7 +1087,6 @@ struct ServeScenarioOutcome {
 
 /// One scenario on a freshly built platform: a pure function of
 /// (scenario, seed), independent of worker scheduling.
-template <typename Platform>
 ServeScenarioOutcome serve_scenario(const ServeScenario& sc,
                                     std::uint64_t seed, bool plan_cache,
                                     const std::vector<serve::SloSpec>& slos,
@@ -1129,7 +1102,7 @@ ServeScenarioOutcome serve_scenario(const ServeScenario& sc,
               "bad built-in fault spec");
     opts.fault_plan.add(spec);
   }
-  Platform p{opts};
+  Platform p{SystemSpec::of(sc.system), opts};
   serve::ServeOptions so;
   so.recovery.use_dma = sc.dma;
   so.plan_cache = plan_cache;
@@ -1204,7 +1177,6 @@ void print_serve_stats(const sim::StatRegistry& reg) {
 /// Single named workload on one platform, with optional --fault-spec /
 /// --repair-at and the full observability surface (--trace-out records the
 /// SERVE track, --stats-out the serve.* stats).
-template <typename Platform>
 int serve_single(const Args& a) {
   const serve::WorkloadSpec* w = serve::workload_by_name(a.workload);
   const serve::OpenLoopSpec* ow = serve::open_workload_by_name(a.workload);
@@ -1224,7 +1196,7 @@ int serve_single(const Args& a) {
   opts.tracer = &tracer;
   opts.dynamic_areas = a.areas;
   if (!build_fault_plan(a, &opts.fault_plan)) return 2;
-  Platform p{opts};
+  Platform p{SystemSpec::of(a.system), opts};
   apply_log_level(p.sim(), a);
   if (recorder) {
     p.sim().attach_flight_recorder(*recorder);
@@ -1288,13 +1260,12 @@ struct HeavyArm {
   sim::Histogram latency;              // serve.latency_ps
 };
 
-template <typename Platform>
-HeavyArm run_heavy(const Args& a, int areas, int max_batch) {
+HeavyArm run_heavy(const Args& a, int system, int areas, int max_batch) {
   const serve::WorkloadSpec* w = serve::workload_by_name("heavy");
   RTR_CHECK(w != nullptr, "heavy workload exists");
   PlatformOptions opts;
   opts.dynamic_areas = areas;
-  Platform p{opts};
+  Platform p{SystemSpec::of(system), opts};
   serve::ServeOptions so;
   so.plan_cache = a.plan_cache;
   so.batch.max_batch = max_batch;
@@ -1320,11 +1291,11 @@ HeavyArm run_heavy(const Args& a, int areas, int max_batch) {
 bool write_serve_bench(const Args& a, std::int64_t scenarios, int jobs,
                        double wall_ms) {
   const int bench_batch = a.max_batch > 1 ? a.max_batch : 8;
-  const auto lat = timed([&] { return run_heavy<Platform32>(a, 1, 1); });
-  const auto one = timed([&] { return run_heavy<Platform64>(a, 1, 1); });
-  const auto two = timed([&] { return run_heavy<Platform64>(a, 2, 1); });
+  const auto lat = timed([&] { return run_heavy(a, 32, 1, 1); });
+  const auto one = timed([&] { return run_heavy(a, 64, 1, 1); });
+  const auto two = timed([&] { return run_heavy(a, 64, 2, 1); });
   const auto batched =
-      timed([&] { return run_heavy<Platform64>(a, 2, bench_batch); });
+      timed([&] { return run_heavy(a, 64, 2, bench_batch); });
   const auto note = [](const char* arm, const Timed<HeavyArm>& run) {
     std::fprintf(stderr,
                  "serve: heavy %s: swaps %lld, deadline_miss %lld, %.1f ms "
@@ -1393,7 +1364,7 @@ bool write_serve_bench(const Args& a, std::int64_t scenarios, int jobs,
 /// --areas above 1 needs the XC2VP30. Says why and returns false when the
 /// requested system cannot host the areas.
 bool areas_fit_system(const Args& a) {
-  if (a.system == 32 && a.areas > 1) {
+  if (a.areas > SystemSpec::of(a.system).max_areas) {
     std::fprintf(stderr,
                  "rtrsim_cli: --areas %d requires --system 64 (the XC2VP7 "
                  "hosts a single dynamic area)\n",
@@ -1403,11 +1374,22 @@ bool areas_fit_system(const Args& a) {
   return true;
 }
 
+/// --dma needs a system with a DMA engine. Says why and returns false when
+/// the requested system has none.
+bool dma_fits_system(const Args& a) {
+  if (a.dma && !SystemSpec::of(a.system).has_dma()) {
+    std::fprintf(stderr,
+                 "rtrsim_cli: --dma requires --system 64 (the 32-bit system "
+                 "has no DMA engine)\n");
+    return false;
+  }
+  return true;
+}
+
 int serve_cmd(const Args& a) {
   if (!a.workload.empty()) {
-    if (!areas_fit_system(a)) return 2;
-    return a.system == 32 ? serve_single<Platform32>(a)
-                          : serve_single<Platform64>(a);
+    if (!areas_fit_system(a) || !dma_fits_system(a)) return 2;
+    return serve_single(a);
   }
   if (!a.incident_dir.empty()) {
     std::fprintf(stderr, "rtrsim_cli: --incident-dir requires --workload\n");
@@ -1429,12 +1411,10 @@ int serve_cmd(const Args& a) {
     sim::parallel_for(list.size(), jobs, [&](std::size_t i) {
       // 32-bit scenarios always run single-area: the XC2VP7 strip has no
       // room for a second column-disjoint area (fabric/dynamic_region).
-      results[i] = list[i].system == 32
-                       ? serve_scenario<Platform32>(list[i], a.fault_seed,
-                                                    a.plan_cache, a.slos, 1)
-                       : serve_scenario<Platform64>(list[i], a.fault_seed,
-                                                    a.plan_cache, a.slos,
-                                                    a.areas);
+      const int areas =
+          std::min(a.areas, SystemSpec::of(list[i].system).max_areas);
+      results[i] = serve_scenario(list[i], a.fault_seed, a.plan_cache,
+                                  a.slos, areas);
     });
     return results;
   });
@@ -1905,9 +1885,8 @@ int chaos_cmd(const Args& a) {
   return all_ok ? 0 : 1;
 }
 
-template <typename Platform>
-int resources() {
-  Platform p;
+int resources(const Args& a) {
+  Platform p{SystemSpec::of(a.system)};
   report::Table t{"Resource usage", {"Module", "Slices", "BRAMs"}};
   for (const auto& row : p.resource_table()) {
     t.row({row.module, report::fmt_int(row.res.slices),
@@ -1926,36 +1905,23 @@ int main(int argc, char** argv) {
 
   if (a.command == "topology") {
     if (!areas_fit_system(a)) return 2;
-    if (a.system == 32) {
-      std::printf("%s", Platform32{}.topology().c_str());
-    } else {
-      PlatformOptions opts;
-      opts.dynamic_areas = a.areas;
-      std::printf("%s", Platform64{opts}.topology().c_str());
-    }
+    PlatformOptions opts;
+    opts.dynamic_areas = a.areas;
+    const Platform p{SystemSpec::of(a.system), opts};
+    std::printf("%s", p.topology().c_str());
     return 0;
   }
   if (a.command == "resources") {
-    return a.system == 32 ? resources<Platform32>() : resources<Platform64>();
+    return resources(a);
   }
   if (a.command == "reconfig") {
+    if (!dma_fits_system(a)) return 2;
     trace::Tracer tracer;
     tracer.enable(!a.trace_out.empty());
     PlatformOptions opts;
     opts.tracer = &tracer;
     if (!build_fault_plan(a, &opts.fault_plan)) return 2;
-    if (a.system == 32) {
-      Platform32 p{opts};
-      apply_log_level(p.sim(), a);
-      const auto s = p.load_module(behavior_of(a.task));
-      std::printf("%s: %s (%lld words)\n", a.task.c_str(),
-                  s.ok ? s.duration().to_string().c_str() : s.error.c_str(),
-                  static_cast<long long>(s.stream_words));
-      if (!a.fault_specs.empty()) print_fault_summary(p.faults());
-      const int dump_rc = dump_observability(p.sim().stats(), &tracer, a);
-      return s.ok ? dump_rc : 1;
-    }
-    Platform64 p{opts};
+    Platform p{SystemSpec::of(a.system), opts};
     apply_log_level(p.sim(), a);
     const auto s = a.dma ? p.load_module_dma(behavior_of(a.task))
                          : p.load_module(behavior_of(a.task));
@@ -1968,7 +1934,8 @@ int main(int argc, char** argv) {
     return s.ok ? dump_rc : 1;
   }
   if (a.command == "run") {
-    return a.system == 32 ? run_task<Platform32>(a) : run_task<Platform64>(a);
+    if (!dma_fits_system(a)) return 2;
+    return run_task(a);
   }
   if (a.command == "sweep") {
     return sweep(a);
