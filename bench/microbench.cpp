@@ -193,6 +193,25 @@ static void BM_JenkinsRequest(benchmark::State& state) {
 }
 BENCHMARK(BM_JenkinsRequest);
 
+// One serving-size brightness request on the 64-bit system, hardware path,
+// through serve::exec_request: the seeded 64x48 image drawn, checked and
+// digested in one pass, staged in memory, the PIO driver streaming it
+// through the resident unit, and one readback compared with the golden
+// output. With Jenkins, the other half of resident_hot.
+static void BM_BrightnessRequest(benchmark::State& state) {
+  Platform64 p;
+  bench::must_load(p, hw::kBrightness);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    const serve::ExecResult r =
+        serve::exec_request(p, hw::kBrightness, ++seed, /*hw=*/true);
+    if (!r.golden_ok) state.SkipWithError("brightness request failed golden");
+    benchmark::DoNotOptimize(r.digest);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BrightnessRequest);
+
 // One serving-size SHA-1 request on the 32-bit system, software path,
 // through serve::exec_request: the seeded 1 KiB message staged in memory,
 // apps::sw_sha1 on the CPU (SHA-1 cannot be placed on the XC2VP7), and the

@@ -104,13 +104,33 @@ MatchResult pattern_match(const BinaryImage& img, const Pattern8x8& pat) {
   return res;
 }
 
+namespace {
+
+/// Byte-per-pixel expansion of every 8-bit run of a bit-packed row: entry
+/// v holds bit k of v (LSB-first) in byte k.
+constexpr auto kBitBytes = [] {
+  std::array<std::array<std::uint8_t, 8>, 256> t{};
+  for (std::size_t v = 0; v < t.size(); ++v) {
+    for (std::size_t k = 0; k < 8; ++k) t[v][k] = (v >> k) & 1;
+  }
+  return t;
+}();
+
+}  // namespace
+
 std::vector<std::uint8_t> to_bytes(const BinaryImage& img) {
-  std::vector<std::uint8_t> px(static_cast<std::size_t>(img.width) *
-                               static_cast<std::size_t>(img.height));
-  for (int r = 0; r < img.height; ++r) {
-    for (int c = 0; c < img.width; ++c) {
-      px[static_cast<std::size_t>(r) * static_cast<std::size_t>(img.width) +
-         static_cast<std::size_t>(c)] = img.get(r, c) ? 1 : 0;
+  const auto width = static_cast<std::size_t>(img.width);
+  const auto wpr = static_cast<std::size_t>(img.words_per_row());
+  std::vector<std::uint8_t> px(width * static_cast<std::size_t>(img.height));
+  // Eight pixels per table lookup; bits of a row's last word past the
+  // image width are never copied.
+  for (std::size_t r = 0; r < static_cast<std::size_t>(img.height); ++r) {
+    const std::uint32_t* row = img.words.data() + r * wpr;
+    std::uint8_t* out = px.data() + r * width;
+    for (std::size_t c = 0; c < width; c += 8) {
+      const std::size_t bits = (row[c / 32] >> (c % 32)) & 0xFF;
+      std::memcpy(out + c, kBitBytes[bits].data(),
+                  std::min<std::size_t>(8, width - c));
     }
   }
   return px;
@@ -187,62 +207,72 @@ std::uint32_t jenkins_hash(std::span<const std::uint8_t> key,
 
 // --- SHA-1 (RFC 3174) ----------------------------------------------------------
 
-std::array<std::uint32_t, 5> sha1(std::span<const std::uint8_t> msg) {
-  std::array<std::uint32_t, 5> h = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
-                                    0x10325476u, 0xC3D2E1F0u};
-  // Padded message: msg + 0x80 + zeros + 64-bit big-endian bit length.
-  std::vector<std::uint8_t> padded(msg.begin(), msg.end());
-  padded.push_back(0x80);
-  while (padded.size() % 64 != 56) padded.push_back(0);
-  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
-  for (int i = 7; i >= 0; --i) {
-    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-  }
+namespace {
 
+/// One 64-byte block of the SHA-1 compression function.
+void sha1_block(std::array<std::uint32_t, 5>& h, const std::uint8_t* block) {
   auto rol = [](std::uint32_t x, int n) {
     return (x << n) | (x >> (32 - n));
   };
-
-  for (std::size_t block = 0; block < padded.size(); block += 64) {
-    std::uint32_t w[80];
-    for (int t = 0; t < 16; ++t) {
-      const std::size_t i = block + static_cast<std::size_t>(t) * 4;
-      w[t] = (std::uint32_t{padded[i]} << 24) |
-             (std::uint32_t{padded[i + 1]} << 16) |
-             (std::uint32_t{padded[i + 2]} << 8) | padded[i + 3];
-    }
-    for (int t = 16; t < 80; ++t) {
-      w[t] = rol(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
-    }
-    std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
-    for (int t = 0; t < 80; ++t) {
-      std::uint32_t f, k;
-      if (t < 20) {
-        f = (b & c) | ((~b) & d);
-        k = 0x5A827999u;
-      } else if (t < 40) {
-        f = b ^ c ^ d;
-        k = 0x6ED9EBA1u;
-      } else if (t < 60) {
-        f = (b & c) | (b & d) | (c & d);
-        k = 0x8F1BBCDCu;
-      } else {
-        f = b ^ c ^ d;
-        k = 0xCA62C1D6u;
-      }
-      const std::uint32_t tmp = rol(a, 5) + f + e + w[t] + k;
-      e = d;
-      d = c;
-      c = rol(b, 30);
-      b = a;
-      a = tmp;
-    }
-    h[0] += a;
-    h[1] += b;
-    h[2] += c;
-    h[3] += d;
-    h[4] += e;
+  std::uint32_t w[80];
+  for (int t = 0; t < 16; ++t) {
+    const std::uint8_t* p = block + static_cast<std::size_t>(t) * 4;
+    w[t] = (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+           (std::uint32_t{p[2]} << 8) | p[3];
   }
+  for (int t = 16; t < 80; ++t) {
+    w[t] = rol(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
+  }
+  std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
+  for (int t = 0; t < 80; ++t) {
+    std::uint32_t f, k;
+    if (t < 20) {
+      f = (b & c) | ((~b) & d);
+      k = 0x5A827999u;
+    } else if (t < 40) {
+      f = b ^ c ^ d;
+      k = 0x6ED9EBA1u;
+    } else if (t < 60) {
+      f = (b & c) | (b & d) | (c & d);
+      k = 0x8F1BBCDCu;
+    } else {
+      f = b ^ c ^ d;
+      k = 0xCA62C1D6u;
+    }
+    const std::uint32_t tmp = rol(a, 5) + f + e + w[t] + k;
+    e = d;
+    d = c;
+    c = rol(b, 30);
+    b = a;
+    a = tmp;
+  }
+  h[0] += a;
+  h[1] += b;
+  h[2] += c;
+  h[3] += d;
+  h[4] += e;
+}
+
+}  // namespace
+
+std::array<std::uint32_t, 5> sha1(std::span<const std::uint8_t> msg) {
+  std::array<std::uint32_t, 5> h = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
+                                    0x10325476u, 0xC3D2E1F0u};
+  const std::size_t whole = msg.size() / 64 * 64;
+  for (std::size_t i = 0; i < whole; i += 64) sha1_block(h, msg.data() + i);
+  // The padded tail: the last partial block + 0x80 + zeros + the 64-bit
+  // big-endian bit length, one block or, past 55 tail bytes, two.
+  std::array<std::uint8_t, 128> tail{};
+  const std::size_t rest = msg.size() - whole;
+  std::copy(msg.begin() + static_cast<std::ptrdiff_t>(whole), msg.end(),
+            tail.begin());
+  tail[rest] = 0x80;
+  const std::size_t len = rest + 9 <= 64 ? 64 : 128;
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (std::size_t i = 0; i < 8; ++i) {
+    tail[len - 1 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  }
+  for (std::size_t i = 0; i < len; i += 64) sha1_block(h, tail.data() + i);
   return h;
 }
 

@@ -48,6 +48,11 @@ class PlbOpbBridge : public Slave {
 
   [[nodiscard]] Bus* forwards_to() const override { return opb_; }
 
+  /// The counters every forwarded access advances, registered as
+  /// `bridge.crossings` and `bridge.beat_splits`.
+  [[nodiscard]] sim::Counter& crossings() const { return *crossings_; }
+  [[nodiscard]] sim::Counter& beat_splits() const { return *splits_; }
+
  private:
   [[nodiscard]] sim::SimTime forwarded(sim::SimTime start) const {
     return opb_->clock().after_cycles(start, forward_cycles_);

@@ -18,6 +18,11 @@ ConnectionInterface ConnectionInterface::for_width(int data_width) {
   };
 }
 
+int ConnectionInterface::module_ports(int data_width) {
+  RTR_CHECK(data_width == 32 || data_width == 64, "dock widths are 32 or 64");
+  return 3;
+}
+
 std::vector<BusMacro> ConnectionInterface::module_side() const {
   auto mirror = [](const BusMacro& m) {
     return BusMacro{m.name(), m.style(),

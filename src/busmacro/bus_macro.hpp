@@ -114,6 +114,10 @@ struct ConnectionInterface {
 
   /// The macros a module must declare (directions mirrored) to dock here.
   [[nodiscard]] std::vector<BusMacro> module_side() const;
+
+  /// How many macros module_side() holds at `data_width`: the two data
+  /// channels and the write strobe. Nothing is built.
+  [[nodiscard]] static int module_ports(int data_width);
 };
 
 }  // namespace rtr::busmacro

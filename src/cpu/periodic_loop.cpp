@@ -1,37 +1,39 @@
 #include "cpu/periodic_loop.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "fault/fault.hpp"
+#include "sim/check.hpp"
 
 namespace rtr::cpu {
 
 using bus::AddressRange;
 using sim::SimTime;
 
-IterationStats::IterationStats(sim::StatRegistry& st,
-                               std::span<bus::Bus* const> buses,
-                               fault::FaultInjector* faults)
+IterationStats::IterationStats(
+    const Ppc405& cpu, std::span<bus::Bus* const> buses,
+    std::span<const bus::PlbOpbBridge* const> bridges,
+    fault::FaultInjector* faults)
     : faults_(faults) {
-  const auto count = [&](const std::string& name) {
-    sim::Counter& c = st.counter(name);
+  counters_.reserve(2 * (buses.size() + bridges.size() + 1));
+  busy_.reserve(buses.size());
+  hists_.reserve(buses.size());
+  const auto count = [&](sim::Counter& c) {
     counters_.emplace_back(&c, c.value());
   };
   for (const bus::Bus* b : buses) {
     const bus::Bus::Stats& bs = b->stats();
-    for (sim::Counter* c : {bs.transactions, bs.beats}) {
-      counters_.emplace_back(c, c->value());
-    }
+    count(*bs.transactions);
+    count(*bs.beats);
     busy_.emplace_back(bs.busy, bs.busy->total());
     hists_.emplace_back(bs.latency, *bs.latency);
   }
-  if (buses.size() > 1) {  // the buses past the first are bridged
-    count("bridge.crossings");
-    count("bridge.beat_splits");
+  for (const bus::PlbOpbBridge* br : bridges) {
+    count(br->crossings());
+    count(br->beat_splits());
   }
-  count("cpu.loads");
-  count("cpu.stores");
+  count(cpu.loads());
+  count(cpu.stores());
   if (faults_ != nullptr) {
     bus_opportunities_ = faults_->opportunities(fault::Site::kBus);
     icap_opportunities_ = faults_->opportunities(fault::Site::kIcap);
@@ -77,7 +79,11 @@ PeriodicReplay::PeriodicReplay(Kernel& k, const PeriodicLoop& loop)
   for (const bus::Bus::Attachment& a : plb.attachments()) {
     if (bus::Bus* next = a.slave->forwards_to()) {
       if (&next->clock() != &plb.clock()) return;
+      const auto* bridge = dynamic_cast<const bus::PlbOpbBridge*>(a.slave);
+      RTR_CHECK(bridge != nullptr,
+                "a forwarding slave is not a PLB-OPB bridge");
       buses_.push_back(next);
+      bridges_.push_back(bridge);
     }
   }
   allowed_ = true;
@@ -104,8 +110,8 @@ void PeriodicReplay::begin_template() {
   free_at_t1_ = buses_free_at(t1_);
   busy_at_t1_.clear();
   for (const bus::Bus* b : buses_) busy_at_t1_.push_back(b->busy_until());
-  sim::Simulation& sim = k_->cpu().plb().simulation();
-  stats_.emplace(sim.stats(), buses_, sim.faults());
+  stats_.emplace(k_->cpu(), buses_, bridges_,
+                 k_->cpu().plb().simulation().faults());
 }
 
 bool PeriodicReplay::end_template() {

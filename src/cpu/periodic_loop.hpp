@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "bus/bridge.hpp"
 #include "bus/bus.hpp"
 #include "cpu/kernel.hpp"
 #include "sim/stats.hpp"
@@ -51,12 +52,14 @@ struct PeriodicLoop {
 /// busy time and latency histogram, the bridge's crossings and beat splits,
 /// the CPU's loads and stores, and, under a quiet fault plan, the bus and
 /// ICAP fault opportunities. The components register all of them at
-/// construction. Device counters are not here: the bulk side hands its data
-/// words to the device in one block (bus::Slave::pio_block), and the device
-/// counts every strobe of it.
+/// construction, and the snapshot takes them from the components. Device
+/// counters are not here: the bulk side hands its data words to the device
+/// in one block (bus::Slave::pio_block), and the device counts every strobe
+/// of it.
 class IterationStats {
  public:
-  IterationStats(sim::StatRegistry& st, std::span<bus::Bus* const> buses,
+  IterationStats(const Ppc405& cpu, std::span<bus::Bus* const> buses,
+                 std::span<const bus::PlbOpbBridge* const> bridges,
                  fault::FaultInjector* faults);
 
   /// Advance every series by `m` times its change since the snapshot.
@@ -104,6 +107,7 @@ class PeriodicReplay {
   Kernel* k_;
   sim::SimTime deadline_;
   std::vector<bus::Bus*> buses_;
+  std::vector<const bus::PlbOpbBridge*> bridges_;
   bool allowed_ = false;
   sim::SimTime t1_;
   sim::SimTime t2_;

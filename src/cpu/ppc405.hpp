@@ -79,6 +79,11 @@ class Ppc405 {
   /// True when any byte of `r` is cacheable.
   [[nodiscard]] bool is_cacheable(bus::AddressRange r) const;
 
+  /// The counters every load and every store advances, registered as
+  /// `cpu.loads` and `cpu.stores`.
+  [[nodiscard]] sim::Counter& loads() const { return *loads_; }
+  [[nodiscard]] sim::Counter& stores() const { return *stores_; }
+
  private:
   std::uint64_t load(bus::Addr a, int bytes);
   void store(bus::Addr a, std::uint64_t v, int bytes);

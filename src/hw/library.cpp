@@ -11,16 +11,7 @@
 
 namespace rtr::hw {
 
-namespace {
-struct Shape {
-  const char* name;
-  int rows;
-  int cols;
-  int brams;
-  fabric::Resources logic;
-};
-
-Shape shape_of(BehaviorId id) {
+ModuleShape shape_of(BehaviorId id) {
   switch (id) {
     case kPatternMatcher:
       // 8-stage pipeline + image buffer addressing; owns 6 BRAMs.
@@ -51,7 +42,6 @@ Shape shape_of(BehaviorId id) {
   RTR_CHECK(false, "unknown behaviour id");
   __builtin_unreachable();
 }
-}  // namespace
 
 const char* task_name(BehaviorId id) {
   switch (id) {
@@ -83,7 +73,7 @@ bool behavior_from_task_name(std::string_view name, BehaviorId* out) {
 }
 
 bitlinker::ComponentDescriptor component_for(BehaviorId id, int dock_width) {
-  const Shape s = shape_of(id);
+  const ModuleShape s = shape_of(id);
   bitlinker::ComponentDescriptor c;
   c.name = std::string(s.name) + (dock_width == 64 ? "64" : "32");
   c.behavior_id = id;

@@ -67,6 +67,18 @@ const char* task_name(BehaviorId id);
 /// Inverse of task_name. False (untouched *out) for unknown names.
 bool behavior_from_task_name(std::string_view name, BehaviorId* out);
 
+/// A task module's row of the library's shape table: its component name
+/// stem, CLB rectangle, BRAM blocks and logic use, the same at both dock
+/// widths. A table read: nothing is allocated.
+struct ModuleShape {
+  const char* name;
+  int rows;
+  int cols;
+  int brams;
+  fabric::Resources logic;
+};
+ModuleShape shape_of(BehaviorId id);
+
 /// Component descriptor for a task module, with the dock interface of the
 /// given `dock_width` (32 or 64). Footprints and logic use are the same for
 /// both widths; only the interface macros differ.

@@ -9,9 +9,10 @@
 namespace rtr {
 
 ModuleFootprint module_footprint(hw::BehaviorId id, int dock_width) {
-  const auto comp = hw::component_for(id, dock_width);
-  return ModuleFootprint{comp.rows, comp.cols, comp.bram_blocks,
-                         static_cast<int>(comp.macros.size())};
+  const hw::ModuleShape s = hw::shape_of(id);
+  return ModuleFootprint{
+      s.rows, s.cols, s.brams,
+      busmacro::ConnectionInterface::module_ports(dock_width)};
 }
 
 bool area_fits(const fabric::AreaFootprint& area, const ModuleFootprint& m) {

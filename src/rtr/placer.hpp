@@ -51,7 +51,8 @@ struct ModuleFootprint {
 };
 
 /// Footprint of `id`'s component at the given dock width (hw/library.cpp
-/// geometry; the port demand is the dock interface's macro count).
+/// geometry; the port demand is the dock interface's macro count), read
+/// without building the component.
 [[nodiscard]] ModuleFootprint module_footprint(hw::BehaviorId id,
                                                int dock_width);
 

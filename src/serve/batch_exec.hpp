@@ -19,6 +19,7 @@
 // execution, still amortizing the module swap.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -26,6 +27,15 @@
 #include "serve/exec.hpp"
 
 namespace rtr::serve {
+
+/// Member m's buffers start m * kBatchStride into each staging region
+/// (Staging). A stride holds a member's largest buffer, the two-source
+/// interleave of 2 * kImagePixels bytes, and the regions are
+/// Staging::kRegionSpacing apart, which bounds a batch at kMaxBatchMembers.
+inline constexpr bus::Addr kBatchStride = 0x4000;
+inline constexpr std::size_t kMaxBatchMembers =
+    Staging::kRegionSpacing / kBatchStride;
+static_assert(2 * kImagePixels <= kBatchStride);
 
 /// One member of a batched execution: seeded like exec_request, verified
 /// against the golden model independently, so a fault that corrupts one
@@ -39,7 +49,9 @@ struct BatchMember {
 /// already-resident module as one scatter-gather descriptor chain. Returns
 /// false (members untouched, zero simulated time) when this (platform,
 /// behaviour) pair cannot batch-stream; true with every member's result
-/// filled otherwise.
+/// filled otherwise. A batch that can stream must have at most
+/// kMaxBatchMembers members (checked: a larger one would stage members over
+/// each other).
 bool exec_image_batch(Platform& p, hw::BehaviorId id,
                       std::span<BatchMember> members);
 

@@ -1,5 +1,8 @@
 #include "serve/exec.hpp"
 
+#include <array>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "apps/drivers.hpp"
@@ -8,17 +11,82 @@
 #include "apps/sw_kernels.hpp"
 #include "serve/batch_exec.hpp"
 #include "serve/request.hpp"
+#include "sim/check.hpp"
 #include "sim/random.hpp"
 
 namespace rtr::serve {
 
 namespace {
 
-/// Per-member offset between staging buffers. Serve-layer images are
-/// 64x48 = 3072 bytes (two-source prep beats: 6144 bytes), so 16 KiB
-/// strides keep even a 64-member batch well inside one staging region
-/// (regions are 4 MiB apart, exec.hpp).
-constexpr bus::Addr kBatchStride = 0x4000;
+/// The serve layer's fixed image-task parameters.
+constexpr int kBrightnessDelta = 60;
+constexpr int kFadeFactor = 160;
+
+using Image = std::array<std::uint8_t, kImagePixels>;
+
+/// An image request's golden output and its FNV-1a digest.
+struct Golden {
+  Image want;
+  std::uint64_t digest = 0;
+};
+
+/// Fill `out` with one draw per byte. The draws run on a local copy of the
+/// generator, which the byte stores cannot alias.
+void draw(sim::Rng& rng, std::span<std::uint8_t> out) {
+  sim::Rng r = rng;
+  for (auto& b : out) b = r.next_u8();
+  rng = r;
+}
+
+/// One pass over an image request's data, in the draw order every path
+/// shares: all of `a`, then all of `b`, the request's last draw (brightness
+/// never draws it). The last source's loop also computes each golden output
+/// pixel with the golden models' per-pixel helpers and steps the FNV-1a
+/// digest over it.
+void draw_image(hw::BehaviorId id, std::uint64_t seed, Image& a, Image& b,
+                Golden& g) {
+  sim::Rng r{seed};
+  std::uint64_t h = kFnvOffset;
+  const auto last_source = [&](Image& src, auto pixel) {
+    for (std::size_t i = 0; i < kImagePixels; ++i) {
+      const std::uint8_t v = r.next_u8();
+      src[i] = v;
+      const std::uint8_t w = pixel(i, v);
+      g.want[i] = w;
+      h = (h ^ w) * kFnvPrime;
+    }
+  };
+  if (id == hw::kBrightness) {
+    last_source(a, [](std::size_t, int v) {
+      return apps::sat_add(v, kBrightnessDelta);
+    });
+  } else {
+    draw(r, a);
+    if (id == hw::kBlendAdd) {
+      last_source(b, [&a](std::size_t i, int v) {
+        return apps::sat_add(a[i], v);
+      });
+    } else {
+      last_source(b, [&a](std::size_t i, int v) {
+        return apps::fade_px(a[i], v, kFadeFactor);
+      });
+    }
+  }
+  g.digest = h;
+}
+
+/// Read an image request's output back once and check it against the
+/// golden one. Equal bytes hash equal, so a passing check reuses the golden
+/// digest; a mismatch hashes the device's own bytes.
+ExecResult check_output(const bus::Bus& plb, bus::Addr out, const Golden& g) {
+  Image got;
+  plb.peek_block(out, got);
+  ExecResult r;
+  r.ok = true;
+  r.golden_ok = std::memcmp(got.data(), g.want.data(), got.size()) == 0;
+  r.digest = r.golden_ok ? g.digest : fnv1a(got.data(), got.size());
+  return r;
+}
 
 std::uint64_t digest_sha(const std::array<std::uint32_t, 5>& d) {
   std::uint64_t h = kFnvOffset;
@@ -40,13 +108,15 @@ ExecResult exec_request(Platform& p, hw::BehaviorId id,
   const TaskParams tp = params_for(id);
   sim::Rng rng{input_seed};
   cpu::Kernel& k = p.kernel();
+  bus::Bus& plb = p.cpu().plb();
   ExecResult r;
 
   switch (id) {
     case hw::kJenkinsHash: {
-      std::vector<std::uint8_t> msg(tp.bytes);
-      for (auto& b : msg) b = rng.next_u8();
-      apps::store_bytes(p.cpu().plb(), s.in, msg);
+      std::array<std::uint8_t, kMaxMessageBytes> buf;
+      const std::span<std::uint8_t> msg{buf.data(), tp.bytes};
+      draw(rng, msg);
+      apps::store_bytes(plb, s.in, msg);
       const std::uint32_t got =
           hw ? apps::hw_jenkins_pio(k, p.dock_data(), s.in, tp.bytes)
              : apps::sw_jenkins(k, s.in, tp.bytes);
@@ -56,9 +126,10 @@ ExecResult exec_request(Platform& p, hw::BehaviorId id,
       return r;
     }
     case hw::kSha1: {
-      std::vector<std::uint8_t> msg(tp.bytes);
-      for (auto& b : msg) b = rng.next_u8();
-      apps::store_bytes(p.cpu().plb(), s.in, msg);
+      std::array<std::uint8_t, kMaxMessageBytes> buf;
+      const std::span<std::uint8_t> msg{buf.data(), tp.bytes};
+      draw(rng, msg);
+      apps::store_bytes(plb, s.in, msg);
       const auto got =
           hw ? apps::hw_sha1_pio(k, p.dock_data(), s.in, tp.bytes)
              : apps::sw_sha1(k, s.in, tp.bytes, s.scratch);
@@ -73,13 +144,12 @@ ExecResult exec_request(Platform& p, hw::BehaviorId id,
       for (auto& w : img.words) w = rng.next_u32() & rng.next_u32();
       apps::Pattern8x8 pat;
       for (auto& row : pat) row = rng.next_u8();
-      apps::store_bytes(p.cpu().plb(), s.in, apps::to_bytes(img));
-      std::vector<std::uint8_t> pb(64);
-      for (int i = 0; i < 64; ++i) {
-        pb[static_cast<std::size_t>(i)] =
-            (pat[static_cast<std::size_t>(i / 8)] >> (i % 8)) & 1;
+      apps::store_bytes(plb, s.in, apps::to_bytes(img));
+      std::array<std::uint8_t, 64> pb;
+      for (std::size_t i = 0; i < pb.size(); ++i) {
+        pb[i] = (pat[i / 8] >> (i % 8)) & 1;
       }
-      apps::store_bytes(p.cpu().plb(), s.in_b, pb);
+      apps::store_bytes(plb, s.in_b, pb);
       const apps::MatchResult got =
           hw ? apps::hw_pattern_match_pio(k, p.dock_data(), s.in,
                                           tp.img_w, tp.img_h, s.in_b)
@@ -96,46 +166,33 @@ ExecResult exec_request(Platform& p, hw::BehaviorId id,
     case hw::kBlendAdd:
     case hw::kFade: {
       const int n = tp.img_w * tp.img_h;
-      apps::GrayImage ia = apps::GrayImage::make(tp.img_w, tp.img_h);
-      for (auto& px : ia.pixels) px = rng.next_u8();
-      apps::store_bytes(p.cpu().plb(), s.in, ia.pixels);
-      // The second source is the request's last draw, so brightness, which
-      // never reads it, skips it.
-      apps::GrayImage ib;
-      if (id != hw::kBrightness) {
-        ib = apps::GrayImage::make(tp.img_w, tp.img_h);
-        for (auto& px : ib.pixels) px = rng.next_u8();
-        apps::store_bytes(p.cpu().plb(), s.in_b, ib.pixels);
-      }
-      std::vector<std::uint8_t> want;
+      Image a, b;
+      Golden g;
+      draw_image(id, input_seed, a, b, g);
+      apps::store_bytes(plb, s.in, a);
+      if (id != hw::kBrightness) apps::store_bytes(plb, s.in_b, b);
       if (id == hw::kBrightness) {
-        want = apps::brightness(ia, 60).pixels;
         if (hw) {
-          apps::hw_brightness_pio(k, p.dock_data(), s.in, s.out, n, 60);
+          apps::hw_brightness_pio(k, p.dock_data(), s.in, s.out, n,
+                                  kBrightnessDelta);
         } else {
-          apps::sw_brightness(k, s.in, s.out, n, 60);
+          apps::sw_brightness(k, s.in, s.out, n, kBrightnessDelta);
         }
       } else if (id == hw::kBlendAdd) {
-        want = apps::blend_add(ia, ib).pixels;
         if (hw) {
           apps::hw_blend_pio(k, p.dock_data(), s.in, s.in_b, s.out, n);
         } else {
           apps::sw_blend(k, s.in, s.in_b, s.out, n);
         }
       } else {
-        want = apps::fade(ia, ib, 160).pixels;
         if (hw) {
           apps::hw_fade_pio(k, p.dock_data(), s.in, s.in_b, s.out, n,
-                            160);
+                            kFadeFactor);
         } else {
-          apps::sw_fade(k, s.in, s.in_b, s.out, n, 160);
+          apps::sw_fade(k, s.in, s.in_b, s.out, n, kFadeFactor);
         }
       }
-      const auto got = apps::fetch_bytes(p.cpu().plb(), s.out, want.size());
-      r.ok = true;
-      r.digest = fnv1a(got.data(), got.size());
-      r.golden_ok = got == want;
-      return r;
+      return check_output(plb, s.out, g);
     }
     default:
       return r;  // loopback/sink: not servable as a task
@@ -148,34 +205,24 @@ bool exec_image_batch(Platform& p, hw::BehaviorId id,
       (id != hw::kBrightness && id != hw::kBlendAdd && id != hw::kFade)) {
     return false;
   }
+  RTR_CHECK(members.size() <= kMaxBatchMembers,
+            "image batch larger than its staging regions hold");
   const Staging s{p};
-  const TaskParams tp = params_for(id);
-  const int n = tp.img_w * tp.img_h;
+  const int n = kImageWidth * kImageHeight;
   const bool two_source = id != hw::kBrightness;
   cpu::Kernel& k = p.kernel();
+  bus::Bus& plb = p.cpu().plb();
 
   // Stage every member's seeded input (host-side, zero simulated time,
-  // like exec_request) and precompute the golden outputs.
-  std::vector<std::vector<std::uint8_t>> want(members.size());
+  // like exec_request) in the same one pass, keeping each member's golden
+  // output and digest for the check after the chain.
+  std::vector<Golden> golden(members.size());
+  Image a, b;
   for (std::size_t m = 0; m < members.size(); ++m) {
     const bus::Addr off = static_cast<bus::Addr>(m) * kBatchStride;
-    sim::Rng rng{members[m].input_seed};
-    apps::GrayImage ia = apps::GrayImage::make(tp.img_w, tp.img_h);
-    for (auto& px : ia.pixels) px = rng.next_u8();
-    apps::store_bytes(p.cpu().plb(), s.in + off, ia.pixels);
-    apps::GrayImage ib;  // the last draw; brightness has one source
-    if (two_source) {
-      ib = apps::GrayImage::make(tp.img_w, tp.img_h);
-      for (auto& px : ib.pixels) px = rng.next_u8();
-      apps::store_bytes(p.cpu().plb(), s.in_b + off, ib.pixels);
-    }
-    if (id == hw::kBrightness) {
-      want[m] = apps::brightness(ia, 60).pixels;
-    } else if (id == hw::kBlendAdd) {
-      want[m] = apps::blend_add(ia, ib).pixels;
-    } else {
-      want[m] = apps::fade(ia, ib, 160).pixels;
-    }
+    draw_image(id, members[m].input_seed, a, b, golden[m]);
+    apps::store_bytes(plb, s.in + off, a);
+    if (two_source) apps::store_bytes(plb, s.in_b + off, b);
   }
 
   // One control write arms the module for the whole batch: the serve
@@ -185,11 +232,11 @@ bool exec_image_batch(Platform& p, hw::BehaviorId id,
   k.call();
   const bus::Addr ctrl = (p.dock_data() & ~bus::Addr{0x3F}) + 0x20;
   if (id == hw::kBrightness) {
-    k.sw(ctrl, 60);
+    k.sw(ctrl, kBrightnessDelta);
   } else if (id == hw::kBlendAdd) {
     k.sw(ctrl, 0);
   } else {
-    k.sw(ctrl, 160);
+    k.sw(ctrl, kFadeFactor);
   }
 
   // Two-source members pay the paper's data-preparation cost per member
@@ -213,11 +260,7 @@ bool exec_image_batch(Platform& p, hw::BehaviorId id,
   // so only the members whose buffers they landed in fail golden.
   for (std::size_t m = 0; m < members.size(); ++m) {
     const bus::Addr off = static_cast<bus::Addr>(m) * kBatchStride;
-    const auto got =
-        apps::fetch_bytes(p.cpu().plb(), s.out + off, want[m].size());
-    members[m].result.ok = true;
-    members[m].result.digest = fnv1a(got.data(), got.size());
-    members[m].result.golden_ok = got == want[m];
+    members[m].result = check_output(plb, s.out + off, golden[m]);
   }
   return true;
 }

@@ -8,6 +8,7 @@
 // a client cannot tell which path served it except by latency.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "hw/library.hpp"
@@ -22,13 +23,19 @@ struct TaskParams {
   int img_w = 0, img_h = 0; // image geometry
 };
 
+/// The sizes params_for hands out: hash messages of at most
+/// kMaxMessageBytes and kImageWidth x kImageHeight images. A request's data
+/// fits local buffers of these sizes.
+inline constexpr std::uint32_t kMaxMessageBytes = 2048;
+inline constexpr int kImageWidth = 64;
+inline constexpr int kImageHeight = 48;
+inline constexpr std::size_t kImagePixels = kImageWidth * kImageHeight;
+
 inline TaskParams params_for(hw::BehaviorId id) {
   switch (id) {
-    case hw::kJenkinsHash: return {2048, 0, 0};
+    case hw::kJenkinsHash: return {kMaxMessageBytes, 0, 0};
     case hw::kSha1: return {1024, 0, 0};
-    case hw::kPatternMatcher:
-    case hw::kPatternMatcherXl: return {0, 64, 48};
-    default: return {0, 64, 48};  // grayscale image tasks
+    default: return {0, kImageWidth, kImageHeight};  // bilevel and grayscale
   }
 }
 
@@ -41,11 +48,15 @@ struct ExecResult {
 /// Where a request's buffers live, as laid out by the CLI's task runner:
 /// all in external memory, clear of the configuration staging area.
 struct Staging {
+  /// The distance between consecutive regions: all one request, or one
+  /// batch (batch_exec.hpp), may stage in each.
+  static constexpr bus::Addr kRegionSpacing = 0x0040'0000;
+
   explicit Staging(const Platform& p)
-      : in(p.config_staging() - 0x0100'0000),
-        in_b(p.config_staging() - 0x00C0'0000),
-        out(p.config_staging() - 0x0080'0000),
-        scratch(p.config_staging() - 0x0040'0000) {}
+      : in(p.config_staging() - 4 * kRegionSpacing),
+        in_b(p.config_staging() - 3 * kRegionSpacing),
+        out(p.config_staging() - 2 * kRegionSpacing),
+        scratch(p.config_staging() - kRegionSpacing) {}
   bus::Addr in, in_b, out, scratch;
 };
 

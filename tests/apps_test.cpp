@@ -153,6 +153,22 @@ TEST(PatternGolden, BitPackingRoundTrip) {
   }
   for (auto [r, c] : on) EXPECT_TRUE(img.get(r, c));
   EXPECT_EQ(img.words_per_row(), 3);
+
+  // to_bytes expands whole words: it equals the per-pixel expansion and
+  // skips the bits of each row's last word past the width.
+  for (const int width : {8, 13, 33, 41, 63, 70, 95}) {
+    BinaryImage b = BinaryImage::make(width, 9);
+    for (auto& w : b.words) w = rng.next_u32();
+    const std::vector<std::uint8_t> px = to_bytes(b);
+    ASSERT_EQ(px.size(), static_cast<std::size_t>(width) * 9);
+    for (int r = 0; r < 9; ++r) {
+      for (int c = 0; c < width; ++c) {
+        ASSERT_EQ(px[static_cast<std::size_t>(r * width + c)],
+                  b.get(r, c) ? 1 : 0)
+            << "width " << width << " pixel " << r << "," << c;
+      }
+    }
+  }
 }
 
 // --- image ops ------------------------------------------------------------------------

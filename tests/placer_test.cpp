@@ -48,6 +48,26 @@ TEST(ModuleFootprintTest, MatchesComponentGeometry) {
   const auto iface = busmacro::ConnectionInterface::for_width(64);
   EXPECT_EQ(fp.bus_macro_ports,
             static_cast<int>(iface.module_side().size()));
+
+  // Every registry behaviour at both widths: the footprint read from the
+  // shape table is the one the full component descriptor carries.
+  const hw::BehaviorRegistry reg = hw::standard_registry(1 << 16);
+  int behaviours = 0;
+  for (int id = 0; id < 256; ++id) {
+    if (!reg.contains(id)) continue;
+    ++behaviours;
+    const auto b = static_cast<hw::BehaviorId>(id);
+    for (const int width : {32, 64}) {
+      const auto comp = hw::component_for(b, width);
+      const ModuleFootprint f = module_footprint(b, width);
+      EXPECT_EQ(f.rows, comp.rows) << id << " at " << width;
+      EXPECT_EQ(f.cols, comp.cols) << id << " at " << width;
+      EXPECT_EQ(f.bram_blocks, comp.bram_blocks) << id << " at " << width;
+      EXPECT_EQ(f.bus_macro_ports, static_cast<int>(comp.macros.size()))
+          << id << " at " << width;
+    }
+  }
+  EXPECT_EQ(behaviours, 9);
 }
 
 TEST(AreaFitsTest, SecondAreaHostsOnlyNarrowModules) {

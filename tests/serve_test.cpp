@@ -11,9 +11,14 @@
 #include <utility>
 #include <vector>
 
+#include "apps/golden.hpp"
+#include "apps/memio.hpp"
 #include "fault/fault.hpp"
 #include "rtr/platform.hpp"
+#include "serve/batch_exec.hpp"
+#include "serve/exec.hpp"
 #include "serve/server.hpp"
+#include "sim/random.hpp"
 #include "trace/flight_recorder.hpp"
 
 namespace rtr {
@@ -178,6 +183,233 @@ TEST(ExecPaths, HwAndSwDigestsAreBitIdentical64Sha1) {
   ASSERT_TRUE(hw_res.ok && sw_res.ok);
   EXPECT_TRUE(hw_res.golden_ok && sw_res.golden_ok);
   EXPECT_EQ(hw_res.digest, sw_res.digest);
+}
+
+// --- the one pass against the reference path -------------------------------
+
+/// A request's data as the reference path builds it: drawn with sim::Rng
+/// into vectors in the serve layer's order, checked with the apps:: golden
+/// models and hashed with the FNV-1a digests.
+struct Reference {
+  std::vector<std::uint8_t> in, in_b;  // the staged sources
+  std::vector<std::uint8_t> out;       // golden output (image tasks)
+  std::uint64_t digest = 0;            // digest of the golden result
+};
+
+Reference reference_request(hw::BehaviorId id, std::uint64_t seed) {
+  const serve::TaskParams tp = serve::params_for(id);
+  sim::Rng rng{seed};
+  Reference ref;
+  switch (id) {
+    case hw::kJenkinsHash:
+    case hw::kSha1: {
+      ref.in.resize(tp.bytes);
+      for (auto& b : ref.in) b = rng.next_u8();
+      if (id == hw::kJenkinsHash) {
+        ref.digest = serve::fnv1a_u32(apps::jenkins_hash(ref.in));
+      } else {
+        ref.digest = serve::kFnvOffset;
+        for (const std::uint32_t w : apps::sha1(ref.in)) {
+          ref.digest = serve::fnv1a_u32(w, ref.digest);
+        }
+      }
+      return ref;
+    }
+    case hw::kPatternMatcher:
+    case hw::kPatternMatcherXl: {
+      apps::BinaryImage img = apps::BinaryImage::make(tp.img_w, tp.img_h);
+      for (auto& w : img.words) {
+        const std::uint32_t x = rng.next_u32();
+        w = x & rng.next_u32();
+      }
+      apps::Pattern8x8 pat;
+      for (auto& row : pat) row = rng.next_u8();
+      ref.in = apps::to_bytes(img);
+      for (int i = 0; i < 64; ++i) {
+        ref.in_b.push_back((pat[static_cast<std::size_t>(i / 8)] >> (i % 8)) &
+                           1);
+      }
+      const apps::MatchResult m = apps::pattern_match(img, pat);
+      ref.digest = serve::fnv1a_u32(static_cast<std::uint32_t>(m.best_count));
+      ref.digest =
+          serve::fnv1a_u32(static_cast<std::uint32_t>(m.best_row), ref.digest);
+      ref.digest =
+          serve::fnv1a_u32(static_cast<std::uint32_t>(m.best_col), ref.digest);
+      return ref;
+    }
+    default: {
+      apps::GrayImage a = apps::GrayImage::make(tp.img_w, tp.img_h);
+      for (auto& px : a.pixels) px = rng.next_u8();
+      ref.in = a.pixels;
+      if (id == hw::kBrightness) {
+        ref.out = apps::brightness(a, 60).pixels;
+      } else {
+        apps::GrayImage b = apps::GrayImage::make(tp.img_w, tp.img_h);
+        for (auto& px : b.pixels) px = rng.next_u8();
+        ref.in_b = b.pixels;
+        ref.out = id == hw::kBlendAdd ? apps::blend_add(a, b).pixels
+                                      : apps::fade(a, b, 160).pixels;
+      }
+      ref.digest = serve::fnv1a(ref.out.data(), ref.out.size());
+      return ref;
+    }
+  }
+}
+
+/// The staged sources at `off` into the staging regions equal the
+/// reference's.
+void expect_staged(Platform& p, const Reference& ref, bus::Addr off,
+                   const char* what) {
+  const serve::Staging s{p};
+  EXPECT_EQ(apps::fetch_bytes(p.cpu().plb(), s.in + off, ref.in.size()),
+            ref.in)
+      << what;
+  EXPECT_EQ(apps::fetch_bytes(p.cpu().plb(), s.in_b + off, ref.in_b.size()),
+            ref.in_b)
+      << what;
+}
+
+constexpr hw::BehaviorId kServed[] = {
+    hw::kJenkinsHash, hw::kSha1,     hw::kPatternMatcher, hw::kPatternMatcherXl,
+    hw::kBrightness,  hw::kBlendAdd, hw::kFade};
+constexpr hw::BehaviorId kImageTasks[] = {hw::kBrightness, hw::kBlendAdd,
+                                          hw::kFade};
+
+void one_pass_matches_reference(Platform& p) {
+  ModuleManager mgr{p};
+  for (const hw::BehaviorId id : kServed) {
+    const bool wide = id == hw::kSha1 || id == hw::kPatternMatcherXl;
+    const bool placed = mgr.ensure(id, p.dock_width()).ok;
+    // SHA-1 and the wide matcher fit only the 64-bit system's region.
+    ASSERT_EQ(placed, p.dock_width() == 64 || !wide) << hw::task_name(id);
+    for (const bool hw : {true, false}) {
+      if (hw && !placed) continue;
+      for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+        const std::string what = std::string(hw::task_name(id)) +
+                                 (hw ? " hw" : " sw") + " seed " +
+                                 std::to_string(seed);
+        const Reference ref = reference_request(id, seed);
+        const serve::ExecResult r = serve::exec_request(p, id, seed, hw);
+        ASSERT_TRUE(r.ok) << what;
+        ASSERT_TRUE(r.golden_ok) << what;
+        ASSERT_EQ(r.digest, ref.digest) << what;
+        expect_staged(p, ref, 0, what.c_str());
+      }
+    }
+  }
+}
+
+TEST(ExecPaths, OnePassMatchesTheReferencePath) {
+  // Every behaviour exec_request serves, on both systems and both paths:
+  // the one pass draws, stages, checks and digests exactly as the
+  // reference path's separate draws, golden models and digests do.
+  Platform32 p32;
+  one_pass_matches_reference(p32);
+  Platform64 p64;
+  one_pass_matches_reference(p64);
+
+  // The batched chain: every member of 1-8 member batches of each image
+  // behaviour stages, checks and digests as the reference does, so a
+  // batched member is bit-identical to the unbatched request.
+  ModuleManager mgr{p64};
+  std::uint64_t seed = 1000;
+  for (const hw::BehaviorId id : kImageTasks) {
+    ASSERT_TRUE(mgr.ensure(id, 64).ok) << hw::task_name(id);
+    for (std::size_t size = 1; size <= 8; ++size) {
+      std::vector<serve::BatchMember> members(size);
+      for (auto& m : members) m.input_seed = ++seed;
+      ASSERT_TRUE(serve::exec_image_batch(p64, id, members));
+      for (std::size_t m = 0; m < size; ++m) {
+        const std::string what = std::string(hw::task_name(id)) +
+                                 " batch of " + std::to_string(size) +
+                                 " member " + std::to_string(m);
+        const Reference ref = reference_request(id, members[m].input_seed);
+        EXPECT_TRUE(members[m].result.ok) << what;
+        EXPECT_TRUE(members[m].result.golden_ok) << what;
+        EXPECT_EQ(members[m].result.digest, ref.digest) << what;
+        expect_staged(p64, ref, static_cast<bus::Addr>(m) * serve::kBatchStride,
+                      what.c_str());
+      }
+    }
+  }
+}
+
+/// The output bytes an image request left at `out`.
+std::vector<std::uint8_t> image_output(Platform& p, bus::Addr out) {
+  return apps::fetch_bytes(p.cpu().plb(), out, serve::kImagePixels);
+}
+
+TEST(ExecPaths, CorruptedOutputFailsGoldenAndHashesTheDeviceBytes) {
+  // A dock left unbound: the driver reads back nothing the module made.
+  // The check fails, and the digest is the device's bytes, not the golden
+  // output's.
+  Platform64 p;
+  const serve::Staging s{p};
+  for (const hw::BehaviorId id : kImageTasks) {
+    const serve::ExecResult r = serve::exec_request(p, id, 7, /*hw=*/true);
+    const std::vector<std::uint8_t> got = image_output(p, s.out);
+    EXPECT_TRUE(r.ok) << hw::task_name(id);
+    EXPECT_FALSE(r.golden_ok) << hw::task_name(id);
+    EXPECT_EQ(r.digest, serve::fnv1a(got.data(), got.size()))
+        << hw::task_name(id);
+    EXPECT_NE(r.digest, reference_request(id, 7).digest) << hw::task_name(id);
+  }
+
+  // A DMA fault corrupts beats mid-chain: exactly the members whose output
+  // differs from the golden one fail, each hashed over its own bytes.
+  fault::FaultSpec spec;
+  ASSERT_TRUE(fault::FaultSpec::parse("dma:every@40:1", &spec));
+  PlatformOptions po;
+  po.fault_plan.add(spec);
+  Platform64 pf{po};
+  ModuleManager mgr{pf};
+  int corrupted = 0;
+  for (const hw::BehaviorId id : kImageTasks) {
+    ASSERT_TRUE(mgr.ensure(id, 64).ok) << hw::task_name(id);
+    std::vector<serve::BatchMember> members(8);
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      members[m].input_seed = 50 + m;
+    }
+    ASSERT_TRUE(serve::exec_image_batch(pf, id, members));
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      const Reference ref = reference_request(id, members[m].input_seed);
+      const std::vector<std::uint8_t> got = image_output(
+          pf, s.out + static_cast<bus::Addr>(m) * serve::kBatchStride);
+      const serve::ExecResult& r = members[m].result;
+      EXPECT_EQ(r.golden_ok, got == ref.out) << hw::task_name(id) << " " << m;
+      EXPECT_EQ(r.digest, serve::fnv1a(got.data(), got.size()))
+          << hw::task_name(id) << " " << m;
+      corrupted += r.golden_ok ? 0 : 1;
+    }
+  }
+  EXPECT_GT(corrupted, 0);  // the plan did corrupt some members
+}
+
+TEST(BatchingDeathTest, OversizedImageBatchAborts) {
+  // Member m stages m strides into regions 4 MiB apart: member 256 would
+  // land on member 0's second source.
+  EXPECT_EQ(serve::kMaxBatchMembers, 256u);
+  Platform64 p;
+  std::vector<serve::BatchMember> members(serve::kMaxBatchMembers + 1);
+  EXPECT_DEATH((void)serve::exec_image_batch(p, hw::kFade, members),
+               "staging regions");
+}
+
+TEST(Batching, FullSizeBatchStaysInsideItsRegions) {
+  // The largest batch the bound admits, two-source so that the scratch
+  // interleave fills its region's last stride: every member checks out.
+  Platform64 p;
+  ModuleManager mgr{p};
+  ASSERT_TRUE(mgr.ensure(hw::kFade, 64).ok);
+  std::vector<serve::BatchMember> members(serve::kMaxBatchMembers);
+  for (std::size_t m = 0; m < members.size(); ++m) members[m].input_seed = m;
+  ASSERT_TRUE(serve::exec_image_batch(p, hw::kFade, members));
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    ASSERT_TRUE(members[m].result.golden_ok) << "member " << m;
+    ASSERT_EQ(members[m].result.digest,
+              reference_request(hw::kFade, m).digest)
+        << "member " << m;
+  }
 }
 
 // --- server dispositions ------------------------------------------------------
