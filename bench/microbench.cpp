@@ -2,7 +2,7 @@
 // simulator itself executes its primitives. These guard against
 // performance regressions in the simulation substrate -- the table benches
 // above measure *simulated* time, this binary measures *host* time. CI
-// gates sixteen of them against the baselines in BENCH_microbench.json
+// gates fourteen of them against the baselines in BENCH_microbench.json
 // (docs/PERFORMANCE.md "Recorded baselines" says how to re-record them).
 #include <benchmark/benchmark.h>
 
@@ -19,39 +19,8 @@
 #include "rtr/platform.hpp"
 #include "serve/fleet/fleet.hpp"
 #include "serve/server.hpp"
-#include "sim/event_queue.hpp"
 
 using namespace rtr;
-
-static void BM_EventQueueScheduleRun(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::EventQueue q;
-    int sink = 0;
-    for (int i = 0; i < 1000; ++i) {
-      q.schedule(sim::SimTime::from_ns(i), [&](sim::SimTime) { ++sink; });
-    }
-    q.drain();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueueScheduleRun);
-
-// 1000 events at one timestamp: the DMA-completion / interrupt-burst shape.
-// Drain dispatches same-time events as a batch instead of a heap pop each.
-static void BM_EventQueueSameTimeBatch(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::EventQueue q;
-    int sink = 0;
-    for (int i = 0; i < 1000; ++i) {
-      q.schedule(sim::SimTime::from_us(1), [&](sim::SimTime) { ++sink; });
-    }
-    q.drain();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueueSameTimeBatch);
 
 // 64 KB round-trip through SparseMemory, deliberately page-straddling.
 static void BM_SparseMemoryBlockCopy(benchmark::State& state) {

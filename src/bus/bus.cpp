@@ -127,7 +127,6 @@ SimTime Bus::end_transaction(SimTime data_done, SimTime started) {
   stats_.busy->add(started, done);
   stats_.transactions->add();
   stats_.latency->sample((done - started).ps());
-  sim_->observe(done);
   return done;
 }
 

@@ -43,7 +43,6 @@ DataCache::AccessResult DataCache::load(bus::Addr addr) {
   if (v.valid && v.dirty) {
     r.writeback = true;
     r.victim_line = v.tag;
-    ++writebacks_;
   }
   v.valid = true;
   v.dirty = false;
@@ -69,10 +68,7 @@ DataCache::AccessResult DataCache::store(bus::Addr addr) {
 std::vector<bus::Addr> DataCache::flush_all() {
   std::vector<bus::Addr> dirty;
   for (Line& l : lines_) {
-    if (l.valid && l.dirty) {
-      dirty.push_back(l.tag);
-      ++writebacks_;
-    }
+    if (l.valid && l.dirty) dirty.push_back(l.tag);
     l.valid = false;
     l.dirty = false;
   }
@@ -88,10 +84,7 @@ std::vector<bus::Addr> DataCache::flush_range(bus::Addr addr,
   for (bus::Addr line = first; line <= last;
        line += static_cast<bus::Addr>(params_.line_bytes)) {
     if (Line* l = find(line)) {
-      if (l->dirty) {
-        dirty.push_back(l->tag);
-        ++writebacks_;
-      }
+      if (l->dirty) dirty.push_back(l->tag);
       l->valid = false;
       l->dirty = false;
     }

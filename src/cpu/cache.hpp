@@ -59,7 +59,6 @@ class DataCache {
   // Statistics.
   [[nodiscard]] std::int64_t hits() const { return hits_; }
   [[nodiscard]] std::int64_t misses() const { return misses_; }
-  [[nodiscard]] std::int64_t writebacks() const { return writebacks_; }
 
  private:
   struct Line {
@@ -82,7 +81,6 @@ class DataCache {
   std::uint64_t tick_ = 0;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
-  std::int64_t writebacks_ = 0;
 };
 
 }  // namespace rtr::cpu

@@ -9,8 +9,7 @@ using sim::SimTime;
 
 Ppc405::Ppc405(sim::Simulation& sim, sim::Clock& cpu_clock, bus::PlbBus& plb,
                std::vector<bus::AddressRange> cacheable, Ppc405Params params)
-    : sim_(&sim),
-      clock_(&cpu_clock),
+    : clock_(&cpu_clock),
       plb_(&plb),
       cacheable_(std::move(cacheable)),
       params_(params),

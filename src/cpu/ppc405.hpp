@@ -36,22 +36,17 @@ class Ppc405 {
          std::vector<bus::AddressRange> cacheable, Ppc405Params params = {});
 
   [[nodiscard]] sim::SimTime now() const { return now_; }
-  void reset_time(sim::SimTime t = sim::SimTime::zero()) { now_ = t; }
   [[nodiscard]] sim::Clock& clock() const { return *clock_; }
   [[nodiscard]] bus::PlbBus& plb() const { return *plb_; }
   [[nodiscard]] DataCache& dcache() { return dcache_; }
   [[nodiscard]] const Ppc405Params& params() const { return params_; }
 
   /// Spend `cycles` CPU cycles computing (no memory traffic).
-  void tick(std::int64_t cycles) {
-    now_ += clock_->cycles(cycles);
-    sim_->observe(now_);
-  }
+  void tick(std::int64_t cycles) { now_ += clock_->cycles(cycles); }
 
   /// Idle until absolute time `t` (e.g. sleeping for an interrupt).
   void idle_until(sim::SimTime t) {
     if (t > now_) now_ = t;
-    sim_->observe(now_);
   }
 
   /// Take an interrupt that was (or will be) asserted at `asserted_at`:
@@ -91,7 +86,6 @@ class Ppc405 {
   void fill_line(bus::Addr a);
   void write_back_line(bus::Addr line_addr);
 
-  sim::Simulation* sim_;
   sim::Clock* clock_;
   bus::PlbBus* plb_;
   std::vector<bus::AddressRange> cacheable_;

@@ -75,7 +75,6 @@ SimTime DmaEngine::run_chain(std::span<const DmaDescriptor> chain,
   chain_descriptors_->add(static_cast<std::int64_t>(chain.size()));
   chain_setup_ps_->add(setup_ps);
   chain_transfer_ps_->add((t - start).ps() - setup_ps);
-  sim_->observe(t);
   return t;
 }
 

@@ -44,7 +44,7 @@ class DynamicRegion {
  public:
   /// Validates the floorplan: the rectangle must lie inside the device, not
   /// overlap a PPC hole, and every BRAM allocation must come from a column
-  /// within the region's horizontal extent with blocks reaching its rows.
+  /// inside the region's column range with blocks reaching its rows.
   DynamicRegion(std::string name, const Device& dev, ClbRect rect,
                 std::vector<BramAllocation> brams);
 

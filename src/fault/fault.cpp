@@ -127,7 +127,6 @@ void FaultInjector::record(Site s, sim::SimTime now) {
   ++injected_[i];
   if (inj_ctr_[i]) inj_ctr_[i]->add();
   if (!fired_ever_ || now < first_) first_ = now;
-  if (now > last_) last_ = now;
   fired_ever_ = true;
   if (sim_ != nullptr) {
     trace::Tracer& tr = sim_->tracer();

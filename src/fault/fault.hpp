@@ -170,10 +170,8 @@ class FaultInjector {
     return injected_[static_cast<int>(s)];
   }
   [[nodiscard]] std::int64_t injected_total() const;
-  [[nodiscard]] bool any_injected() const { return injected_total() > 0; }
-  /// Simulated time of the first/last fault actually injected.
+  /// Simulated time of the first fault actually injected.
   [[nodiscard]] sim::SimTime first_injection() const { return first_; }
-  [[nodiscard]] sim::SimTime last_injection() const { return last_; }
 
  private:
   struct Armed {
@@ -194,7 +192,6 @@ class FaultInjector {
   std::int64_t opportunities_[kSiteCount] = {};
   std::int64_t injected_[kSiteCount] = {};
   sim::SimTime first_;
-  sim::SimTime last_;
   bool fired_ever_ = false;
 
   sim::Simulation* sim_ = nullptr;

@@ -306,7 +306,6 @@ class Platform {
   /// load path honours the same deadline (checked at issue and at
   /// completion).
   void set_load_deadline(sim::SimTime t) { load_deadline_ = t; }
-  [[nodiscard]] sim::SimTime load_deadline() const { return load_deadline_; }
 
   /// Link `id`'s component against `area`'s BitLinker, stage its bitstream
   /// in external memory, stream it through the HWICAP with the CPU (timed),

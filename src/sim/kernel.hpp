@@ -1,10 +1,11 @@
 // Simulation context.
 //
 // A Simulation owns the shared services every timed component needs: the
-// event queue, the statistics registry, the logger, and the set of clock
-// domains. rtrsim uses loosely-timed transaction modelling: component calls
-// take a start time and return a completion time; the event queue handles
-// concurrent activity (DMA, interrupts).
+// statistics registry, the logger, the tracer, and the set of clock domains.
+// rtrsim models at transaction level: component calls take a start time and
+// return a completion time. Concurrent activity is answered the same way: a
+// DMA chain returns its completion time, and the interrupt controller the
+// time a line was raised.
 #pragma once
 
 #include <cassert>
@@ -14,7 +15,6 @@
 
 #include "sim/clock.hpp"
 #include "sim/context.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/log.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -33,7 +33,7 @@ namespace rtr::sim {
 /// Shared simulation services. Non-copyable; components hold a reference.
 class Simulation {
  public:
-  Simulation() { events_.set_tracer(tracer_); }
+  Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -50,14 +50,6 @@ class Simulation {
     return *pos->second;
   }
 
-  /// Fetch an existing clock domain. Aborts if absent.
-  [[nodiscard]] Clock& clock(const std::string& name) {
-    auto it = clocks_.find(name);
-    assert(it != clocks_.end() && "unknown clock domain");
-    return *it->second;
-  }
-
-  [[nodiscard]] EventQueue& events() { return events_; }
   [[nodiscard]] StatRegistry& stats() { return stats_; }
   [[nodiscard]] Logger& logger() { return logger_; }
 
@@ -65,10 +57,7 @@ class Simulation {
   /// instance owned by the simulation; `attach_tracer` swaps in an external
   /// one (the CLI's, a bench's) so spans survive the simulation's lifetime.
   [[nodiscard]] trace::Tracer& tracer() { return *tracer_; }
-  void attach_tracer(trace::Tracer& t) {
-    tracer_ = &t;
-    events_.set_tracer(tracer_);
-  }
+  void attach_tracer(trace::Tracer& t) { tracer_ = &t; }
 
   /// The fault injector components consult at their injection points; null
   /// (the default) means no fault plan is armed and every site is clean.
@@ -94,23 +83,8 @@ class Simulation {
   }
   void set_active_request(const RequestContext* ctx) { active_request_ = ctx; }
 
-  /// Advance the simulation's notion of "latest observed time". Components
-  /// report completion times here so that utilisation statistics have a
-  /// horizon and so tests can assert on the global clock.
-  void observe(SimTime t) {
-    if (t > horizon_) horizon_ = t;
-  }
-  [[nodiscard]] SimTime horizon() const { return horizon_; }
-
-  /// Fire all events scheduled at or before `t`, then observe `t`.
-  void settle(SimTime t) {
-    events_.run_until(t);
-    observe(t);
-  }
-
  private:
   std::map<std::string, std::unique_ptr<Clock>> clocks_;
-  EventQueue events_;
   StatRegistry stats_;
   Logger logger_;
   trace::Tracer default_tracer_;
@@ -118,7 +92,6 @@ class Simulation {
   fault::FaultInjector* faults_ = nullptr;
   trace::FlightRecorder* flight_recorder_ = nullptr;
   const RequestContext* active_request_ = nullptr;
-  SimTime horizon_;
 };
 
 }  // namespace rtr::sim

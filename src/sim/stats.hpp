@@ -138,9 +138,9 @@ class BusyTime {
     if (to > from) busy_ += (to - from);
   }
   [[nodiscard]] SimTime total() const { return busy_; }
-  [[nodiscard]] double utilisation(SimTime horizon) const {
-    if (horizon.ps() <= 0) return 0.0;
-    return static_cast<double>(busy_.ps()) / static_cast<double>(horizon.ps());
+  [[nodiscard]] double utilisation(SimTime elapsed) const {
+    if (elapsed.ps() <= 0) return 0.0;
+    return static_cast<double>(busy_.ps()) / static_cast<double>(elapsed.ps());
   }
   void merge(const BusyTime& o) { busy_ += o.busy_; }
   void reset() { busy_ = SimTime::zero(); }

@@ -99,7 +99,6 @@ class Tracer {
   /// flight-recorder-only mode, where retention lives in the recorder's
   /// bounded ring. Begin/end balance is still tracked.
   void set_store_events(bool on) { store_events_ = on; }
-  [[nodiscard]] bool store_events() const { return store_events_; }
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
   [[nodiscard]] std::size_t size() const { return events_.size(); }

@@ -437,15 +437,5 @@ TEST(ParameterEdges, InterruptKeepsEarliestAssertion) {
   EXPECT_EQ(intc.assertion_time(1), SimTime::from_us(5));
 }
 
-TEST(ParameterEdges, EventCancelFromWithinCallback) {
-  sim::EventQueue q;
-  int fired = 0;
-  sim::EventId later{};
-  q.schedule(SimTime::from_ns(1), [&](SimTime) { q.cancel(later); });
-  later = q.schedule(SimTime::from_ns(2), [&](SimTime) { ++fired; });
-  q.drain();
-  EXPECT_EQ(fired, 0);
-}
-
 }  // namespace
 }  // namespace rtr

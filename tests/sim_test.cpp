@@ -1,13 +1,11 @@
-// Unit tests for the simulation kernel: time, clocks, events, stats, RNG.
+// Unit tests for the simulation kernel: time, clocks, stats, RNG.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "sim/clock.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/kernel.hpp"
 #include "sim/parallel.hpp"
 #include "sim/random.hpp"
@@ -67,152 +65,6 @@ TEST(Clock, CrossDomainAlignment) {
   // A CPU operation ending mid-bus-cycle must wait for the next bus edge.
   const SimTime t = cpu.cycles(3);  // 15 ns
   EXPECT_EQ(bus.next_edge(t), SimTime::from_ns(20));
-}
-
-TEST(EventQueue, FiresInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(SimTime::from_ns(30), [&](SimTime) { order.push_back(3); });
-  q.schedule(SimTime::from_ns(10), [&](SimTime) { order.push_back(1); });
-  q.schedule(SimTime::from_ns(20), [&](SimTime) { order.push_back(2); });
-  EXPECT_EQ(q.drain(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, EqualTimesAreFifo) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    q.schedule(SimTime::from_ns(5), [&order, i](SimTime) { order.push_back(i); });
-  }
-  q.drain();
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-}
-
-TEST(EventQueue, CancelPreventsFiring) {
-  EventQueue q;
-  int fired = 0;
-  const EventId a = q.schedule(SimTime::from_ns(1), [&](SimTime) { ++fired; });
-  q.schedule(SimTime::from_ns(2), [&](SimTime) { ++fired; });
-  EXPECT_TRUE(q.cancel(a));
-  EXPECT_FALSE(q.cancel(a));  // double-cancel reports failure
-  EXPECT_EQ(q.size(), 1u);
-  q.drain();
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(q.cancel(12345));  // unknown id
-}
-
-TEST(EventQueue, RunUntilStopsAtBoundary) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule(SimTime::from_ns(10), [&](SimTime) { ++fired; });
-  q.schedule(SimTime::from_ns(20), [&](SimTime) { ++fired; });
-  q.schedule(SimTime::from_ns(30), [&](SimTime) { ++fired; });
-  EXPECT_EQ(q.run_until(SimTime::from_ns(20)), 2u);  // inclusive boundary
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(q.next_time(), SimTime::from_ns(30));
-}
-
-TEST(EventQueue, EventsMayScheduleEvents) {
-  EventQueue q;
-  std::vector<std::int64_t> fire_ns;
-  q.schedule(SimTime::from_ns(10), [&](SimTime t) {
-    fire_ns.push_back(t.ps() / 1000);
-    q.schedule(t + SimTime::from_ns(10), [&](SimTime t2) {
-      fire_ns.push_back(t2.ps() / 1000);
-    });
-  });
-  q.drain();
-  EXPECT_EQ(fire_ns, (std::vector<std::int64_t>{10, 20}));
-}
-
-TEST(EventQueue, NextTimeOnEmptyIsInfinity) {
-  EventQueue q;
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.next_time(), SimTime::infinity());
-}
-
-TEST(EventQueue, IdOfFiredEventStaysInvalidAcrossSlotReuse) {
-  EventQueue q;
-  int fired = 0;
-  const EventId a = q.schedule(SimTime::from_ns(1), [&](SimTime) { ++fired; });
-  q.drain();
-  EXPECT_EQ(fired, 1);
-  // The new event reuses a's slot; a's id must not alias it.
-  const EventId b = q.schedule(SimTime::from_ns(2), [&](SimTime) { ++fired; });
-  EXPECT_FALSE(q.cancel(a));
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_TRUE(q.cancel(b));
-  q.drain();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, IdOfCancelledEventStaysInvalidAcrossSlotReuse) {
-  EventQueue q;
-  int fired = 0;
-  const EventId a = q.schedule(SimTime::from_ns(1), [&](SimTime) { ++fired; });
-  EXPECT_TRUE(q.cancel(a));
-  const EventId b = q.schedule(SimTime::from_ns(2), [&](SimTime) { ++fired; });
-  EXPECT_FALSE(q.cancel(a));  // stale id, slot now owned by b
-  q.drain();
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(q.cancel(b));  // b already fired
-}
-
-TEST(EventQueue, SlotCapacityBoundedByPeakConcurrencyNotTotalEvents) {
-  EventQueue q;
-  int fired = 0;
-  for (int round = 0; round < 100; ++round) {
-    for (int i = 0; i < 10; ++i) {
-      q.schedule(SimTime::from_ns(round * 10 + i), [&](SimTime) { ++fired; });
-    }
-    q.drain();
-  }
-  EXPECT_EQ(fired, 1000);
-  // 1000 events ever scheduled, but never more than 10 pending at once:
-  // freed slots must be recycled instead of growing the pool per event.
-  EXPECT_LE(q.slot_capacity(), 10u);
-}
-
-TEST(EventQueue, OutOfOrderSchedulingKeepsGlobalOrder) {
-  // Mix monotone and regressing schedule times so both internal paths
-  // (sorted staging run and heap fallback) hold entries simultaneously.
-  EventQueue q;
-  Rng rng{7};
-  std::vector<std::pair<std::int64_t, int>> fires;
-  for (int i = 0; i < 500; ++i) {
-    const auto ns = static_cast<std::int64_t>(rng.next_u32() % 64);
-    q.schedule(SimTime::from_ns(ns),
-               [&fires, ns, i](SimTime) { fires.emplace_back(ns, i); });
-  }
-  EXPECT_EQ(q.drain(), 500u);
-  ASSERT_EQ(fires.size(), 500u);
-  for (std::size_t k = 1; k < fires.size(); ++k) {
-    // Time-ordered, FIFO among equal times.
-    EXPECT_LE(fires[k - 1].first, fires[k].first);
-    if (fires[k - 1].first == fires[k].first) {
-      EXPECT_LT(fires[k - 1].second, fires[k].second);
-    }
-  }
-}
-
-TEST(EventQueue, RunAllAtDispatchesBatchAndHonoursMidBatchCancel) {
-  EventQueue q;
-  const SimTime t = SimTime::from_ns(50);
-  std::vector<int> order;
-  EventId victim = 0;
-  q.schedule(t, [&](SimTime) {
-    order.push_back(0);
-    EXPECT_TRUE(q.cancel(victim));       // batch-mate cancelled mid-batch
-    q.schedule(t, [&](SimTime) { order.push_back(2); });  // same-time add
-  });
-  victim = q.schedule(t, [&](SimTime) { order.push_back(1); });
-  q.schedule(t + SimTime::from_ns(1), [&](SimTime) { order.push_back(9); });
-  EXPECT_EQ(q.run_all_at(t), 2u);  // first event + the one it scheduled
-  EXPECT_EQ(order, (std::vector<int>{0, 2}));
-  EXPECT_EQ(q.next_time(), t + SimTime::from_ns(1));
-  q.drain();
-  EXPECT_EQ(order, (std::vector<int>{0, 2, 9}));
 }
 
 TEST(Stats, CounterAndAccumulator) {
@@ -341,18 +193,7 @@ TEST(Simulation, ClockRegistry) {
   Clock& c1 = s.add_clock("opb", Frequency::from_mhz(50));
   Clock& c2 = s.add_clock("opb", Frequency::from_mhz(50));  // idempotent
   EXPECT_EQ(&c1, &c2);
-  EXPECT_EQ(s.clock("opb").period(), SimTime::from_ns(20));
-}
-
-TEST(Simulation, ObserveAndSettle) {
-  Simulation s;
-  int fired = 0;
-  s.events().schedule(SimTime::from_ns(5), [&](SimTime) { ++fired; });
-  s.settle(SimTime::from_ns(10));
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(s.horizon(), SimTime::from_ns(10));
-  s.observe(SimTime::from_ns(3));  // does not go backwards
-  EXPECT_EQ(s.horizon(), SimTime::from_ns(10));
+  EXPECT_EQ(c1.period(), SimTime::from_ns(20));
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
