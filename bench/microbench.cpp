@@ -2,7 +2,7 @@
 // simulator itself executes its primitives. These guard against
 // performance regressions in the simulation substrate -- the table benches
 // above measure *simulated* time, this binary measures *host* time. CI
-// gates fourteen of them against the baselines in BENCH_microbench.json
+// gates fifteen of them against the baselines in BENCH_microbench.json
 // (docs/PERFORMANCE.md "Recorded baselines" says how to re-record them).
 #include <benchmark/benchmark.h>
 
@@ -198,8 +198,10 @@ static void BM_Sha1SoftwareRequest(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha1SoftwareRequest);
 
-// The payload-hash check every load runs before binding (and every
-// BitLinker link embeds), over the XC2VP30 region after one load.
+// The reference payload-hash walk over the XC2VP30 region after one load:
+// what every BitLinker link embeds, and what a load re-walks before
+// binding unless it is a clean load of a cached plan onto the image that
+// plan assumes (Platform::load_plan).
 static void BM_RegionPayloadHash(benchmark::State& state) {
   Platform64 p;
   bench::must_load(p, hw::kBrightness);
@@ -260,6 +262,39 @@ static void BM_EnsureUncachedDiff(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EnsureUncachedDiff);
+
+// The managed swaps swap_storm runs: warm-plan differentials on the
+// XC2VP30 among the heavy mix's five behaviours. Three Hamiltonian cycles
+// of the five visit 15 ordered pairs, so every plan stays in the
+// 16-entry differential cache; each swap streams its plan and binds on the
+// plan's recorded verdict. Items = swaps.
+static void BM_EnsureCachedDiff64(benchmark::State& state) {
+  Platform64 p;
+  ModuleManager mgr{p};
+  constexpr hw::BehaviorId kMix[] = {hw::kJenkinsHash, hw::kBrightness,
+                                     hw::kBlendAdd, hw::kFade,
+                                     hw::kPatternMatcher};
+  std::vector<hw::BehaviorId> cycle;
+  for (const std::size_t step : {1, 2, 3}) {
+    for (std::size_t i = 0; i < std::size(kMix); ++i) {
+      cycle.push_back(kMix[i * step % std::size(kMix)]);
+    }
+  }
+  for (int warmup = 0; warmup < 2; ++warmup) {
+    for (const hw::BehaviorId id : cycle) (void)mgr.ensure(id, 64);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const EnsureStats s = mgr.ensure(cycle[i], 64);
+    if (!s.ok || !s.used_differential || !s.plan_cached) {
+      state.SkipWithError("expected a warm differential swap");
+    }
+    benchmark::DoNotOptimize(s.ok);
+    i = (i + 1) % cycle.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EnsureCachedDiff64);
 
 // One differential-plan rebuild on the XC2VP30: a 1-entry PlanCache
 // alternates brightness -> fade and fade -> brightness, so every iteration

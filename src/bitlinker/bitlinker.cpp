@@ -243,6 +243,7 @@ std::vector<std::string> BitLinker::compose(const LinkJob& job,
 
   stats.logic_used = logic;
   stats.bram_blocks_used = bram_demand;
+  stats.payload_hash = hash;
   return errors;
 }
 

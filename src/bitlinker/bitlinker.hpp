@@ -50,6 +50,7 @@ struct LinkStats {
   std::int64_t payload_bytes = 0;
   fabric::Resources logic_used;
   int bram_blocks_used = 0;
+  std::uint32_t payload_hash = 0;  // the hash the signature embeds
 };
 
 struct LinkResult {
@@ -91,9 +92,12 @@ inline constexpr std::uint32_t kPayloadHashPrime = 16777619u;
 
 /// Payload hash over the region-row words of every frame covering `region`,
 /// skipping the signature words themselves. The BitLinker stores this hash
-/// in the signature; the dock re-computes it before binding a behaviour, so
-/// half-applied or stale-base configurations never bind. Walks only the
-/// covered frames, and hashes each run of zero words in one step.
+/// in the signature. A load the platform cannot prove exact re-computes it
+/// before binding a behaviour, so half-applied or stale-base configurations
+/// never bind; a clean load of a cached plan onto the image it assumes
+/// compares the signature with the plan's copy of this hash instead
+/// (Platform::load_plan). Walks only the covered frames, and hashes each
+/// run of zero words in one step.
 [[nodiscard]] std::uint32_t region_payload_hash(
     const fabric::ConfigMemory& cm, const fabric::DynamicRegion& region);
 

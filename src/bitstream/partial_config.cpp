@@ -90,16 +90,7 @@ bool PartialConfig::confined_to(const DynamicRegion& region) const {
 }
 
 void PartialConfig::apply_to(ConfigMemory& cm) const {
-  const int wpf = dev_->words_per_frame();
-  for (const auto& r : runs_) {
-    FrameAddress a = r.start;
-    for (int i = 0; i < r.frame_count; ++i) {
-      cm.write_frame(a, std::span<const std::uint32_t>{
-                            r.words.data() + static_cast<std::size_t>(i) * wpf,
-                            static_cast<std::size_t>(wpf)});
-      a = a.next_in(*dev_);
-    }
-  }
+  for (const auto& r : runs_) cm.write_frames(r.start, r.words);
 }
 
 PartialConfig PartialConfig::diff(const ConfigMemory& base,

@@ -65,7 +65,9 @@ class OpbDock : public bus::Slave {
   }
 
   /// Bind the behavioural model of the currently configured circuit. The
-  /// runtime calls this only after signature + payload-hash validation.
+  /// runtime calls this only after the load validated: by the signature +
+  /// payload-hash walk, or by a cached plan's recorded verdict
+  /// (Platform::load_plan).
   void bind(hw::HwModule* m) {
     module_ = m;
     if (module_) module_->reset();

@@ -69,6 +69,20 @@ void ConfigMemory::write_frame(FrameAddress a,
   std::copy(data.begin(), data.end(), dst.begin());
 }
 
+void ConfigMemory::write_frames(FrameAddress first,
+                                std::span<const std::uint32_t> words) {
+  const auto wpf = static_cast<std::size_t>(wpf_);
+  const auto count = words.size() / wpf;
+  RTR_CHECK(count * wpf == words.size(), "run is not a whole number of frames");
+  const auto f = static_cast<std::size_t>(linear_index(first));
+  RTR_CHECK(f + count <= static_cast<std::size_t>(total_frames_),
+            "frame range outside the device");
+  std::copy(words.begin(), words.end(),
+            words_.begin() + static_cast<std::ptrdiff_t>(f * wpf));
+  std::fill_n(touched_.begin() + static_cast<std::ptrdiff_t>(f), count, 1);
+  generation_ += count;
+}
+
 void ConfigMemory::write_words(FrameAddress a, int first_word,
                                std::span<const std::uint32_t> data) {
   RTR_CHECK(first_word >= 0 && first_word + static_cast<int>(data.size()) <= wpf_, "word range outside frame");

@@ -47,6 +47,12 @@ class ConfigMemory {
   /// Overwrite a whole frame. `data.size()` must equal words_per_frame().
   void write_frame(FrameAddress a, std::span<const std::uint32_t> data);
 
+  /// Overwrite the whole frames consecutive in scan order from `first`
+  /// with `words` (a whole number of frames): one copy, since storage
+  /// follows the scan. Equal to a write_frame per frame, each still counted
+  /// as one write of the generation.
+  void write_frames(FrameAddress first, std::span<const std::uint32_t> words);
+
   /// Overwrite a word range within a frame (read-modify-write of the rest).
   void write_words(FrameAddress a, int first_word,
                    std::span<const std::uint32_t> data);

@@ -52,6 +52,27 @@ struct FrameAddress {
     return a;  // may be invalid past the last plane; caller checks valid_for
   }
 
+  /// The address `n` next_in steps on, in closed form: the planes are
+  /// walked, not the frames. Like next_in, stepping off the device's last
+  /// frame gives the invalid minor-0 frame of the plane after the last.
+  [[nodiscard]] FrameAddress advanced(const Device& dev, int n) const {
+    FrameAddress a = *this;
+    for (;;) {
+      const int per_column = Device::frames_in_column(a.type);
+      const int in_plane = a.major * per_column + a.minor + n;
+      const int plane = dev.columns_of(a.type) * per_column;
+      if (in_plane < plane) {
+        a.major = in_plane / per_column;
+        a.minor = in_plane % per_column;
+        return a;
+      }
+      n = in_plane - plane;
+      a = FrameAddress{static_cast<ColumnType>(static_cast<int>(a.type) + 1),
+                       0, 0};
+      if (n == 0 || a.type > ColumnType::kBramContent) return a;
+    }
+  }
+
   [[nodiscard]] std::string to_string() const;
 };
 

@@ -197,10 +197,8 @@ void IcapController::feed(std::span<const std::uint32_t> words) {
       const auto run = words.first(frames * wpf);
       crc_.update_register_writes(static_cast<std::uint32_t>(ConfigReg::kFdri),
                                   run);
-      for (std::size_t f = 0; f < frames; ++f) {
-        cm_->write_frame(far_, run.subspan(f * wpf, wpf));
-        far_ = far_.next_in(cm_->device());
-      }
+      cm_->write_frames(far_, run);
+      far_ = far_.advanced(cm_->device(), static_cast<int>(frames));
       far_valid_ = far_.valid_for(cm_->device());
       frames_written_ += static_cast<std::int64_t>(frames);
       stat_frames_->add(static_cast<std::int64_t>(frames));

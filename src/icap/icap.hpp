@@ -10,8 +10,10 @@
 //
 // Frames are applied only when complete (frame granularity is the hardware
 // atom), so an interrupted reconfiguration leaves the region in a coherent-
-// frames-but-incomplete-module state -- which the runtime detects through
-// the signature/payload-hash scan before binding any behaviour.
+// frames-but-incomplete-module state. It never reaches the done state, so
+// the runtime binds no behaviour; a stream that does reach it is still
+// validated (signature + payload hash, or a cached plan's recorded verdict)
+// before anything binds.
 //
 // Timing: the ICAP datapath is byte-wide at the configuration clock, so a
 // 32-bit word costs 4 ICAP cycles, surfaced to the OPB as wait states.
@@ -70,8 +72,9 @@ class IcapController : public bus::Slave {
   /// feed_word on every word: the whole frames from a frame boundary of a
   /// valid FDRI payload that lie in `words`, in the payload and on the
   /// device are CRC'd in one pass (zero runs in closed form) and written to
-  /// configuration memory straight from the span; every other word goes
-  /// through feed_word.
+  /// configuration memory straight from the span in one copy, the FAR
+  /// advancing over them in closed form; every other word goes through
+  /// feed_word.
   void feed(std::span<const std::uint32_t> words);
 
   /// Reset the state machine (does not touch configuration memory).
@@ -83,6 +86,8 @@ class IcapController : public bus::Slave {
   [[nodiscard]] bool done() const { return done_; }
   /// True while readback (CMD RCFG) is armed.
   [[nodiscard]] bool readback_armed() const { return readback_; }
+  /// The frame address register: where the next FDRI frame lands.
+  [[nodiscard]] fabric::FrameAddress far() const { return far_; }
 
   /// Readback path: the next FDRO word at the current frame address
   /// (advances through the frame, then to the next frame in scan order).

@@ -185,9 +185,7 @@ EnsureStats ModuleManagerBase::ensure_impl(hw::BehaviorId id, int dock_width) {
         res.time = p_->kernel().now() - t0;
         return res;
       }
-      const ReconfigStats s =
-          p_->load_stream(plan->words, plan->payload_bytes,
-                          /*differential=*/true, area);
+      const ReconfigStats s = p_->load_plan(*plan, area);
       res.stream_words += s.stream_words;
       if (s.ok) {
         diff_failures_ = 0;

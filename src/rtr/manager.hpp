@@ -6,11 +6,11 @@
 // unknown at the time the partial configurations are produced". At run time
 // the order IS known: the manager tracks the fabric state it last
 // established, generates a differential configuration against it (typically
-// 3-4x smaller than the complete one), and relies on the runtime's
-// signature + payload-hash gate to catch any stale-state assumption -- on
-// a validation failure it falls back to the always-safe complete
-// configuration. Fast in the common case, never less safe than the
-// BitLinker flow.
+// 3-4x smaller than the complete one), and relies on the generation tag
+// and, behind it, the runtime's signature + payload-hash gate to catch any
+// stale-state assumption -- on a validation failure it falls back to the
+// always-safe complete configuration. Fast in the common case, never less
+// safe than the BitLinker flow.
 //
 // Recovery (see docs/FAULTS.md for the full state machine): every failed
 // load is retried with bounded exponential backoff; a differential load
@@ -247,12 +247,7 @@ class ModuleManagerBase {
   /// Stream a pre-built complete plan, routed through DMA when asked for
   /// and the platform has one.
   ReconfigStats load_complete(const PlanCache::Plan& plan, int area) {
-    if (policy_.use_dma && p_->has_dma()) {
-      return p_->load_stream_dma(plan.words, plan.payload_bytes,
-                                 /*differential=*/false, area);
-    }
-    return p_->load_stream(plan.words, plan.payload_bytes,
-                           /*differential=*/false, area);
+    return p_->load_plan(plan, area, policy_.use_dma && p_->has_dma());
   }
 
   sim::Counter& counter(const char* name) {

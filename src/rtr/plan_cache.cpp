@@ -21,7 +21,8 @@ const PlanCache::Plan* PlanCache::complete(const bitlinker::BitLinker& linker,
     if (error) *error = linked.errors.front();
     return nullptr;
   }
-  Plan plan{std::move(*linked.config), {}, linked.stats.payload_bytes};
+  Plan plan{std::move(*linked.config), {}, linked.stats.payload_bytes,
+            static_cast<int>(id), -1, linked.stats.payload_hash};
   plan.words = bitstream::serialize(plan.config);
   return &complete_.emplace(key, std::move(plan)).first->second;
 }
@@ -48,7 +49,7 @@ const PlanCache::Plan* PlanCache::differential(
   // frames in the same scan order, so this equals diffing the two pure
   // post-load states (see the purity argument in the header).
   Plan plan{bitstream::PartialConfig::diff(from_plan->config, to_plan->config),
-            {}, 0};
+            {}, 0, static_cast<int>(to), static_cast<int>(from), to_plan->hash};
   plan.payload_bytes = plan.config.payload_bytes();
   plan.words = bitstream::serialize(plan.config);
 

@@ -25,6 +25,12 @@
 // the ConfigMemory generation tag detects: the ModuleManager records the
 // generation when it establishes residency and refuses any cached
 // differential once the tag has moved.
+//
+// The same argument fixes a load's validation verdict in advance. A plan
+// records the behaviour it binds, the behaviour it assumes resident and
+// the payload hash BitLinker embedded in the target's image, so the
+// platform can bind a clean load of it onto the image it assumes without
+// re-walking the area (Platform::load_plan).
 #pragma once
 
 #include <cstdint>
@@ -43,11 +49,15 @@ class PlanCache {
  public:
   /// A ready-to-stream reconfiguration: the structured configuration (for
   /// payload accounting and host-side application) plus its pre-encoded
-  /// ICAP word stream, staged and streamed without re-serialisation.
+  /// ICAP word stream, staged and streamed without re-serialisation, and
+  /// what a clean load of it leaves in the area.
   struct Plan {
     bitstream::PartialConfig config;
     std::vector<std::uint32_t> words;  // bitstream::serialize(config)
     std::int64_t payload_bytes = 0;
+    int target = -1;  // the behaviour a load binds
+    int base = -1;    // the behaviour it assumes resident; -1: complete
+    std::uint32_t hash = 0;  // target's payload hash, as its signature says
   };
 
   /// `diff_capacity` bounds the differential-plan LRU (complete plans are

@@ -46,6 +46,20 @@ void stage_words(bus::Bus& mem_bus, Addr staging,
   }
 }
 
+/// True when `region`'s four signature words are the ones a load of `plan`
+/// writes: magic, target, its complement and the target's payload hash.
+bool carries_signature_of(const fabric::ConfigMemory& cm,
+                          const fabric::DynamicRegion& region,
+                          const PlanCache::Plan& plan) {
+  const auto sig = cm.frame(region.signature_frame())
+                       .subspan(static_cast<std::size_t>(
+                                    region.signature_word()),
+                                fabric::DynamicRegion::kSignatureWords);
+  const auto id = static_cast<std::uint32_t>(plan.target);
+  return sig[0] == fabric::DynamicRegion::kSignatureMagic && sig[1] == id &&
+         sig[2] == ~id && sig[3] == plan.hash;
+}
+
 /// Iteration i of the CPU streaming loop
 ///   for (i = 0; i < n; ++i) { w = cfg[i]; HWICAP_DATA = w; }
 void icap_load_word(cpu::Kernel& k, Addr staging, Addr icap_data,
@@ -271,6 +285,13 @@ ReconfigStats Platform::load_stream_dma(std::span<const std::uint32_t> words,
   return stream_load(words, config_bytes, differential, area, /*dma=*/true);
 }
 
+ReconfigStats Platform::load_plan(const PlanCache::Plan& plan, int area,
+                                  bool dma) {
+  if (dma && !has_dma()) return no_dma();
+  return stream_load(plan.words, plan.payload_bytes,
+                     /*differential=*/plan.base >= 0, area, dma, &plan);
+}
+
 ReconfigStats Platform::no_dma() {
   ReconfigStats stats;
   stats.started = stats.finished = kernel_->now();
@@ -304,9 +325,25 @@ ReconfigStats Platform::link_and_load(hw::BehaviorId id, int area, bool dma) {
 /// path, which moves whole 64-bit beats, forces a local copy.
 ReconfigStats Platform::stream_load(std::span<const std::uint32_t> words,
                                     std::int64_t config_bytes,
-                                    bool differential, int area, bool dma) {
+                                    bool differential, int area, bool dma,
+                                    const PlanCache::Plan* plan) {
   Area& a = at(area);
   sync_area_gens();
+  // Whether a clean load leaves exactly the plan target's image: a
+  // complete plan rewrites every covered frame; a differential rewrites
+  // the frames where its base's image and the target's differ, so it needs
+  // the area to hold exactly the base's image, proven by a plan load that
+  // nothing has written over since. With a fault plan armed a staged or
+  // streamed word may differ from the plan's.
+  const bool exact =
+      plan != nullptr && faults_ == nullptr &&
+      (plan->base < 0 || (a.proven == plan->base && a.gen == a.proven_gen));
+  // Until this load binds a plan, the area's image is unproven. A raw
+  // stream may write any area's columns, so it unproves them all.
+  a.proven = -1;
+  if (plan == nullptr) {
+    for (Area& other : areas_) other.proven = -1;
+  }
   ReconfigStats stats;
   stats.started = kernel_->now();
   stats.config_bytes = config_bytes;
@@ -384,14 +421,25 @@ ReconfigStats Platform::stream_load(std::span<const std::uint32_t> words,
     }
   }
 
+  int proven = -1;
   if (streamed) {
     const std::uint32_t status =
         cpu_->load32(icap_base + icap::IcapController::kStatusReg);
     stats.finished = kernel_->now();
+    const bool done = (status & icap::IcapController::kStatusDone) != 0;
     int bound_id = -1;
-    if (!(status & icap::IcapController::kStatusDone)) {
+    bool valid = false;
+    if (done && exact && carries_signature_of(fabric_, a.region, *plan)) {
+      // The walk could only recompute the hash compose() embedded.
+      bound_id = plan->target;
+      valid = true;
+    } else if (done) {
+      stats.rehashed = true;
+      valid = detail::region_validates(fabric_, a.region, &bound_id);
+    }
+    if (!done) {
       stats.error = "ICAP did not complete (CRC or protocol error)";
-    } else if (!detail::region_validates(fabric_, a.region, &bound_id)) {
+    } else if (!valid) {
       stats.error = "region signature/payload validation failed";
     } else if (auto module = registry_.create(bound_id); !module) {
       stats.error = "no behavioural model registered for id " +
@@ -400,9 +448,12 @@ ReconfigStats Platform::stream_load(std::span<const std::uint32_t> words,
       a.module = std::move(module);
       bind_dock(a.module.get());
       stats.ok = true;
+      if (plan != nullptr) proven = bound_id;
     }
   }
   note_fabric_write(area);
+  a.proven = proven;
+  a.proven_gen = a.gen;
   // The dock unbinds before the fabric is touched and only a successful
   // load re-binds, so on failure no area is active.
   active_area_ = stats.ok ? area : -1;

@@ -13,11 +13,12 @@
 //
 // One Platform class builds either system from its spec. It owns the whole
 // simulation and exposes the developer-facing operations: timed module
-// loading through the ICAP (with signature and payload-hash validation
-// before any behaviour is bound), the dock addresses for programmed I/O,
-// the DMA engine (when the spec has one), resource reports (tables 1 and
-// 6) and topology dumps (figures 1/3/4). Platform32 and Platform64 name
-// the two systems.
+// loading through the ICAP (validated before any behaviour is bound: by
+// re-walking the area's payload hash, or, for a clean load of a cached
+// plan onto the image it assumes, by the plan's recorded verdict -- see
+// load_plan), the dock addresses for programmed I/O, the DMA engine (when
+// the spec has one), resource reports (tables 1 and 6) and topology dumps
+// (figures 1/3/4). Platform32 and Platform64 name the two systems.
 #pragma once
 
 #include <array>
@@ -43,6 +44,7 @@
 #include "icap/icap.hpp"
 #include "mem/memory_slave.hpp"
 #include "rtr/peripherals.hpp"
+#include "rtr/plan_cache.hpp"
 #include "sim/check.hpp"
 
 namespace rtr {
@@ -56,6 +58,7 @@ struct ReconfigStats {
   sim::SimTime finished;
   std::int64_t stream_words = 0;  // bitstream words pushed through HWICAP
   std::int64_t config_bytes = 0;  // frame payload bytes
+  bool rehashed = false;  // validation re-walked the area (region_validates)
 
   [[nodiscard]] sim::SimTime duration() const { return finished - started; }
 };
@@ -235,7 +238,8 @@ std::int64_t icap_load_bulk(cpu::Kernel& k,
                             std::span<const std::uint32_t> words,
                             bus::Addr staging, icap::IcapController& icap,
                             sim::SimTime deadline = {});
-/// Signature + payload-hash validation (runs after the ICAP reports done).
+/// Signature + payload-hash validation: the reference walk every load
+/// that is not a proven-exact plan load runs after the ICAP reports done.
 bool region_validates(const fabric::ConfigMemory& cm,
                       const fabric::DynamicRegion& region, int* behavior_id);
 /// Trace span + per-flavour byte counter for one finished reconfiguration.
@@ -313,23 +317,36 @@ class Platform {
   /// activates `area`.
   ReconfigStats load_module(hw::BehaviorId id, int area = 0);
 
-  /// Load a raw partial configuration (e.g. a differential one prepared by
-  /// the ModuleManager) into area 0. The same validation gate applies: the
-  /// behaviour is bound only when the resulting region carries a coherent
-  /// signature and payload hash.
+  /// Load a raw partial configuration (e.g. a hand-built differential)
+  /// into area 0. The behaviour is bound only when the resulting region
+  /// carries a coherent signature and payload hash.
   ReconfigStats load_config(const bitstream::PartialConfig& cfg);
 
-  /// Zero-copy streaming load of a pre-encoded ICAP word stream (a cached
-  /// reconfiguration plan): same staging, watchdog, fault-injection and
-  /// validation behaviour as load_config, without re-serialising -- and
-  /// without copying the stream unless a fault plan has to mutate it.
-  /// `config_bytes` and `differential` only feed accounting (the stats
-  /// counters and the trace span flavour). `area` selects the dynamic area
-  /// the stream targets (the caller must have linked it against that
-  /// area's BitLinker); a successful load makes that area the active one.
+  /// Zero-copy streaming load of a pre-encoded ICAP word stream: same
+  /// staging, watchdog, fault-injection and validation behaviour as
+  /// load_config, without re-serialising -- and without copying the stream
+  /// unless a fault plan has to mutate it. `config_bytes` and
+  /// `differential` only feed accounting (the stats counters and the trace
+  /// span flavour). `area` selects the dynamic area the stream targets (the
+  /// caller must have linked it against that area's BitLinker); a
+  /// successful load makes that area the active one.
   ReconfigStats load_stream(std::span<const std::uint32_t> words,
                             std::int64_t config_bytes, bool differential,
                             int area = 0);
+
+  /// Load a cached plan into `area` (the ModuleManager's loads): as
+  /// load_stream, or with `dma` as load_stream_dma. The platform keeps, per
+  /// area, the behaviour whose image a plan load last bound and the area
+  /// generation then. A clean load -- no fault plan armed, the ICAP done --
+  /// of a complete plan, or of a differential whose base that record names
+  /// with the generation unmoved, leaves exactly the target's image
+  /// (plan_cache.hpp), so it binds when the four signature words are the
+  /// plan's, without re-walking the area. Every other load re-walks it
+  /// (ReconfigStats::rehashed). A failed load clears its area's record; a
+  /// raw load, whose stream may carry a valid signature over other content
+  /// and write any area's columns, clears every area's.
+  ReconfigStats load_plan(const PlanCache::Plan& plan, int area,
+                          bool dma = false);
 
   /// Extension: DMA-driven reconfiguration. The scatter-gather engine
   /// streams the staged bitstream straight into the HWICAP data window
@@ -392,8 +409,8 @@ class Platform {
   /// Per-area generation tag: moves when `area`'s columns may have been
   /// written (its own loads; any fabric write outside a load path, which
   /// cannot be attributed and conservatively moves every area). Cached
-  /// differentials against this area validate against it; a missed
-  /// staleness is still caught by the signature/payload gate.
+  /// differentials against this area validate against it, in the manager
+  /// before one is chosen and in load_plan before its verdict is trusted.
   [[nodiscard]] std::uint64_t area_generation(int area) {
     sync_area_gens();
     return at(area).gen;
@@ -425,10 +442,12 @@ class Platform {
   /// The DMA loads' typed error on a spec without DMA: touches nothing.
   [[nodiscard]] ReconfigStats no_dma();
   ReconfigStats link_and_load(hw::BehaviorId id, int area, bool dma);
-  /// The one load path every load ends in; see platform.cpp.
+  /// The one load path every load ends in; `plan` is null for the raw
+  /// loads. See platform.cpp.
   ReconfigStats stream_load(std::span<const std::uint32_t> words,
                             std::int64_t config_bytes, bool differential,
-                            int area, bool dma);
+                            int area, bool dma,
+                            const PlanCache::Plan* plan = nullptr);
 
   const SystemSpec& spec_;
   PlatformOptions opts_;
@@ -466,6 +485,10 @@ class Platform {
     bitlinker::BitLinker linker;
     std::unique_ptr<hw::HwModule> module;
     std::uint64_t gen = 0;  // see area_generation
+    // The behaviour whose image a plan load last proved the area holds
+    // (-1: none), and `gen` at that moment. See load_plan.
+    int proven = -1;
+    std::uint64_t proven_gen = 0;
   };
   [[nodiscard]] const Area& at(int area) const {
     RTR_CHECK(area >= 0 && area < area_count(), "bad area index");

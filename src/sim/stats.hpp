@@ -130,18 +130,14 @@ class Histogram {
   std::int64_t max_ = std::numeric_limits<std::int64_t>::min();
 };
 
-/// Accumulates busy time of a shared resource so utilisation can be
-/// reported against total simulated time.
+/// Accumulates the busy time of a shared resource: the sum of its busy
+/// intervals.
 class BusyTime {
  public:
   void add(SimTime from, SimTime to) {
     if (to > from) busy_ += (to - from);
   }
   [[nodiscard]] SimTime total() const { return busy_; }
-  [[nodiscard]] double utilisation(SimTime elapsed) const {
-    if (elapsed.ps() <= 0) return 0.0;
-    return static_cast<double>(busy_.ps()) / static_cast<double>(elapsed.ps());
-  }
   void merge(const BusyTime& o) { busy_ += o.busy_; }
   void reset() { busy_ = SimTime::zero(); }
 

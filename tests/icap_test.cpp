@@ -571,5 +571,68 @@ TEST(IcapFeed, GarbledStreamsThroughBothPaths) {
   EXPECT_GT(errors, 1000);
 }
 
+// --- one copy per frame run ----------------------------------------------
+
+TEST(ConfigMemory, WriteFramesEqualsFrameByFrame) {
+  // Runs inside one column, across columns, across the CLB/BRAM plane
+  // boundaries and up to the device's last frame: write_frames against a
+  // write_frame per frame, FrameAddress::advanced against next_in steps,
+  // and the ICAP's whole-frame feed against its word-by-word reference.
+  sim::Rng rng{27};
+  for (const Device* dev : {&Device::xc2vp7(), &Device::xc2vp30()}) {
+    const int total = dev->total_frames();
+    const int clb = dev->columns_of(fabric::ColumnType::kClb) *
+                    fabric::kFramesPerClbColumn;
+    const int bram_ic =
+        clb + dev->columns_of(fabric::ColumnType::kBramInterconnect) *
+                  fabric::kFramesPerBramInterconnect;
+    const std::pair<int, int> runs[] = {
+        {5, 3},        {17, 60},          {clb - 4, 9},
+        {bram_ic - 2, 5}, {0, total},     {total - 70, 70},
+        {total - 1, 1}};
+    for (const auto& [first_index, count] : runs) {
+      FrameAddress first{fabric::ColumnType::kClb, 0, 0};
+      for (int i = 0; i < first_index; ++i) first = first.next_in(*dev);
+      SCOPED_TRACE(dev->name() + " " + first.to_string() + " +" +
+                   std::to_string(count));
+      const auto wpf = static_cast<std::size_t>(dev->words_per_frame());
+      std::vector<std::uint32_t> words(static_cast<std::size_t>(count) * wpf);
+      for (std::uint32_t& w : words) {
+        w = rng.below(4) == 0 ? 0 : static_cast<std::uint32_t>(rng.next_u64());
+      }
+
+      ConfigMemory one_copy{*dev}, per_frame{*dev};
+      one_copy.write_frames(first, words);
+      FrameAddress a = first;
+      for (int f = 0; f < count; ++f) {
+        per_frame.write_frame(
+            a, std::span{words}.subspan(static_cast<std::size_t>(f) * wpf,
+                                        wpf));
+        a = a.next_in(*dev);
+      }
+      EXPECT_EQ(first.advanced(*dev, count), a);
+      EXPECT_EQ(one_copy.snapshot(), per_frame.snapshot());
+      EXPECT_EQ(one_copy.generation(), per_frame.generation());
+      int touched_differ = 0;
+      for (FrameAddress f{fabric::ColumnType::kClb, 0, 0}; f.valid_for(*dev);
+           f = f.next_in(*dev)) {
+        touched_differ += one_copy.frame_touched(f) != per_frame.frame_touched(f);
+      }
+      EXPECT_EQ(touched_differ, 0);
+
+      PartialConfig cfg{*dev};
+      cfg.add_run({first, count, words});
+      const std::vector<std::uint32_t> stream = bitstream::serialize(cfg);
+      Rig ref{*dev}, got{*dev};
+      feed_both(ref, got, stream);
+      EXPECT_TRUE(got.icap.done());
+      EXPECT_EQ(got.icap.far(), ref.icap.far());
+      EXPECT_EQ(got.icap.far(), a);
+      EXPECT_EQ(got.fabric.generation(), ref.fabric.generation());
+      EXPECT_EQ(got.fabric.snapshot(), one_copy.snapshot());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rtr::icap

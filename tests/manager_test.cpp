@@ -72,9 +72,11 @@ TEST(ManagerFallback, StaleAssumptionFallsBackToComplete) {
   std::vector<std::uint32_t> junk(
       static_cast<std::size_t>(p.fabric_state().words_per_frame()), 0x77777);
   bitstream::PartialConfig rogue{p.region().device()};
-  // The frame sits in a column neither assembly touches, so the
-  // differential will not rewrite it -- the stale state survives the
-  // differential load and only the payload-hash gate can catch it.
+  // The frame sits in a column neither assembly touches, so a differential
+  // would not rewrite it and the stale state would survive it. The write
+  // moves the generation tag, so the manager refuses the differential
+  // before loading it; had it loaded, the payload-hash walk would have
+  // refused to bind.
   rogue.add_run({fabric::FrameAddress{fabric::ColumnType::kClb,
                                       p.region().rect().col0 + 15, 2},
                  1, junk});
@@ -84,8 +86,10 @@ TEST(ManagerFallback, StaleAssumptionFallsBackToComplete) {
 
   const auto s = mgr.ensure(hw::kFade, 32);
   ASSERT_TRUE(s.ok) << s.error;
-  EXPECT_TRUE(s.fell_back);           // differential refused to bind
+  EXPECT_TRUE(s.fell_back);           // differential refused
   EXPECT_FALSE(s.used_differential);  // the complete config did the job
+  EXPECT_EQ(
+      p.sim().stats().counter("rtr.plan_cache.gen_invalidations").value(), 1);
   EXPECT_EQ(p.region().scan_signature(p.fabric_state()), hw::kFade);
 }
 
@@ -315,6 +319,260 @@ TEST(PlanCache, PlanDiffRejectsConfigurationsOfDifferentFrames) {
   bitstream::PartialConfig b{dev};
   b.add_run({fabric::FrameAddress{fabric::ColumnType::kClb, 4, 0}, 1, frame});
   EXPECT_DEATH((void)bitstream::PartialConfig::diff(a, b), "different frames");
+}
+
+// --- the validation shortcut against the reference walk ---------------------
+
+/// Seeded random plan loads, ensures and fabric perturbations on one
+/// platform. After every load, detail::region_validates on the live fabric
+/// must agree with the load's outcome: bound or not, the bound id and the
+/// error. A load is provably exact when no fault plan is armed and the plan
+/// is complete, or a differential whose base the area holds by a plan load
+/// nothing has written over since; such a load must take the shortcut, and
+/// every other load that reaches validation must re-walk the area.
+class ShortcutOracle {
+ public:
+  ShortcutOracle(int system, int areas, const char* fault_spec,
+                 std::uint64_t seed)
+      : p_(SystemSpec::of(system), options(areas, fault_spec)),
+        mgr_(p_),
+        faults_(fault_spec != nullptr),
+        stale_(static_cast<std::size_t>(areas), false),
+        rng_(seed) {}
+
+  void run(int steps) {
+    for (int step = 0; step < steps && !::testing::Test::HasFailure();
+         ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const int area = static_cast<int>(rng_.below(
+          static_cast<std::uint64_t>(p_.area_count())));
+      switch (rng_.below(10)) {
+        case 0: case 1: case 2: plan_load(area); break;
+        case 3: case 4: ensure(); break;
+        case 5: rogue_icap_write(area); probe(area); break;
+        case 6: invalidate(); probe(area); break;
+        case 7: raw_load_module(area); probe(area); break;
+        case 8: raw_differential_onto_wrong_base(area); probe(area); break;
+        default: watchdog_abort(area); probe(area); break;
+      }
+    }
+  }
+
+  int shortcuts = 0;  // validated loads that took the shortcut
+  int walks = 0;      // validated loads that re-walked the area
+
+ private:
+  static PlatformOptions options(int areas, const char* fault_spec) {
+    PlatformOptions o;
+    o.dynamic_areas = areas;
+    if (fault_spec != nullptr) {
+      fault::FaultSpec spec;
+      RTR_CHECK(fault::FaultSpec::parse(fault_spec, &spec), "bad fault spec");
+      o.fault_plan.add(spec);
+    }
+    return o;
+  }
+
+  int width() const { return p_.dock_width(); }
+  int held(int area) {
+    const hw::HwModule* m = p_.area_module(area);
+    return m == nullptr ? -1 : m->behavior_id();
+  }
+  /// A behaviour that links into `area`, other than `not_this`.
+  hw::BehaviorId pick(int area, int not_this = -1) {
+    static constexpr hw::BehaviorId kIds[] = {
+        hw::kPatternMatcher, hw::kJenkinsHash, hw::kSha1,
+        hw::kBrightness,     hw::kBlendAdd,    hw::kFade};
+    for (;;) {
+      const hw::BehaviorId id = kIds[rng_.below(std::size(kIds))];
+      if (id != not_this && complete(area, id) != nullptr) return id;
+    }
+  }
+  const PlanCache::Plan* complete(int area, hw::BehaviorId id) {
+    return plans_.complete(p_.linker(area), id, width(), nullptr, nullptr,
+                           area);
+  }
+  const PlanCache::Plan* differential(int area, hw::BehaviorId from,
+                                      hw::BehaviorId to) {
+    return plans_.differential(p_.linker(area), from, to, width(), nullptr,
+                               nullptr, area);
+  }
+  void stale_all() { stale_.assign(stale_.size(), true); }
+
+  /// Check one finished load of `area` against the walk.
+  void check(const ReconfigStats& s, int area, bool provable) {
+    if (s.watchdog || !p_.icap_ctl().done()) {
+      // Validation never ran, on either path.
+      EXPECT_FALSE(s.ok);
+      EXPECT_FALSE(s.rehashed);
+    } else {
+      int id = -1;
+      const bool valid =
+          detail::region_validates(p_.fabric_state(), p_.region(area), &id);
+      EXPECT_EQ(s.ok, valid) << s.error;
+      if (valid) {
+        EXPECT_EQ(held(area), id);
+        EXPECT_EQ(s.error, "");
+      } else {
+        EXPECT_EQ(s.error, "region signature/payload validation failed");
+      }
+      EXPECT_EQ(s.rehashed, !provable);
+      ++(s.rehashed ? walks : shortcuts);
+    }
+    if (!s.ok) stale_[static_cast<std::size_t>(area)] = true;
+  }
+
+  /// A cached plan through the manager's platform entry: complete, or
+  /// mostly a differential from what the area holds, sometimes from a
+  /// wrong base.
+  void plan_load(int area) {
+    const hw::BehaviorId to = pick(area);
+    int base = -1;
+    if (rng_.below(4) != 0) {
+      base = held(area);
+      if (base < 0 || base == to || rng_.below(5) == 0) {
+        base = pick(area, to);
+      }
+    }
+    const PlanCache::Plan* plan =
+        base < 0 ? complete(area, to)
+                 : differential(area, static_cast<hw::BehaviorId>(base), to);
+    ASSERT_NE(plan, nullptr);
+    EXPECT_EQ(plan->target, to);
+    EXPECT_EQ(plan->base, base);
+    EXPECT_EQ(plan->hash, complete(area, to)->hash);
+    const bool provable =
+        !faults_ && (base < 0 || (!stale_[static_cast<std::size_t>(area)] &&
+                                  base == held(area)));
+    const bool dma = p_.has_dma() && rng_.below(3) == 0;
+    SCOPED_TRACE(std::string("plan load -> ") + hw::task_name(to) +
+                 " base " + std::to_string(base) + (dma ? " by DMA" : ""));
+    const ReconfigStats s = p_.load_plan(*plan, area, dma);
+    check(s, area, provable);
+    if (s.ok) stale_[static_cast<std::size_t>(area)] = false;
+  }
+
+  /// After a perturbation: a differential plan load onto what the area
+  /// holds must re-walk it.
+  void probe(int area) {
+    SCOPED_TRACE("probe");
+    plan_load(area);
+  }
+
+  void ensure() {
+    const hw::BehaviorId id = pick(0);
+    SCOPED_TRACE(std::string("ensure ") + hw::task_name(id));
+    const EnsureStats e = mgr_.ensure(id, width());
+    if (!e.ok) {
+      stale_[static_cast<std::size_t>(e.area)] = true;
+      return;
+    }
+    if (e.already_resident) return;
+    int bound = -1;
+    EXPECT_TRUE(detail::region_validates(p_.fabric_state(),
+                                         p_.region(e.area), &bound));
+    EXPECT_EQ(bound, id);
+    EXPECT_EQ(held(e.area), id);
+    stale_[static_cast<std::size_t>(e.area)] = false;
+  }
+
+  /// Junk written to one frame of `area` through the HWICAP, behind the
+  /// platform's back (as in ManagerFallback.StaleAssumptionFallsBackToComplete).
+  void rogue_icap_write(int area) {
+    SCOPED_TRACE("rogue ICAP write");
+    const fabric::DynamicRegion& r = p_.region(area);
+    const std::vector<std::uint32_t> junk(
+        static_cast<std::size_t>(p_.fabric_state().words_per_frame()),
+        0x77777u);
+    bitstream::PartialConfig rogue{r.device()};
+    rogue.add_run(
+        {fabric::FrameAddress{
+             fabric::ColumnType::kClb,
+             r.rect().col0 + static_cast<int>(rng_.below(
+                                 static_cast<std::uint64_t>(r.rect().cols))),
+             static_cast<int>(rng_.below(fabric::kFramesPerClbColumn))},
+         1, junk});
+    for (const std::uint32_t word : bitstream::serialize(rogue)) {
+      p_.cpu().store32(p_.spec().icap.base, word);
+    }
+    stale_all();
+  }
+
+  void invalidate() {
+    mgr_.invalidate();
+    stale_all();
+  }
+
+  void raw_load_module(int area) {
+    const hw::BehaviorId id = pick(area);
+    SCOPED_TRACE(std::string("raw load_module ") + hw::task_name(id));
+    check(p_.load_module(id, area), area, /*provable=*/false);
+    stale_all();
+  }
+
+  /// A differential stream built for another base, loaded raw.
+  void raw_differential_onto_wrong_base(int area) {
+    const hw::BehaviorId from = pick(area, held(area));
+    const hw::BehaviorId to = pick(area, from);
+    SCOPED_TRACE(std::string("raw differential ") + hw::task_name(from) +
+                 " -> " + hw::task_name(to));
+    const PlanCache::Plan* plan = differential(area, from, to);
+    ASSERT_NE(plan, nullptr);
+    check(p_.load_stream(plan->words, plan->payload_bytes,
+                         /*differential=*/true, area),
+          area, /*provable=*/false);
+    stale_all();
+  }
+
+  /// A plan load cut short by the load deadline.
+  void watchdog_abort(int area) {
+    SCOPED_TRACE("watchdog abort");
+    p_.set_load_deadline(p_.kernel().now() + SimTime::from_us(300));
+    const ReconfigStats s =
+        p_.load_plan(*complete(area, pick(area)), area,
+                     p_.has_dma() && rng_.below(2) == 0);
+    p_.set_load_deadline(SimTime{});
+    EXPECT_TRUE(s.watchdog);
+    check(s, area, /*provable=*/false);
+  }
+
+  Platform p_;
+  ModuleManager<> mgr_;
+  bool faults_;
+  std::vector<bool> stale_;  // per area: its proven record cannot hold
+  sim::Rng rng_;
+  PlanCache plans_{64};
+};
+
+TEST(LoadValidation, ShortcutAgreesWithTheWalk) {
+  struct Case {
+    int system;
+    int areas;
+    const char* faults;
+  };
+  const Case cases[] = {{32, 1, nullptr},
+                        {64, 1, nullptr},
+                        {64, 2, nullptr},
+                        {32, 1, "storage:every@3:5"},
+                        {32, 1, "icap:every@40009:3"},
+                        {64, 2, "storage:every@4:9"}};
+  for (const Case& c : cases) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      SCOPED_TRACE("system " + std::to_string(c.system) + ", " +
+                   std::to_string(c.areas) + " areas, faults " +
+                   (c.faults ? c.faults : "none") + ", seed " +
+                   std::to_string(seed));
+      ShortcutOracle oracle{c.system, c.areas, c.faults, seed};
+      oracle.run(60);
+      if (HasFailure()) return;
+      EXPECT_GT(oracle.walks, 0);
+      if (c.faults == nullptr) {
+        EXPECT_GT(oracle.shortcuts, 0);
+      } else {
+        EXPECT_EQ(oracle.shortcuts, 0);
+      }
+    }
+  }
 }
 
 }  // namespace

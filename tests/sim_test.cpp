@@ -178,14 +178,12 @@ TEST(Stats, RegistryMergeFoldsByName) {
   EXPECT_EQ(a.accumulator("x").count(), 1);
 }
 
-TEST(Stats, BusyTimeUtilisation) {
+TEST(Stats, BusyTimeSumsIntervals) {
   BusyTime b;
   b.add(SimTime::from_ns(0), SimTime::from_ns(30));
   b.add(SimTime::from_ns(50), SimTime::from_ns(70));
   b.add(SimTime::from_ns(90), SimTime::from_ns(90));  // zero-length ignored
   EXPECT_EQ(b.total(), SimTime::from_ns(50));
-  EXPECT_DOUBLE_EQ(b.utilisation(SimTime::from_ns(100)), 0.5);
-  EXPECT_DOUBLE_EQ(b.utilisation(SimTime::zero()), 0.0);
 }
 
 TEST(Simulation, ClockRegistry) {
