@@ -2,7 +2,7 @@
 // simulator itself executes its primitives. These guard against
 // performance regressions in the simulation substrate -- the table benches
 // above measure *simulated* time, this binary measures *host* time. CI
-// gates fifteen of them against the baselines in BENCH_microbench.json
+// gates seventeen of them against the baselines in BENCH_microbench.json
 // (docs/PERFORMANCE.md "Recorded baselines" says how to re-record them).
 #include <benchmark/benchmark.h>
 
@@ -265,9 +265,9 @@ BENCHMARK(BM_EnsureUncachedDiff);
 
 // The managed swaps swap_storm runs: warm-plan differentials on the
 // XC2VP30 among the heavy mix's five behaviours. Three Hamiltonian cycles
-// of the five visit 15 ordered pairs, so every plan stays in the
-// 16-entry differential cache; each swap streams its plan and binds on the
-// plan's recorded verdict. Items = swaps.
+// of the five visit 15 ordered pairs, each cached after the warm-up; each
+// swap streams its plan, taking each payload's recorded CRC state, and
+// binds on the plan's recorded verdict. Items = swaps.
 static void BM_EnsureCachedDiff64(benchmark::State& state) {
   Platform64 p;
   ModuleManager mgr{p};
@@ -296,28 +296,48 @@ static void BM_EnsureCachedDiff64(benchmark::State& state) {
 }
 BENCHMARK(BM_EnsureCachedDiff64);
 
-// One differential-plan rebuild on the XC2VP30: a 1-entry PlanCache
-// alternates brightness -> fade and fade -> brightness, so every iteration
-// evicts the other direction and diffs the two cached complete plans
-// again -- the LRU miss a mix of more module pairs than entries pays.
+// One differential-plan build on the XC2VP30, alternately brightness ->
+// fade and fade -> brightness: the two complete plans diffed frame by frame
+// and encoded by the builder PlanCache::differential memoizes -- what the
+// first swap of each ordered module pair costs.
 static void BM_DiffPlanBuild(benchmark::State& state) {
   Platform64 p;
-  PlanCache cache{1};
-  hw::BehaviorId from = hw::kBrightness;
-  hw::BehaviorId to = hw::kFade;
-  (void)cache.complete(p.linker(), from, 64, nullptr, nullptr);
-  (void)cache.complete(p.linker(), to, 64, nullptr, nullptr);
+  PlanCache cache;
+  const PlanCache::Plan* from =
+      cache.complete(p.linker(), hw::kBrightness, 64, nullptr, nullptr);
+  const PlanCache::Plan* to =
+      cache.complete(p.linker(), hw::kFade, 64, nullptr, nullptr);
+  if (from == nullptr || to == nullptr) {
+    state.SkipWithError("expected both modules to link");
+    return;
+  }
   for (auto _ : state) {
-    bool hit = true;
-    const PlanCache::Plan* plan =
-        cache.differential(p.linker(), from, to, 64, nullptr, &hit);
-    if (plan == nullptr || hit) state.SkipWithError("expected a rebuild");
-    benchmark::DoNotOptimize(plan);
+    const PlanCache::Plan plan = PlanCache::build_differential(*from, *to);
+    benchmark::DoNotOptimize(plan.words.data());
     std::swap(from, to);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DiffPlanBuild);
+
+// One complete-plan build on the XC2VP30: brightness linked on one copy of
+// the static baseline, its region read out and encoded, by the builder
+// PlanCache::complete memoizes -- what the first use of each behaviour in
+// an area costs.
+static void BM_CompletePlanBuild(benchmark::State& state) {
+  Platform64 p;
+  for (auto _ : state) {
+    const auto plan =
+        PlanCache::build_complete(p.linker(), hw::kBrightness, 64, nullptr);
+    if (!plan) {
+      state.SkipWithError("expected brightness to link");
+      break;
+    }
+    benchmark::DoNotOptimize(plan->words.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CompletePlanBuild);
 
 // The whole serving hot path with tracing disabled: a steady closed-loop
 // workload through admission, plan-cache reconfiguration, execution and

@@ -65,9 +65,8 @@ BitLinker::BitLinker(const DynamicRegion& region,
             "baseline configuration is for a different device");
 }
 
-std::vector<std::string> BitLinker::compose(const LinkJob& job,
-                                            ConfigMemory& out,
-                                            LinkStats& stats) const {
+std::vector<std::string> BitLinker::check(const LinkJob& job,
+                                          LinkStats& stats) const {
   std::vector<std::string> errors;
   const DynamicRegion& region = *region_;
   const fabric::ClbRect local{0, 0, region.rect().rows, region.rect().cols};
@@ -167,10 +166,16 @@ std::vector<std::string> BitLinker::compose(const LinkJob& job,
     }
   }
 
-  if (!errors.empty()) return errors;
+  if (errors.empty()) {
+    stats.logic_used = logic;
+    stats.bram_blocks_used = bram_demand;
+  }
+  return errors;
+}
 
-  // --- compose the assembled full-device state ----------------------------
-  out.restore(baseline_->snapshot());
+ConfigMemory BitLinker::compose(const LinkJob& job, LinkStats& stats) const {
+  const DynamicRegion& region = *region_;
+  ConfigMemory out = *baseline_;
   const int w0 = region.first_word();
   const int wn = region.word_count();
 
@@ -241,18 +246,16 @@ std::vector<std::string> BitLinker::compose(const LinkJob& job,
       DynamicRegion::kSignatureMagic, id, ~id, hash};
   out.write_words(region.signature_frame(), region.signature_word(), sig);
 
-  stats.logic_used = logic;
-  stats.bram_blocks_used = bram_demand;
   stats.payload_hash = hash;
-  return errors;
+  return out;
 }
 
 LinkResult BitLinker::link(const LinkJob& job) const {
   LinkResult res;
-  ConfigMemory assembled{region_->device()};
-  res.errors = compose(job, assembled, res.stats);
+  res.errors = check(job, res.stats);
   if (!res.errors.empty()) return res;
 
+  const ConfigMemory assembled = compose(job, res.stats);
   res.config = bitstream::PartialConfig::full_region(assembled, *region_);
   res.stats.frames = res.config->total_frames();
   res.stats.payload_bytes = res.config->payload_bytes();
@@ -270,10 +273,10 @@ LinkResult BitLinker::link_single(const ComponentDescriptor& comp) const {
 LinkResult BitLinker::link_differential(
     const LinkJob& job, const ConfigMemory& assumed_current) const {
   LinkResult res;
-  ConfigMemory assembled{region_->device()};
-  res.errors = compose(job, assembled, res.stats);
+  res.errors = check(job, res.stats);
   if (!res.errors.empty()) return res;
 
+  const ConfigMemory assembled = compose(job, res.stats);
   res.config = bitstream::PartialConfig::diff(assumed_current, assembled);
   res.stats.frames = res.config->total_frames();
   res.stats.payload_bytes = res.config->payload_bytes();

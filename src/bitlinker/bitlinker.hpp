@@ -127,10 +127,14 @@ class BitLinker {
       const LinkJob& job, const fabric::ConfigMemory& assumed_current) const;
 
  private:
-  /// Runs all checks and, when clean, composes the assembled full-device
-  /// state into `out`.
-  [[nodiscard]] std::vector<std::string> compose(
-      const LinkJob& job, fabric::ConfigMemory& out, LinkStats& stats) const;
+  /// Every check of an assembly; the errors, none when it links. A clean
+  /// job fills the stats' logic and BRAM use.
+  [[nodiscard]] std::vector<std::string> check(const LinkJob& job,
+                                               LinkStats& stats) const;
+  /// The assembled full-device state of a checked job, composed on one
+  /// copy of the baseline. Fills the stats' payload hash.
+  [[nodiscard]] fabric::ConfigMemory compose(const LinkJob& job,
+                                             LinkStats& stats) const;
 
   const fabric::DynamicRegion* region_;
   busmacro::ConnectionInterface dock_if_;

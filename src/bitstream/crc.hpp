@@ -107,6 +107,9 @@ class Crc32 {
   [[nodiscard]] std::uint32_t value() const { return state_ ^ 0xFFFFFFFFu; }
   void reset() { state_ = 0xFFFFFFFFu; }
 
+  /// Two accumulators are equal when every later write moves them alike.
+  friend bool operator==(const Crc32&, const Crc32&) = default;
+
  private:
   std::uint32_t state_ = 0xFFFFFFFFu;
 };

@@ -158,9 +158,11 @@ std::uint32_t idcode_for(const Device& dev) {
   return h;
 }
 
-std::vector<std::uint32_t> serialize(const PartialConfig& cfg, bool with_crc) {
+std::vector<std::uint32_t> serialize(const PartialConfig& cfg, bool with_crc,
+                                     std::vector<PayloadCrc>* payload_crcs) {
   std::vector<std::uint32_t> out;
   Crc32 crc;
+  if (payload_crcs) payload_crcs->clear();
   auto reg_write = [&](ConfigReg reg, std::uint32_t value) {
     out.push_back(make_type1(Opcode::kWrite, reg, 1));
     out.push_back(value);
@@ -180,9 +182,14 @@ std::vector<std::uint32_t> serialize(const PartialConfig& cfg, bool with_crc) {
     out.push_back(make_type1(Opcode::kWrite, ConfigReg::kFdri, 0));
     out.push_back(make_type2(Opcode::kWrite,
                              static_cast<std::uint32_t>(r.words.size())));
+    const std::size_t first = out.size();
+    const Crc32 before = crc;
     out.insert(out.end(), r.words.begin(), r.words.end());
     crc.update_register_writes(static_cast<std::uint32_t>(ConfigReg::kFdri),
                                r.words);
+    if (payload_crcs) {
+      payload_crcs->push_back({first, r.words.size(), before, crc});
+    }
   }
 
   reg_write(ConfigReg::kCmd, static_cast<std::uint32_t>(Command::kLfrm));

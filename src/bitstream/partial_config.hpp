@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "bitstream/crc.hpp"
 #include "fabric/config_memory.hpp"
 #include "fabric/dynamic_region.hpp"
 #include "fabric/frame_address.hpp"
@@ -83,11 +84,26 @@ class PartialConfig {
 /// Model IDCODE for a catalog device.
 [[nodiscard]] std::uint32_t idcode_for(const fabric::Device& dev);
 
+/// One FDRI payload of a serialised stream, the words [first, first +
+/// words), with the configuration CRC as the stream leaves it before the
+/// payload's first word and after its last.
+struct PayloadCrc {
+  std::size_t first = 0;
+  std::size_t words = 0;
+  Crc32 before;
+  Crc32 after;
+};
+
 /// Serialise to a packet word stream (DUMMY/SYNC/IDCODE/.../CRC/DESYNC).
 /// When `with_crc` is false the CRC check packet is replaced by an RCRC
-/// command (some flows disable CRC to shave configuration time).
-[[nodiscard]] std::vector<std::uint32_t> serialize(const PartialConfig& cfg,
-                                                   bool with_crc = true);
+/// command (some flows disable CRC to shave configuration time). With
+/// `payload_crcs`, also records, in stream order, the CRC states the
+/// stream passes through around each FDRI payload (the ICAP's accumulator
+/// follows the same states: it resets on the same RCRC command and folds in
+/// the same register writes).
+[[nodiscard]] std::vector<std::uint32_t> serialize(
+    const PartialConfig& cfg, bool with_crc = true,
+    std::vector<PayloadCrc>* payload_crcs = nullptr);
 
 /// Parse a serialised stream back to frame runs. Used by tests and tools;
 /// the ICAP hardware model implements its own word-at-a-time state machine,

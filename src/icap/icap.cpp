@@ -1,8 +1,8 @@
 #include "icap/icap.hpp"
 
 #include <algorithm>
+#include <functional>
 
-#include "bitstream/partial_config.hpp"
 #include "fault/fault.hpp"
 #include "sim/check.hpp"
 
@@ -181,6 +181,28 @@ void IcapController::feed_word(std::uint32_t w) {
   }
 }
 
+bool IcapController::take_recorded_crc(std::span<const std::uint32_t> run) {
+  const std::uint32_t* base = armed_stream_.data();
+  const std::less<const std::uint32_t*> before;
+  if (armed_payloads_.empty() || before(run.data(), base) ||
+      !before(run.data(), base + armed_stream_.size())) {
+    return false;
+  }
+  const auto first = static_cast<std::size_t>(run.data() - base);
+  const auto it = std::lower_bound(
+      armed_payloads_.begin(), armed_payloads_.end(), first,
+      [](const bitstream::PayloadCrc& c, std::size_t at) {
+        return c.first < at;
+      });
+  if (it == armed_payloads_.end() || it->first != first ||
+      it->words != run.size() || crc_ != it->before) {
+    return false;
+  }
+  crc_ = it->after;
+  ++recorded_runs_;
+  return true;
+}
+
 void IcapController::feed(std::span<const std::uint32_t> words) {
   const auto wpf = static_cast<std::size_t>(cm_->words_per_frame());
   while (!words.empty()) {
@@ -188,15 +210,18 @@ void IcapController::feed(std::span<const std::uint32_t> words) {
         payload_reg_ == ConfigReg::kFdri && far_valid_ && frame_buf_.empty() &&
         payload_left_ >= wpf && words.size() >= wpf) {
       // Every whole frame left in the payload, in the span and on the
-      // device from the FAR on, with one CRC pass over all of their words
-      // so that zero runs crossing frame boundaries take one step.
+      // device from the FAR on: an armed payload's recorded CRC state, or
+      // one CRC pass over all of their words so that zero runs crossing
+      // frame boundaries take one step.
       const std::size_t frames = std::min(
           {payload_left_ / wpf, words.size() / wpf,
            static_cast<std::size_t>(cm_->total_frames() -
                                     cm_->linear_index(far_))});
       const auto run = words.first(frames * wpf);
-      crc_.update_register_writes(static_cast<std::uint32_t>(ConfigReg::kFdri),
-                                  run);
+      if (!take_recorded_crc(run)) {
+        crc_.update_register_writes(
+            static_cast<std::uint32_t>(ConfigReg::kFdri), run);
+      }
       cm_->write_frames(far_, run);
       far_ = far_.advanced(cm_->device(), static_cast<int>(frames));
       far_valid_ = far_.valid_for(cm_->device());

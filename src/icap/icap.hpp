@@ -15,6 +15,11 @@
 // validated (signature + payload hash, or a cached plan's recorded verdict)
 // before anything binds.
 //
+// The CRC accumulator folds in every register write. A cached plan streamed
+// in place can hand over the CRC states serialize() recorded around each of
+// its FDRI payloads, so that the ICAP takes a whole payload without a CRC
+// pass (arm_payload_crcs).
+//
 // Timing: the ICAP datapath is byte-wide at the configuration clock, so a
 // 32-bit word costs 4 ICAP cycles, surfaced to the OPB as wait states.
 #pragma once
@@ -25,6 +30,7 @@
 
 #include "bitstream/crc.hpp"
 #include "bitstream/packet.hpp"
+#include "bitstream/partial_config.hpp"
 #include "bus/slave.hpp"
 #include "fabric/config_memory.hpp"
 #include "fabric/resources.hpp"
@@ -71,11 +77,30 @@ class IcapController : public bus::Slave {
   /// Feed a whole stream functionally (no timing). Equivalent to calling
   /// feed_word on every word: the whole frames from a frame boundary of a
   /// valid FDRI payload that lie in `words`, in the payload and on the
-  /// device are CRC'd in one pass (zero runs in closed form) and written to
-  /// configuration memory straight from the span in one copy, the FAR
-  /// advancing over them in closed form; every other word goes through
-  /// feed_word.
+  /// device are CRC'd in one pass (zero runs in closed form), or take an
+  /// armed payload's recorded CRC state, and are written to configuration
+  /// memory straight from the span in one copy, the FAR advancing over them
+  /// in closed form; every other word goes through feed_word.
   void feed(std::span<const std::uint32_t> words);
+
+  /// Arm the CRC states serialize() recorded for `stream`'s FDRI payloads
+  /// (`payloads`, in stream order). While armed, a run of feed() that is
+  /// exactly one recorded payload -- the words at its offset in `stream`
+  /// itself, by address -- and starts with the accumulator in the payload's
+  /// recorded before-state takes the recorded after-state instead of a CRC
+  /// pass: the CRC is a function of the state and the words, and both are
+  /// the ones serialize() saw. Any other run, any copy of the words and
+  /// every word fed singly is CRC'd. Both spans must stay alive and
+  /// unchanged until disarm_payload_crcs().
+  void arm_payload_crcs(std::span<const std::uint32_t> stream,
+                        std::span<const bitstream::PayloadCrc> payloads) {
+    armed_stream_ = stream;
+    armed_payloads_ = payloads;
+  }
+  void disarm_payload_crcs() { arm_payload_crcs({}, {}); }
+  /// Payload runs that took their recorded CRC state: host work saved, the
+  /// configuration state the same either way.
+  [[nodiscard]] std::int64_t recorded_runs() const { return recorded_runs_; }
 
   /// Reset the state machine (does not touch configuration memory).
   void reset();
@@ -88,6 +113,8 @@ class IcapController : public bus::Slave {
   [[nodiscard]] bool readback_armed() const { return readback_; }
   /// The frame address register: where the next FDRI frame lands.
   [[nodiscard]] fabric::FrameAddress far() const { return far_; }
+  /// The CRC accumulator: what the next CRC packet is checked against.
+  [[nodiscard]] const bitstream::Crc32& crc() const { return crc_; }
 
   /// Readback path: the next FDRO word at the current frame address
   /// (advances through the frame, then to the next frame in scan order).
@@ -103,6 +130,9 @@ class IcapController : public bus::Slave {
 
   void handle_register_write(bitstream::ConfigReg reg, std::uint32_t w);
   void fail();
+  /// The armed after-state for `run`, when it is exactly an armed payload
+  /// entered in its before-state; false (and no change) otherwise.
+  bool take_recorded_crc(std::span<const std::uint32_t> run);
 
   sim::Simulation* sim_;
   sim::Clock* clock_;
@@ -122,6 +152,10 @@ class IcapController : public bus::Slave {
   int readback_word_idx_ = 0;
   std::vector<std::uint32_t> frame_buf_;
   bitstream::Crc32 crc_;
+
+  std::span<const std::uint32_t> armed_stream_;
+  std::span<const bitstream::PayloadCrc> armed_payloads_;
+  std::int64_t recorded_runs_ = 0;
 
   std::int64_t frames_written_ = 0;
   std::int64_t words_consumed_ = 0;

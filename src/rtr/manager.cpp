@@ -84,7 +84,7 @@ bool ModuleManagerBase::verify_and_scrub_residents(int dock_width) {
       counter("rtr.recovery.scrubs").add();
       mark("probe_scrub");
       std::string err;
-      PlanCache scratch{1};
+      PlanCache scratch;
       PlanCache& plans = cache_enabled_ ? cache_ : scratch;
       const PlanCache::Plan* plan =
           plans.complete(p_->linker(a), id, dock_width, &err, nullptr, a);
@@ -153,7 +153,7 @@ EnsureStats ModuleManagerBase::ensure_impl(hw::BehaviorId id, int dock_width) {
 
   // Scratch store for the disabled-cache baseline: the same builders run,
   // but every plan is rebuilt from scratch and dropped afterwards.
-  PlanCache scratch{1};
+  PlanCache scratch;
   PlanCache& plans = cache_enabled_ ? cache_ : scratch;
 
   if (differential_ && st.have_base && !degraded_) {
@@ -269,7 +269,7 @@ EnsureStats ModuleManagerBase::finish_load(hw::BehaviorId id, int dock_width,
       counter("rtr.recovery.scrubs").add();
       mark("scrub");
       std::string scrub_err;
-      PlanCache scratch{1};
+      PlanCache scratch;
       PlanCache& plans = cache_enabled_ ? cache_ : scratch;
       const PlanCache::Plan* plan = plans.complete(
           p_->linker(area), id, dock_width, &scrub_err, nullptr, area);

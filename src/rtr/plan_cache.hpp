@@ -30,12 +30,22 @@
 // records the behaviour it binds, the behaviour it assumes resident and
 // the payload hash BitLinker embedded in the target's image, so the
 // platform can bind a clean load of it onto the image it assumes without
-// re-walking the area (Platform::load_plan).
+// re-walking the area (Platform::load_plan). It also records the CRC
+// states its stream passes through around each FDRI payload, which the
+// ICAP takes instead of a CRC pass when the plan streams in place.
+//
+// Nothing is evicted. Keys come from the behaviour registry, so with n
+// behaviours the cache holds at most n complete and n(n-1) differential
+// plans per (area, dock width), plus one error string per component that
+// does not link, so that it is linked once. On the XC2VP30 a differential
+// plan -- its configuration and its encoded stream -- takes 113-342 KB
+// (216 KB on average over swap_storm's five behaviours), a complete one
+// 782 KB.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,34 +64,39 @@ class PlanCache {
   struct Plan {
     bitstream::PartialConfig config;
     std::vector<std::uint32_t> words;  // bitstream::serialize(config)
+    std::vector<bitstream::PayloadCrc> crcs;  // ... and its payload CRCs
     std::int64_t payload_bytes = 0;
     int target = -1;  // the behaviour a load binds
     int base = -1;    // the behaviour it assumes resident; -1: complete
     std::uint32_t hash = 0;  // target's payload hash, as its signature says
   };
 
-  /// `diff_capacity` bounds the differential-plan LRU (complete plans are
-  /// one per (behavior, dock_width) -- a handful -- and never evicted).
-  explicit PlanCache(std::size_t diff_capacity = kDefaultDiffCapacity)
-      : diff_capacity_(diff_capacity) {}
+  /// What complete() memoizes: `id`'s component linked against `linker`'s
+  /// region and encoded. Empty (and sets *error) when the link fails.
+  [[nodiscard]] static std::optional<Plan> build_complete(
+      const bitlinker::BitLinker& linker, hw::BehaviorId id, int dock_width,
+      std::string* error);
 
-  static constexpr std::size_t kDefaultDiffCapacity = 16;
+  /// What differential() memoizes: the frame diff of two complete plans of
+  /// one area, encoded.
+  [[nodiscard]] static Plan build_differential(const Plan& from,
+                                               const Plan& to);
 
-  /// Memoized complete plan for (id, dock_width, area): BitLinker assembly
-  /// + packet encoding, built on first use. Plans are area-specific -- the
-  /// linker relocates the component into its own region, so the same
-  /// behaviour yields different words per area; the caller passes the
-  /// linker of the keyed area. Returns null (and sets *error) when the
-  /// link fails; *hit reports whether the plan was already cached.
+  /// Memoized complete plan for (id, dock_width, area), built on first
+  /// use. Plans are area-specific -- the linker relocates the component
+  /// into its own region, so the same behaviour yields different words per
+  /// area; the caller passes the linker of the keyed area. Returns null
+  /// (and sets *error) when the link fails, which is remembered too;
+  /// *hit reports whether a plan was already cached (a remembered failure
+  /// is a miss).
   const Plan* complete(const bitlinker::BitLinker& linker, hw::BehaviorId id,
                        int dock_width, std::string* error, bool* hit,
                        int area = 0);
 
-  /// Memoized differential plan `from` -> `to` (LRU, keyed per dock width
-  /// and area), diffed frame by frame from the two complete plans. The
-  /// caller is responsible for generation-tag validation (a cached
-  /// differential is only safe while the area still holds the pure
-  /// post-`from` state).
+  /// Memoized differential plan `from` -> `to` (keyed per dock width and
+  /// area), diffed frame by frame from the two complete plans. The caller
+  /// is responsible for generation-tag validation (a cached differential
+  /// is only safe while the area still holds the pure post-`from` state).
   const Plan* differential(const bitlinker::BitLinker& linker,
                            hw::BehaviorId from, hw::BehaviorId to,
                            int dock_width, std::string* error, bool* hit,
@@ -90,7 +105,9 @@ class PlanCache {
   void clear();
   [[nodiscard]] std::size_t complete_plans() const { return complete_.size(); }
   [[nodiscard]] std::size_t diff_plans() const { return diff_.size(); }
-  [[nodiscard]] std::int64_t evictions() const { return evictions_; }
+  /// BitLinker links run so far: one per complete key ever asked for,
+  /// whether it linked or not.
+  [[nodiscard]] std::int64_t links() const { return links_; }
 
  private:
   struct DiffKey {
@@ -102,10 +119,6 @@ class PlanCache {
       return area < o.area;
     }
   };
-  struct DiffEntry {
-    Plan plan;
-    std::list<DiffKey>::iterator lru_pos;
-  };
 
   struct CompleteKey {
     int behavior, width, area;
@@ -116,11 +129,10 @@ class PlanCache {
     }
   };
 
-  std::size_t diff_capacity_;
   std::map<CompleteKey, Plan> complete_;
-  std::map<DiffKey, DiffEntry> diff_;
-  std::list<DiffKey> lru_;  // front = most recently used
-  std::int64_t evictions_ = 0;
+  std::map<CompleteKey, std::string> failed_;  // the link error
+  std::map<DiffKey, Plan> diff_;
+  std::int64_t links_ = 0;
 };
 
 }  // namespace rtr

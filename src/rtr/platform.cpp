@@ -278,13 +278,6 @@ ReconfigStats Platform::load_stream(std::span<const std::uint32_t> words,
   return stream_load(words, config_bytes, differential, area, /*dma=*/false);
 }
 
-ReconfigStats Platform::load_stream_dma(std::span<const std::uint32_t> words,
-                                        std::int64_t config_bytes,
-                                        bool differential, int area) {
-  if (!has_dma()) return no_dma();
-  return stream_load(words, config_bytes, differential, area, /*dma=*/true);
-}
-
 ReconfigStats Platform::load_plan(const PlanCache::Plan& plan, int area,
                                   bool dma) {
   if (dma && !has_dma()) return no_dma();
@@ -380,9 +373,15 @@ ReconfigStats Platform::stream_load(std::span<const std::uint32_t> words,
   cpu_->store32(icap_base + icap::IcapController::kControlReg, 1);
   bool streamed = true;
   if (!dma) {
+    // The plan's own words carry the CRC states serialize() recorded; a
+    // copy (for a fault plan to corrupt) does not.
+    if (plan != nullptr && words.data() == plan->words.data()) {
+      icap_->arm_payload_crcs(words, plan->crcs);
+    }
     const std::int64_t n =
         detail::icap_load_bulk(*kernel_, words, staging, *icap_,
                                load_deadline_);
+    icap_->disarm_payload_crcs();
     if (n < stats.stream_words) {
       // Watchdog abort: the partial stream never reaches the done state;
       // the next load's ICAP reset discards it.

@@ -335,7 +335,8 @@ class Platform {
                             int area = 0);
 
   /// Load a cached plan into `area` (the ModuleManager's loads): as
-  /// load_stream, or with `dma` as load_stream_dma. The platform keeps, per
+  /// load_stream, or with `dma` by one DMA descriptor as load_module_dma
+  /// does (on a spec without DMA, a typed error). The platform keeps, per
   /// area, the behaviour whose image a plan load last bound and the area
   /// generation then. A clean load -- no fault plan armed, the ICAP done --
   /// of a complete plan, or of a differential whose base that record names
@@ -344,7 +345,10 @@ class Platform {
   /// plan's, without re-walking the area. Every other load re-walks it
   /// (ReconfigStats::rehashed). A failed load clears its area's record; a
   /// raw load, whose stream may carry a valid signature over other content
-  /// and write any area's columns, clears every area's.
+  /// and write any area's columns, clears every area's. A PIO load that
+  /// streams the plan's words in place (no fault plan armed, so nothing
+  /// copies them) arms the ICAP with the plan's payload CRC states, so that
+  /// each whole payload takes no CRC pass (IcapController::arm_payload_crcs).
   ReconfigStats load_plan(const PlanCache::Plan& plan, int area,
                           bool dma = false);
 
@@ -354,13 +358,6 @@ class Platform {
   /// signalled by interrupt. Approaches the ICAP throughput bound. On a
   /// spec without DMA it returns a typed error and touches nothing.
   ReconfigStats load_module_dma(hw::BehaviorId id);
-
-  /// The DMA path for a pre-encoded stream (cached plan): identical
-  /// deadline, padding, fault-injection and interrupt behaviour to
-  /// load_module_dma, minus the link/encode work. `area` as load_stream.
-  ReconfigStats load_stream_dma(std::span<const std::uint32_t> words,
-                                std::int64_t config_bytes, bool differential,
-                                int area = 0);
 
   /// Invalidate generation-tagged assumptions about the fabric (cached
   /// differential plans) without altering its content. Used by the

@@ -280,7 +280,7 @@ struct Plans {
   int area;
   ConfigMemory baseline{region.device()};
   BitLinker linker{region, ConnectionInterface::for_width(width), baseline};
-  PlanCache cache{64};
+  PlanCache cache{};
 
   const PlanCache::Plan* complete(hw::BehaviorId id) {
     return cache.complete(linker, id, width, nullptr, nullptr, area);
@@ -325,6 +325,62 @@ TEST(IcapFeed, EveryModulePairCompleteAndDifferential) {
           EXPECT_TRUE(got.icap.done());
         }
       }
+    }
+  }
+}
+
+TEST(Serialize, RecordsTheIcapCrcAtEveryPayloadBoundary) {
+  // Every plan a platform can build: each behaviour's complete plan and
+  // every ordered differential pair, in each layout. A fresh ICAP fed the
+  // stream word by word must hold each recorded state at its boundary.
+  Plans layouts[] = {{DynamicRegion::xc2vp7_region(), 32, 0},
+                     {DynamicRegion::xc2vp30_region(), 64, 0},
+                     {DynamicRegion::xc2vp30_region_b(), 64, 1}};
+  for (Plans& plans : layouts) {
+    const Device& dev = plans.region.device();
+    const std::vector<hw::BehaviorId> ids = plans.fitting();
+    ASSERT_GE(ids.size(), 4u);
+    std::vector<std::pair<std::string, const PlanCache::Plan*>> all;
+    for (hw::BehaviorId from : ids) {
+      all.emplace_back(hw::task_name(from), plans.complete(from));
+      for (hw::BehaviorId to : ids) {
+        if (from == to) continue;
+        all.emplace_back(std::string(hw::task_name(from)) + " -> " +
+                             hw::task_name(to),
+                         plans.differential(from, to));
+      }
+    }
+    for (const auto& [name, plan] : all) {
+      SCOPED_TRACE(dev.name() + " area " + std::to_string(plans.area) + ": " +
+                   name);
+      ASSERT_NE(plan, nullptr);
+      const std::vector<bitstream::PayloadCrc>& crcs = plan->crcs;
+      const std::vector<bitstream::FrameRun>& runs = plan->config.runs();
+      ASSERT_EQ(crcs.size(), runs.size());
+      Rig rig{dev};
+      std::size_t next = 0;  // the payload whose boundaries come next
+      for (std::size_t i = 0; i < plan->words.size(); ++i) {
+        if (next < crcs.size() && crcs[next].first == i) {
+          // The payload follows its type-2 header and is the run's words.
+          EXPECT_EQ(plan->words[i - 2], kFdriLong);
+          EXPECT_EQ(crcs[next].words, runs[next].words.size());
+          EXPECT_TRUE(std::equal(runs[next].words.begin(),
+                                 runs[next].words.end(),
+                                 plan->words.begin() +
+                                     static_cast<std::ptrdiff_t>(i)));
+          EXPECT_EQ(rig.icap.crc().value(), crcs[next].before.value())
+              << "payload " << next;
+        }
+        rig.icap.feed_word(plan->words[i]);
+        if (next < crcs.size() &&
+            crcs[next].first + crcs[next].words == i + 1) {
+          EXPECT_EQ(rig.icap.crc().value(), crcs[next].after.value())
+              << "payload " << next;
+          ++next;
+        }
+      }
+      EXPECT_EQ(next, crcs.size());
+      EXPECT_TRUE(rig.icap.done());
     }
   }
 }

@@ -177,10 +177,12 @@ TEST(Platform32Test, DmaIsATypedError) {
   hw::HwModule* const bound = p.active_module();
   const std::string stats = stats_export(p);
   const ReconfigStats by_id = p.load_module_dma(hw::kFade);
-  const std::vector<std::uint32_t> words(64, 0);
-  const ReconfigStats by_stream =
-      p.load_stream_dma(words, 0, /*differential=*/false);
-  for (const ReconfigStats& s : {by_id, by_stream}) {
+  PlanCache plans;
+  const PlanCache::Plan* plan =
+      plans.complete(p.linker(), hw::kFade, p.dock_width(), nullptr, nullptr);
+  ASSERT_NE(plan, nullptr);
+  const ReconfigStats by_plan = p.load_plan(*plan, 0, /*dma=*/true);
+  for (const ReconfigStats& s : {by_id, by_plan}) {
     EXPECT_FALSE(s.ok);
     EXPECT_NE(s.error.find("no DMA engine"), std::string::npos) << s.error;
   }

@@ -3,6 +3,9 @@
 // modules loaded through differentials.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "apps/drivers.hpp"
 #include "apps/golden.hpp"
 #include "apps/memio.hpp"
@@ -321,6 +324,86 @@ TEST(PlanCache, PlanDiffRejectsConfigurationsOfDifferentFrames) {
   EXPECT_DEATH((void)bitstream::PartialConfig::diff(a, b), "different frames");
 }
 
+TEST(PlanCache, EveryOrderedPairMissesOnce) {
+  // swap_storm's five behaviours on the XC2VP30. Four Hamiltonian cycles
+  // of the five (steps 1-4 from jenkins) are one closed walk over all 20
+  // ordered pairs; three rounds of it must build each differential once.
+  Platform64 p;
+  ModuleManager mgr{p};
+  constexpr hw::BehaviorId kMix[] = {hw::kJenkinsHash, hw::kBrightness,
+                                     hw::kBlendAdd, hw::kFade,
+                                     hw::kPatternMatcher};
+  constexpr std::size_t n = std::size(kMix);
+  std::vector<hw::BehaviorId> walk;
+  for (std::size_t step = 1; step < n; ++step) {
+    for (std::size_t i = 0; i < n; ++i) walk.push_back(kMix[i * step % n]);
+  }
+  ASSERT_TRUE(mgr.ensure(walk.front(), 64).ok);  // a complete-plan miss
+  std::set<std::pair<int, int>> pairs;
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 1; i <= walk.size(); ++i) {
+      const hw::BehaviorId from = walk[i - 1];
+      const hw::BehaviorId to = walk[i % walk.size()];
+      const EnsureStats s = mgr.ensure(to, 64);
+      ASSERT_TRUE(s.ok) << s.error;
+      EXPECT_TRUE(s.used_differential);
+      EXPECT_EQ(s.plan_cached, round > 0)
+          << hw::task_name(from) << " -> " << hw::task_name(to);
+      pairs.emplace(from, to);
+    }
+  }
+  EXPECT_EQ(pairs.size(), n * (n - 1));
+  EXPECT_EQ(mgr.plan_cache().diff_plans(), n * (n - 1));
+  EXPECT_EQ(mgr.plan_cache().complete_plans(), n);
+  EXPECT_EQ(mgr.plan_cache().links(), static_cast<std::int64_t>(n));
+  sim::StatRegistry& stats = p.sim().stats();
+  EXPECT_EQ(stats.counter("rtr.plan_cache.misses").value(),
+            static_cast<std::int64_t>(1 + n * (n - 1)));
+  EXPECT_EQ(stats.counter("rtr.plan_cache.hits").value(),
+            static_cast<std::int64_t>(2 * n * (n - 1)));
+}
+
+TEST(PlanCache, FailedLinkIsLinkedOnceAndStillAMiss) {
+  // SHA-1 does not fit the XC2VP7's area: its link error is remembered.
+  Platform32 p;
+  PlanCache cache;
+  std::string first;
+  bool hit = true;
+  EXPECT_EQ(cache.complete(p.linker(), hw::kSha1, 32, &first, &hit), nullptr);
+  EXPECT_FALSE(hit);
+  EXPECT_NE(first.find("does not fit"), std::string::npos) << first;
+  for (int i = 0; i < 3; ++i) {
+    std::string again;
+    hit = true;
+    EXPECT_EQ(cache.complete(p.linker(), hw::kSha1, 32, &again, &hit),
+              nullptr);
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(again, first);
+    again.clear();
+    EXPECT_EQ(cache.differential(p.linker(), hw::kBrightness, hw::kSha1, 32,
+                                 &again, &hit),
+              nullptr);
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(again, first);
+  }
+  EXPECT_EQ(cache.links(), 2);  // SHA-1 once, brightness once
+  EXPECT_EQ(cache.complete_plans(), 1u);
+  EXPECT_EQ(cache.diff_plans(), 0u);
+
+  // Through the manager: every ensure fails with the error and counts a
+  // miss, and SHA-1 is linked once.
+  ModuleManager mgr{p};
+  ASSERT_TRUE(mgr.ensure(hw::kBrightness, 32).ok);
+  for (int i = 0; i < 3; ++i) {
+    const EnsureStats s = mgr.ensure(hw::kSha1, 32);
+    EXPECT_FALSE(s.ok);
+    EXPECT_EQ(s.error, first);
+  }
+  EXPECT_EQ(mgr.plan_cache().links(), 2);
+  EXPECT_EQ(p.sim().stats().counter("rtr.plan_cache.misses").value(), 4);
+  EXPECT_EQ(p.sim().stats().counter("rtr.plan_cache.hits").value(), 0);
+}
+
 // --- the validation shortcut against the reference walk ---------------------
 
 /// Seeded random plan loads, ensures and fabric perturbations on one
@@ -541,7 +624,7 @@ class ShortcutOracle {
   bool faults_;
   std::vector<bool> stale_;  // per area: its proven record cannot hold
   sim::Rng rng_;
-  PlanCache plans_{64};
+  PlanCache plans_;
 };
 
 TEST(LoadValidation, ShortcutAgreesWithTheWalk) {

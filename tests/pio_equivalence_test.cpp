@@ -388,7 +388,7 @@ class Layout {
   int areas_;
   int area_;
   Platform planner_;
-  PlanCache plans_{64};
+  PlanCache plans_;
 };
 
 void every_driver(const SystemSpec& spec, int areas, int area) {

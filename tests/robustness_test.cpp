@@ -207,7 +207,9 @@ TEST(ManagerDegrade, RepeatedDiffFailuresDegradeToCompleteOnly) {
   ASSERT_TRUE(mgr.ensure(hw::kBrightness, 32).ok);
 
   // Rewrite a frame the differentials never touch, behind the manager's
-  // back: only the payload-hash gate can catch the stale assumption.
+  // back. The write moves the generation tag, so the manager refuses the
+  // differential before loading it; had it loaded, the payload-hash walk
+  // would have refused to bind.
   auto poke = [&p] {
     std::vector<std::uint32_t> junk(
         static_cast<std::size_t>(p.fabric_state().words_per_frame()), 0x77777);
@@ -220,12 +222,17 @@ TEST(ManagerDegrade, RepeatedDiffFailuresDegradeToCompleteOnly) {
     }
   };
 
+  const auto gen_invalidations = [&p] {
+    return p.sim().stats().counter("rtr.plan_cache.gen_invalidations").value();
+  };
+
   poke();
   const auto s1 = mgr.ensure(hw::kFade, 32);
   ASSERT_TRUE(s1.ok) << s1.error;
   EXPECT_TRUE(s1.fell_back);
   EXPECT_FALSE(s1.degraded);
   EXPECT_FALSE(mgr.degraded());
+  EXPECT_EQ(gen_invalidations(), 1);
 
   poke();
   const auto s2 = mgr.ensure(hw::kBrightness, 32);
@@ -233,6 +240,7 @@ TEST(ManagerDegrade, RepeatedDiffFailuresDegradeToCompleteOnly) {
   EXPECT_TRUE(s2.fell_back);
   EXPECT_TRUE(s2.degraded);  // second consecutive diff failure trips it
   EXPECT_TRUE(mgr.degraded());
+  EXPECT_EQ(gen_invalidations(), 2);
 
   // Degraded: the next swap goes straight to the complete path without
   // even attempting (and paying for) a differential.

@@ -6,8 +6,14 @@
 // cover every ordered module pair on the XC2VP7, the XC2VP30 and the
 // XC2VP30's second area, complete and differential plans, and watchdog
 // deadlines on and around the word boundaries.
+//
+// Then the recorded payload CRCs (PayloadCrcs.*): a cached plan streamed in
+// place takes the CRC states serialize() recorded instead of a CRC pass,
+// and must leave exactly the state the same load leaves when streamed from
+// a copy of its words.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -217,7 +223,7 @@ class Streams {
   int areas_;
   int area_;
   Platform planner_;
-  PlanCache plans_{64};
+  PlanCache plans_;
 };
 
 void every_pair(const SystemSpec& spec, int areas, int area,
@@ -383,6 +389,317 @@ TEST(StreamEquivalence, TracedRunsAgreeWithUntraced) {
       s.run(*resident, plan->words, SimTime{}, Path::kBulk, &tr);
   EXPECT_GT(tr.size(), plan->words.size());
   expect_same(traced, s.run(*resident, plan->words, SimTime{}, Path::kBulk));
+}
+
+// --- recorded payload CRCs against the CRC pass -----------------------------
+
+/// What a load leaves that the ICAP's CRC could reach: the load's outcome,
+/// the ICAP's CRC, status bits, FAR and counters, the fabric and every
+/// exported statistic.
+struct LoadState {
+  ReconfigStats load;
+  std::uint32_t crc = 0;
+  bool synced = false;
+  bool error = false;
+  bool done = false;
+  bool readback = false;
+  std::uint32_t far = 0;
+  std::int64_t frames = 0;
+  std::int64_t words = 0;
+  std::vector<std::uint32_t> fabric;
+  std::string stats;
+};
+
+LoadState load_state(Platform& p, const ReconfigStats& load) {
+  const icap::IcapController& icap = p.icap_ctl();
+  LoadState s{load,           icap.crc().value(),  icap.synced(),
+              icap.error(),   icap.done(),         icap.readback_armed(),
+              icap.far().pack(), icap.frames_written(), icap.words_consumed(),
+              p.fabric_state().snapshot(), {}};
+  std::ostringstream os;
+  p.sim().stats().export_json(os);
+  s.stats = os.str();
+  return s;
+}
+
+void expect_same(const LoadState& ref, const LoadState& got) {
+  EXPECT_EQ(got.load.ok, ref.load.ok);
+  EXPECT_EQ(got.load.watchdog, ref.load.watchdog);
+  EXPECT_EQ(got.load.error, ref.load.error);
+  EXPECT_EQ(got.load.started, ref.load.started);
+  EXPECT_EQ(got.load.finished, ref.load.finished);
+  EXPECT_EQ(got.load.stream_words, ref.load.stream_words);
+  EXPECT_EQ(got.load.config_bytes, ref.load.config_bytes);
+  EXPECT_EQ(got.load.rehashed, ref.load.rehashed);
+  EXPECT_EQ(got.crc, ref.crc);
+  EXPECT_EQ(got.synced, ref.synced);
+  EXPECT_EQ(got.error, ref.error);
+  EXPECT_EQ(got.done, ref.done);
+  EXPECT_EQ(got.readback, ref.readback);
+  EXPECT_EQ(got.far, ref.far);
+  EXPECT_EQ(got.frames, ref.frames);
+  EXPECT_EQ(got.words, ref.words);
+  EXPECT_TRUE(got.fabric == ref.fabric) << "configuration frames differ";
+  EXPECT_EQ(got.stats, ref.stats);
+}
+
+/// Two platforms driven through the same seeded plan loads. `got_` loads
+/// each cached plan itself; `ref_` loads a copy of it whose words are a
+/// copy and which carries no recorded CRC states, so its ICAP runs the CRC
+/// pass over every payload.
+class CrcTwins {
+ public:
+  CrcTwins(int system, int areas, const char* fault_spec, std::uint64_t seed)
+      : got_(SystemSpec::of(system), options(areas, fault_spec)),
+        ref_(SystemSpec::of(system), options(areas, fault_spec)),
+        faults_(fault_spec != nullptr),
+        rng_(seed) {}
+
+  void run(int steps) {
+    for (int step = 0; step < steps && !::testing::Test::HasFailure();
+         ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const int area = static_cast<int>(rng_.below(
+          static_cast<std::uint64_t>(got_.area_count())));
+      const hw::BehaviorId to = pick(area);
+      const int held = held_in(area);
+      // Mostly a differential from what the area holds, sometimes from a
+      // wrong base, sometimes complete.
+      const PlanCache::Plan* plan = complete(area, to);
+      const std::uint64_t kind = rng_.below(4);
+      if (kind != 0) {
+        const int base = held >= 0 && held != to && kind != 3
+                             ? held
+                             : static_cast<int>(pick(area, to));
+        plan = plans_.differential(got_.linker(area),
+                                   static_cast<hw::BehaviorId>(base), to,
+                                   got_.dock_width(), nullptr, nullptr, area);
+      }
+      ASSERT_NE(plan, nullptr);
+      const bool dma = got_.has_dma() && rng_.below(4) == 0;
+      // One load in three races a watchdog that may cut it anywhere.
+      const SimTime cut = rng_.below(3) == 0
+                              ? SimTime::from_us(
+                                    static_cast<std::int64_t>(rng_.below(3000)))
+                              : SimTime{};
+      load(*plan, area, dma, cut);
+    }
+  }
+
+  std::int64_t recorded = 0;  // payload runs that took their recorded state
+
+ private:
+  static PlatformOptions options(int areas, const char* fault_spec) {
+    PlatformOptions o;
+    o.dynamic_areas = areas;
+    if (fault_spec != nullptr) {
+      fault::FaultSpec spec;
+      RTR_CHECK(fault::FaultSpec::parse(fault_spec, &spec), "bad fault spec");
+      o.fault_plan.add(spec);
+    }
+    return o;
+  }
+
+  int held_in(int area) {
+    const hw::HwModule* m = got_.area_module(area);
+    return m == nullptr ? -1 : m->behavior_id();
+  }
+  const PlanCache::Plan* complete(int area, hw::BehaviorId id) {
+    return plans_.complete(got_.linker(area), id, got_.dock_width(), nullptr,
+                           nullptr, area);
+  }
+  /// A behaviour that links into `area`, other than `not_this`.
+  hw::BehaviorId pick(int area, int not_this = -1) {
+    static constexpr hw::BehaviorId kIds[] = {
+        hw::kPatternMatcher, hw::kJenkinsHash, hw::kSha1,
+        hw::kBrightness,     hw::kBlendAdd,    hw::kFade};
+    for (;;) {
+      const hw::BehaviorId id = kIds[rng_.below(std::size(kIds))];
+      if (id != not_this && complete(area, id) != nullptr) return id;
+    }
+  }
+
+  void load(const PlanCache::Plan& plan, int area, bool dma, SimTime cut) {
+    SCOPED_TRACE(std::string("plan -> ") +
+                 hw::task_name(static_cast<hw::BehaviorId>(plan.target)) +
+                 " base " + std::to_string(plan.base) + " into area " +
+                 std::to_string(area) + (dma ? " by DMA" : "") + ", cut " +
+                 std::to_string(cut.ps()) + " ps");
+    const PlanCache::Plan copy{plan.config, plan.words,  {},
+                               plan.payload_bytes, plan.target, plan.base,
+                               plan.hash};
+    const std::int64_t runs_before = got_.icap_ctl().recorded_runs();
+    const std::int64_t words_before = got_.icap_ctl().words_consumed();
+    if (cut.ps() > 0) {
+      got_.set_load_deadline(got_.kernel().now() + cut);
+      ref_.set_load_deadline(ref_.kernel().now() + cut);
+    }
+    const ReconfigStats g = got_.load_plan(plan, area, dma);
+    const ReconfigStats r = ref_.load_plan(copy, area, dma);
+    got_.set_load_deadline(SimTime{});
+    ref_.set_load_deadline(SimTime{});
+    expect_same(load_state(ref_, r), load_state(got_, g));
+    EXPECT_EQ(ref_.icap_ctl().recorded_runs(), 0);
+
+    // Every payload a clean PIO load streamed whole from the plan's own
+    // words takes its recorded state; nothing else does.
+    const std::int64_t streamed =
+        got_.icap_ctl().words_consumed() - words_before;
+    std::int64_t want = 0;
+    if (!faults_ && !dma) {
+      for (const bitstream::PayloadCrc& c : plan.crcs) {
+        if (static_cast<std::int64_t>(c.first + c.words) <= streamed) ++want;
+      }
+    }
+    const std::int64_t used = got_.icap_ctl().recorded_runs() - runs_before;
+    EXPECT_EQ(used, want);
+    recorded += used;
+  }
+
+  Platform got_;
+  Platform ref_;
+  bool faults_;
+  sim::Rng rng_;
+  PlanCache plans_;
+};
+
+/// An ICAP over its own blank fabric, fed directly.
+struct IcapRig {
+  sim::Simulation sim;
+  sim::Clock& clk = sim.add_clock("icap", sim::Frequency::from_mhz(100));
+  fabric::ConfigMemory fabric;
+  icap::IcapController icap;
+  explicit IcapRig(const fabric::Device& dev)
+      : fabric{dev}, icap{sim, clk, {0x4100'0000, 0x1000}, fabric} {}
+};
+
+void expect_same(const IcapRig& ref, const IcapRig& got) {
+  EXPECT_EQ(got.icap.crc().value(), ref.icap.crc().value());
+  EXPECT_EQ(got.icap.synced(), ref.icap.synced());
+  EXPECT_EQ(got.icap.error(), ref.icap.error());
+  EXPECT_EQ(got.icap.done(), ref.icap.done());
+  EXPECT_EQ(got.icap.far().pack(), ref.icap.far().pack());
+  EXPECT_EQ(got.icap.frames_written(), ref.icap.frames_written());
+  EXPECT_EQ(got.icap.words_consumed(), ref.icap.words_consumed());
+  EXPECT_EQ(fabric::ConfigMemory::diff_frames(got.fabric, ref.fabric), 0);
+}
+
+/// Feeds `pieces` of words to an ICAP armed with `plan`'s stream and
+/// states and to an unarmed one; both must end alike, with `want` payload
+/// runs taking their recorded state.
+void feed_twins(const PlanCache::Plan& plan,
+                const std::vector<std::span<const std::uint32_t>>& pieces,
+                std::int64_t want) {
+  const fabric::Device& dev = plan.config.device();
+  IcapRig ref{dev};
+  IcapRig got{dev};
+  got.icap.arm_payload_crcs(plan.words, plan.crcs);
+  for (const auto piece : pieces) {
+    ref.icap.feed(piece);
+    got.icap.feed(piece);
+  }
+  expect_same(ref, got);
+  EXPECT_EQ(got.icap.recorded_runs(), want);
+}
+
+TEST(PayloadCrcs, RecordedStatesEqualTheCrcPass) {
+  // Seeded plan loads, complete and differential, PIO and DMA, some cut by
+  // the watchdog, on both systems with one and two areas, fault-free and
+  // under storage and ICAP fault plans.
+  struct Case {
+    int system;
+    int areas;
+    const char* faults;
+  };
+  const Case cases[] = {{32, 1, nullptr},
+                        {64, 1, nullptr},
+                        {64, 2, nullptr},
+                        {32, 1, "storage:every@3:5"},
+                        {64, 2, "storage:every@4:9"},
+                        {32, 1, "icap:every@40009:3"},
+                        {64, 1, "icap:every@20011:7"}};
+  for (const Case& c : cases) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      SCOPED_TRACE("system " + std::to_string(c.system) + ", " +
+                   std::to_string(c.areas) + " areas, faults " +
+                   (c.faults ? c.faults : "none") + ", seed " +
+                   std::to_string(seed));
+      CrcTwins twins{c.system, c.areas, c.faults, seed};
+      twins.run(30);
+      if (HasFailure()) return;
+      if (c.faults == nullptr) {
+        EXPECT_GT(twins.recorded, 0);
+      } else {
+        EXPECT_EQ(twins.recorded, 0);
+      }
+    }
+  }
+
+  // Fed straight to an ICAP: the recorded state stands in for exactly one
+  // whole payload of the armed stream itself, entered in its before-state.
+  for (const SystemSpec* spec : {&SystemSpec::k32, &SystemSpec::k64}) {
+    Streams s(*spec, 1, 0);
+    for (const PlanCache::Plan* plan :
+         {s.complete(hw::kFade), s.differential(hw::kBrightness, hw::kFade),
+          s.differential(hw::kJenkinsHash, hw::kBlendAdd)}) {
+      ASSERT_NE(plan, nullptr);
+      const std::span<const std::uint32_t> words = plan->words;
+      const std::vector<bitstream::PayloadCrc>& crcs = plan->crcs;
+      const auto all = static_cast<std::int64_t>(crcs.size());
+      SCOPED_TRACE(std::string(spec == &SystemSpec::k32 ? "32: " : "64: ") +
+                   hw::task_name(static_cast<hw::BehaviorId>(plan->target)) +
+                   " base " +
+                   std::to_string(plan->base));
+      ASSERT_GE(all, 1);
+      {
+        SCOPED_TRACE("the stream whole");
+        feed_twins(*plan, {words}, all);
+      }
+      {
+        SCOPED_TRACE("a copy of the stream");
+        const std::vector<std::uint32_t> copy = plan->words;
+        feed_twins(*plan, {copy}, 0);
+      }
+      sim::Rng rng{plan->words.size()};
+      for (int round = 0; round < 20; ++round) {
+        SCOPED_TRACE("random pieces, round " + std::to_string(round));
+        // Cuts anywhere, down to single words; a payload counts only when
+        // one piece holds it whole.
+        std::vector<std::span<const std::uint32_t>> pieces;
+        std::int64_t want = 0;
+        for (std::size_t at = 0; at < words.size();) {
+          const std::size_t n = std::min<std::size_t>(
+              words.size() - at, 1 + rng.below(words.size() / 2));
+          for (const bitstream::PayloadCrc& c : crcs) {
+            if (c.first >= at && c.first + c.words <= at + n) ++want;
+          }
+          pieces.push_back(words.subspan(at, n));
+          at += n;
+        }
+        feed_twins(*plan, pieces, want);
+      }
+      for (std::size_t k = 0; k < crcs.size(); ++k) {
+        SCOPED_TRACE("a command spliced in before payload " +
+                     std::to_string(k));
+        // A CMD NULL write is a valid packet, but it moves the CRC: every
+        // later payload is entered out of its recorded state, and the
+        // stream's CRC check must fail on both sides.
+        const std::uint32_t null_cmd[] = {
+            bitstream::make_type1(bitstream::Opcode::kWrite,
+                                  bitstream::ConfigReg::kCmd, 1),
+            static_cast<std::uint32_t>(bitstream::Command::kNull)};
+        const std::size_t at = crcs[k].first - 2;  // the FDRI header
+        feed_twins(*plan,
+                   {words.first(at), null_cmd, words.subspan(at)},
+                   static_cast<std::int64_t>(k));
+        IcapRig rig{plan->config.device()};
+        rig.icap.feed(words.first(at));
+        rig.icap.feed(null_cmd);
+        rig.icap.feed(words.subspan(at));
+        EXPECT_TRUE(rig.icap.error());
+      }
+    }
+  }
 }
 
 }  // namespace
