@@ -60,8 +60,8 @@ bool ModuleManagerBase::warm(hw::BehaviorId id, int dock_width) {
     return false;
   }
   const AreaState& st = areas_[static_cast<std::size_t>(area)];
-  if (differential_ && st.have_base && !degraded_ && st.resident >= 0 &&
-      st.resident != id && p_->area_generation(area) == st.gen) {
+  if (differential_ && !degraded_ && st.resident >= 0 && st.resident != id &&
+      p_->area_generation(area) == st.gen) {
     (void)cache_.differential(p_->linker(area),
                               static_cast<hw::BehaviorId>(st.resident), id,
                               dock_width, &err, nullptr, area);
@@ -79,7 +79,7 @@ bool ModuleManagerBase::verify_and_scrub_residents(int dock_width) {
                                        p_->spec().icap.base,
                                        p_->region(a));
     int scrubs = 0;
-    while (!rb.ok && scrubs < policy_.max_scrubs) {
+    while (!rb.ok && scrubs < kMaxScrubs) {
       ++scrubs;
       counter("rtr.recovery.scrubs").add();
       mark("probe_scrub");
@@ -156,7 +156,7 @@ EnsureStats ModuleManagerBase::ensure_impl(hw::BehaviorId id, int dock_width) {
   PlanCache scratch;
   PlanCache& plans = cache_enabled_ ? cache_ : scratch;
 
-  if (differential_ && st.have_base && !degraded_) {
+  if (differential_ && st.resident >= 0 && !degraded_) {
     if (p_->area_generation(area) != st.gen) {
       // Something outside the manager wrote the fabric (debugger poke,
       // injected fault, scrub) since residency was established: the
@@ -168,8 +168,7 @@ EnsureStats ModuleManagerBase::ensure_impl(hw::BehaviorId id, int dock_width) {
       res.fell_back = true;
       counter("rtr.recovery.fallbacks").add();
       mark("fallback:complete");
-      if (policy_.diff_failures_before_degrade > 0 &&
-          ++diff_failures_ >= policy_.diff_failures_before_degrade) {
+      if (++diff_failures_ >= kDiffFailuresBeforeDegrade) {
         degraded_ = true;
         res.degraded = true;
         counter("rtr.recovery.degraded").add();
@@ -206,8 +205,7 @@ EnsureStats ModuleManagerBase::ensure_impl(hw::BehaviorId id, int dock_width) {
       res.fell_back = true;
       counter("rtr.recovery.fallbacks").add();
       mark("fallback:complete");
-      if (policy_.diff_failures_before_degrade > 0 &&
-          ++diff_failures_ >= policy_.diff_failures_before_degrade) {
+      if (++diff_failures_ >= kDiffFailuresBeforeDegrade) {
         degraded_ = true;
         res.degraded = true;
         counter("rtr.recovery.degraded").add();
@@ -250,8 +248,7 @@ EnsureStats ModuleManagerBase::ensure_impl(hw::BehaviorId id, int dock_width) {
     ++res.retries;
     counter("rtr.recovery.retries").add();
     mark("retry");
-    p_->kernel().op(static_cast<std::int64_t>(policy_.backoff_cycles)
-                    << attempt);
+    p_->kernel().op(static_cast<std::int64_t>(kBackoffCycles) << attempt);
   }
 }
 
@@ -263,7 +260,7 @@ EnsureStats ModuleManagerBase::finish_load(hw::BehaviorId id, int dock_width,
     ReadbackStats rb =
         readback_verify(p_->kernel(), p_->spec().icap.base,
                         p_->region(area));
-    while (!rb.ok && res.scrubs < policy_.max_scrubs) {
+    while (!rb.ok && res.scrubs < kMaxScrubs) {
       detect(res, area);
       ++res.scrubs;
       counter("rtr.recovery.scrubs").add();
@@ -296,7 +293,6 @@ EnsureStats ModuleManagerBase::finish_load(hw::BehaviorId id, int dock_width,
   AreaState& st = areas_[static_cast<std::size_t>(area)];
   st.resident = id;
   st.gen = p_->area_generation(area);
-  st.have_base = true;
   if (multi()) {
     (void)placer_.place(id, module_footprint(id, dock_width));
   }

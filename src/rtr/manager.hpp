@@ -60,21 +60,22 @@ namespace rtr {
 struct RecoveryPolicy {
   /// Load attempts per ensure() before giving up (>= 1).
   int max_attempts = 3;
-  /// CPU cycles of backoff before retry `k` (scaled by 2^k): the driver
-  /// polls status, resets the ICAP and waits out transient upsets.
-  int backoff_cycles = 64;
-  /// Consecutive differential-load failures before the manager degrades to
-  /// complete configurations only (0 disables degradation).
-  int diff_failures_before_degrade = 2;
   /// Readback-verify the dynamic area after every successful load; on a
   /// hash mismatch, scrub (complete golden reload) and verify again.
   bool verify_after_load = false;
-  /// Scrub attempts before a verification failure becomes a giveup.
-  int max_scrubs = 2;
   /// Recover through the DMA load path when the platform has one
   /// (Platform::has_dma); ignored on a platform without DMA.
   bool use_dma = false;
 };
+
+/// CPU cycles of backoff before retry `k` (scaled by 2^k): the driver
+/// polls status, resets the ICAP and waits out transient upsets.
+inline constexpr int kBackoffCycles = 64;
+/// Consecutive differential-load failures before the manager degrades to
+/// complete configurations only.
+inline constexpr int kDiffFailuresBeforeDegrade = 2;
+/// Scrub attempts before a verification failure becomes a giveup.
+inline constexpr int kMaxScrubs = 2;
 
 struct EnsureStats {
   bool ok = false;
@@ -189,7 +190,7 @@ class ModuleManagerBase {
   /// Probation hook (fleet health, docs/FLEET_HEALTH.md): readback-verify
   /// every area that claims a resident module, scrubbing (complete golden
   /// reload) on mismatch exactly like the post-load verify path. An area
-  /// that still fails after max_scrubs is cleared so the next ensure
+  /// that still fails after kMaxScrubs is cleared so the next ensure
   /// rebuilds it from scratch. Returns true when every resident area ended
   /// up verified -- the gate a quarantined device must pass to re-enter
   /// the routing pool.
@@ -198,7 +199,6 @@ class ModuleManagerBase {
  private:
   struct AreaState {
     int resident = -1;      // behaviour hosted by this area, -1 when empty
-    bool have_base = false; // residency + generation tag are valid
     std::uint64_t gen = 0;  // area generation at which residency was set
   };
 

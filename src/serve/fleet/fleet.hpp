@@ -70,7 +70,7 @@ struct FleetOptions {
   /// quarantine-then-recover chaos scenario keys off this.
   int repair_at_epoch = -1;
   /// Per-shard SLO engines (serve/slo.hpp); burn alerts feed the health
-  /// score as w_slo_breach signals.
+  /// score as kSloBreachWeight signals.
   std::vector<SloSpec> slos;
   /// Optional tracer for the serial FLEET.health track (state transitions
   /// at epoch boundaries, stamped with stream time). Never attached to the

@@ -38,19 +38,19 @@ void HealthTracker::tick(int epoch, std::int64_t at_ps, FleetRouter& router,
     // EWMA-style integer fold: halve the old score, add this epoch's
     // weighted evidence, saturate.
     std::int64_t s = dv.score / 2;
-    s += static_cast<std::int64_t>(sig.fail_stops) * policy_.w_fail_stop;
-    s += static_cast<std::int64_t>(sig.giveups) * policy_.w_giveup;
-    s += static_cast<std::int64_t>(sig.watchdogs) * policy_.w_watchdog;
-    s += static_cast<std::int64_t>(sig.breaker_opens) * policy_.w_breaker_open;
-    s += static_cast<std::int64_t>(sig.detections) * policy_.w_detected;
-    s += static_cast<std::int64_t>(sig.slo_breaches) * policy_.w_slo_breach;
+    s += static_cast<std::int64_t>(sig.fail_stops) * kFailStopWeight;
+    s += static_cast<std::int64_t>(sig.giveups) * kGiveupWeight;
+    s += static_cast<std::int64_t>(sig.watchdogs) * kWatchdogWeight;
+    s += static_cast<std::int64_t>(sig.breaker_opens) * kBreakerOpenWeight;
+    s += static_cast<std::int64_t>(sig.detections) * kDetectedWeight;
+    s += static_cast<std::int64_t>(sig.slo_breaches) * kSloBreachWeight;
     dv.score = static_cast<int>(s < kScoreCap ? s : kScoreCap);
 
     const DeviceState from = dv.state;
     switch (dv.state) {
       case DeviceState::kHealthy:
       case DeviceState::kSuspect: {
-        if (dv.score >= policy_.quarantine_threshold) {
+        if (dv.score >= kQuarantineThreshold) {
           // Soft evidence never takes out the last available device --
           // degraded service beats no service. Hard fail-stop evidence
           // does: the device is refusing work anyway.
@@ -65,7 +65,7 @@ void HealthTracker::tick(int epoch, std::int64_t at_ps, FleetRouter& router,
             break;
           }
         }
-        dv.state = dv.score >= policy_.suspect_threshold
+        dv.state = dv.score >= kSuspectThreshold
                        ? DeviceState::kSuspect
                        : DeviceState::kHealthy;
         break;
@@ -76,7 +76,7 @@ void HealthTracker::tick(int epoch, std::int64_t at_ps, FleetRouter& router,
         dv.state = DeviceState::kDraining;
         break;
       case DeviceState::kDraining:
-        if (dv.score < policy_.suspect_threshold) {
+        if (dv.score < kSuspectThreshold) {
           // Probation gate: readback-verify-then-scrub every resident
           // area. A device that cannot even verify stays out (score reset
           // so it re-earns the gate after more decay).
@@ -85,9 +85,9 @@ void HealthTracker::tick(int epoch, std::int64_t at_ps, FleetRouter& router,
             dv.clean_epochs = 0;
             router.set_available(d, true);
             router.set_weight_penalty(
-                d, static_cast<std::size_t>(policy_.probation_penalty));
+                d, static_cast<std::size_t>(kProbationPenalty));
           } else {
-            dv.score = policy_.quarantine_threshold;
+            dv.score = kQuarantineThreshold;
           }
         }
         break;
@@ -97,7 +97,7 @@ void HealthTracker::tick(int epoch, std::int64_t at_ps, FleetRouter& router,
           dv.state = DeviceState::kQuarantined;
           router.set_available(d, false);
           router.set_weight_penalty(d, 0);
-        } else if (++dv.clean_epochs >= policy_.probation_epochs) {
+        } else if (++dv.clean_epochs >= kProbationEpochs) {
           dv.state = DeviceState::kHealthy;
           router.set_weight_penalty(d, 0);
         }

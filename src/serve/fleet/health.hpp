@@ -41,24 +41,25 @@ struct HealthPolicy {
   /// Arrivals per epoch: the serial checkpoint cadence. Smaller epochs
   /// react faster but pay more (serial) routing barriers.
   int epoch_arrivals = 100;
-  /// Score at/above which the device is flagged suspect (still routed).
-  int suspect_threshold = 8;
-  /// Score at/above which the device is quarantined (drained + unrouted).
-  int quarantine_threshold = 24;
-  /// Clean epochs on probation before full readmission.
-  int probation_epochs = 2;
-  /// Router weight penalty (phantom backlog depth) while on probation.
-  int probation_penalty = 4;
   /// Re-dispatches allowed per request before a typed retry_exhausted.
   int retry_budget = 2;
-  // Signal weights (added to the decayed score each epoch, per event).
-  int w_fail_stop = 32;     // device refused a dispatch: hard evidence
-  int w_giveup = 8;         // recovery exhausted on the hw path
-  int w_watchdog = 6;       // load watchdog aborted a hung transfer
-  int w_breaker_open = 6;   // a breaker opened on this device
-  int w_detected = 2;       // a fault was detected (even if recovered)
-  int w_slo_breach = 4;     // an SLO burn alert fired on this device
 };
+
+/// Score at/above which a device is flagged suspect (still routed).
+inline constexpr int kSuspectThreshold = 8;
+/// Score at/above which a device is quarantined (drained + unrouted).
+inline constexpr int kQuarantineThreshold = 24;
+/// Clean epochs on probation before full readmission.
+inline constexpr int kProbationEpochs = 2;
+/// Router weight penalty (phantom backlog depth) while on probation.
+inline constexpr int kProbationPenalty = 4;
+// Signal weights (added to the decayed score each epoch, per event).
+inline constexpr int kFailStopWeight = 32;    // device refused a dispatch
+inline constexpr int kGiveupWeight = 8;       // recovery exhausted (hw path)
+inline constexpr int kWatchdogWeight = 6;     // watchdog aborted a transfer
+inline constexpr int kBreakerOpenWeight = 6;  // a breaker opened on it
+inline constexpr int kDetectedWeight = 2;     // a fault was detected
+inline constexpr int kSloBreachWeight = 4;    // an SLO burn alert fired
 
 enum class DeviceState : int {
   kHealthy = 0,

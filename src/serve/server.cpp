@@ -59,7 +59,7 @@ std::vector<Completion> TaskServerBase::serve_batch() {
         return multi_area &&
                mgr_.is_resident(static_cast<hw::BehaviorId>(b));
       },
-      opts_.affinity_max_bypass, opts_.batch, now());
+      kAffinityMaxBypass, opts_.batch, now());
   if (opts_.batch.max_batch > 1) {
     ++report_.batches;
     report_.coalesced += static_cast<std::int64_t>(batch.size()) - 1;

@@ -38,6 +38,15 @@
 
 namespace rtr::serve {
 
+/// Multi-area affinity dispatch (docs/PLACEMENT.md): on a device with more
+/// than one dynamic area, pop the oldest queued request whose behaviour is
+/// already resident in some area. A queued request may be passed over --
+/// by this path or by batch extraction -- at most this many times before
+/// aging makes it exempt from further bypassing (RequestQueue's shared
+/// starvation guard). Single-area devices pop strict (priority, FIFO)
+/// order unless batching coalesces.
+inline constexpr int kAffinityMaxBypass = 16;
+
 struct ServeOptions {
   RecoveryPolicy recovery;
   BreakerPolicy breaker;
@@ -51,14 +60,6 @@ struct ServeOptions {
   /// distinct behaviour). Host-side only: simulated times and outputs are
   /// byte-identical with the cache off (see docs/PERFORMANCE.md).
   bool plan_cache = true;
-  /// Multi-area affinity dispatch (docs/PLACEMENT.md): on a device with
-  /// more than one dynamic area, pop the oldest queued request whose
-  /// behaviour is already resident in some area. A queued request may be
-  /// passed over -- by this path or by batch extraction -- at most this
-  /// many times before aging makes it exempt from further bypassing
-  /// (RequestQueue's shared starvation guard). Single-area devices pop
-  /// strict (priority, FIFO) order unless batching coalesces.
-  int affinity_max_bypass = 16;
   /// Swap-aware batching (docs/SERVING.md "Batching"): serve_batch pops up
   /// to batch.max_batch same-behaviour requests per residency, jumping
   /// only requests with at least batch.slack_ps of deadline headroom, and
@@ -135,9 +136,9 @@ class TaskServerBase {
 
   /// Pop and serve the next batch: the leader pop_affine picks (the
   /// highest-priority request; on a multi-area device the highest-priority
-  /// request warm in some area, with aging -- see
-  /// ServeOptions::affinity_max_bypass), extended with slack-bounded
-  /// same-behaviour requests when batching is on. One residency (and, for
+  /// request warm in some area, with aging -- see kAffinityMaxBypass),
+  /// extended with slack-bounded same-behaviour requests when batching is
+  /// on. One residency (and, for
   /// 64-bit image tasks, one multi-buffer scatter-gather descriptor chain)
   /// serves every member. Expiry, fail-stop, deadline accounting, SLOs and
   /// digests are evaluated per member; the batch shares the breaker

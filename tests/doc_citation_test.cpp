@@ -1,17 +1,17 @@
 // Every test and benchmark the docs cite by name exists. A citation is a
-// backticked `Suite.Name` or `Suite.*` (a suite prefix), or any `BM_*` name
-// inside backticks, in docs/*.md, README.md, DESIGN.md or the verify skill.
-// Test names resolve against every test binary's --gtest_list_tests, with
-// value- and type-parameter suffixes dropped; benchmark names against
+// backticked `Suite.Name`, `Suite.Name/Param` (one named parameter of a
+// value-parameterized test) or `Suite.*` (a suite prefix), or any `BM_*`
+// name inside backticks, in docs/*.md, README.md, DESIGN.md or the verify
+// skill. Test names resolve against every test binary's --gtest_list_tests,
+// with or without their parameter suffix; benchmark names against
 // microbench's --benchmark_list_tests and the keys of BENCH_microbench.json.
 // So a test or benchmark cannot be deleted or renamed while a doc still
-// cites it.
+// cites it. And every local link of README.md and docs/*.md resolves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -28,13 +28,7 @@ namespace {
 #endif
 
 namespace fs = std::filesystem;
-
-std::string read_file(const fs::path& p) {
-  std::ifstream in(p);
-  std::stringstream s;
-  s << in.rdbuf();
-  return s.str();
-}
+using rtr::test::read_file;
 
 bool is_word(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
@@ -74,7 +68,8 @@ std::string bare_suite(std::string suite) {
   return suite.substr(suite.rfind('/') + 1);  // npos + 1 == 0: no prefix
 }
 
-/// Every `Suite.Name` the test binaries list.
+/// Every `Suite.Name` the test binaries list, and `Suite.Name/Param` for
+/// each parameter of a value-parameterized one.
 std::set<std::string> listed_tests() {
   std::set<std::string> tests;
   std::istringstream names(RTRSIM_TEST_NAMES);
@@ -93,6 +88,7 @@ std::set<std::string> listed_tests() {
         suite = bare_suite(word.substr(0, word.size() - 1));
       } else {  // "  Name" or "  Name/0  # GetParam() = ..."
         tests.insert(suite + "." + bare_test(word));
+        tests.insert(suite + "." + word);
       }
     }
   }
@@ -135,13 +131,20 @@ std::vector<std::string> code_spans(const std::string& markdown) {
   return spans;
 }
 
-TEST(DocCitations, EveryCitedTestAndBenchmarkExists) {
+/// README.md and docs/*.md, then `more`, under the source tree.
+std::vector<fs::path> markdown(std::vector<const char*> more = {}) {
   const fs::path root = RTRSIM_SOURCE_DIR;
-  std::vector<fs::path> docs = {root / "README.md", root / "DESIGN.md",
-                                root / ".claude/skills/verify/SKILL.md"};
+  std::vector<fs::path> docs = {root / "README.md"};
   for (const auto& entry : fs::directory_iterator(root / "docs")) {
     if (entry.path().extension() == ".md") docs.push_back(entry.path());
   }
+  for (const char* doc : more) docs.push_back(root / doc);
+  return docs;
+}
+
+TEST(DocCitations, EveryCitedTestAndBenchmarkExists) {
+  const std::vector<fs::path> docs =
+      markdown({"DESIGN.md", ".claude/skills/verify/SKILL.md"});
   const std::set<std::string> tests = listed_tests();
   std::set<std::string> suites;
   for (const std::string& t : tests) suites.insert(t.substr(0, t.find('.')));
@@ -157,7 +160,11 @@ TEST(DocCitations, EveryCitedTestAndBenchmarkExists) {
       const std::string suite = span.substr(0, dot);
       const std::string name =
           dot == std::string::npos ? "" : span.substr(dot + 1);
-      if (is_capitalized(suite) && (name == "*" || is_capitalized(name))) {
+      const bool test = is_capitalized(name.substr(0, name.find('/'))) &&
+                        std::all_of(name.begin(), name.end(), [](char c) {
+                          return is_word(c) || c == '/';
+                        });
+      if (is_capitalized(suite) && (name == "*" || test)) {
         ++cited_tests;
         const bool found =
             name == "*" ? suites.count(suite) > 0 : tests.count(span) > 0;
@@ -173,6 +180,37 @@ TEST(DocCitations, EveryCitedTestAndBenchmarkExists) {
   // A parser that finds nothing would pass vacuously.
   EXPECT_GT(cited_tests, 0);
   EXPECT_GT(cited_benches, 0);
+}
+
+TEST(DocCitations, EveryLocalLinkResolves) {
+  // Each `[text](target)` of README.md and docs/*.md whose target is not
+  // http(s), mailto or an in-page anchor names a path relative to the doc.
+  int links = 0;
+  for (const fs::path& doc : markdown()) {
+    const std::string text = read_file(doc);
+    for (std::size_t at = text.find('['); at != std::string::npos;
+         at = text.find('[', at + 1)) {
+      const std::size_t close = text.find(']', at + 1);
+      if (close == std::string::npos || text.compare(close, 2, "](") != 0) {
+        continue;
+      }
+      const std::size_t end = text.find_first_of(") \t\n", close + 2);
+      if (end == std::string::npos || text[end] != ')' || end == close + 2) {
+        continue;
+      }
+      const std::string target = text.substr(close + 2, end - close - 2);
+      at = end;
+      if (target.starts_with("http://") || target.starts_with("https://") ||
+          target.starts_with("mailto:") || target.starts_with("#")) {
+        continue;
+      }
+      ++links;
+      EXPECT_TRUE(fs::exists(doc.parent_path() /
+                             target.substr(0, target.find('#'))))
+          << doc.filename().string() << ": broken link -> " << target;
+    }
+  }
+  EXPECT_GT(links, 0);  // a scanner that finds nothing would pass vacuously
 }
 
 }  // namespace
