@@ -250,36 +250,43 @@ ConfigMemory BitLinker::compose(const LinkJob& job, LinkStats& stats) const {
   return out;
 }
 
+std::optional<ConfigMemory> BitLinker::assemble(const LinkJob& job,
+                                                LinkResult& res) const {
+  res.errors = check(job, res.stats);
+  if (!res.errors.empty()) return std::nullopt;
+  return compose(job, res.stats);
+}
+
 LinkResult BitLinker::link(const LinkJob& job) const {
   LinkResult res;
-  res.errors = check(job, res.stats);
-  if (!res.errors.empty()) return res;
-
-  const ConfigMemory assembled = compose(job, res.stats);
-  res.config = bitstream::PartialConfig::full_region(assembled, *region_);
-  res.stats.frames = res.config->total_frames();
-  res.stats.payload_bytes = res.config->payload_bytes();
+  if (const auto assembled = assemble(job, res)) {
+    res.config = bitstream::PartialConfig::full_region(*assembled, *region_);
+    res.stats.frames = res.config->total_frames();
+    res.stats.payload_bytes = res.config->payload_bytes();
+  }
   return res;
 }
 
-LinkResult BitLinker::link_single(const ComponentDescriptor& comp) const {
+LinkJob BitLinker::single(const ComponentDescriptor& comp) {
   LinkJob job;
   job.parts.push_back(LinkInput{&comp, Placement{0, 0}});
   job.behavior_id = comp.behavior_id;
   job.revision = comp.revision;
-  return link(job);
+  return job;
+}
+
+LinkResult BitLinker::link_single(const ComponentDescriptor& comp) const {
+  return link(single(comp));
 }
 
 LinkResult BitLinker::link_differential(
     const LinkJob& job, const ConfigMemory& assumed_current) const {
   LinkResult res;
-  res.errors = check(job, res.stats);
-  if (!res.errors.empty()) return res;
-
-  const ConfigMemory assembled = compose(job, res.stats);
-  res.config = bitstream::PartialConfig::diff(assumed_current, assembled);
-  res.stats.frames = res.config->total_frames();
-  res.stats.payload_bytes = res.config->payload_bytes();
+  if (const auto assembled = assemble(job, res)) {
+    res.config = bitstream::PartialConfig::diff(assumed_current, *assembled);
+    res.stats.frames = res.config->total_frames();
+    res.stats.payload_bytes = res.config->payload_bytes();
+  }
   return res;
 }
 

@@ -111,13 +111,26 @@ class BitLinker {
             const fabric::ConfigMemory& baseline);
 
   [[nodiscard]] const fabric::DynamicRegion& region() const { return *region_; }
+  [[nodiscard]] const fabric::ConfigMemory& baseline() const {
+    return *baseline_;
+  }
 
   /// Validate and assemble. On success the result carries a *complete*
   /// partial configuration for the region.
   [[nodiscard]] LinkResult link(const LinkJob& job) const;
 
+  /// What link() reads its configuration from: `job` checked, then
+  /// composed on one copy of the baseline. The region's covered frames of
+  /// the image (bitstream::region_spans) are the complete configuration.
+  /// Empty when the job does not link. Either way `res` gets the errors or
+  /// the stats, and no configuration.
+  [[nodiscard]] std::optional<fabric::ConfigMemory> assemble(
+      const LinkJob& job, LinkResult& res) const;
+
   /// Convenience: a single component placed at the region origin.
   [[nodiscard]] LinkResult link_single(const ComponentDescriptor& comp) const;
+  /// The job link_single links; `comp` must outlive it.
+  [[nodiscard]] static LinkJob single(const ComponentDescriptor& comp);
 
   /// Assemble a *differential* configuration against an assumed current
   /// fabric state. Smaller and faster to load, but correct only when the

@@ -37,6 +37,16 @@ class RunAppender {
   FrameAddress next_{};
 };
 
+/// `cfg`'s runs in place.
+std::vector<FrameSpan> spans_of(const PartialConfig& cfg) {
+  std::vector<FrameSpan> out;
+  out.reserve(cfg.runs().size());
+  for (const FrameRun& r : cfg.runs()) {
+    out.push_back(FrameSpan{r.start, r.frame_count, r.words});
+  }
+  return out;
+}
+
 }  // namespace
 
 void PartialConfig::add_run(FrameRun run) {
@@ -114,24 +124,33 @@ PartialConfig PartialConfig::diff(const ConfigMemory& base,
 PartialConfig PartialConfig::diff(const PartialConfig& base,
                                   const PartialConfig& target) {
   RTR_CHECK(&base.device() == &target.device(), "diff across devices");
-  const Device& dev = base.device();
+  return diff(base.device(), spans_of(base), spans_of(target));
+}
+
+PartialConfig PartialConfig::diff(const Device& dev,
+                                  std::span<const FrameSpan> base,
+                                  std::span<const FrameSpan> target) {
   const auto wpf = static_cast<std::size_t>(dev.words_per_frame());
-  RTR_CHECK(base.runs_.size() == target.runs_.size(),
+  RTR_CHECK(base.size() == target.size(),
             "configurations hold different frames");
   PartialConfig out{dev};
   RunAppender runs{dev, out.runs_};
   FrameAddress last{};
-  for (std::size_t r = 0; r < base.runs_.size(); ++r) {
-    const FrameRun& rb = base.runs_[r];
-    const FrameRun& rt = target.runs_[r];
+  for (std::size_t r = 0; r < base.size(); ++r) {
+    const FrameSpan& rb = base[r];
+    const FrameSpan& rt = target[r];
     RTR_CHECK(rb.start == rt.start && rb.frame_count == rt.frame_count,
               "configurations hold different frames");
+    const auto frames = static_cast<std::size_t>(rt.frame_count);
+    RTR_CHECK(rb.words.size() == frames * wpf &&
+                  rt.words.size() == frames * wpf,
+              "frame run word count mismatch");
     RTR_CHECK(r == 0 || last < rt.start,
               "configuration frames are not in scan order");
     FrameAddress a = rt.start;
-    for (std::size_t i = 0; i < static_cast<std::size_t>(rt.frame_count); ++i) {
-      const auto fb = std::span{rb.words}.subspan(i * wpf, wpf);
-      const auto ft = std::span{rt.words}.subspan(i * wpf, wpf);
+    for (std::size_t i = 0; i < frames; ++i) {
+      const auto fb = rb.words.subspan(i * wpf, wpf);
+      const auto ft = rt.words.subspan(i * wpf, wpf);
       if (!std::equal(fb.begin(), fb.end(), ft.begin())) runs.add(a, ft);
       last = a;
       a = a.next_in(dev);
@@ -143,9 +162,24 @@ PartialConfig PartialConfig::diff(const PartialConfig& base,
 PartialConfig PartialConfig::full_region(const ConfigMemory& state,
                                          const DynamicRegion& region) {
   PartialConfig out{state.device()};
-  RunAppender runs{state.device(), out.runs_};
-  region.for_each_covered_frame(
-      [&](FrameAddress a) { runs.add(a, state.frame(a)); });
+  for (const FrameSpan& s : region_spans(state, region)) {
+    out.runs_.push_back(
+        FrameRun{s.start, s.frame_count, {s.words.begin(), s.words.end()}});
+  }
+  return out;
+}
+
+std::vector<FrameSpan> region_spans(const ConfigMemory& state,
+                                    const DynamicRegion& region) {
+  const Device& dev = state.device();
+  std::vector<FrameSpan> out;
+  FrameAddress next{};
+  region.for_each_covered_column([&](FrameAddress first, int frames) {
+    if (out.empty() || first != next) out.push_back(FrameSpan{first, 0, {}});
+    out.back().frame_count += frames;
+    next = first.advanced(dev, frames);
+  });
+  for (FrameSpan& s : out) s.words = state.frames(s.start, s.frame_count);
   return out;
 }
 
@@ -160,9 +194,25 @@ std::uint32_t idcode_for(const Device& dev) {
 
 std::vector<std::uint32_t> serialize(const PartialConfig& cfg, bool with_crc,
                                      std::vector<PayloadCrc>* payload_crcs) {
+  return serialize(cfg.device(), spans_of(cfg), with_crc, payload_crcs);
+}
+
+std::vector<std::uint32_t> serialize(const Device& dev,
+                                     std::span<const FrameSpan> runs,
+                                     bool with_crc,
+                                     std::vector<PayloadCrc>* payload_crcs) {
+  // DUMMY, SYNC, IDCODE and RCRC; per run FAR, WCFG and the two FDRI
+  // headers before its payload; LFRM, CRC (or RCRC), DESYNC and DUMMY.
+  constexpr std::size_t kHead = 6, kPerRun = 6, kTail = 7;
+  std::size_t size = kHead + kTail;
+  for (const FrameSpan& r : runs) size += kPerRun + r.words.size();
   std::vector<std::uint32_t> out;
+  out.reserve(size);
   Crc32 crc;
-  if (payload_crcs) payload_crcs->clear();
+  if (payload_crcs) {
+    payload_crcs->clear();
+    payload_crcs->reserve(runs.size());
+  }
   auto reg_write = [&](ConfigReg reg, std::uint32_t value) {
     out.push_back(make_type1(Opcode::kWrite, reg, 1));
     out.push_back(value);
@@ -171,11 +221,11 @@ std::vector<std::uint32_t> serialize(const PartialConfig& cfg, bool with_crc,
 
   out.push_back(kDummyWord);
   out.push_back(kSyncWord);
-  reg_write(ConfigReg::kIdcode, idcode_for(cfg.device()));
+  reg_write(ConfigReg::kIdcode, idcode_for(dev));
   reg_write(ConfigReg::kCmd, static_cast<std::uint32_t>(Command::kRcrc));
   crc.reset();
 
-  for (const FrameRun& r : cfg.runs()) {
+  for (const FrameSpan& r : runs) {
     reg_write(ConfigReg::kFar, r.start.pack());
     reg_write(ConfigReg::kCmd, static_cast<std::uint32_t>(Command::kWcfg));
     // Type-1 FDRI with zero count followed by a type-2 long payload.
@@ -188,7 +238,7 @@ std::vector<std::uint32_t> serialize(const PartialConfig& cfg, bool with_crc,
     crc.update_register_writes(static_cast<std::uint32_t>(ConfigReg::kFdri),
                                r.words);
     if (payload_crcs) {
-      payload_crcs->push_back({first, r.words.size(), before, crc});
+      payload_crcs->push_back({r.start, first, r.words.size(), before, crc});
     }
   }
 
@@ -204,6 +254,7 @@ std::vector<std::uint32_t> serialize(const PartialConfig& cfg, bool with_crc,
   }
   reg_write(ConfigReg::kCmd, static_cast<std::uint32_t>(Command::kDesync));
   out.push_back(kDummyWord);
+  RTR_CHECK(out.size() == size, "serialised stream size mismatch");
   return out;
 }
 

@@ -32,6 +32,14 @@ struct FrameRun {
   std::vector<std::uint32_t> words;
 };
 
+/// A frame run read in place: a FrameRun's words, or one FDRI payload of a
+/// serialised stream.
+struct FrameSpan {
+  fabric::FrameAddress start;
+  int frame_count = 0;
+  std::span<const std::uint32_t> words;
+};
+
 class PartialConfig {
  public:
   explicit PartialConfig(const fabric::Device& dev) : dev_(&dev) {}
@@ -69,10 +77,17 @@ class PartialConfig {
   /// by frame without building either state.
   static PartialConfig diff(const PartialConfig& base,
                             const PartialConfig& target);
+  /// That diff over runs read in place, from a PartialConfig or from the
+  /// FDRI payloads of a serialised stream (PlanCache diffs two cached
+  /// streams this way).
+  static PartialConfig diff(const fabric::Device& dev,
+                            std::span<const FrameSpan> base,
+                            std::span<const FrameSpan> target);
 
   /// Complete configuration for `region`: every covered frame, taken from
   /// `state` (full height, including the static rows -- which is what makes
   /// the result safe to load regardless of the fabric's current state).
+  /// The runs of region_spans, copied.
   static PartialConfig full_region(const fabric::ConfigMemory& state,
                                    const fabric::DynamicRegion& region);
 
@@ -81,29 +96,41 @@ class PartialConfig {
   std::vector<FrameRun> runs_;
 };
 
+/// Every frame covering `region`, read in place from `state`: the runs of
+/// frames consecutive in scan order, each contiguous in `state`.
+[[nodiscard]] std::vector<FrameSpan> region_spans(
+    const fabric::ConfigMemory& state, const fabric::DynamicRegion& region);
+
 /// Model IDCODE for a catalog device.
 [[nodiscard]] std::uint32_t idcode_for(const fabric::Device& dev);
 
 /// One FDRI payload of a serialised stream, the words [first, first +
-/// words), with the configuration CRC as the stream leaves it before the
-/// payload's first word and after its last.
+/// words), which write the frames from `start` on, with the configuration
+/// CRC as the stream leaves it before the payload's first word and after
+/// its last.
 struct PayloadCrc {
+  fabric::FrameAddress start;
   std::size_t first = 0;
   std::size_t words = 0;
   Crc32 before;
   Crc32 after;
 };
 
-/// Serialise to a packet word stream (DUMMY/SYNC/IDCODE/.../CRC/DESYNC).
-/// When `with_crc` is false the CRC check packet is replaced by an RCRC
-/// command (some flows disable CRC to shave configuration time). With
-/// `payload_crcs`, also records, in stream order, the CRC states the
-/// stream passes through around each FDRI payload (the ICAP's accumulator
-/// follows the same states: it resets on the same RCRC command and folds in
-/// the same register writes).
+/// Serialise to a packet word stream (DUMMY/SYNC/IDCODE/.../CRC/DESYNC),
+/// allocated once at its exact size. When `with_crc` is false the CRC
+/// check packet is replaced by an RCRC command (some flows disable CRC to
+/// shave configuration time). With `payload_crcs`, also records, in stream
+/// order, each FDRI payload's run and the CRC states the stream passes
+/// through around it (the ICAP's accumulator follows the same states: it
+/// resets on the same RCRC command and folds in the same register writes).
 [[nodiscard]] std::vector<std::uint32_t> serialize(
     const PartialConfig& cfg, bool with_crc = true,
     std::vector<PayloadCrc>* payload_crcs = nullptr);
+/// The same stream from `dev`'s frame runs read in place (a PlanCache
+/// complete plan is encoded straight from the linked image this way).
+[[nodiscard]] std::vector<std::uint32_t> serialize(
+    const fabric::Device& dev, std::span<const FrameSpan> runs,
+    bool with_crc = true, std::vector<PayloadCrc>* payload_crcs = nullptr);
 
 /// Parse a serialised stream back to frame runs. Used by tests and tools;
 /// the ICAP hardware model implements its own word-at-a-time state machine,

@@ -15,18 +15,15 @@ IterationStats::IterationStats(
     std::span<const bus::PlbOpbBridge* const> bridges,
     fault::FaultInjector* faults)
     : faults_(faults) {
-  counters_.reserve(2 * (buses.size() + bridges.size() + 1));
-  busy_.reserve(buses.size());
-  hists_.reserve(buses.size());
   const auto count = [&](sim::Counter& c) {
-    counters_.emplace_back(&c, c.value());
+    counters_.push_back({&c, c.value()});
   };
   for (const bus::Bus* b : buses) {
     const bus::Bus::Stats& bs = b->stats();
     count(*bs.transactions);
     count(*bs.beats);
-    busy_.emplace_back(bs.busy, bs.busy->total());
-    hists_.emplace_back(bs.latency, *bs.latency);
+    busy_.push_back({bs.busy, bs.busy->total()});
+    hists_.push_back({bs.latency, *bs.latency});
   }
   for (const bus::PlbOpbBridge* br : bridges) {
     count(br->crossings());
@@ -110,7 +107,7 @@ void PeriodicReplay::begin_template() {
   free_at_t1_ = buses_free_at(t1_);
   busy_at_t1_.clear();
   for (const bus::Bus* b : buses_) busy_at_t1_.push_back(b->busy_until());
-  stats_.emplace(k_->cpu(), buses_, bridges_,
+  stats_.emplace(k_->cpu(), buses_.view(), bridges_.view(),
                  k_->cpu().plb().simulation().faults());
 }
 
@@ -118,7 +115,7 @@ bool PeriodicReplay::end_template() {
   t2_ = k_->now();
   const std::int64_t step = (t2_ - t1_).ps();
   return free_at_t1_ && buses_free_at(t2_) && step > 0 &&
-         step % buses_.front()->clock().period().ps() == 0;
+         step % buses_[0]->clock().period().ps() == 0;
 }
 
 std::int64_t PeriodicReplay::count(std::int64_t left) const {

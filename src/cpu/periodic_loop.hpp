@@ -12,15 +12,16 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "bus/bridge.hpp"
 #include "bus/bus.hpp"
 #include "cpu/kernel.hpp"
+#include "sim/check.hpp"
 #include "sim/stats.hpp"
 
 namespace rtr::fault {
@@ -47,6 +48,32 @@ struct PeriodicLoop {
   sim::SimTime deadline{};
 };
 
+/// At most N values in place: the runner's per-loop storage, which
+/// allocates nothing. Appending past N aborts.
+template <typename T, std::size_t N>
+class FixedList {
+ public:
+  void push_back(const T& v) {
+    RTR_CHECK(size_ < N, "fixed list full");
+    items_[size_++] = v;
+  }
+  void clear() { size_ = 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const T& operator[](std::size_t i) const { return items_[i]; }
+  [[nodiscard]] const T* begin() const { return items_.data(); }
+  [[nodiscard]] const T* end() const { return items_.data() + size_; }
+  [[nodiscard]] std::span<const T> view() const { return {begin(), size_}; }
+
+ private:
+  std::array<T, N> items_{};
+  std::size_t size_ = 0;
+};
+
+/// The buses a CPU access can reach (the PLB and the OPB behind it) and the
+/// bridges between them, on either system.
+inline constexpr std::size_t kMaxLoopBuses = 2;
+inline constexpr std::size_t kMaxLoopBridges = 1;
+
 /// The statistics one loop iteration advances, snapshotted so the closed
 /// form can apply m times their change: every bus's transactions, beats,
 /// busy time and latency histogram, the bridge's crossings and beat splits,
@@ -66,9 +93,12 @@ class IterationStats {
   void repeat(std::int64_t m);
 
  private:
-  std::vector<std::pair<sim::Counter*, std::int64_t>> counters_;
-  std::vector<std::pair<sim::BusyTime*, sim::SimTime>> busy_;
-  std::vector<std::pair<sim::Histogram*, sim::Histogram>> hists_;
+  // Two per bus and per bridge, and the CPU's loads and stores.
+  FixedList<std::pair<sim::Counter*, std::int64_t>,
+            2 * (kMaxLoopBuses + kMaxLoopBridges + 1)>
+      counters_;
+  FixedList<std::pair<sim::BusyTime*, sim::SimTime>, kMaxLoopBuses> busy_;
+  FixedList<std::pair<sim::Histogram*, sim::Histogram>, kMaxLoopBuses> hists_;
   fault::FaultInjector* faults_;
   std::int64_t bus_opportunities_ = 0;
   std::int64_t icap_opportunities_ = 0;
@@ -106,13 +136,13 @@ class PeriodicReplay {
 
   Kernel* k_;
   sim::SimTime deadline_;
-  std::vector<bus::Bus*> buses_;
-  std::vector<const bus::PlbOpbBridge*> bridges_;
+  FixedList<bus::Bus*, kMaxLoopBuses> buses_;
+  FixedList<const bus::PlbOpbBridge*, kMaxLoopBridges> bridges_;
   bool allowed_ = false;
   sim::SimTime t1_;
   sim::SimTime t2_;
   bool free_at_t1_ = false;
-  std::vector<sim::SimTime> busy_at_t1_;
+  FixedList<sim::SimTime, kMaxLoopBuses> busy_at_t1_;
   std::optional<IterationStats> stats_;
 };
 

@@ -1,20 +1,48 @@
 #include "rtr/plan_cache.hpp"
 
+#include <span>
 #include <utility>
 
+#include "sim/check.hpp"
+
 namespace rtr {
+
+std::vector<bitstream::FrameSpan> PlanCache::Plan::runs() const {
+  const auto wpf = static_cast<std::size_t>(device->words_per_frame());
+  std::vector<bitstream::FrameSpan> out;
+  out.reserve(crcs.size());
+  for (const bitstream::PayloadCrc& c : crcs) {
+    out.push_back(bitstream::FrameSpan{
+        c.start, static_cast<int>(c.words / wpf),
+        std::span{words}.subspan(c.first, c.words)});
+  }
+  return out;
+}
 
 std::optional<PlanCache::Plan> PlanCache::build_complete(
     const bitlinker::BitLinker& linker, hw::BehaviorId id, int dock_width,
     std::string* error) {
-  auto linked = linker.link_single(hw::component_for(id, dock_width));
-  if (!linked.ok()) {
+  // Encoded straight from the linked image: the stream is the one copy of
+  // the configuration.
+  const bitlinker::ComponentDescriptor comp =
+      hw::component_for(id, dock_width);
+  bitlinker::LinkResult linked;
+  const auto image =
+      linker.assemble(bitlinker::BitLinker::single(comp), linked);
+  if (!image) {
     if (error) *error = linked.errors.front();
     return std::nullopt;
   }
-  Plan plan{std::move(*linked.config), {}, {}, linked.stats.payload_bytes,
-            static_cast<int>(id), -1, linked.stats.payload_hash};
-  plan.words = bitstream::serialize(plan.config, true, &plan.crcs);
+  const fabric::Device& dev = image->device();
+  const std::vector<bitstream::FrameSpan> runs =
+      bitstream::region_spans(*image, linker.region());
+  std::int64_t payload_words = 0;
+  for (const bitstream::FrameSpan& r : runs) {
+    payload_words += static_cast<std::int64_t>(r.words.size());
+  }
+  Plan plan{{}, {}, payload_words * 4, static_cast<int>(id), -1,
+            linked.stats.payload_hash, &dev};
+  plan.words = bitstream::serialize(dev, runs, true, &plan.crcs);
   return plan;
 }
 
@@ -23,10 +51,12 @@ PlanCache::Plan PlanCache::build_differential(const Plan& from,
   // Diff the two complete plans frame by frame: they hold the same covered
   // frames in the same scan order, so this equals diffing the two pure
   // post-load states (see the purity argument in the header).
-  Plan plan{bitstream::PartialConfig::diff(from.config, to.config), {}, {}, 0,
-            to.target, from.target, to.hash};
-  plan.payload_bytes = plan.config.payload_bytes();
-  plan.words = bitstream::serialize(plan.config, true, &plan.crcs);
+  RTR_CHECK(from.device == to.device, "plans for different devices");
+  const bitstream::PartialConfig diff =
+      bitstream::PartialConfig::diff(*to.device, from.runs(), to.runs());
+  Plan plan{{}, {}, diff.payload_bytes(), to.target, from.target, to.hash,
+            to.device};
+  plan.words = bitstream::serialize(diff, true, &plan.crcs);
   return plan;
 }
 

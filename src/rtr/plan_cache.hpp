@@ -37,10 +37,11 @@
 // Nothing is evicted. Keys come from the behaviour registry, so with n
 // behaviours the cache holds at most n complete and n(n-1) differential
 // plans per (area, dock width), plus one error string per component that
-// does not link, so that it is linked once. On the XC2VP30 a differential
-// plan -- its configuration and its encoded stream -- takes 113-342 KB
-// (216 KB on average over swap_storm's five behaviours), a complete one
-// 782 KB.
+// does not link, so that it is linked once. A plan is its encoded stream
+// and one record per FDRI payload: the stream holds every frame run, so
+// no other copy of the configuration is kept. On the XC2VP30 a
+// differential plan takes 56-157 KiB (108 KiB on average over
+// swap_storm's five behaviours), a complete one 391 KiB.
 #pragma once
 
 #include <cstdint>
@@ -57,28 +58,32 @@ namespace rtr {
 
 class PlanCache {
  public:
-  /// A ready-to-stream reconfiguration: the structured configuration (for
-  /// payload accounting and host-side application) plus its pre-encoded
-  /// ICAP word stream, staged and streamed without re-serialisation, and
-  /// what a clean load of it leaves in the area.
+  /// A ready-to-stream reconfiguration: its pre-encoded ICAP word stream,
+  /// staged and streamed without re-serialisation, the frame run and CRC
+  /// states of each FDRI payload in it, and what a clean load of it leaves
+  /// in the area.
   struct Plan {
-    bitstream::PartialConfig config;
-    std::vector<std::uint32_t> words;  // bitstream::serialize(config)
-    std::vector<bitstream::PayloadCrc> crcs;  // ... and its payload CRCs
+    std::vector<std::uint32_t> words;  // bitstream::serialize(...)
+    std::vector<bitstream::PayloadCrc> crcs;  // ... and its payloads
     std::int64_t payload_bytes = 0;
     int target = -1;  // the behaviour a load binds
     int base = -1;    // the behaviour it assumes resident; -1: complete
     std::uint32_t hash = 0;  // target's payload hash, as its signature says
+    const fabric::Device* device = nullptr;
+
+    /// The frame runs the stream writes, read in place from its payloads.
+    [[nodiscard]] std::vector<bitstream::FrameSpan> runs() const;
   };
 
   /// What complete() memoizes: `id`'s component linked against `linker`'s
-  /// region and encoded. Empty (and sets *error) when the link fails.
+  /// region and encoded straight from the linked image. Empty (and sets
+  /// *error) when the link fails.
   [[nodiscard]] static std::optional<Plan> build_complete(
       const bitlinker::BitLinker& linker, hw::BehaviorId id, int dock_width,
       std::string* error);
 
   /// What differential() memoizes: the frame diff of two complete plans of
-  /// one area, encoded.
+  /// one area, read from their payloads in place, encoded.
   [[nodiscard]] static Plan build_differential(const Plan& from,
                                                const Plan& to);
 

@@ -46,6 +46,18 @@ void stage_words(bus::Bus& mem_bus, Addr staging,
   }
 }
 
+/// The static design's configuration every platform of `spec`'s system
+/// links against: all zero, built once per process and never written, so
+/// platforms on different threads only read it.
+const fabric::ConfigMemory& blank_baseline(const SystemSpec& spec) {
+  if (spec.system == 32) {
+    static const fabric::ConfigMemory blank{SystemSpec::k32.device()};
+    return blank;
+  }
+  static const fabric::ConfigMemory blank{SystemSpec::k64.device()};
+  return blank;
+}
+
 /// True when `region`'s four signature words are the ones a load of `plan`
 /// writes: magic, target, its complement and the target's payload hash.
 bool carries_signature_of(const fabric::ConfigMemory& cm,
@@ -170,7 +182,6 @@ Platform::Platform(const SystemSpec& spec, PlatformOptions opts)
       plb_(sim_, bus_clk_),
       opb_(sim_, bus_clk_),
       fabric_(spec_.device()),
-      baseline_(spec_.device()),
       // Task components own at most the 6 BRAMs of the XC2VP7 region they
       // were designed for; the 64-bit system reuses them unmodified
       // (section 4.2).
@@ -182,7 +193,7 @@ Platform::Platform(const SystemSpec& spec, PlatformOptions opts)
   const auto regions = spec_.areas(opts_.dynamic_areas);
   areas_.reserve(regions.size());
   for (const fabric::DynamicRegion& r : regions) {
-    areas_.emplace_back(r, baseline_, dock_width());
+    areas_.emplace_back(r, blank_baseline(spec_), dock_width());
   }
 
   if (opts_.tracer) sim_.attach_tracer(*opts_.tracer);
@@ -293,20 +304,21 @@ ReconfigStats Platform::no_dma() {
 }
 
 /// The timed component load: link `id`'s component against `area`'s
-/// BitLinker, then stream the serialised words. Linking and serialising take
-/// no simulated time, so the stream starts at the load's start. A link
-/// error returns before anything is staged or accounted.
+/// BitLinker, then stream the serialised words as a raw load, validated by
+/// the walk. Linking and serialising take no simulated time, so the stream
+/// starts at the load's start. A link error returns before anything is
+/// staged or accounted.
 ReconfigStats Platform::link_and_load(hw::BehaviorId id, int area, bool dma) {
-  const auto linked =
-      linker(area).link_single(hw::component_for(id, dock_width()));
-  if (!linked.ok()) {
+  std::string error;
+  const auto plan =
+      PlanCache::build_complete(linker(area), id, dock_width(), &error);
+  if (!plan) {
     ReconfigStats stats;
-    stats.error = linked.errors.front();
+    stats.error = error;
     stats.started = stats.finished = kernel_->now();
     return stats;
   }
-  const auto words = bitstream::serialize(*linked.config);
-  return stream_load(words, linked.stats.payload_bytes,
+  return stream_load(plan->words, plan->payload_bytes,
                      /*differential=*/false, area, dma);
 }
 

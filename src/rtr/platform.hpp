@@ -460,7 +460,6 @@ class Platform {
   std::unique_ptr<Uart> uart_;
   std::unique_ptr<Gpio> gpio_;
   fabric::ConfigMemory fabric_;
-  fabric::ConfigMemory baseline_;
   std::unique_ptr<icap::IcapController> icap_;
   std::unique_ptr<cpu::InterruptController> intc_;
   std::unique_ptr<dock::OpbDock> opb_dock_;

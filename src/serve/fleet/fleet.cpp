@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "rtr/platform.hpp"
 #include "sim/parallel.hpp"
@@ -96,8 +97,11 @@ class ShardRuntime {
   }
 
   [[nodiscard]] const ServeReport& report() const { return srv_->report(); }
-  [[nodiscard]] const sim::StatRegistry& stats() const {
-    return p_->sim().stats();
+  /// The shard's report and registry, moved out: for the final merge,
+  /// after which the runtime only gets destroyed.
+  [[nodiscard]] ServeReport take_report() { return srv_->take_report(); }
+  [[nodiscard]] sim::StatRegistry take_stats() {
+    return std::move(p_->sim().stats());
   }
   [[nodiscard]] std::int64_t now_ps() const {
     return p_->kernel().now().ps();
@@ -305,14 +309,16 @@ FleetReport run_fleet(const FleetOptions& opts, const FleetWorkloadSpec& w) {
 
   // Merge serially in shard order (StatRegistry::merge of accumulators is
   // order-sensitive in the last floating-point bit); fleet.* series on top.
+  // Each shard's results move into its outcome, and its runtime goes.
   sim::Histogram& fleet_lat = fr.stats.histogram("fleet.latency_ps");
   for (std::size_t i = 0; i < n; ++i) {
     ShardOutcome& o = fr.shards[i];
     o.system = systems[i];
     o.routed = routed_per_shard[i];
     o.final_ps = rt[i]->now_ps();
-    o.report = rt[i]->report();
-    o.stats = rt[i]->stats();
+    o.report = rt[i]->take_report();
+    o.stats = rt[i]->take_stats();
+    rt[i].reset();
     o.swaps = count_swaps(o.stats);
     fr.stats.merge(o.stats);
     const auto it = o.stats.histograms().find("serve.latency_ps");

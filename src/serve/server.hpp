@@ -25,6 +25,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rtr/manager.hpp"
@@ -120,6 +121,8 @@ class TaskServerBase {
   [[nodiscard]] RequestQueue& queue() { return queue_; }
   [[nodiscard]] ModuleManager<>& manager() { return mgr_; }
   [[nodiscard]] const ServeReport& report() const { return report_; }
+  /// The report, moved out, for a caller done serving.
+  [[nodiscard]] ServeReport take_report() { return std::move(report_); }
   [[nodiscard]] const std::vector<SloEngine>& slos() const { return slos_; }
   [[nodiscard]] CircuitBreaker& breaker(hw::BehaviorId id) {
     auto it = breakers_.find(id);

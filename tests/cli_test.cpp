@@ -233,6 +233,49 @@ TEST(Cli, FaultSpecFlagInjectsAndRejectsGarbage) {
   EXPECT_NE(r.output.find("faults: injected=1"), std::string::npos);
 }
 
+/// The line of `text` that starts with `prefix`, or "".
+std::string line_starting(const std::string& text, const std::string& prefix) {
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.starts_with(prefix)) return line;
+  }
+  return "";
+}
+
+TEST(Cli, FleetArmsItsFaultSpecs) {
+  const auto bad = run_cli("fleet --devices 2 --requests 20 --fault-spec bogus");
+  EXPECT_EQ(bad.exit_code, 2);
+  EXPECT_NE(bad.output.find("bad --fault-spec"), std::string::npos);
+
+  // A spec scoped to device 1 stops that shard alone: its requests fail
+  // and the other shards serve as before.
+  const std::string fleet = "fleet --devices 8 --requests 600 --seed 1";
+  const auto clean = run_cli_stdout(fleet);
+  const auto faulty =
+      run_cli_stdout(fleet + " --fault-spec fail_stop:stuck@30:1:1");
+  EXPECT_EQ(clean.exit_code, 0) << clean.output;
+  EXPECT_EQ(faulty.exit_code, 1) << faulty.output;
+  EXPECT_NE(line_starting(faulty.output, "shard 1 "),
+            line_starting(clean.output, "shard 1 "));
+  EXPECT_EQ(line_starting(faulty.output, "shard 0 "),
+            line_starting(clean.output, "shard 0 "));
+  EXPECT_NE(line_starting(clean.output, "shard 0 "), "");
+}
+
+TEST(Cli, CommandsWithoutAFaultPlanRefuseFaultSpecs) {
+  for (const std::string cmd :
+       {"sweep --smoke", "faults --smoke", "chaos --smoke", "serve --smoke",
+        "topology --system 64", "resources --system 32"}) {
+    const auto r = run_cli(cmd + " --fault-spec icap:once@20000:1");
+    EXPECT_EQ(r.exit_code, 2) << cmd;
+    const std::string name = cmd.substr(0, cmd.find(' '));
+    EXPECT_NE(r.output.find("rtrsim_cli: " + name), std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("does not take --fault-spec"), std::string::npos)
+        << r.output;
+  }
+}
+
 TEST(Cli, UnknownOptionAndCommandAreNamed) {
   // Rejections must say WHAT was wrong, not just dump the usage text.
   const auto opt = run_cli("run --frobnicate");

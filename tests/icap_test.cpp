@@ -355,7 +355,9 @@ TEST(Serialize, RecordsTheIcapCrcAtEveryPayloadBoundary) {
                    name);
       ASSERT_NE(plan, nullptr);
       const std::vector<bitstream::PayloadCrc>& crcs = plan->crcs;
-      const std::vector<bitstream::FrameRun>& runs = plan->config.runs();
+      const bitstream::PartialConfig parsed =
+          bitstream::parse(plan->words, dev);
+      const std::vector<bitstream::FrameRun>& runs = parsed.runs();
       ASSERT_EQ(crcs.size(), runs.size());
       Rig rig{dev};
       std::size_t next = 0;  // the payload whose boundaries come next
@@ -363,6 +365,7 @@ TEST(Serialize, RecordsTheIcapCrcAtEveryPayloadBoundary) {
         if (next < crcs.size() && crcs[next].first == i) {
           // The payload follows its type-2 header and is the run's words.
           EXPECT_EQ(plan->words[i - 2], kFdriLong);
+          EXPECT_EQ(crcs[next].start, runs[next].start);
           EXPECT_EQ(crcs[next].words, runs[next].words.size());
           EXPECT_TRUE(std::equal(runs[next].words.begin(),
                                  runs[next].words.end(),

@@ -3,8 +3,12 @@
 // modules loaded through differentials.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "apps/drivers.hpp"
 #include "apps/golden.hpp"
@@ -290,18 +294,24 @@ TEST(PlanCache, DifferentialEqualsTheStateDiff) {
         ASSERT_NE(plan, nullptr);
         fabric::ConfigMemory from_state{dev};
         fabric::ConfigMemory to_state{dev};
-        cache.complete(linker, from, l.width, nullptr, nullptr, l.area)
-            ->config.apply_to(from_state);
-        cache.complete(linker, to, l.width, nullptr, nullptr, l.area)
-            ->config.apply_to(to_state);
+        bitstream::parse(
+            cache.complete(linker, from, l.width, nullptr, nullptr, l.area)
+                ->words,
+            dev)
+            .apply_to(from_state);
+        bitstream::parse(
+            cache.complete(linker, to, l.width, nullptr, nullptr, l.area)
+                ->words,
+            dev)
+            .apply_to(to_state);
         const bitstream::PartialConfig want =
             bitstream::PartialConfig::diff(from_state, to_state);
-        ASSERT_EQ(plan->config.runs().size(), want.runs().size());
+        const std::vector<bitstream::FrameSpan> runs = plan->runs();
+        ASSERT_EQ(runs.size(), want.runs().size());
         for (std::size_t r = 0; r < want.runs().size(); ++r) {
-          EXPECT_EQ(plan->config.runs()[r].start, want.runs()[r].start);
-          EXPECT_EQ(plan->config.runs()[r].frame_count,
-                    want.runs()[r].frame_count);
-          EXPECT_EQ(plan->config.runs()[r].words, want.runs()[r].words);
+          EXPECT_EQ(runs[r].start, want.runs()[r].start);
+          EXPECT_EQ(runs[r].frame_count, want.runs()[r].frame_count);
+          EXPECT_TRUE(std::ranges::equal(runs[r].words, want.runs()[r].words));
         }
         EXPECT_EQ(plan->payload_bytes, want.payload_bytes());
         EXPECT_EQ(plan->words, bitstream::serialize(want));
@@ -310,6 +320,95 @@ TEST(PlanCache, DifferentialEqualsTheStateDiff) {
         }
       }
     }
+  }
+}
+
+/// Run for run, `got` (a stream parsed back) equals `want`.
+void expect_same_runs(const bitstream::PartialConfig& got,
+                      const bitstream::PartialConfig& want) {
+  ASSERT_EQ(got.runs().size(), want.runs().size());
+  for (std::size_t r = 0; r < want.runs().size(); ++r) {
+    EXPECT_EQ(got.runs()[r].start, want.runs()[r].start) << "run " << r;
+    EXPECT_EQ(got.runs()[r].frame_count, want.runs()[r].frame_count)
+        << "run " << r;
+    EXPECT_EQ(got.runs()[r].words, want.runs()[r].words) << "run " << r;
+  }
+}
+
+TEST(PlanCache, StreamsParseBackToTheirConfigurations) {
+  // A plan keeps only its stream: parsed back, a complete plan is the
+  // configuration BitLinker linked, and a differential one the diff of the
+  // two linked configurations. swap_storm's five behaviours on the
+  // XC2VP30, every complete plan and ordered pair; jenkins and the pattern
+  // matcher on the XC2VP7.
+  struct Case {
+    const SystemSpec* spec;
+    std::vector<hw::BehaviorId> ids;
+  };
+  const Case cases[] = {
+      {&SystemSpec::k64,
+       {hw::kJenkinsHash, hw::kBrightness, hw::kBlendAdd, hw::kFade,
+        hw::kPatternMatcher}},
+      {&SystemSpec::k32, {hw::kJenkinsHash, hw::kPatternMatcher}}};
+  for (const Case& c : cases) {
+    Platform p{*c.spec};
+    const fabric::Device& dev = p.region().device();
+    const int width = p.dock_width();
+    PlanCache cache;
+    std::map<hw::BehaviorId, bitstream::PartialConfig> linked;
+    for (const hw::BehaviorId id : c.ids) {
+      SCOPED_TRACE(std::to_string(width) + ": " + hw::task_name(id));
+      auto link = p.linker().link_single(hw::component_for(id, width));
+      ASSERT_TRUE(link.ok());
+      const PlanCache::Plan* plan =
+          cache.complete(p.linker(), id, width, nullptr, nullptr);
+      ASSERT_NE(plan, nullptr);
+      EXPECT_EQ(plan->device, &dev);
+      EXPECT_EQ(plan->payload_bytes, link.config->payload_bytes());
+      expect_same_runs(bitstream::parse(plan->words, dev), *link.config);
+      linked.emplace(id, std::move(*link.config));
+    }
+    for (const hw::BehaviorId from : c.ids) {
+      for (const hw::BehaviorId to : c.ids) {
+        SCOPED_TRACE(std::to_string(width) + ": " + hw::task_name(from) +
+                     " -> " + hw::task_name(to));
+        const PlanCache::Plan* plan =
+            cache.differential(p.linker(), from, to, width, nullptr, nullptr);
+        ASSERT_NE(plan, nullptr);
+        const bitstream::PartialConfig want =
+            bitstream::PartialConfig::diff(linked.at(from), linked.at(to));
+        EXPECT_EQ(plan->payload_bytes, want.payload_bytes());
+        expect_same_runs(bitstream::parse(plan->words, dev), want);
+      }
+    }
+  }
+}
+
+TEST(Platform, SystemsShareOneBlankBaseline) {
+  // Every platform of one system, in every area, links against the same
+  // all-zero baseline, and two platforms build word-identical plans.
+  PlatformOptions two;
+  two.dynamic_areas = 2;
+  Platform64 a{two};
+  Platform64 b;
+  Platform32 c;
+  const fabric::ConfigMemory& blank = a.linker(0).baseline();
+  EXPECT_EQ(&a.linker(1).baseline(), &blank);
+  EXPECT_EQ(&b.linker().baseline(), &blank);
+  EXPECT_EQ(&c.linker().baseline(), &Platform32{}.linker().baseline());
+  EXPECT_NE(&c.linker().baseline(), &blank);
+  for (const fabric::ConfigMemory* base : {&blank, &c.linker().baseline()}) {
+    EXPECT_EQ(base->touched_frames(), 0);
+    EXPECT_EQ(fabric::ConfigMemory::diff_frames(
+                  *base, fabric::ConfigMemory{base->device()}),
+              0);
+  }
+  for (const hw::BehaviorId id : {hw::kBrightness, hw::kSha1}) {
+    const auto from_a = PlanCache::build_complete(a.linker(), id, 64, nullptr);
+    const auto from_b = PlanCache::build_complete(b.linker(), id, 64, nullptr);
+    ASSERT_TRUE(from_a && from_b) << hw::task_name(id);
+    EXPECT_EQ(from_a->words, from_b->words) << hw::task_name(id);
+    EXPECT_EQ(from_a->hash, from_b->hash) << hw::task_name(id);
   }
 }
 

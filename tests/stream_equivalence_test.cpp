@@ -525,9 +525,9 @@ class CrcTwins {
                  " base " + std::to_string(plan.base) + " into area " +
                  std::to_string(area) + (dma ? " by DMA" : "") + ", cut " +
                  std::to_string(cut.ps()) + " ps");
-    const PlanCache::Plan copy{plan.config, plan.words,  {},
-                               plan.payload_bytes, plan.target, plan.base,
-                               plan.hash};
+    const PlanCache::Plan copy{plan.words,  {},        plan.payload_bytes,
+                               plan.target, plan.base, plan.hash,
+                               plan.device};
     const std::int64_t runs_before = got_.icap_ctl().recorded_runs();
     const std::int64_t words_before = got_.icap_ctl().words_consumed();
     if (cut.ps() > 0) {
@@ -590,7 +590,7 @@ void expect_same(const IcapRig& ref, const IcapRig& got) {
 void feed_twins(const PlanCache::Plan& plan,
                 const std::vector<std::span<const std::uint32_t>>& pieces,
                 std::int64_t want) {
-  const fabric::Device& dev = plan.config.device();
+  const fabric::Device& dev = *plan.device;
   IcapRig ref{dev};
   IcapRig got{dev};
   got.icap.arm_payload_crcs(plan.words, plan.crcs);
@@ -692,7 +692,7 @@ TEST(PayloadCrcs, RecordedStatesEqualTheCrcPass) {
         feed_twins(*plan,
                    {words.first(at), null_cmd, words.subspan(at)},
                    static_cast<std::int64_t>(k));
-        IcapRig rig{plan->config.device()};
+        IcapRig rig{*plan->device};
         rig.icap.feed(words.first(at));
         rig.icap.feed(null_cmd);
         rig.icap.feed(words.subspan(at));

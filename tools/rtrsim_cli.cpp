@@ -26,8 +26,9 @@
 // the ModuleManager's retry/fallback/scrub machinery, reporting detection
 // latency and recovery outcome per scenario (docs/FAULTS.md). Output is a
 // pure function of --seed, so identical invocations are byte-identical.
-// run/reconfig also accept --fault-spec <site:trigger:seed> (repeatable)
-// to arm individual faults.
+// run, reconfig, serve --workload and fleet also accept --fault-spec
+// <site:trigger:seed[:device]> (repeatable) to arm individual faults; the
+// other commands refuse it.
 //
 // `chaos` runs the deterministic device-failure matrix over the
 // health-tracking fleet (docs/FLEET_HEALTH.md): seeded fail-stop and
@@ -115,7 +116,7 @@ struct Args {
   bool smoke = false;     // sweep/faults: small scenario subset (CI)
   bool plan_cache = true;  // serve: memoize/prefetch reconfiguration plans
   std::string bench_out;  // sweep/serve: benchmark JSON
-  std::vector<std::string> fault_specs;  // run/reconfig/serve: --fault-spec
+  std::vector<std::string> fault_specs;  // run/reconfig/serve/fleet
   std::uint64_t fault_seed = 1;          // faults/serve: --seed
   std::string workload;                  // serve: named workload (single mode)
   int repair_at = -1;                    // serve: repair_all after N requests
@@ -543,6 +544,18 @@ bool build_fault_plan(const Args& a, fault::FaultPlan* plan) {
     plan->add(spec);
   }
   return true;
+}
+
+/// The commands that arm no fault plan refuse --fault-spec rather than
+/// ignore it: true when none was given, else false with a stderr note
+/// naming `command`.
+bool fault_spec_absent(const Args& a, const char* command) {
+  if (a.fault_specs.empty()) return true;
+  std::fprintf(stderr,
+               "rtrsim_cli: %s does not take --fault-spec (run, reconfig, "
+               "serve --workload and fleet do)\n",
+               command);
+  return false;
 }
 
 /// Deterministic one-line injection summary for run/reconfig with faults
@@ -1395,6 +1408,7 @@ int serve_cmd(const Args& a) {
     std::fprintf(stderr, "rtrsim_cli: --incident-dir requires --workload\n");
     return 2;
   }
+  if (!fault_spec_absent(a, "serve without --workload")) return 2;
 
   std::vector<ServeScenario> list;
   if (a.smoke) {
@@ -1571,7 +1585,9 @@ bool write_fleet_bench(const Args& a, const serve::fleet::FleetOptions& fo,
 }
 
 int fleet_cmd(const Args& a) {
-  const serve::fleet::FleetOptions fo = fleet_options(a);
+  serve::fleet::FleetOptions fo = fleet_options(a);
+  // Device-scoped specs reach their shard through FaultPlan::for_device.
+  if (!build_fault_plan(a, &fo.fault_plan)) return 2;
   const serve::fleet::FleetWorkloadSpec fw = fleet_workload(a);
 
   const auto primary = timed([&] { return serve::fleet::run_fleet(fo, fw); });
@@ -1904,7 +1920,7 @@ int main(int argc, char** argv) {
   if (!parse(argc, argv, a)) return usage();
 
   if (a.command == "topology") {
-    if (!areas_fit_system(a)) return 2;
+    if (!areas_fit_system(a) || !fault_spec_absent(a, "topology")) return 2;
     PlatformOptions opts;
     opts.dynamic_areas = a.areas;
     const Platform p{SystemSpec::of(a.system), opts};
@@ -1912,6 +1928,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (a.command == "resources") {
+    if (!fault_spec_absent(a, "resources")) return 2;
     return resources(a);
   }
   if (a.command == "reconfig") {
@@ -1938,9 +1955,11 @@ int main(int argc, char** argv) {
     return run_task(a);
   }
   if (a.command == "sweep") {
+    if (!fault_spec_absent(a, "sweep")) return 2;
     return sweep(a);
   }
   if (a.command == "faults") {
+    if (!fault_spec_absent(a, "faults")) return 2;
     return faults_cmd(a);
   }
   if (a.command == "serve") {
@@ -1950,6 +1969,7 @@ int main(int argc, char** argv) {
     return fleet_cmd(a);
   }
   if (a.command == "chaos") {
+    if (!fault_spec_absent(a, "chaos")) return 2;
     return chaos_cmd(a);
   }
   std::fprintf(stderr, "rtrsim_cli: unknown command '%s'\n",
