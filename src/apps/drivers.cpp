@@ -211,14 +211,19 @@ MatchResult hw_pattern_match_pio(Kernel& k, Addr dock, Addr img, int w, int h,
   k.sw(dock, (static_cast<std::uint32_t>(w) << 16) |
                  static_cast<std::uint32_t>(h));
   // Pattern: loaded and bit-packed once by the CPU (64 bytes -> 2 words).
-  std::uint32_t pw[2] = {0, 0};
-  for (int i = 0; i < 64; ++i) {
-    const std::uint8_t b = k.lbz(pat + static_cast<Addr>(i));
-    k.op(3);
-    pw[i / 32] |= static_cast<std::uint32_t>(b != 0) << (i % 32);
-  }
-  k.sw(dock, pw[0]);
-  k.sw(dock, pw[1]);
+  std::uint64_t pbits = 0;
+  cpu::run_periodic(
+      k, {.iterations = 64, .reads = {bytes_at(pat, 64)}},
+      [&](std::int64_t i) {
+        const std::uint8_t b = k.lbz(pat + static_cast<Addr>(i));
+        k.op(3);
+        pbits |= std::uint64_t{b != 0} << i;
+      },
+      [&](std::int64_t first, std::int64_t count) {
+        pbits |= fetch_pattern_bits(k.cpu().plb(), pat, first, count);
+      });
+  k.sw(dock, static_cast<std::uint32_t>(pbits));
+  k.sw(dock, static_cast<std::uint32_t>(pbits >> 32));
   // Image: one word = 4 pixel bytes, straight from memory.
   pio_feed(k, dock, img, w * h / 4);
   // Results: one count per window position; the CPU tracks the best.

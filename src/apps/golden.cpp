@@ -58,16 +58,21 @@ std::vector<std::uint8_t> pattern_match_counts(const BinaryImage& img,
   const std::size_t cols = width - 7;
   const auto wpr = static_cast<std::size_t>(img.words_per_row());
   // Window bytes per image row, padded to whole groups of eight: byte c of
-  // row r holds bits c..c+7 of the row, LSB-first.
+  // row r holds bits c..c+7 of the row, LSB-first. A group's eight windows
+  // come from the 15 row bits at its first column; bytes past the last
+  // window feed count lanes that are never stored.
   const std::size_t stride = (cols + 7) / 8 * 8;
   std::vector<std::uint8_t> windows(height * stride, 0);
   for (std::size_t r = 0; r < height; ++r) {
     const std::uint32_t* row = img.words.data() + r * wpr;
     std::uint8_t* win = windows.data() + r * stride;
-    for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t c = 0; c < cols; c += 8) {
       const std::size_t w = c / 32;
       const std::uint64_t next = w + 1 < wpr ? row[w + 1] : 0;
-      win[c] = static_cast<std::uint8_t>((row[w] | next << 32) >> (c % 32));
+      const std::uint64_t bits = (row[w] | next << 32) >> (c % 32);
+      for (std::size_t k = 0; k < 8; ++k) {
+        win[c + k] = static_cast<std::uint8_t>(bits >> k);
+      }
     }
   }
 
@@ -209,48 +214,59 @@ std::uint32_t jenkins_hash(std::span<const std::uint8_t> key,
 
 namespace {
 
+constexpr std::uint32_t rotl(std::uint32_t x, int n) {
+  return (x << n) | (x >> (32 - n));
+}
+
+/// Rounds [20 * P, 20 * P + 20): phase P's function and constant, with
+/// W[t] kept in a 16-word window, w[t % 16]. Five rounds per step, each
+/// naming the working variables in its turn, so none is moved.
+template <int P>
+void sha1_phase(std::uint32_t (&v)[5], std::uint32_t (&w)[16]) {
+  static constexpr std::uint32_t k[] = {0x5A827999u, 0x6ED9EBA1u,
+                                        0x8F1BBCDCu, 0xCA62C1D6u};
+  const auto round = [&w](std::uint32_t a, std::uint32_t& b, std::uint32_t c,
+                          std::uint32_t d, std::uint32_t& e, int t) {
+    if (t >= 16) {
+      w[t % 16] = rotl(w[(t - 3) % 16] ^ w[(t - 8) % 16] ^ w[(t - 14) % 16] ^
+                           w[t % 16],
+                       1);
+    }
+    std::uint32_t f;
+    if constexpr (P == 0) {
+      f = (b & c) | (~b & d);
+    } else if constexpr (P == 2) {
+      f = (b & c) | (b & d) | (c & d);
+    } else {
+      f = b ^ c ^ d;
+    }
+    e += rotl(a, 5) + f + w[t % 16] + k[P];
+    b = rotl(b, 30);
+  };
+  auto& [a, b, c, d, e] = v;
+  for (int t = 20 * P; t < 20 * P + 20; t += 5) {
+    round(a, b, c, d, e, t);
+    round(e, a, b, c, d, t + 1);
+    round(d, e, a, b, c, t + 2);
+    round(c, d, e, a, b, t + 3);
+    round(b, c, d, e, a, t + 4);
+  }
+}
+
 /// One 64-byte block of the SHA-1 compression function.
 void sha1_block(std::array<std::uint32_t, 5>& h, const std::uint8_t* block) {
-  auto rol = [](std::uint32_t x, int n) {
-    return (x << n) | (x >> (32 - n));
-  };
-  std::uint32_t w[80];
+  std::uint32_t w[16];
   for (int t = 0; t < 16; ++t) {
     const std::uint8_t* p = block + static_cast<std::size_t>(t) * 4;
     w[t] = (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
            (std::uint32_t{p[2]} << 8) | p[3];
   }
-  for (int t = 16; t < 80; ++t) {
-    w[t] = rol(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
-  }
-  std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
-  for (int t = 0; t < 80; ++t) {
-    std::uint32_t f, k;
-    if (t < 20) {
-      f = (b & c) | ((~b) & d);
-      k = 0x5A827999u;
-    } else if (t < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (t < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t tmp = rol(a, 5) + f + e + w[t] + k;
-    e = d;
-    d = c;
-    c = rol(b, 30);
-    b = a;
-    a = tmp;
-  }
-  h[0] += a;
-  h[1] += b;
-  h[2] += c;
-  h[3] += d;
-  h[4] += e;
+  std::uint32_t v[5] = {h[0], h[1], h[2], h[3], h[4]};
+  sha1_phase<0>(v, w);
+  sha1_phase<1>(v, w);
+  sha1_phase<2>(v, w);
+  sha1_phase<3>(v, w);
+  for (std::size_t i = 0; i < 5; ++i) h[i] += v[i];
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // as the paper's do).
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -27,6 +28,22 @@ inline std::vector<std::uint8_t> fetch_bytes(bus::Bus& b, bus::Addr base,
 /// The `n` bytes at `base`.
 constexpr bus::AddressRange bytes_at(bus::Addr base, std::int64_t n) {
   return {base, static_cast<std::uint64_t>(n)};
+}
+
+/// Bits [first, first + count) of the thresholded 8x8 pattern at `base`,
+/// one byte per pixel: bit i is set when byte i is non-zero, as the
+/// pattern-preparation loops of the matcher's drivers pack it.
+inline std::uint64_t fetch_pattern_bits(bus::Bus& b, bus::Addr base,
+                                        std::int64_t first,
+                                        std::int64_t count) {
+  std::array<std::uint8_t, 64> px{};
+  const auto n = static_cast<std::size_t>(count);
+  b.peek_block(base + static_cast<bus::Addr>(first), std::span{px}.first(n));
+  std::uint64_t bits = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    bits |= std::uint64_t{px[j] != 0} << (static_cast<std::size_t>(first) + j);
+  }
+  return bits;
 }
 
 /// Little-endian halfword and word j of a memory block, as lhz and lw

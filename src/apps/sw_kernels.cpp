@@ -1,5 +1,6 @@
 #include "apps/sw_kernels.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <optional>
 #include <vector>
@@ -84,6 +85,10 @@ void jenkins_mix(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c) {
 
 using Sha1Words = std::array<std::uint32_t, 5>;
 using Sha1Schedule = std::array<std::uint32_t, 80>;
+/// Host staging of one 64-byte block and of the whole W[] (320 bytes): the
+/// bulk sides' buffers, sized by the kernel's bounds.
+using BlockBytes = std::array<std::uint8_t, 64>;
+using ScheduleBytes = std::array<std::uint8_t, 320>;
 
 constexpr std::uint32_t rol(std::uint32_t x, int n) {
   return (x << n) | (x >> (32 - n));
@@ -101,23 +106,27 @@ constexpr std::uint32_t expand(std::uint32_t w3, std::uint32_t w8,
   return rol(w3 ^ w8 ^ w14 ^ w16, 1);
 }
 
-/// Round t on the working variables a..e, with schedule word `w`.
-void round(std::int64_t t, std::uint32_t w, Sha1Words& v) {
+/// The round function of each 20-round phase: rounds 0-19, 20-39, 40-59
+/// and 60-79 use choose, parity, majority and parity.
+constexpr std::uint32_t choose(std::uint32_t b, std::uint32_t c,
+                               std::uint32_t d) {
+  return (b & c) | ((~b) & d);
+}
+constexpr std::uint32_t parity(std::uint32_t b, std::uint32_t c,
+                               std::uint32_t d) {
+  return b ^ c ^ d;
+}
+constexpr std::uint32_t majority(std::uint32_t b, std::uint32_t c,
+                                 std::uint32_t d) {
+  return (b & c) | (b & d) | (c & d);
+}
+constexpr std::uint32_t kRoundConstant[4] = {0x5A827999u, 0x6ED9EBA1u,
+                                             0x8F1BBCDCu, 0xCA62C1D6u};
+
+/// One round on the working variables a..e: `f` of b, c and d, plus the
+/// schedule word `w` and the phase's constant `kc`.
+void step(std::uint32_t f, std::uint32_t w, std::uint32_t kc, Sha1Words& v) {
   auto& [a, b, c, d, e] = v;
-  std::uint32_t f, kc;
-  if (t < 20) {
-    f = (b & c) | ((~b) & d);
-    kc = 0x5A827999u;
-  } else if (t < 40) {
-    f = b ^ c ^ d;
-    kc = 0x6ED9EBA1u;
-  } else if (t < 60) {
-    f = (b & c) | (b & d) | (c & d);
-    kc = 0x8F1BBCDCu;
-  } else {
-    f = b ^ c ^ d;
-    kc = 0xCA62C1D6u;
-  }
   const std::uint32_t tmp = rol(a, 5) + f + e + w + kc;
   e = d;
   d = c;
@@ -126,22 +135,63 @@ void round(std::int64_t t, std::uint32_t w, Sha1Words& v) {
   a = tmp;
 }
 
-/// Rounds [from, to) on a..e.
+/// Round t on a..e, with schedule word `w`.
+void round(std::int64_t t, std::uint32_t w, Sha1Words& v) {
+  const auto& [a, b, c, d, e] = v;
+  const std::uint32_t f = t < 20   ? choose(b, c, d)
+                          : t < 40 ? parity(b, c, d)
+                          : t < 60 ? majority(b, c, d)
+                                   : parity(b, c, d);
+  step(f, w, kRoundConstant[t / 20], v);
+}
+
+/// The rounds of [from, to) that fall in phase `p`, whose function is F.
+template <std::uint32_t (*F)(std::uint32_t, std::uint32_t, std::uint32_t)>
+void phase_rounds(int p, const Sha1Schedule& w, std::int64_t from,
+                  std::int64_t to, Sha1Words& v) {
+  const std::int64_t first = std::max<std::int64_t>(from, 20 * p);
+  const std::int64_t last = std::min<std::int64_t>(to, 20 * p + 20);
+  const std::uint32_t kc = kRoundConstant[p];
+  Sha1Words s = v;
+  for (std::int64_t t = first; t < last; ++t) {
+    step(F(s[1], s[2], s[3]), w[static_cast<std::size_t>(t)], kc, s);
+  }
+  v = s;
+}
+
+/// Rounds [from, to) on a..e, phase by phase.
 void rounds(const Sha1Schedule& w, std::int64_t from, std::int64_t to,
             Sha1Words& v) {
-  for (std::int64_t t = from; t < to; ++t) {
-    round(t, w[static_cast<std::size_t>(t)], v);
-  }
+  phase_rounds<choose>(0, w, from, to, v);
+  phase_rounds<parity>(1, w, from, to, v);
+  phase_rounds<majority>(2, w, from, to, v);
+  phase_rounds<parity>(3, w, from, to, v);
 }
 
 /// W[from, to) of the 64-byte `block`, in order.
 void schedule(std::span<const std::uint8_t> block, Sha1Schedule& w,
               std::int64_t from, std::int64_t to) {
-  for (std::int64_t t = from; t < to; ++t) {
+  for (std::int64_t t = from; t < std::min<std::int64_t>(to, 16); ++t) {
+    const auto i = static_cast<std::size_t>(4 * t);
+    w[static_cast<std::size_t>(t)] =
+        big_endian(block[i], block[i + 1], block[i + 2], block[i + 3]);
+  }
+  // Three words at a time: W[t], W[t+1] and W[t+2] read only words before
+  // t, so each step loads what earlier steps stored, never a word it is
+  // still computing.
+  std::int64_t t = std::max<std::int64_t>(from, 16);
+  for (; t + 3 <= to; t += 3) {
     const auto i = static_cast<std::size_t>(t);
-    w[i] = t < 16 ? big_endian(block[4 * i], block[4 * i + 1],
-                               block[4 * i + 2], block[4 * i + 3])
-                  : expand(w[i - 3], w[i - 8], w[i - 14], w[i - 16]);
+    const std::uint32_t w0 = expand(w[i - 3], w[i - 8], w[i - 14], w[i - 16]);
+    const std::uint32_t w1 = expand(w[i - 2], w[i - 7], w[i - 13], w[i - 15]);
+    const std::uint32_t w2 = expand(w[i - 1], w[i - 6], w[i - 12], w[i - 14]);
+    w[i] = w0;
+    w[i + 1] = w1;
+    w[i + 2] = w2;
+  }
+  for (; t < to; ++t) {
+    const auto i = static_cast<std::size_t>(t);
+    w[i] = expand(w[i - 3], w[i - 8], w[i - 14], w[i - 16]);
   }
 }
 
@@ -149,19 +199,21 @@ void schedule(std::span<const std::uint8_t> block, Sha1Schedule& w,
 /// little-endian words).
 void fetch_schedule(bus::Bus& mem, Addr w_base, Sha1Schedule& w,
                     std::int64_t from, std::int64_t to) {
-  const auto bytes = fetch_bytes(mem, at(w_base, 4 * from),
-                                 static_cast<std::size_t>(to - from) * 4);
+  ScheduleBytes bytes{};
+  const auto n = static_cast<std::size_t>(to - from) * 4;
+  mem.peek_block(at(w_base, 4 * from), std::span{bytes}.first(n));
   for (std::int64_t t = from; t < to; ++t) {
     w[static_cast<std::size_t>(t)] = le32(bytes, t - from);
   }
 }
 void store_schedule(bus::Bus& mem, Addr w_base, const Sha1Schedule& w,
                     std::int64_t from, std::int64_t to) {
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(to - from) * 4);
+  ScheduleBytes bytes{};
   for (std::int64_t t = from; t < to; ++t) {
     put_le32(bytes, t - from, w[static_cast<std::size_t>(t)]);
   }
-  store_bytes(mem, at(w_base, 4 * from), bytes);
+  store_bytes(mem, at(w_base, 4 * from),
+              std::span{bytes}.first(static_cast<std::size_t>(4 * (to - from))));
 }
 
 // --- image operations ---------------------------------------------------------
@@ -203,11 +255,16 @@ MatchResult sw_pattern_match(Kernel& k, Addr img, int w, int h, Addr pat) {
   // Pattern prep: 64 byte loads, thresholded and packed into two registers
   // (the "cumbersome" bit manipulation, done once).
   std::uint64_t pbits = 0;
-  for (int i = 0; i < 64; ++i) {
-    const std::uint8_t b = k.lbz(pat + static_cast<Addr>(i));
-    k.op(3);  // compare-to-zero, shift, or
-    pbits |= static_cast<std::uint64_t>(b != 0) << i;
-  }
+  cpu::run_periodic(
+      k, {.iterations = 64, .reads = {bytes_at(pat, 64)}},
+      [&](std::int64_t i) {
+        const std::uint8_t b = k.lbz(at(pat, i));
+        k.op(3);  // compare-to-zero, shift, or
+        pbits |= static_cast<std::uint64_t>(b != 0) << i;
+      },
+      [&](std::int64_t first, std::int64_t count) {
+        pbits |= fetch_pattern_bits(k.cpu().plb(), pat, first, count);
+      });
 
   MatchResult best;
   const auto track = [&](std::int64_t r, std::int64_t c, int count) {
@@ -366,8 +423,10 @@ std::array<std::uint32_t, 5> sw_sha1(Kernel& k, Addr msg, std::uint32_t len,
           k.sw(w_at(t), big_endian(b0, b1, b2, b3));
         },
         [&](std::int64_t first, std::int64_t count) {
+          BlockBytes bytes{};
+          mem.peek_block(block, bytes);
           Sha1Schedule w;
-          schedule(fetch_bytes(mem, block, 64), w, first, first + count);
+          schedule(bytes, w, first, first + count);
           store_schedule(mem, w_base, w, first, first + count);
         });
     // W[16..79]: 4 loads, 3 xors, 1 rotate, 1 store each. Iteration t reads
@@ -425,12 +484,11 @@ std::array<std::uint32_t, 5> sw_sha1(Kernel& k, Addr msg, std::uint32_t len,
         k.branch();
       },
       [&](std::int64_t first, std::int64_t count) {
-        const auto in = fetch_bytes(mem, at(msg, 64 * first),
-                                    static_cast<std::size_t>(count) * 64);
+        BlockBytes block{};
         Sha1Schedule w;
-        for (std::int64_t j = 0; j < count; ++j) {
-          schedule(std::span{in}.subspan(static_cast<std::size_t>(j) * 64, 64),
-                   w, 0, 80);
+        for (std::int64_t j = first; j < first + count; ++j) {
+          mem.peek_block(at(msg, 64 * j), block);
+          schedule(block, w, 0, 80);
           Sha1Words v = h;
           rounds(w, 0, 80, v);
           for (std::size_t i = 0; i < h.size(); ++i) h[i] += v[i];
@@ -458,8 +516,11 @@ std::array<std::uint32_t, 5> sw_sha1(Kernel& k, Addr msg, std::uint32_t len,
         k.op(1);
       },
       [&](std::int64_t first, std::int64_t count) {
+        // At most 63 padding zeros: the 0x80 byte and the length leave no
+        // more room in the last block.
+        constexpr BlockBytes kZeros{};
         store_bytes(mem, at(zeros, first),
-                    std::vector<std::uint8_t>(static_cast<std::size_t>(count)));
+                    std::span{kZeros}.first(static_cast<std::size_t>(count)));
       });
   fill = pad_end - 8;
   const std::uint64_t bits = std::uint64_t{len} * 8;

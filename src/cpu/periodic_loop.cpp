@@ -16,14 +16,15 @@ IterationStats::IterationStats(
     fault::FaultInjector* faults)
     : faults_(faults) {
   const auto count = [&](sim::Counter& c) {
-    counters_.push_back({&c, c.value()});
+    counters_.emplace_back(&c, c.value());
   };
   for (const bus::Bus* b : buses) {
     const bus::Bus::Stats& bs = b->stats();
     count(*bs.transactions);
     count(*bs.beats);
-    busy_.push_back({bs.busy, bs.busy->total()});
-    hists_.push_back({bs.latency, *bs.latency});
+    busy_.emplace_back(bs.busy, bs.busy->total());
+    // One copy of the latency histogram, straight into its slot.
+    hists_.emplace_back(bs.latency, *bs.latency);
   }
   for (const bus::PlbOpbBridge* br : bridges) {
     count(br->crossings());

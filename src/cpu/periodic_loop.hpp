@@ -14,8 +14,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "bus/bridge.hpp"
@@ -49,23 +51,34 @@ struct PeriodicLoop {
 };
 
 /// At most N values in place: the runner's per-loop storage, which
-/// allocates nothing. Appending past N aborts.
+/// allocates nothing. A slot is constructed when a value is appended, so
+/// an empty list costs no initialisation. Appending past N aborts.
 template <typename T, std::size_t N>
 class FixedList {
+  static_assert(std::is_trivially_destructible_v<T>,
+                "a FixedList never destroys its values");
+
  public:
-  void push_back(const T& v) {
+  FixedList() {}  // the slots stay unconstructed
+  /// Construct the next value in place from `args`.
+  template <typename... Args>
+  void emplace_back(Args&&... args) {
     RTR_CHECK(size_ < N, "fixed list full");
-    items_[size_++] = v;
+    std::construct_at(items_ + size_, std::forward<Args>(args)...);
+    ++size_;
   }
+  void push_back(const T& v) { emplace_back(v); }
   void clear() { size_ = 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] const T& operator[](std::size_t i) const { return items_[i]; }
-  [[nodiscard]] const T* begin() const { return items_.data(); }
-  [[nodiscard]] const T* end() const { return items_.data() + size_; }
+  [[nodiscard]] const T* begin() const { return items_; }
+  [[nodiscard]] const T* end() const { return items_ + size_; }
   [[nodiscard]] std::span<const T> view() const { return {begin(), size_}; }
 
  private:
-  std::array<T, N> items_{};
+  union {
+    T items_[N];
+  };
   std::size_t size_ = 0;
 };
 

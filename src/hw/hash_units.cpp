@@ -1,6 +1,7 @@
 #include "hw/hash_units.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace rtr::hw {
 
@@ -157,41 +158,52 @@ void Sha1Module::clear_state() {
   read_index_ = 0;
 }
 
-void Sha1Module::compress(const std::uint32_t (&block)[16]) {
-  auto rol = [](std::uint32_t x, int n) { return (x << n) | (x >> (32 - n)); };
-  std::uint32_t w[80];
-  for (int t = 0; t < 16; ++t) w[t] = block[t];
-  for (int t = 16; t < 80; ++t) {
-    w[t] = rol(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
-  }
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int t = 0; t < 80; ++t) {
-    std::uint32_t f, k;
-    if (t < 20) {
-      f = (b & c) | ((~b) & d);
-      k = 0x5A827999u;
-    } else if (t < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (t < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
+namespace {
+
+std::uint32_t rol(std::uint32_t x, int n) { return (x << n) | (x >> (32 - n)); }
+
+/// One 20-round phase from round `first`, with round function `f`, as the
+/// unit's pipeline runs it: a 16-word shift register holds W[t - 16 ..
+/// t - 1], and each round past the 16th expands the next word into the
+/// slot the oldest one leaves.
+template <typename F>
+void phase(std::uint32_t (&v)[5], std::uint32_t (&w)[16], int first,
+           std::uint32_t k, F f) {
+  std::uint32_t a = v[0], b = v[1], c = v[2], d = v[3], e = v[4];
+  for (int t = first; t < first + 20; ++t) {
+    std::uint32_t& wt = w[t & 15];
+    if (t >= 16) {
+      wt = rol(w[(t + 13) & 15] ^ w[(t + 8) & 15] ^ w[(t + 2) & 15] ^ wt, 1);
     }
-    const std::uint32_t tmp = rol(a, 5) + f + e + w[t] + k;
+    const std::uint32_t tmp = rol(a, 5) + f(b, c, d) + e + wt + k;
     e = d;
     d = c;
     c = rol(b, 30);
     b = a;
     a = tmp;
   }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
+  v[0] = a;
+  v[1] = b;
+  v[2] = c;
+  v[3] = d;
+  v[4] = e;
+}
+
+}  // namespace
+
+void Sha1Module::compress(const std::uint32_t (&block)[16]) {
+  using Word = std::uint32_t;
+  const auto parity = [](Word b, Word c, Word d) { return b ^ c ^ d; };
+  std::uint32_t w[16];
+  std::copy(std::begin(block), std::end(block), w);
+  std::uint32_t v[5] = {h_[0], h_[1], h_[2], h_[3], h_[4]};
+  phase(v, w, 0, 0x5A827999u,
+        [](Word b, Word c, Word d) { return (b & c) | ((~b) & d); });
+  phase(v, w, 20, 0x6ED9EBA1u, parity);
+  phase(v, w, 40, 0x8F1BBCDCu,
+        [](Word b, Word c, Word d) { return (b & c) | (b & d) | (c & d); });
+  phase(v, w, 60, 0xCA62C1D6u, parity);
+  for (int i = 0; i < 5; ++i) h_[static_cast<std::size_t>(i)] += v[i];
 }
 
 void Sha1Module::process_block() {

@@ -34,7 +34,9 @@ void PatternMatcherModule::accept32(std::uint32_t w) {
       }
       pixels_received_ = 0;
       bits_.clear();
-      if (!capacity_error_) bits_.assign(pixels_expected_, 0);
+      // One word past the last pixel's: finish() reads each window as a
+      // funnel shift of two words.
+      if (!capacity_error_) bits_.assign(pixels_expected_ / 64 + 2, 0);
       state_ = State::kPatternLo;
       break;
     }
@@ -50,17 +52,51 @@ void PatternMatcherModule::accept32(std::uint32_t w) {
       }
       state_ = State::kImage;
       break;
-    case State::kImage:
-      // Four pixel bytes per word, thresholded to bits on entry.
-      for (int i = 0; i < 4 && pixels_received_ < pixels_expected_; ++i) {
-        const std::uint8_t px = static_cast<std::uint8_t>(w >> (8 * i));
-        if (!capacity_error_) bits_[pixels_received_] = px != 0;
-        ++pixels_received_;
-      }
+    case State::kImage: {
+      // Four pixel bytes per word, thresholded to bits on entry. Without a
+      // capacity error the width is a multiple of 4, so every word is
+      // whole.
+      const std::size_t n =
+          std::min<std::size_t>(4, pixels_expected_ - pixels_received_);
+      if (!capacity_error_) store_pixels(pixels_received_, w);
+      pixels_received_ += n;
       if (pixels_received_ == pixels_expected_) finish();
       break;
+    }
     case State::kDone:
       break;  // trailing pad strobes are ignored; control() re-arms
+  }
+}
+
+void PatternMatcherModule::store_pixels(std::size_t at, std::uint32_t w) {
+  std::uint64_t bits = 0;
+  for (int i = 0; i < 4; ++i) {
+    bits |= std::uint64_t{((w >> (8 * i)) & 0xFFu) != 0} << i;
+  }
+  bits_[at / 64] |= bits << (at % 64);
+}
+
+void PatternMatcherModule::accept_words(std::span<const std::uint32_t> words) {
+  // The header words and a partial last word take the single-strobe path;
+  // the whole image words between them go straight to the bit buffer.
+  while (!words.empty() && state_ != State::kDone) {
+    const std::size_t whole =
+        state_ == State::kImage
+            ? std::min(words.size(), (pixels_expected_ - pixels_received_) / 4)
+            : 0;
+    if (whole == 0) {
+      accept32(words.front());
+      words = words.subspan(1);
+      continue;
+    }
+    if (!capacity_error_) {
+      for (std::size_t j = 0; j < whole; ++j) {
+        store_pixels(pixels_received_ + 4 * j, words[j]);
+      }
+    }
+    pixels_received_ += 4 * whole;
+    words = words.subspan(whole);
+    if (pixels_received_ == pixels_expected_) finish();
   }
 }
 
@@ -87,19 +123,24 @@ void PatternMatcherModule::finish() {
   state_ = State::kDone;
   if (capacity_error_) return;
 
-  // Each BRAM row shifts through an 8-bit register: after pixel c + 7 it
-  // holds the row's window at column c (bit i = pixel c + i). Windows sit
-  // at their column in a row-strided buffer; a row's last 7 bytes hold no
-  // window, and the count lanes they feed below are never stored.
+  // A row's window at column c is its pixels c .. c + 7: bits p .. p + 7
+  // of the buffer, for p = r * w + c. One funnel shift of two buffer words
+  // yields the 15 pixels of eight neighbouring windows, which sit at their
+  // columns in a row-strided buffer. A row's last 7 bytes hold no window,
+  // and the count lanes they feed below are never stored.
   const auto w = static_cast<std::size_t>(width_);
   const auto h = static_cast<std::size_t>(height_);
   const std::size_t cols = w - 7;
   windows_.resize(w * h);
-  for (std::size_t base = 0; base < w * h; base += w) {
-    unsigned v = 0;
-    for (std::size_t c = 0; c < w; ++c) {
-      v = (v >> 1) | static_cast<unsigned>(bits_[base + c]) << 7;
-      if (c >= 7) windows_[base + c - 7] = static_cast<std::uint8_t>(v);
+  const std::uint64_t* bits = bits_.data();
+  for (std::size_t r = 0; r < h; ++r) {
+    std::uint8_t* row = windows_.data() + r * w;
+    for (std::size_t c = 0, p = r * w; c < cols; c += 8, p += 8) {
+      const std::size_t q = p / 64, s = p % 64;
+      const std::uint64_t run = bits[q] >> s | bits[q + 1] << 1 << (63 - s);
+      for (std::size_t k = 0; k < 8; ++k) {
+        row[c + k] = static_cast<std::uint8_t>(run >> k);
+      }
     }
   }
 
@@ -143,11 +184,23 @@ std::uint64_t PatternMatcherModule::read_word(int width_bits) {
 
 void PatternMatcherModule::pio_block(std::span<const std::uint32_t> in,
                                      std::span<std::uint32_t> out) {
+  if (in.empty()) {
+    // A block of reads: the counts left, then ~0u, as next_count() reads
+    // them.
+    const std::size_t left = state_ == State::kDone && !capacity_error_
+                                 ? counts_.size() - read_index_
+                                 : 0;
+    const std::size_t n = std::min(out.size(), left);
+    std::copy_n(counts_.begin() + static_cast<std::ptrdiff_t>(read_index_), n,
+                out.begin());
+    std::fill(out.begin() + static_cast<std::ptrdiff_t>(n), out.end(),
+              0xFFFFFFFFu);
+    read_index_ += n;
+    return;
+  }
   bus::for_each_pio_group(
       in, out,
-      [this](std::span<const std::uint32_t> words) {
-        for (const std::uint32_t w : words) accept32(w);
-      },
+      [this](std::span<const std::uint32_t> words) { accept_words(words); },
       [this] { return next_count(); });
 }
 

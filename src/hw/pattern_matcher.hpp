@@ -52,7 +52,8 @@ class PatternMatcherModule : public HwModule {
   void control(std::uint32_t) override { reset(); }
   void write_word(std::uint64_t data, int width_bits) override;
   [[nodiscard]] std::uint64_t read_word(int width_bits) override;
-  /// Image words and count reads without a virtual call per word.
+  /// Image words straight to the bit buffer, and a block of reads straight
+  /// from the counts.
   void pio_block(std::span<const std::uint32_t> in,
                  std::span<std::uint32_t> out) override;
   /// Results are pulled by the CPU (PIO reads), not streamed to the FIFO.
@@ -71,6 +72,11 @@ class PatternMatcherModule : public HwModule {
   enum class State { kGeometry, kPatternLo, kPatternHi, kImage, kDone };
 
   void accept32(std::uint32_t w);
+  /// Whole image words in one pass; the header words and a partial last
+  /// word take accept32.
+  void accept_words(std::span<const std::uint32_t> words);
+  /// Threshold the four pixel bytes of `w` into buffer bits at .. at + 3.
+  void store_pixels(std::size_t at, std::uint32_t w);
   void finish();
   /// The next 32-bit read: a count, or ~0u.
   std::uint32_t next_count();
@@ -82,7 +88,9 @@ class PatternMatcherModule : public HwModule {
   int height_ = 0;
   std::size_t pixels_expected_ = 0;
   std::size_t pixels_received_ = 0;
-  std::vector<std::uint8_t> bits_;  // thresholded pixels (model of the BRAM)
+  // Thresholded pixels, bit p of the buffer for pixel p in scan order
+  // (model of the BRAM).
+  std::vector<std::uint64_t> bits_;
   std::vector<std::uint8_t> windows_;  // each row's 8-bit window per column
   std::uint8_t pattern_[8] = {};
   std::vector<std::uint8_t> counts_;

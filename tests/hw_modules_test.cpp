@@ -18,6 +18,7 @@
 #include "hw/image_units.hpp"
 #include "hw/library.hpp"
 #include "hw/pattern_matcher.hpp"
+#include "rfc3174.hpp"
 #include "sim/random.hpp"
 
 namespace rtr::hw {
@@ -267,7 +268,13 @@ TEST_P(HashWidths, JenkinsMatchesGolden) {
 
 TEST_P(HashWidths, Sha1MatchesGolden) {
   sim::Rng rng{13};
-  for (std::size_t len : {0u, 1u, 3u, 55u, 56u, 63u, 64u, 65u, 100u, 8192u}) {
+  // Every length 0-300 covers every len % 64 and both padding shapes with
+  // 0-4 whole blocks; then the serving and table sizes.
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 300; ++len) lengths.push_back(len);
+  lengths.push_back(1024);
+  lengths.push_back(8192);
+  for (const std::size_t len : lengths) {
     std::vector<std::uint8_t> msg(len);
     for (auto& b : msg) b = rng.next_u8();
 
@@ -283,6 +290,22 @@ TEST_P(HashWidths, Sha1MatchesGolden) {
       EXPECT_EQ(static_cast<std::uint32_t>(m.read_word(32)),
                 want[static_cast<std::size_t>(i)])
           << "len " << len << " word " << i;
+    }
+  }
+}
+
+TEST_P(HashWidths, Sha1MatchesRfc3174Vectors) {
+  for (const test::Sha1Vector& v : test::kRfc3174Vectors) {
+    const std::vector<std::uint8_t> msg = v.message();
+    Sha1Module m;
+    std::vector<std::uint32_t> words{static_cast<std::uint32_t>(msg.size())};
+    const auto packed = pack_bytes(msg);
+    words.insert(words.end(), packed.begin(), packed.end());
+    stream_words(m, words, GetParam());
+
+    ASSERT_TRUE(m.result_ready()) << v.text;
+    for (const std::uint32_t want : v.digest) {
+      EXPECT_EQ(static_cast<std::uint32_t>(m.read_word(32)), want) << v.text;
     }
   }
 }
@@ -501,13 +524,15 @@ void expect_blocks_match(const BehaviorRegistry& reg, int id,
   EXPECT_EQ(block->read_word(64), single->read_word(64));
 }
 
-/// Every way `strobes` is cut: for short streams each single cut point and
-/// a block per strobe; for all, four seeded sets of up to eight cuts.
+/// Every way `strobes` is cut: for streams shorter than `every_below`
+/// strobes each single cut point and a block per strobe; for all, four
+/// seeded sets of up to eight cuts.
 void expect_blocks_match_every_cut(const BehaviorRegistry& reg, int id,
                                    std::uint32_t control,
-                                   const Strobes& strobes, sim::Rng& rng) {
+                                   const Strobes& strobes, sim::Rng& rng,
+                                   std::size_t every_below = 40) {
   const std::size_t n = strobes.size();
-  if (n < 40) {
+  if (n < every_below) {
     std::vector<std::size_t> every;
     for (std::size_t c = 0; c <= n; ++c) {
       expect_blocks_match(reg, id, control, strobes, {c});
@@ -524,8 +549,9 @@ void expect_blocks_match_every_cut(const BehaviorRegistry& reg, int id,
 }
 
 /// The protocol stream of a `w` x `h` image (random pixels, about half of
-/// them set) and a random pattern, then `reads` count reads.
-Strobes matcher_strobes(int w, int h, int reads, sim::Rng& rng) {
+/// them set) and a random pattern, `pad` trailing writes the matcher
+/// ignores, then `reads` count reads.
+Strobes matcher_strobes(int w, int h, int reads, sim::Rng& rng, int pad = 0) {
   std::vector<std::uint32_t> words{(static_cast<std::uint32_t>(w) << 16) |
                                    static_cast<std::uint32_t>(h)};
   words.push_back(rng.next_u32());
@@ -537,6 +563,7 @@ Strobes matcher_strobes(int w, int h, int reads, sim::Rng& rng) {
     }
     words.push_back(v);
   }
+  for (int i = 0; i < pad; ++i) words.push_back(rng.next_u32());
   return writes_then_reads(words, reads);
 }
 
@@ -567,11 +594,41 @@ TEST(HwBlocks, PioBlockEqualsPerWordStrobes) {
           break;
         case kPatternMatcher:
         case kPatternMatcherXl:
-          for (const auto& [w, h] : {std::pair{8, 8}, {12, 9}, {64, 48}}) {
+          // 68-pixel rows are not whole 8-pixel bytes. 400x300 is 120,000
+          // pixels: more than the XC2VP7 area's 6 BRAMs hold, so there the
+          // standard module raises its capacity error and only the XL
+          // buffer (22 BRAMs, as the XC2VP30's area) computes counts.
+          for (const auto& [w, h] :
+               {std::pair{8, 8}, {12, 9}, {68, 9}, {64, 48}, {400, 300}}) {
             const int counts = (w - 7) * (h - 7);
-            expect_blocks_match_every_cut(
-                reg, id, 0, matcher_strobes(w, h, counts + 2, rng), rng);
+            const Strobes strobes = matcher_strobes(w, h, counts + 2, rng);
+            if (w == 400) {
+              const auto m = reg.create(id);
+              for (const Strobe& st : strobes) {
+                if (!st.read) m->write_word(st.word, 32);
+              }
+              EXPECT_EQ(static_cast<const PatternMatcherModule&>(*m)
+                            .capacity_error(),
+                        id == kPatternMatcher && region.bram_blocks() < 22);
+            }
+            // Streams up to 68x9 are cut at every point, and every stream
+            // at the protocol's seams: around the header, the last image
+            // word and the first count reads.
+            expect_blocks_match_every_cut(reg, id, 0, strobes, rng, 400);
+            const std::size_t image_end =
+                3 + static_cast<std::size_t>(w * h / 4);
+            const std::vector<std::size_t> seams = {
+                1, 2, 3, 4, image_end - 1, image_end, image_end + 1,
+                image_end + 2};
+            for (const std::size_t cut : seams) {
+              expect_blocks_match(reg, id, 0, strobes, {cut});
+            }
+            expect_blocks_match(reg, id, 0, strobes, seams);
           }
+          // Pad strobes after the image, in the image's block or alone.
+          expect_blocks_match_every_cut(reg, id, 0,
+                                        matcher_strobes(68, 9, 20, rng, 3), rng,
+                                        400);
           // 720x576 pixels exceed both areas' buffers: a capacity error.
           expect_blocks_match_every_cut(reg, id, 0,
                                         matcher_strobes(720, 576, 3, rng), rng);

@@ -4,12 +4,14 @@
 // implementations.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <sstream>
 
 #include "apps/drivers.hpp"
 #include "apps/golden.hpp"
 #include "apps/memio.hpp"
 #include "apps/sw_kernels.hpp"
+#include "rfc3174.hpp"
 #include "rtr/manager.hpp"
 #include "rtr/platform.hpp"
 #include "serve/batch_exec.hpp"
@@ -279,18 +281,54 @@ TEST(SwKernels, JenkinsMatchesGolden) {
   }
 }
 
-TEST(SwKernels, Sha1MatchesGolden) {
-  Platform64 p;
-  Workloads w;
-  // len % 64 >= 56 pads into a second block at scratch + 384.
-  const std::vector<std::uint8_t> msg = long_key(w, 1024);
-  apps::store_bytes(p.cpu().plb(), kA64, msg);
-  for (std::uint32_t len :
-       {0u, 3u, 55u, 56u, 63u, 64u, 100u, 119u, 120u, 1024u}) {
-    const auto got = apps::sw_sha1(p.kernel(), kA64, len, kOut64);
-    const auto want = apps::sha1(std::span{msg}.first(len));
-    EXPECT_EQ(got, want) << "len " << len;
+/// `check(p, msg, scratch)` on a fresh platform of each system, with the
+/// message at its memory base + `msg_offset` and the scratch at base +
+/// 0x180000.
+template <typename Check>
+void on_both_systems(Check&& check, Addr msg_offset = 0x10000) {
+  Platform32 p32;
+  Platform64 p64;
+  for (Platform* p : std::initializer_list<Platform*>{&p32, &p64}) {
+    SCOPED_TRACE(p->spec().title);
+    const Addr base = p->spec().memory_range.base;
+    check(*p, base + msg_offset, base + 0x180000);
   }
+}
+
+TEST(SwKernels, Sha1MatchesGolden) {
+  Workloads w;
+  const std::vector<std::uint8_t> msg = long_key(w, 8192);
+  // Every length 0-300 covers every len % 64 and both padding shapes (a
+  // tail of 56 or more bytes pads into a second block at scratch + 384)
+  // with 0-4 whole blocks; then the serving and table sizes.
+  std::vector<std::uint32_t> lengths;
+  for (std::uint32_t len = 0; len <= 300; ++len) lengths.push_back(len);
+  lengths.push_back(1024);
+  lengths.push_back(8192);
+  on_both_systems([&](Platform& p, Addr at, Addr scratch) {
+    apps::store_bytes(p.cpu().plb(), at, msg);
+    for (const std::uint32_t len : lengths) {
+      const auto got = apps::sw_sha1(p.kernel(), at, len, scratch);
+      ASSERT_EQ(got, apps::sha1(std::span{msg}.first(len))) << "len " << len;
+    }
+  });
+}
+
+TEST(SwKernels, Sha1MatchesRfc3174Vectors) {
+  // The million-byte message sits at base + 4 MiB, clear of the scratch.
+  on_both_systems(
+      [&](Platform& p, Addr at, Addr scratch) {
+        for (const test::Sha1Vector& v : test::kRfc3174Vectors) {
+          const std::vector<std::uint8_t> msg = v.message();
+          apps::store_bytes(p.cpu().plb(), at, msg);
+          EXPECT_EQ(apps::sw_sha1(p.kernel(), at,
+                                  static_cast<std::uint32_t>(msg.size()),
+                                  scratch),
+                    v.digest)
+              << v.text;
+        }
+      },
+      4u << 20);
 }
 
 TEST(SwKernels, ImageOpsMatchGolden) {
