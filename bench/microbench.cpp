@@ -2,7 +2,7 @@
 // simulator itself executes its primitives. These guard against
 // performance regressions in the simulation substrate -- the table benches
 // above measure *simulated* time, this binary measures *host* time. CI
-// gates seventeen of them against the baselines in BENCH_microbench.json
+// gates eighteen of them against the baselines in BENCH_microbench.json
 // (docs/PERFORMANCE.md "Recorded baselines" says how to re-record them).
 #include <benchmark/benchmark.h>
 
@@ -17,6 +17,7 @@
 #include "rtr/manager.hpp"
 #include "rtr/plan_cache.hpp"
 #include "rtr/platform.hpp"
+#include "rtr/readback.hpp"
 #include "serve/fleet/fleet.hpp"
 #include "serve/server.hpp"
 
@@ -212,6 +213,22 @@ static void BM_RegionPayloadHash(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RegionPayloadHash);
+
+// One readback-verify pass over the XC2VP30 area with a module resident:
+// the fleet's probation probe and the scrub after a load. Its frame loop
+// runs in closed form, so a return to word-by-word bus transfers (at least
+// six times slower) fails the gate.
+static void BM_ReadbackVerify(benchmark::State& state) {
+  Platform64 p;
+  bench::must_load(p, hw::kBrightness);
+  for (auto _ : state) {
+    const ReadbackStats s =
+        readback_verify(p.kernel(), Platform64::kIcapRange.base, p.region());
+    if (!s.ok) state.SkipWithError("readback of a clean module failed");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReadbackVerify);
 
 static void BM_BitLinkerAssembly(benchmark::State& state) {
   Platform32 p;

@@ -1,6 +1,8 @@
 #include "apps/drivers.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <vector>
 
 #include "apps/memio.hpp"
@@ -26,19 +28,39 @@ constexpr bus::AddressRange words_at(Addr base, std::int64_t n) {
   return bytes_at(base, n * 4);
 }
 
+/// Loop iterations a bulk side stages at once. Its blocks of strobes are
+/// cut into chunks of this many iterations, which equal the whole block
+/// strobe for strobe, so that fixed buffers hold every chunk's words.
+constexpr std::int64_t kChunk = 512;
+using ChunkWords = std::array<std::uint32_t, kChunk>;
+
+/// f(at, n) for each chunk [at, at + n) of iterations [first, first + count).
+template <typename F>
+void by_chunks(std::int64_t first, std::int64_t count, F&& f) {
+  for (std::int64_t done = 0; done < count; done += kChunk) {
+    f(first + done, std::min(kChunk, count - done));
+  }
+}
+
+/// The first `n` words of a chunk buffer.
+template <std::size_t N>
+std::span<std::uint32_t> first_words(std::array<std::uint32_t, N>& buf,
+                                     std::int64_t n) {
+  return std::span{buf}.first(static_cast<std::size_t>(n));
+}
+
 /// The bulk side of a PIO loop (cpu::run_periodic): memory moves through
 /// the backdoor in blocks, and the data words go to the dock's endpoint
-/// slave in one block of strobes (bus::Slave::pio_block), so the module and
+/// slave in blocks of strobes (bus::Slave::pio_block), so the module and
 /// the dock's counters see every word while no bus does.
 class BulkPort {
  public:
   BulkPort(Kernel& k, Addr dock)
       : mem_(&k.cpu().plb()), dock_addr_(dock), dock_(&mem_->endpoint(dock)) {}
 
-  /// `count` words from `base`, in one block.
-  [[nodiscard]] std::vector<std::uint32_t> peek(Addr base,
-                                                std::int64_t count) const {
-    return fetch_words(*mem_, base, static_cast<std::size_t>(count));
+  /// words.size() words from `base`, in one block.
+  void peek(Addr base, std::span<std::uint32_t> words) const {
+    fetch_words(*mem_, base, words);
   }
   void poke(Addr base, std::span<const std::uint32_t> words) {
     store_words(*mem_, base, words);
@@ -68,7 +90,11 @@ void pio_feed(Kernel& k, Addr dock, Addr src, std::int64_t n) {
       },
       [&](std::int64_t first, std::int64_t count) {
         BulkPort port(k, dock);
-        port.strobe(port.peek(word_at(src, first), count), {});
+        ChunkWords in;
+        by_chunks(first, count, [&](std::int64_t at, std::int64_t n) {
+          port.peek(word_at(src, at), first_words(in, n));
+          port.strobe(first_words(in, n), {});
+        });
       });
 }
 
@@ -89,9 +115,12 @@ void pio_exchange(Kernel& k, Addr dock, Addr src, Addr dst, std::int64_t n) {
       },
       [&](std::int64_t first, std::int64_t count) {
         BulkPort port(k, dock);
-        std::vector<std::uint32_t> out(static_cast<std::size_t>(count));
-        port.strobe(port.peek(word_at(src, first), count), out);
-        port.poke(word_at(dst, first), out);
+        ChunkWords in, out;
+        by_chunks(first, count, [&](std::int64_t at, std::int64_t n) {
+          port.peek(word_at(src, at), first_words(in, n));
+          port.strobe(first_words(in, n), first_words(out, n));
+          port.poke(word_at(dst, at), first_words(out, n));
+        });
       });
 }
 }  // namespace
@@ -118,9 +147,11 @@ SimTime pio_read_seq(Kernel& k, Addr mem, Addr dock, int n) {
       },
       [&](std::int64_t first, std::int64_t count) {
         BulkPort port(k, dock);
-        std::vector<std::uint32_t> out(static_cast<std::size_t>(count));
-        port.strobe({}, out);
-        port.poke(word_at(mem, first), out);
+        ChunkWords out;
+        by_chunks(first, count, [&](std::int64_t at, std::int64_t n) {
+          port.strobe({}, first_words(out, n));
+          port.poke(word_at(mem, at), first_words(out, n));
+        });
       });
   return k.now() - t0;
 }
@@ -246,11 +277,14 @@ MatchResult hw_pattern_match_pio(Kernel& k, Addr dock, Addr img, int w, int h,
       },
       [&](std::int64_t first, std::int64_t count) {
         BulkPort port(k, dock);
-        std::vector<std::uint32_t> counts(static_cast<std::size_t>(count));
-        port.strobe({}, counts);
-        for (std::int64_t j = 0; j < count; ++j) {
-          track(first + j, static_cast<int>(counts[static_cast<std::size_t>(j)]));
-        }
+        ChunkWords counts;
+        by_chunks(first, count, [&](std::int64_t at, std::int64_t n) {
+          port.strobe({}, first_words(counts, n));
+          for (std::int64_t j = 0; j < n; ++j) {
+            track(at + j,
+                  static_cast<int>(counts[static_cast<std::size_t>(j)]));
+          }
+        });
       });
   return best;
 }
@@ -310,17 +344,20 @@ void two_source_pio(Kernel& k, Addr dock, Addr a, Addr b, Addr dst, int n) {
       },
       [&](std::int64_t first, std::int64_t count) {
         BulkPort port(k, dock);
-        const auto pa = port.peek(word_at(a, first), count);
-        const auto pb = port.peek(word_at(b, first), count);
-        // Each group's halves [A0 A1 B0 B1] and [A2 A3 B2 B3], then a read.
-        std::vector<std::uint32_t> in(2 * pa.size());
-        for (std::size_t j = 0; j < pa.size(); ++j) {
-          in[2 * j] = (pa[j] & 0xFFFFu) | pb[j] << 16;
-          in[2 * j + 1] = pa[j] >> 16 | (pb[j] & 0xFFFF0000u);
-        }
-        std::vector<std::uint32_t> out(pa.size());
-        port.strobe(in, out);
-        port.poke(word_at(dst, first), out);
+        ChunkWords pa, pb, out;
+        std::array<std::uint32_t, 2 * kChunk> in;
+        by_chunks(first, count, [&](std::int64_t at, std::int64_t n) {
+          port.peek(word_at(a, at), first_words(pa, n));
+          port.peek(word_at(b, at), first_words(pb, n));
+          // Each group's halves [A0 A1 B0 B1] and [A2 A3 B2 B3], then a
+          // read.
+          for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j) {
+            in[2 * j] = (pa[j] & 0xFFFFu) | pb[j] << 16;
+            in[2 * j + 1] = pa[j] >> 16 | (pb[j] & 0xFFFF0000u);
+          }
+          port.strobe(first_words(in, 2 * n), first_words(out, n));
+          port.poke(word_at(dst, at), first_words(out, n));
+        });
       });
 }
 }  // namespace

@@ -51,61 +51,92 @@ constexpr std::uint64_t popcount_bytes(std::uint64_t x) {
 
 }  // namespace
 
-std::vector<std::uint8_t> pattern_match_counts(const BinaryImage& img,
-                                               const Pattern8x8& pat) {
-  const auto width = static_cast<std::size_t>(img.width);
-  const auto height = static_cast<std::size_t>(img.height);
-  const std::size_t cols = width - 7;
-  const auto wpr = static_cast<std::size_t>(img.words_per_row());
-  // Window bytes per image row, padded to whole groups of eight: byte c of
-  // row r holds bits c..c+7 of the row, LSB-first. A group's eight windows
-  // come from the 15 row bits at its first column; bytes past the last
-  // window feed count lanes that are never stored.
-  const std::size_t stride = (cols + 7) / 8 * 8;
-  std::vector<std::uint8_t> windows(height * stride, 0);
-  for (std::size_t r = 0; r < height; ++r) {
-    const std::uint32_t* row = img.words.data() + r * wpr;
-    std::uint8_t* win = windows.data() + r * stride;
-    for (std::size_t c = 0; c < cols; c += 8) {
-      const std::size_t w = c / 32;
-      const std::uint64_t next = w + 1 < wpr ? row[w + 1] : 0;
-      const std::uint64_t bits = (row[w] | next << 32) >> (c % 32);
-      for (std::size_t k = 0; k < 8; ++k) {
-        win[c + k] = static_cast<std::uint8_t>(bits >> k);
-      }
-    }
-  }
+namespace {
 
-  // Eight window positions per 64-bit word: byte k of `sum` accumulates
-  // position c + k's matches over the eight pattern rows (at most 64, so
-  // no byte carries into the next).
-  std::vector<std::uint8_t> counts((height - 7) * cols);
-  for (std::size_t r = 0; r + 8 <= height; ++r) {
-    std::uint8_t* out = counts.data() + r * cols;
-    for (std::size_t c = 0; c < cols; c += 8) {
-      std::uint64_t sum = 0;
-      for (std::size_t pr = 0; pr < 8; ++pr) {
-        std::uint64_t group = 0;
-        std::memcpy(&group, windows.data() + (r + pr) * stride + c, 8);
-        sum += popcount_bytes(~(group ^ (kByteLanes * pat[pr])));
+/// Window columns counted at once: bounds the engine's buffers, a multiple
+/// of the eight positions one 64-bit word counts.
+constexpr std::size_t kMatchColumns = 256;
+
+/// Count every window of `img` against `pat` and hand each output row's
+/// counts to visit(r, c0, counts), counts[j] belonging to window
+/// (r, c0 + j): the columns a chunk of kMatchColumns at a time, each
+/// chunk's rows in order, so that only the last eight image rows' window
+/// bytes are kept.
+template <typename Visit>
+void for_each_count_row(const BinaryImageView& img, const Pattern8x8& pat,
+                        Visit&& visit) {
+  const auto height = static_cast<std::size_t>(img.height);
+  const std::size_t cols = static_cast<std::size_t>(img.width) - 7;
+  const auto wpr = static_cast<std::size_t>(img.words_per_row());
+  // ring[y % 8]: image row y's window bytes, byte j holding bits
+  // c0 + j .. c0 + j + 7 of the row, LSB-first. A group's eight windows come
+  // from the 15 row bits at its first column; bytes past the chunk's last
+  // window feed count lanes that are never handed out.
+  std::array<std::array<std::uint8_t, kMatchColumns>, 8> ring;
+  std::array<std::uint8_t, kMatchColumns> counts;
+  for (std::size_t c0 = 0; c0 < cols; c0 += kMatchColumns) {
+    const std::size_t n = std::min(kMatchColumns, cols - c0);
+    for (std::size_t y = 0; y < height; ++y) {
+      const std::uint32_t* row = img.words.data() + y * wpr;
+      std::uint8_t* win = ring[y % 8].data();
+      for (std::size_t j = 0; j < n; j += 8) {
+        const std::size_t c = c0 + j;
+        const std::size_t w = c / 32;
+        const std::uint64_t next = w + 1 < wpr ? row[w + 1] : 0;
+        const std::uint64_t bits = (row[w] | next << 32) >> (c % 32);
+        for (std::size_t k = 0; k < 8; ++k) {
+          win[j + k] = static_cast<std::uint8_t>(bits >> k);
+        }
       }
-      std::memcpy(out + c, &sum, std::min<std::size_t>(8, cols - c));
+      if (y < 7) continue;
+      // Eight window positions per 64-bit word: byte k of `sum` accumulates
+      // position j + k's matches over the eight pattern rows (at most 64,
+      // so no byte carries into the next).
+      const std::size_t r = y - 7;
+      for (std::size_t j = 0; j < n; j += 8) {
+        std::uint64_t sum = 0;
+        for (std::size_t pr = 0; pr < 8; ++pr) {
+          std::uint64_t group = 0;
+          std::memcpy(&group, ring[(r + pr) % 8].data() + j, 8);
+          sum += popcount_bytes(~(group ^ (kByteLanes * pat[pr])));
+        }
+        std::memcpy(counts.data() + j, &sum, 8);
+      }
+      visit(r, c0, std::span{counts}.first(n));
     }
   }
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> pattern_match_counts(const BinaryImageView& img,
+                                               const Pattern8x8& pat) {
+  const std::size_t cols = static_cast<std::size_t>(img.width) - 7;
+  std::vector<std::uint8_t> counts(
+      (static_cast<std::size_t>(img.height) - 7) * cols);
+  for_each_count_row(img, pat,
+                     [&](std::size_t r, std::size_t c0,
+                         std::span<const std::uint8_t> row) {
+                       std::copy(row.begin(), row.end(),
+                                 counts.begin() + r * cols + c0);
+                     });
   return counts;
 }
 
-MatchResult pattern_match(const BinaryImage& img, const Pattern8x8& pat) {
-  const auto counts = pattern_match_counts(img, pat);
+MatchResult pattern_match(const BinaryImageView& img, const Pattern8x8& pat) {
   MatchResult res;
-  const int cols = img.width - 7;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] > res.best_count) {
-      res.best_count = counts[i];
-      res.best_row = static_cast<int>(i) / cols;
-      res.best_col = static_cast<int>(i) % cols;
-    }
-  }
+  for_each_count_row(img, pat,
+                     [&](std::size_t r, std::size_t c0,
+                         std::span<const std::uint8_t> row) {
+                       for (std::size_t j = 0; j < row.size(); ++j) {
+                         const auto c = static_cast<int>(c0 + j);
+                         if (beats(res, row[j], static_cast<int>(r), c)) {
+                           res.best_count = row[j];
+                           res.best_row = static_cast<int>(r);
+                           res.best_col = c;
+                         }
+                       }
+                     });
   return res;
 }
 
@@ -123,10 +154,11 @@ constexpr auto kBitBytes = [] {
 
 }  // namespace
 
-std::vector<std::uint8_t> to_bytes(const BinaryImage& img) {
+void to_bytes(const BinaryImageView& img, std::span<std::uint8_t> px) {
   const auto width = static_cast<std::size_t>(img.width);
   const auto wpr = static_cast<std::size_t>(img.words_per_row());
-  std::vector<std::uint8_t> px(width * static_cast<std::size_t>(img.height));
+  RTR_CHECK(px.size() == width * static_cast<std::size_t>(img.height),
+            "one byte per pixel");
   // Eight pixels per table lookup; bits of a row's last word past the
   // image width are never copied.
   for (std::size_t r = 0; r < static_cast<std::size_t>(img.height); ++r) {
@@ -138,6 +170,12 @@ std::vector<std::uint8_t> to_bytes(const BinaryImage& img) {
                   std::min<std::size_t>(8, width - c));
     }
   }
+}
+
+std::vector<std::uint8_t> to_bytes(const BinaryImageView& img) {
+  std::vector<std::uint8_t> px(static_cast<std::size_t>(img.width) *
+                               static_cast<std::size_t>(img.height));
+  to_bytes(img, px);
   return px;
 }
 

@@ -14,8 +14,19 @@ namespace rtr::apps {
 
 // --- bilevel images & pattern matching (paper section 3.2) -------------------
 
-/// A bit-packed bilevel image: bit (r, c) is bit (c % 32) of word
+/// The words of a bit-packed bilevel image held elsewhere (a BinaryImage,
+/// or a request's fixed buffer): bit (r, c) is bit (c % 32) of word
 /// [r * words_per_row + c / 32], LSB-first.
+struct BinaryImageView {
+  int width = 0;
+  int height = 0;
+  std::span<const std::uint32_t> words;
+
+  [[nodiscard]] int words_per_row() const { return (width + 31) / 32; }
+};
+
+/// A bit-packed bilevel image that owns its words, laid out as in
+/// BinaryImageView.
 struct BinaryImage {
   int width = 0;
   int height = 0;
@@ -25,6 +36,7 @@ struct BinaryImage {
   [[nodiscard]] int words_per_row() const { return (width + 31) / 32; }
   [[nodiscard]] bool get(int r, int c) const;
   void set(int r, int c, bool v);
+  operator BinaryImageView() const { return {width, height, words}; }
 };
 
 /// An 8x8 bilevel pattern, one byte per row (bit c of row r, LSB-first).
@@ -38,15 +50,28 @@ struct MatchResult {
 
 /// Slide `pat` over `img`; per-position counts of pixels equal to the
 /// pattern's, in row-major window order ((height-7) * (width-7) entries).
-std::vector<std::uint8_t> pattern_match_counts(const BinaryImage& img,
+std::vector<std::uint8_t> pattern_match_counts(const BinaryImageView& img,
                                                const Pattern8x8& pat);
 
-/// Best position (first occurrence wins ties) over pattern_match_counts.
-MatchResult pattern_match(const BinaryImage& img, const Pattern8x8& pat);
+/// Best position over the same counts (the first in row-major order wins
+/// ties), counted without allocating.
+MatchResult pattern_match(const BinaryImageView& img, const Pattern8x8& pat);
+
+/// True when a window at (r, c) counting `count` beats `best`: it counts
+/// more, or as many and comes first in row-major order. The best window
+/// whatever order the windows are counted in.
+[[nodiscard]] constexpr bool beats(const MatchResult& best, int count, int r,
+                                   int c) {
+  return count > best.best_count ||
+         (count == best.best_count &&
+          (r < best.best_row || (r == best.best_row && c < best.best_col)));
+}
 
 /// Byte-per-pixel rendering of a bilevel image (the natural C layout the
-/// software baseline operates on): non-zero byte = set pixel.
-std::vector<std::uint8_t> to_bytes(const BinaryImage& img);
+/// software baseline operates on): non-zero byte = set pixel. `out` holds
+/// width * height bytes.
+void to_bytes(const BinaryImageView& img, std::span<std::uint8_t> out);
+std::vector<std::uint8_t> to_bytes(const BinaryImageView& img);
 BinaryImage from_bytes(int width, int height, std::span<const std::uint8_t> px);
 
 // --- Jenkins lookup2 hash (paper section 3.2, ref [8]) -----------------------

@@ -65,7 +65,8 @@ inline void put_le32(std::span<std::uint8_t> b, std::int64_t j,
 }
 
 /// Blocks of words in the simulator's little-endian memory convention:
-/// store_words writes them as sw does, fetch_words reads them as lw does.
+/// store_words writes them as sw does, fetch_words reads them as lw does
+/// (into `words`).
 /// One block copy where that is the host's byte order, byte by byte
 /// elsewhere.
 inline void store_words(bus::Bus& b, bus::Addr base,
@@ -82,9 +83,9 @@ inline void store_words(bus::Bus& b, bus::Addr base,
   }
 }
 
-inline std::vector<std::uint32_t> fetch_words(bus::Bus& b, bus::Addr base,
-                                              std::size_t n) {
-  std::vector<std::uint32_t> words(n);
+inline void fetch_words(bus::Bus& b, bus::Addr base,
+                        std::span<std::uint32_t> words) {
+  const std::size_t n = words.size();
   if constexpr (std::endian::native == std::endian::little) {
     b.peek_block(base, {reinterpret_cast<std::uint8_t*>(words.data()), n * 4});
   } else {
@@ -93,7 +94,6 @@ inline std::vector<std::uint32_t> fetch_words(bus::Bus& b, bus::Addr base,
       words[i] = le32(bytes, static_cast<std::int64_t>(i));
     }
   }
-  return words;
 }
 
 }  // namespace rtr::apps

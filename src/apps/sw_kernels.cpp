@@ -1,6 +1,7 @@
 #include "apps/sw_kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <optional>
 #include <vector>
@@ -32,37 +33,43 @@ constexpr std::uint8_t saturate(int v) {
 
 // --- pattern matching ---------------------------------------------------------
 
-/// The counts of windows [r0, r0 + rows) x [c0, c0 + cols), in row-major
-/// order, from `px`: the image's rows r0 .. r0 + rows + 6, `w` bytes each.
-/// A window's count is the number of its 64 pixels whose set-ness equals
-/// the pattern bit.
+/// Window columns the matcher's bulk side counts at once: bounds its
+/// staging buffers.
+constexpr std::int64_t kWindowChunk = 256;
+
+/// Count windows [r0, r0 + rows) x [c0, c0 + cols) of the `w`-byte-wide
+/// image at `img` natively, handing each to track(r, c, count): a chunk of
+/// at most kWindowChunk columns at a time, the rows of each chunk in order,
+/// each row's pixels staged from memory through a fixed buffer. A window's
+/// count is the number of its 64 pixels whose set-ness equals the pattern
+/// bit.
 template <typename Track>
-void count_windows(std::span<const std::uint8_t> px, int w, std::int64_t r0,
+void count_windows(bus::Bus& mem, Addr img, int w, std::int64_t r0,
                    std::int64_t rows, std::int64_t c0, std::int64_t cols,
                    std::uint64_t pbits, Track&& track) {
-  // Column c's window bits of image row y: bit pc is pixel (y, c + pc).
-  const auto row_bytes = [&](std::int64_t y, std::vector<std::uint8_t>& out) {
-    const std::uint8_t* row = px.data() + y * w;
-    unsigned bits = 0;
-    for (int pc = 0; pc < 7; ++pc) bits |= unsigned{row[c0 + pc] != 0} << pc;
-    for (std::int64_t c = 0; c < cols; ++c) {
-      bits |= unsigned{row[c0 + c + 7] != 0} << 7;
-      out[static_cast<std::size_t>(c)] = static_cast<std::uint8_t>(bits);
-      bits >>= 1;
-    }
-  };
-  // win[c]: window (r, c0 + c)'s 64 pixel bits, pattern row pr in byte pr.
-  std::vector<std::uint64_t> win(static_cast<std::size_t>(cols));
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(cols));
-  for (std::int64_t y = 0; y < rows + 7; ++y) {
-    row_bytes(y, bytes);
-    for (std::size_t c = 0; c < win.size(); ++c) {
-      win[c] = (win[c] >> 8) | std::uint64_t{bytes[c]} << 56;
-    }
-    if (y < 7) continue;
-    for (std::size_t c = 0; c < win.size(); ++c) {
-      track(r0 + y - 7, c0 + static_cast<std::int64_t>(c),
-            64 - std::popcount(win[c] ^ pbits));
+  // win[c]: window (r, cc + c)'s 64 pixel bits, pattern row pr in byte pr.
+  std::array<std::uint64_t, kWindowChunk> win;
+  std::array<std::uint8_t, kWindowChunk + 7> px;
+  for (std::int64_t cc = c0; cc < c0 + cols; cc += kWindowChunk) {
+    const auto n = static_cast<std::size_t>(
+        std::min(kWindowChunk, c0 + cols - cc));
+    std::fill_n(win.begin(), n, 0);
+    for (std::int64_t y = 0; y < rows + 7; ++y) {
+      // Pixels cc .. cc + n + 6 of image row r0 + y; column c's window
+      // bits of the row: bit pc is pixel (y, cc + c + pc).
+      mem.peek_block(at(img, (r0 + y) * w + cc), std::span{px}.first(n + 7));
+      unsigned bits = 0;
+      for (int pc = 0; pc < 7; ++pc) bits |= unsigned{px[pc] != 0} << pc;
+      for (std::size_t c = 0; c < n; ++c) {
+        bits |= unsigned{px[c + 7] != 0} << 7;
+        win[c] = (win[c] >> 8) | std::uint64_t{bits} << 56;
+        bits >>= 1;
+      }
+      if (y < 7) continue;
+      for (std::size_t c = 0; c < n; ++c) {
+        track(r0 + y - 7, cc + static_cast<std::int64_t>(c),
+              64 - std::popcount(win[c] ^ pbits));
+      }
     }
   }
 }
@@ -266,9 +273,11 @@ MatchResult sw_pattern_match(Kernel& k, Addr img, int w, int h, Addr pat) {
         pbits |= fetch_pattern_bits(k.cpu().plb(), pat, first, count);
       });
 
+  // The bulk side counts a chunk of columns at a time, so the best window
+  // is kept by position, whatever order the windows are counted in.
   MatchResult best;
   const auto track = [&](std::int64_t r, std::int64_t c, int count) {
-    if (count > best.best_count) {
+    if (beats(best, count, static_cast<int>(r), static_cast<int>(c))) {
       best.best_count = count;
       best.best_row = static_cast<int>(r);
       best.best_col = static_cast<int>(c);
@@ -279,14 +288,11 @@ MatchResult sw_pattern_match(Kernel& k, Addr img, int w, int h, Addr pat) {
   const auto image_rows = [&](std::int64_t r, std::int64_t n) {
     return bytes_at(at(img, r * w), n * w);
   };
-  // Windows [r, r + n_rows) x [c, c + n_cols), counted natively from one
-  // read of the rows they span.
+  // Windows [r, r + n_rows) x [c, c + n_cols), counted natively.
   const auto natively = [&](std::int64_t r, std::int64_t n_rows,
                             std::int64_t c, std::int64_t n_cols) {
     if (n_rows == 0 || n_cols == 0) return;
-    const bus::AddressRange span = image_rows(r, n_rows + 7);
-    const auto px = fetch_bytes(k.cpu().plb(), span.base, span.size);
-    count_windows(px, w, r, n_rows, c, n_cols, pbits, track);
+    count_windows(k.cpu().plb(), img, w, r, n_rows, c, n_cols, pbits, track);
   };
   const auto window = [&](std::int64_t r, std::int64_t c) {
     // Straightforward C inner loops: one image byte load and a handful of

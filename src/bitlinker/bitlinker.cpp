@@ -20,39 +20,21 @@ std::uint32_t region_payload_hash(const ConfigMemory& cm,
   const auto w0 = static_cast<std::size_t>(region.first_word());
   const auto wn = static_cast<std::size_t>(region.word_count());
   const auto sig0 = static_cast<std::size_t>(region.signature_word()) - w0;
-  std::uint32_t h = kPayloadHashBasis;
-  std::uint64_t zeros = 0;  // zero words not yet folded into h
-  auto add = [&](std::uint32_t v) {
-    if (v == 0) {
-      ++zeros;
-      return;
-    }
-    h = payload_hash_word(payload_hash_zeros(h, zeros), v);
-    zeros = 0;
-  };
+  PayloadHasher h;
   region.for_each_covered_column([&](FrameAddress first, int frames) {
     const auto words = cm.frames(first, frames);
     for (int m = 0; m < frames; ++m) {
       const auto rows =
           words.subspan(static_cast<std::size_t>(m) * wpf + w0, wn);
       if (FrameAddress{first.type, first.major, m} == sig_frame) {
-        for (std::size_t w = 0; w < wn; ++w) {
-          if (w < sig0 || w >= sig0 + DynamicRegion::kSignatureWords) {
-            add(rows[w]);
-          }
-        }
+        h.add(rows.first(sig0));
+        h.add(rows.subspan(sig0 + DynamicRegion::kSignatureWords));
         continue;
       }
-      std::uint32_t any = 0;
-      for (const std::uint32_t v : rows) any |= v;
-      if (any == 0) {
-        zeros += wn;
-        continue;
-      }
-      for (const std::uint32_t v : rows) add(v);
+      h.add(rows);
     }
   });
-  return payload_hash_zeros(h, zeros);
+  return h.value();
 }
 
 BitLinker::BitLinker(const DynamicRegion& region,

@@ -90,6 +90,38 @@ inline constexpr std::uint32_t kPayloadHashPrime = 16777619u;
   return h;
 }
 
+/// A payload hash fed word by word or in blocks, each run of zero words
+/// taken in one step: equal to payload_hash_word over every word added.
+class PayloadHasher {
+ public:
+  explicit PayloadHasher(std::uint32_t h = kPayloadHashBasis) : h_(h) {}
+
+  void add(std::uint32_t v) {
+    if (v == 0) {
+      ++zeros_;
+      return;
+    }
+    h_ = payload_hash_word(payload_hash_zeros(h_, zeros_), v);
+    zeros_ = 0;
+  }
+  void add(std::span<const std::uint32_t> words) {
+    std::uint32_t any = 0;
+    for (const std::uint32_t v : words) any |= v;
+    if (any == 0) {
+      zeros_ += words.size();
+      return;
+    }
+    for (const std::uint32_t v : words) add(v);
+  }
+  [[nodiscard]] std::uint32_t value() const {
+    return payload_hash_zeros(h_, zeros_);
+  }
+
+ private:
+  std::uint32_t h_;
+  std::uint64_t zeros_ = 0;  // zero words not yet folded into h_
+};
+
 /// Payload hash over the region-row words of every frame covering `region`,
 /// skipping the signature words themselves. The BitLinker stores this hash
 /// in the signature. A load the platform cannot prove exact re-computes it

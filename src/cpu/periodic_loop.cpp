@@ -10,6 +10,14 @@ namespace rtr::cpu {
 using bus::AddressRange;
 using sim::SimTime;
 
+namespace {
+/// The fault sites a loop iteration reaches: every single-beat bus
+/// transaction, every HWICAP data-register write and every readback word
+/// it pops.
+constexpr std::array<fault::Site, 3> kLoopFaultSites = {
+    fault::Site::kBus, fault::Site::kIcap, fault::Site::kReadback};
+}  // namespace
+
 IterationStats::IterationStats(
     const Ppc405& cpu, std::span<bus::Bus* const> buses,
     std::span<const bus::PlbOpbBridge* const> bridges,
@@ -33,8 +41,9 @@ IterationStats::IterationStats(
   count(cpu.loads());
   count(cpu.stores());
   if (faults_ != nullptr) {
-    bus_opportunities_ = faults_->opportunities(fault::Site::kBus);
-    icap_opportunities_ = faults_->opportunities(fault::Site::kIcap);
+    for (std::size_t i = 0; i < kLoopFaultSites.size(); ++i) {
+      opportunities_[i] = faults_->opportunities(kLoopFaultSites[i]);
+    }
   }
 }
 
@@ -45,12 +54,10 @@ void IterationStats::repeat(std::int64_t m) {
   }
   for (auto& [h, before] : hists_) h->add_repeat(before, m);
   if (faults_ != nullptr) {
-    // A loop iteration reaches two fault sites: every single-beat bus
-    // transaction and every ICAP data-register write.
-    for (const auto& [site, before] :
-         {std::pair{fault::Site::kBus, bus_opportunities_},
-          std::pair{fault::Site::kIcap, icap_opportunities_}}) {
-      faults_->count_quiet(site, m * (faults_->opportunities(site) - before));
+    for (std::size_t i = 0; i < kLoopFaultSites.size(); ++i) {
+      const fault::Site site = kLoopFaultSites[i];
+      faults_->count_quiet(
+          site, m * (faults_->opportunities(site) - opportunities_[i]));
     }
   }
 }
@@ -99,10 +106,10 @@ bool PeriodicReplay::buses_free_at(SimTime t) const {
 // fixed phase, and its statistics depend on p only. When iteration 2
 // starts at iteration 1's phase with the buses again free, every later
 // iteration repeats iteration 1 shifted by k * step. A fault plan with no
-// active spec at a per-transaction site changes nothing here: each bus or
-// ICAP opportunity only advances that site's index and counter, and no
-// spec becomes active again, so iteration k counts iteration 1's
-// opportunities.
+// active spec at a per-transaction site changes nothing here: each bus,
+// ICAP or readback opportunity only advances that site's index and
+// counter, and no spec becomes active again, so iteration k counts
+// iteration 1's opportunities.
 void PeriodicReplay::begin_template() {
   t1_ = k_->now();
   free_at_t1_ = buses_free_at(t1_);

@@ -90,12 +90,12 @@ inline constexpr std::size_t kMaxLoopBridges = 1;
 /// The statistics one loop iteration advances, snapshotted so the closed
 /// form can apply m times their change: every bus's transactions, beats,
 /// busy time and latency histogram, the bridge's crossings and beat splits,
-/// the CPU's loads and stores, and, under a quiet fault plan, the bus and
-/// ICAP fault opportunities. The components register all of them at
-/// construction, and the snapshot takes them from the components. Device
-/// counters are not here: the bulk side hands its data words to the device
-/// in one block (bus::Slave::pio_block), and the device counts every strobe
-/// of it.
+/// the CPU's loads and stores, and, under a quiet fault plan, the
+/// opportunities of the fault sites a CPU access reaches (bus, icap and
+/// readback). The components register all of them at construction, and the
+/// snapshot takes them from the components. Device counters are not here:
+/// the bulk side hands its data words to the device in one block
+/// (bus::Slave::pio_block), and the device counts every strobe of it.
 class IterationStats {
  public:
   IterationStats(const Ppc405& cpu, std::span<bus::Bus* const> buses,
@@ -113,8 +113,7 @@ class IterationStats {
   FixedList<std::pair<sim::BusyTime*, sim::SimTime>, kMaxLoopBuses> busy_;
   FixedList<std::pair<sim::Histogram*, sim::Histogram>, kMaxLoopBuses> hists_;
   fault::FaultInjector* faults_;
-  std::int64_t bus_opportunities_ = 0;
-  std::int64_t icap_opportunities_ = 0;
+  std::array<std::int64_t, 3> opportunities_{};  // bus, icap, readback
 };
 
 /// The closed-form half of run_periodic: the fallback checks, the snapshot
@@ -130,7 +129,8 @@ class PeriodicReplay {
   /// contents it reads, it has fewer than 4 iterations, or the buses it can
   /// reach run on different clocks. A plan whose active specs act per
   /// dispatch or per load (fail_stop, brownout, storage) keeps the closed
-  /// form; the m-fold advance counts its bus and ICAP opportunities.
+  /// form; the m-fold advance counts its bus, ICAP and readback
+  /// opportunities.
   [[nodiscard]] bool allowed() const { return allowed_; }
   /// Snapshot before iteration 1.
   void begin_template();

@@ -117,18 +117,30 @@ void IcapController::handle_register_write(ConfigReg reg, std::uint32_t w) {
 }
 
 std::uint32_t IcapController::readback_word() {
-  if (!readback_ || error_ || !far_valid_) {
-    error_ = true;
-    return 0xBADBADBAu;
-  }
-  const auto f = cm_->frame(far_);
-  const std::uint32_t v = f[static_cast<std::size_t>(readback_word_idx_)];
-  if (++readback_word_idx_ == cm_->words_per_frame()) {
-    readback_word_idx_ = 0;
-    far_ = far_.next_in(cm_->device());
-    far_valid_ = far_.valid_for(cm_->device());
-  }
+  std::uint32_t v = 0;
+  readback_words({&v, 1});
   return v;
+}
+
+void IcapController::readback_words(std::span<std::uint32_t> out) {
+  while (!out.empty()) {
+    if (!readback_ || error_ || !far_valid_) {
+      error_ = true;
+      std::fill(out.begin(), out.end(), 0xBADBADBAu);
+      return;
+    }
+    const auto rest = cm_->frame(far_).subspan(
+        static_cast<std::size_t>(readback_word_idx_));
+    const std::size_t n = std::min(rest.size(), out.size());
+    std::copy_n(rest.begin(), n, out.begin());
+    out = out.subspan(n);
+    readback_word_idx_ += static_cast<int>(n);
+    if (readback_word_idx_ == cm_->words_per_frame()) {
+      readback_word_idx_ = 0;
+      far_ = far_.next_in(cm_->device());
+      far_valid_ = far_.valid_for(cm_->device());
+    }
+  }
 }
 
 void IcapController::feed_word(std::uint32_t w) {
@@ -256,6 +268,20 @@ bus::SlaveResult IcapController::read(bus::Addr addr, int bytes,
     return {w, clock_->after_cycles(start, 5)};
   }
   return {v, clock_->after_cycles(start, 2)};
+}
+
+void IcapController::pio_block(bus::Addr addr,
+                               std::span<const std::uint32_t> in,
+                               std::span<std::uint32_t> out) {
+  RTR_CHECK(addr - range_.base < kDataRegEnd,
+            "HWICAP PIO blocks strobe the data register");
+  if (in.empty()) {
+    readback_words(out);
+    return;
+  }
+  bus::for_each_pio_group(
+      in, out, [this](std::span<const std::uint32_t> words) { feed(words); },
+      [this] { return readback_word(); });
 }
 
 SimTime IcapController::write(bus::Addr addr, std::uint64_t data, int bytes,

@@ -69,6 +69,13 @@ class IcapController : public bus::Slave {
   bus::SlaveResult read(bus::Addr addr, int bytes, sim::SimTime start) override;
   sim::SimTime write(bus::Addr addr, std::uint64_t data, int bytes,
                      sim::SimTime start) override;
+  /// Strobes of the data register in one block, as a closed-form CPU loop's
+  /// bulk side hands them over: the writes go to feed() and the reads pop
+  /// readback words, a block of reads alone with readback_words(). Like
+  /// feed(), it leaves the icap and readback fault sites alone: the loop
+  /// runner counts their opportunities (cpu::IterationStats).
+  void pio_block(bus::Addr addr, std::span<const std::uint32_t> in,
+                 std::span<std::uint32_t> out) override;
 
   /// Feed one bitstream word directly (no bus): functional core of the
   /// peripheral, also used by tests.
@@ -121,6 +128,10 @@ class IcapController : public bus::Slave {
   /// Valid only while readback is armed; otherwise flags an error and
   /// returns a poison word.
   std::uint32_t readback_word();
+  /// The next out.size() readback words, each as readback_word() pops it:
+  /// the words of each frame in one copy, crossing into the next frame in
+  /// scan order, and poison from the first word popped outside readback.
+  void readback_words(std::span<std::uint32_t> out);
 
   [[nodiscard]] std::int64_t frames_written() const { return frames_written_; }
   [[nodiscard]] std::int64_t words_consumed() const { return words_consumed_; }

@@ -21,7 +21,10 @@ struct ReadbackStats {
 };
 
 /// Read back every frame covering `region` through the HWICAP at
-/// `icap_base` and verify the signature + payload hash. Fully timed.
+/// `icap_base` and verify the signature + payload hash. Fully timed: the
+/// frame loop runs on cpu::run_periodic, so untraced and under a quiet
+/// fault plan most frames are applied in closed form, with the simulated
+/// time, statistics and HWICAP state of the per-word loop.
 ReadbackStats readback_verify(cpu::Kernel& k, bus::Addr icap_base,
                               const fabric::DynamicRegion& region);
 

@@ -140,11 +140,15 @@ ExecResult exec_request(Platform& p, hw::BehaviorId id,
     }
     case hw::kPatternMatcher:
     case hw::kPatternMatcherXl: {
-      apps::BinaryImage img = apps::BinaryImage::make(tp.img_w, tp.img_h);
-      for (auto& w : img.words) w = rng.next_u32() & rng.next_u32();
+      std::array<std::uint32_t, kImageHeight * ((kImageWidth + 31) / 32)>
+          words;
+      const apps::BinaryImageView img{tp.img_w, tp.img_h, words};
+      for (auto& w : words) w = rng.next_u32() & rng.next_u32();
       apps::Pattern8x8 pat;
       for (auto& row : pat) row = rng.next_u8();
-      apps::store_bytes(plb, s.in, apps::to_bytes(img));
+      Image px;
+      apps::to_bytes(img, px);
+      apps::store_bytes(plb, s.in, px);
       std::array<std::uint8_t, 64> pb;
       for (std::size_t i = 0; i < pb.size(); ++i) {
         pb[i] = (pat[i / 8] >> (i % 8)) & 1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -191,12 +192,15 @@ FleetReport run_fleet(const FleetOptions& opts, const FleetWorkloadSpec& w) {
                      areas);
   HealthTracker tracker(hp, static_cast<int>(n));
 
-  std::vector<std::unique_ptr<ShardRuntime>> rt;
-  rt.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    rt.push_back(std::make_unique<ShardRuntime>(opts, static_cast<int>(i),
-                                                systems[i], areas[i]));
-  }
+  // One pool for the whole run. The shards are built on it too: each
+  // constructor writes only its own slot and shares nothing but the const
+  // statics (the systems' blank baselines among them).
+  sim::WorkerPool workers(opts.jobs, n);
+  std::vector<std::unique_ptr<ShardRuntime>> rt(n);
+  workers.run(n, [&](std::size_t i) {
+    rt[i] = std::make_unique<ShardRuntime>(opts, static_cast<int>(i),
+                                           systems[i], areas[i]);
+  });
 
   FleetReport fr;
   fr.shards.resize(n);
@@ -206,6 +210,7 @@ FleetReport run_fleet(const FleetOptions& opts, const FleetWorkloadSpec& w) {
   std::vector<std::int64_t> slo_seen(n, 0);
   std::vector<std::int64_t> routed_per_shard(n, 0);
   std::vector<Request> pool;  // re-dispatches awaiting the next epoch
+  std::vector<std::size_t> order(n);  // this epoch's hand-out order
   const auto probe = [&](int d) {
     const bool ok = rt[static_cast<std::size_t>(d)]->probe_scrub();
     fr.stats.counter(ok ? "fleet.health.probe_ok" : "fleet.health.probe_fail")
@@ -282,9 +287,17 @@ FleetReport run_fleet(const FleetOptions& opts, const FleetWorkloadSpec& w) {
     }
 
     // (b) Parallel serve: persistent runtimes, one slot each, so output is
-    // byte-identical at any jobs.
-    sim::parallel_for(n, opts.jobs,
-                      [&](std::size_t i) { rt[i]->serve_epoch(scripts[i]); });
+    // byte-identical at any jobs and in any hand-out order. The longest
+    // script goes first (ties by index), so that a long shard does not
+    // start last and hold the epoch open alone.
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return scripts[a].size() != scripts[b].size()
+                 ? scripts[a].size() > scripts[b].size()
+                 : a < b;
+    });
+    workers.run(order,
+                [&](std::size_t i) { rt[i]->serve_epoch(scripts[i]); });
     router.checkpoint();  // everything routed so far has actually run
 
     if (hp.enabled) {

@@ -14,10 +14,14 @@
 //   3. serve + merge: each shard is one persistent Platform + TaskServer
 //      (its own ModuleManager, plan cache, breakers, watchdogs) replaying
 //      its script open-loop on its own simulated clock. Shards share
-//      nothing, so they run on a host thread pool; results land in slots
-//      fixed by shard index and the per-shard registries merge serially in
-//      index order (StatRegistry::merge of accumulators is order-sensitive
-//      in the last floating-point bit).
+//      nothing, so they run on a host thread pool (sim::WorkerPool), one
+//      pool per run: the shards are built on it in one round, and each
+//      epoch is one round that hands the shards out longest script first
+//      (ties by index), so that a long shard never starts last. Results
+//      land in slots fixed by shard index, whatever the hand-out order,
+//      and the per-shard registries merge serially in index order
+//      (StatRegistry::merge of accumulators is order-sensitive in the last
+//      floating-point bit).
 //
 // Phases 2 and 3 repeat per *epoch*. With health tracking on
 // (docs/FLEET_HEALTH.md) an epoch is a fixed number of arrivals, and at

@@ -3,10 +3,15 @@
 // region's 22 BRAMs.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "apps/drivers.hpp"
 #include "apps/golden.hpp"
 #include "apps/memio.hpp"
 #include "bitstream/partial_config.hpp"
+#include "fault/fault.hpp"
 #include "icap/icap.hpp"
 #include "rtr/platform.hpp"
 #include "rtr/readback.hpp"
@@ -137,6 +142,105 @@ TEST(ReadbackVerify, WorksOnThe64BitSystemToo) {
   const ReadbackStats s =
       readback_verify(p.kernel(), Platform64::kIcapRange.base, p.region());
   EXPECT_TRUE(s.ok);
+}
+
+// The readback's frame loop runs in closed form untraced; an enabled tracer
+// sends every frame word by word through the bus models, the reference.
+
+/// What an area holds when it is read back.
+enum class Readback { kClean, kRogueFrame, kRogueSignature, kEmpty };
+
+/// Everything a readback leaves behind that both paths must agree on.
+struct ReadbackOutcome {
+  bool ok = false;
+  std::int64_t frames = 0;
+  SimTime duration;
+  SimTime now;
+  std::string stats;
+  std::uint32_t status = 0;
+  std::uint32_t far = 0;
+  std::int64_t words_consumed = 0;
+};
+
+/// Write one frame into the configuration through the HWICAP, as an upset
+/// or a rogue master would.
+void write_frame(Platform& p, fabric::FrameAddress a,
+                 std::vector<std::uint32_t> words) {
+  bitstream::PartialConfig rogue{p.region().device()};
+  rogue.add_run({a, 1, std::move(words)});
+  for (const std::uint32_t w : bitstream::serialize(rogue)) {
+    p.cpu().store32(p.spec().icap.base, w);
+  }
+}
+
+ReadbackOutcome readback_once(const SystemSpec& spec, Readback area,
+                              bool quiet_plan, bool traced) {
+  trace::Tracer tr;
+  PlatformOptions o;
+  o.tracer = &tr;
+  if (quiet_plan) {
+    fault::FaultSpec fs;
+    EXPECT_TRUE(fault::FaultSpec::parse("fail_stop:stuck@60:1", &fs));
+    o.fault_plan.add(fs);
+  }
+  Platform p{spec, o};
+  const fabric::DynamicRegion& region = p.region();
+  const auto wpf = static_cast<std::size_t>(region.device().words_per_frame());
+  if (area != Readback::kEmpty) {
+    EXPECT_TRUE(p.load_module(hw::kJenkinsHash).ok);
+  }
+  if (area == Readback::kRogueFrame) {
+    write_frame(p, {fabric::ColumnType::kClb, region.rect().col0 + 5, 3},
+                std::vector<std::uint32_t>(wpf, 0xEEEEEEEE));
+  } else if (area == Readback::kRogueSignature) {
+    const auto sig = p.fabric_state().frame(region.signature_frame());
+    std::vector<std::uint32_t> words(sig.begin(), sig.end());
+    words[static_cast<std::size_t>(region.signature_word()) + 3] ^= 1u << 9;
+    write_frame(p, region.signature_frame(), std::move(words));
+  }
+  tr.enable(traced);
+  tr.set_store_events(false);  // the reference needs the path, not events
+  const ReadbackStats s = readback_verify(p.kernel(), spec.icap.base, region);
+  ReadbackOutcome out;
+  out.ok = s.ok;
+  out.frames = s.frames;
+  out.duration = s.duration;
+  out.now = p.kernel().now();
+  std::ostringstream os;
+  p.sim().stats().export_json(os);
+  out.stats = os.str();
+  const icap::IcapController& icap = p.icap_ctl();
+  out.status = (icap.synced() ? 1u : 0u) | (icap.error() ? 2u : 0u) |
+               (icap.done() ? 4u : 0u) | (icap.readback_armed() ? 8u : 0u);
+  out.far = icap.far().pack();
+  out.words_consumed = icap.words_consumed();
+  return out;
+}
+
+TEST(ReadbackVerify, ClosedFormMatchesPerWordReference) {
+  for (const SystemSpec* spec : {&SystemSpec::k32, &SystemSpec::k64}) {
+    for (const Readback area : {Readback::kClean, Readback::kRogueFrame,
+                                Readback::kRogueSignature, Readback::kEmpty}) {
+      for (const bool quiet_plan : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << spec->system << "-bit, area " << static_cast<int>(area)
+                     << (quiet_plan ? ", quiet fail_stop plan" : ""));
+        const ReadbackOutcome ref =
+            readback_once(*spec, area, quiet_plan, /*traced=*/true);
+        const ReadbackOutcome got =
+            readback_once(*spec, area, quiet_plan, /*traced=*/false);
+        EXPECT_EQ(got.ok, area == Readback::kClean);
+        EXPECT_EQ(got.ok, ref.ok);
+        EXPECT_EQ(got.frames, ref.frames);
+        EXPECT_EQ(got.duration, ref.duration);
+        EXPECT_EQ(got.now, ref.now);
+        EXPECT_EQ(got.stats, ref.stats);
+        EXPECT_EQ(got.status, ref.status);
+        EXPECT_EQ(got.far, ref.far);
+        EXPECT_EQ(got.words_consumed, ref.words_consumed);
+      }
+    }
+  }
 }
 
 // --- DMA-driven reconfiguration ----------------------------------------------------

@@ -615,12 +615,25 @@ TEST(FleetHealth, FailStopIsQuarantinedAndGoodputHolds) {
 }
 
 TEST(FleetHealth, ByteIdenticalAcrossWorkerCountsUnderChaos) {
-  FleetOptions fo = health_fleet(3, 1);
-  fo.fault_plan.add(chaos_spec("fail_stop:stuck@8:1:0"));
-  const FleetReport j1 = run_fleet(fo, health_load(200));
-  fo.jobs = 4;
-  const FleetReport j4 = run_fleet(fo, health_load(200));
-  EXPECT_EQ(fingerprint(j1), fingerprint(j4));
+  // A run that quarantines device 0, probes it and readmits it, on shards
+  // of unequal scripts: the pool hands them out longest first, not in index
+  // order, and every worker count must still give the same bytes.
+  FleetOptions fo = health_fleet(6, 1);
+  fo.fault_plan.add(chaos_spec("fail_stop:stuck@2:1:0"));
+  fo.repair_at_epoch = 2;
+  const FleetReport j1 = run_fleet(fo, health_load(400));
+  EXPECT_GE(j1.stats.counters().at("fleet.health.quarantines").value(), 1);
+  EXPECT_GE(j1.stats.counters().at("fleet.health.probe_ok").value(), 1);
+  EXPECT_GE(j1.stats.counters().at("fleet.health.readmits").value(), 1);
+  std::vector<std::int64_t> routed;
+  for (const ShardOutcome& s : j1.shards) routed.push_back(s.routed);
+  EXPECT_NE(*std::min_element(routed.begin(), routed.end()),
+            *std::max_element(routed.begin(), routed.end()));
+  const std::string fp = fingerprint(j1);
+  for (const int jobs : {2, 3, 8}) {
+    fo.jobs = jobs;
+    EXPECT_EQ(fingerprint(run_fleet(fo, health_load(400))), fp) << jobs;
+  }
 }
 
 TEST(FleetHealth, RetryBudgetZeroIsTypedExhaustionNotRedispatch) {

@@ -244,5 +244,60 @@ TEST(ParallelFor, RethrowsAfterEveryThreadJoined) {
                std::runtime_error);
 }
 
+TEST(WorkerPool, EveryRoundRunsEveryIndexOnce) {
+  for (const int jobs : {1, 3, 8}) {
+    for (const std::size_t n : {std::size_t{2}, std::size_t{13}}) {
+      SCOPED_TRACE(testing::Message() << "jobs " << jobs << ", n " << n);
+      WorkerPool pool(jobs, n);
+      EXPECT_EQ(pool.threads(),
+                std::min(n, static_cast<std::size_t>(jobs)));
+      // Reversed order on odd rounds: any order hands out every index.
+      std::vector<std::size_t> reversed(n);
+      for (std::size_t i = 0; i < n; ++i) reversed[i] = n - 1 - i;
+      std::vector<int> hits(n, 0);
+      for (int round = 1; round <= 1000; ++round) {
+        const auto hit = [&](std::size_t i) { ++hits[i]; };
+        if (round % 2 == 0) {
+          pool.run(n, hit);
+        } else {
+          pool.run(reversed, hit);
+        }
+        ASSERT_EQ(std::count(hits.begin(), hits.end(), round),
+                  static_cast<std::ptrdiff_t>(n))
+            << "round " << round;
+      }
+    }
+  }
+}
+
+TEST(WorkerPool, OneJobCallsInTheGivenOrder) {
+  WorkerPool pool(1, 5);
+  const std::vector<std::size_t> order = {3, 1, 4, 0, 2};
+  std::vector<std::size_t> calls;
+  pool.run(order, [&](std::size_t i) { calls.push_back(i); });
+  EXPECT_EQ(calls, order);
+}
+
+TEST(WorkerPool, ThrowingRoundRethrowsAndTheNextRoundRunsEveryIndex) {
+  WorkerPool pool(4, 100);
+  EXPECT_THROW(pool.run(100,
+                        [](std::size_t i) {
+                          if (i == 10) throw std::runtime_error("boom");
+                        }),
+               std::runtime_error);
+  std::vector<int> hits(100, 0);
+  pool.run(100, [&](std::size_t i) { ++hits[i]; });
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 100);
+}
+
+TEST(WorkerPool, NeverRunPoolIsDestroyedCleanly) {
+  for (const int jobs : {0, 1, 8}) {
+    const WorkerPool pool(jobs, 8);
+    EXPECT_EQ(pool.threads(), static_cast<std::size_t>(std::max(jobs, 1)));
+  }
+  const WorkerPool empty(4, 0);
+  EXPECT_EQ(empty.threads(), 1u);
+}
+
 }  // namespace
 }  // namespace rtr::sim
